@@ -17,9 +17,11 @@
 //! arena can be returned by value and dropped in one deallocation per pool.
 //!
 //! The arena's heap footprint is tracked in a process-wide relaxed counter
-//! surfaced as the `parse.arena_bytes` metric. The counter never feeds any
-//! study output — the observability layer's never-perturb invariant covers
-//! it — it exists so the perf lab can report allocator pressure.
+//! surfaced as the `parse.arena_bytes` metric. Under
+//! [`crate::HistoryParser`] it counts only the arenas built for statements
+//! that missed the memo. The counter never feeds any study output — the
+//! observability layer's never-perturb invariant covers it — it exists so
+//! the perf lab can report allocator pressure.
 
 use crate::ast::{
     AlterOp, AlterTable, ColumnDef, CreateTable, Script, Statement, TableConstraint,
@@ -232,6 +234,15 @@ impl ScriptArena {
         self.constraints.truncate(mark.constraints);
         self.ops.truncate(mark.ops);
         self.strings.truncate(mark.strings);
+    }
+
+    /// Empty every pool, keeping their capacity for the next statement.
+    pub(crate) fn clear(&mut self) {
+        self.statements.clear();
+        self.columns.clear();
+        self.constraints.clear();
+        self.ops.clear();
+        self.strings.clear();
     }
 
     /// Range covering everything pushed to the column pool since `mark`.

@@ -26,6 +26,9 @@
 //!   still yields its logical schema.
 //! * [`schema`] lowers the AST to the [`schema::Schema`] model and is the
 //!   input to the diff engine in `schevo-core`.
+//! * [`history`] parses the successive versions of one file, reusing the
+//!   statements a version shares verbatim with the previous one; each
+//!   result equals [`parse_schema`]'s.
 //! * [`render`] pretty-prints a [`schema::Schema`] back to canonical DDL;
 //!   `parse(render(s)) == s` is property-tested and is what the synthetic
 //!   corpus generator uses to materialize file versions.
@@ -55,6 +58,7 @@
 pub mod arena;
 pub mod ast;
 pub mod error;
+pub mod history;
 pub mod lexer;
 pub mod parser;
 pub mod render;
@@ -64,17 +68,20 @@ pub mod types;
 
 pub use arena::{arena_bytes_total, ScriptArena};
 pub use error::{ParseError, Span};
+pub use history::HistoryParser;
 pub use lexer::tokenize_recovering;
 pub use parser::{parse_script, parse_script_arena, Parser};
 pub use schema::{Attribute, Schema, Table};
 
 /// Parse the text of a DDL file straight into its logical [`Schema`].
 ///
-/// This is the main entry point used by the mining pipeline: it runs the
-/// tolerant parser over the whole script and lowers every `CREATE TABLE`
-/// statement into the schema model. Statements that are not `CREATE TABLE`
-/// are skipped; a file with no `CREATE TABLE` statements yields an empty
-/// schema (the collection funnel filters such files out upstream).
+/// It runs the tolerant parser over the whole script and lowers every
+/// `CREATE TABLE` statement into the schema model. Statements that are not
+/// `CREATE TABLE` are skipped; a file with no `CREATE TABLE` statements
+/// yields an empty schema (the collection funnel filters such files out
+/// upstream). The mining pipeline parses whole histories with
+/// [`HistoryParser`], which returns the same schemas while reusing
+/// unchanged statements.
 ///
 /// # Errors
 ///

@@ -13,6 +13,7 @@ use crate::error::{ParseError, Span};
 use crate::lexer::tokenize;
 use crate::token::{Token, TokenKind};
 use crate::types::{DataType, TypeFamily};
+use std::cell::Cell;
 
 /// Parse a whole script into its AST.
 ///
@@ -45,6 +46,10 @@ pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     arena: ScriptArena,
+    /// Reads of token indices at or past this bound set `overrun`; see
+    /// [`Self::statement_before`]. `usize::MAX` (no bound) otherwise.
+    limit: usize,
+    overrun: Cell<bool>,
 }
 
 impl Parser {
@@ -54,18 +59,27 @@ impl Parser {
             tokens,
             pos: 0,
             arena: ScriptArena::default(),
+            limit: usize::MAX,
+            overrun: Cell::new(false),
         }
     }
 
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.peek_at(0)
     }
 
     fn peek_at(&self, off: usize) -> Option<&Token> {
-        self.tokens.get(self.pos + off)
+        let i = self.pos + off;
+        if i >= self.limit {
+            self.overrun.set(true);
+        }
+        self.tokens.get(i)
     }
 
     fn bump(&mut self) -> Option<&Token> {
+        if self.pos >= self.limit {
+            self.overrun.set(true);
+        }
         let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
@@ -157,64 +171,102 @@ impl Parser {
     /// Same contract as [`Self::script`]: statement-level breakage degrades
     /// to skipped statements, so errors only reflect unrecoverable input.
     pub fn script_arena(&mut self) -> Result<ScriptArena, ParseError> {
-        loop {
-            // Swallow stray semicolons.
-            while self.eat_kind(&TokenKind::Semicolon) {}
-            if self.peek().is_none() {
-                break;
-            }
-            if self.at_create_table() {
-                match self.create_table() {
-                    Ok(ct) => self.arena.push_statement(ArenaStatement::CreateTable(ct)),
-                    Err(_) => {
-                        // A CREATE TABLE too broken to parse: degrade to a
-                        // skipped statement rather than failing the file.
-                        self.arena.push_statement(ArenaStatement::Other {
-                            keyword: "CREATE TABLE".to_string(),
-                        });
-                        self.skip_statement();
-                    }
-                }
-            } else if self.at_keyword("ALTER") && self.at_keyword_at(1, "TABLE") {
-                let mark = self.arena.mark();
-                match self.alter_table() {
-                    Ok(name) => {
-                        let ops = self.arena.ops_since(mark);
-                        self.arena
-                            .push_statement(ArenaStatement::AlterTable { name, ops });
-                        self.skip_statement();
-                    }
-                    Err(_) => {
-                        self.arena.truncate(mark);
-                        self.arena.push_statement(ArenaStatement::Other {
-                            keyword: "ALTER TABLE".to_string(),
-                        });
-                        self.skip_statement();
-                    }
-                }
-            } else if self.at_keyword("DROP") && self.at_keyword_at(1, "TABLE") {
-                let mark = self.arena.mark();
-                match self.drop_table() {
-                    Ok(names) => {
-                        self.arena
-                            .push_statement(ArenaStatement::DropTable { names });
-                        self.skip_statement();
-                    }
-                    Err(_) => {
-                        self.arena.truncate(mark);
-                        self.arena.push_statement(ArenaStatement::Other {
-                            keyword: "DROP TABLE".to_string(),
-                        });
-                        self.skip_statement();
-                    }
-                }
-            } else {
-                let keyword = self.leading_keyword();
-                self.arena.push_statement(ArenaStatement::Other { keyword });
-                self.skip_statement();
-            }
+        while self.at_statement() {
+            self.statement();
         }
         Ok(std::mem::take(&mut self.arena))
+    }
+
+    /// Swallow stray semicolons; whether a statement starts at the cursor.
+    pub(crate) fn at_statement(&mut self) -> bool {
+        while self.eat_kind(&TokenKind::Semicolon) {}
+        self.peek().is_some()
+    }
+
+    /// Parse the statement at the cursor, pushing it into the arena.
+    /// Statement-level breakage degrades to a skipped statement.
+    pub(crate) fn statement(&mut self) {
+        if self.at_create_table() {
+            match self.create_table() {
+                Ok(ct) => self.arena.push_statement(ArenaStatement::CreateTable(ct)),
+                Err(_) => {
+                    // A CREATE TABLE too broken to parse: degrade to a
+                    // skipped statement rather than failing the file.
+                    self.arena.push_statement(ArenaStatement::Other {
+                        keyword: "CREATE TABLE".to_string(),
+                    });
+                    self.skip_statement();
+                }
+            }
+        } else if self.at_keyword("ALTER") && self.at_keyword_at(1, "TABLE") {
+            let mark = self.arena.mark();
+            match self.alter_table() {
+                Ok(name) => {
+                    let ops = self.arena.ops_since(mark);
+                    self.arena
+                        .push_statement(ArenaStatement::AlterTable { name, ops });
+                    self.skip_statement();
+                }
+                Err(_) => {
+                    self.arena.truncate(mark);
+                    self.arena.push_statement(ArenaStatement::Other {
+                        keyword: "ALTER TABLE".to_string(),
+                    });
+                    self.skip_statement();
+                }
+            }
+        } else if self.at_keyword("DROP") && self.at_keyword_at(1, "TABLE") {
+            let mark = self.arena.mark();
+            match self.drop_table() {
+                Ok(names) => {
+                    self.arena
+                        .push_statement(ArenaStatement::DropTable { names });
+                    self.skip_statement();
+                }
+                Err(_) => {
+                    self.arena.truncate(mark);
+                    self.arena.push_statement(ArenaStatement::Other {
+                        keyword: "DROP TABLE".to_string(),
+                    });
+                    self.skip_statement();
+                }
+            }
+        } else {
+            let keyword = self.leading_keyword();
+            self.arena.push_statement(ArenaStatement::Other { keyword });
+            self.skip_statement();
+        }
+    }
+
+    /// The lexed tokens.
+    pub(crate) fn tokens(&self) -> &[Token] {
+        &self.tokens
+    }
+
+    /// The cursor (index of the next token).
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Move the cursor to token `pos`.
+    pub(crate) fn seek(&mut self, pos: usize) {
+        self.pos = pos;
+    }
+
+    /// [`Self::statement`], reporting whether the parse read only tokens
+    /// before index `end`. If it did, the statement's result is a function
+    /// of those tokens alone.
+    pub(crate) fn statement_before(&mut self, end: usize) -> bool {
+        self.limit = end;
+        self.overrun.set(false);
+        self.statement();
+        self.limit = usize::MAX;
+        !self.overrun.get()
+    }
+
+    /// The arena built so far.
+    pub(crate) fn arena_mut(&mut self) -> &mut ScriptArena {
+        &mut self.arena
     }
 
     /// Whether the cursor sits at `CREATE [TEMPORARY] TABLE`.

@@ -5,11 +5,11 @@
 //! study calls a *logical-level* construct lives here; indexes, storage
 //! options, comments and data do not.
 
-use crate::arena::{ArenaStatement, ScriptArena};
-use crate::ast::Script;
+use crate::arena::{ArenaCreateTable, ArenaStatement, ScriptArena};
 use crate::types::DataType;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One attribute (column) of a table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -196,6 +196,37 @@ impl Table {
     pub fn in_primary_key(&self, name: &str) -> bool {
         self.primary_key.iter().any(|k| k == name)
     }
+
+    /// Lower one pooled `CREATE TABLE` into its table; `None` for a
+    /// `TEMPORARY` table, which the logical schema excludes.
+    pub(crate) fn lower(arena: &ScriptArena, ct: &ArenaCreateTable) -> Option<Table> {
+        if ct.temporary {
+            return None;
+        }
+        let columns = arena.columns(ct.columns);
+        let mut table = Table::new(ct.name.clone());
+        table.attributes.reserve(columns.len());
+        for col in columns {
+            table.push_attribute(column_to_attribute(col));
+        }
+        table.set_primary_key(arena.primary_key_columns(ct));
+        for constraint in arena.constraints(ct.constraints) {
+            if let crate::ast::TableConstraint::ForeignKey {
+                columns,
+                foreign_table,
+                foreign_columns,
+                ..
+            } = constraint
+            {
+                table.push_foreign_key(ForeignKey {
+                    columns: columns.clone(),
+                    foreign_table: foreign_table.clone(),
+                    foreign_columns: foreign_columns.clone(),
+                });
+            }
+        }
+        Some(table)
+    }
 }
 
 fn column_to_attribute(col: &crate::ast::ColumnDef) -> Attribute {
@@ -205,9 +236,15 @@ fn column_to_attribute(col: &crate::ast::ColumnDef) -> Attribute {
 }
 
 /// A logical schema: the tables of one DDL file version, in file order.
+///
+/// Tables are shared (`Arc`): cloning a schema, or building the next
+/// version of a history from the tables of the previous one, bumps
+/// reference counts instead of copying names and attributes. Mutation
+/// through [`Schema::table_mut`] is copy-on-write, so a shared table is
+/// never changed under another schema that holds it.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Schema {
-    tables: Vec<Table>,
+    tables: Vec<Arc<Table>>,
     index: HashMap<String, usize>,
 }
 
@@ -217,7 +254,7 @@ impl Schema {
         Schema::default()
     }
 
-    /// Lower a parsed [`Script`] into its logical schema, applying
+    /// Lower a parsed [`ScriptArena`] into its logical schema, applying
     /// statements in file order.
     ///
     /// `TEMPORARY` tables are excluded. When the same table is created twice
@@ -226,181 +263,82 @@ impl Schema {
     /// tables; `ALTER TABLE` statements (files sometimes carry trailing
     /// migrations) are applied in place; alterations naming unknown tables
     /// or columns are ignored, matching the tolerant-extraction stance.
-    pub fn from_script(script: &Script) -> Schema {
-        use crate::ast::{AlterOp, Statement};
+    pub fn from_arena(arena: &ScriptArena) -> Schema {
         let mut schema = Schema::new();
-        for statement in &script.statements {
-            match statement {
-                Statement::CreateTable(ct) => {
-                    if ct.temporary {
-                        continue;
-                    }
-                    let mut table = Table::new(ct.name.clone());
-                    for col in &ct.columns {
-                        table.push_attribute(column_to_attribute(col));
-                    }
-                    table.set_primary_key(ct.primary_key_columns());
-                    for constraint in &ct.constraints {
-                        if let crate::ast::TableConstraint::ForeignKey {
-                            columns,
-                            foreign_table,
-                            foreign_columns,
-                            ..
-                        } = constraint
-                        {
-                            table.push_foreign_key(ForeignKey {
-                                columns: columns.clone(),
-                                foreign_table: foreign_table.clone(),
-                                foreign_columns: foreign_columns.clone(),
-                            });
-                        }
-                    }
-                    schema.upsert_table(table);
-                }
-                Statement::DropTable { names } => {
-                    for n in names {
-                        schema.remove_table(n);
-                    }
-                }
-                Statement::AlterTable(at) => {
-                    for op in &at.ops {
-                        if let AlterOp::RenameTable(new_name) = op {
-                            if let Some(mut t) = schema.remove_table(&at.name) {
-                                t.name = new_name.clone();
-                                schema.upsert_table(t);
-                            }
-                            continue;
-                        }
-                        let Some(table) = schema.table_mut(&at.name) else {
-                            continue;
-                        };
-                        match op {
-                            AlterOp::AddColumn(def) => {
-                                table.push_attribute(column_to_attribute(def));
-                                if def.inline_primary_key {
-                                    table.set_primary_key(vec![def.name.clone()]);
-                                }
-                            }
-                            AlterOp::DropColumn(name) => {
-                                table.remove_attribute(name);
-                            }
-                            AlterOp::ModifyColumn(def) => {
-                                table.replace_attribute(&def.name.clone(), column_to_attribute(def));
-                            }
-                            AlterOp::ChangeColumn { old_name, def } => {
-                                table.replace_attribute(old_name, column_to_attribute(def));
-                            }
-                            AlterOp::AddPrimaryKey(cols) => {
-                                table.set_primary_key(cols.clone());
-                            }
-                            AlterOp::DropPrimaryKey => {
-                                table.set_primary_key(Vec::new());
-                            }
-                            // Renames are applied before the table lookup
-                            // above; nothing left to do here.
-                            AlterOp::RenameTable(_) => {}
-                        }
-                    }
-                }
-                Statement::Other { .. } => {}
-            }
-        }
+        schema.apply_arena(arena);
         schema
     }
 
-    /// Lower a parsed [`ScriptArena`] into its logical schema, applying
-    /// statements in file order.
-    ///
-    /// The arena-native twin of [`Schema::from_script`], with identical
-    /// semantics; the mining pipeline uses this path so no intermediate
-    /// boxed AST is materialized.
-    pub fn from_arena(arena: &ScriptArena) -> Schema {
-        use crate::ast::AlterOp;
-        let mut schema = Schema::new();
+    /// Apply every statement of `arena` to this schema, in order.
+    pub(crate) fn apply_arena(&mut self, arena: &ScriptArena) {
         for statement in arena.statements() {
-            match statement {
-                ArenaStatement::CreateTable(ct) => {
-                    if ct.temporary {
+            self.apply(arena, statement);
+        }
+    }
+
+    /// Apply one parsed statement of `arena` to this schema, as
+    /// [`Schema::from_arena`] describes.
+    pub(crate) fn apply(&mut self, arena: &ScriptArena, statement: &ArenaStatement) {
+        use crate::ast::AlterOp;
+        match statement {
+            ArenaStatement::CreateTable(ct) => {
+                if let Some(table) = Table::lower(arena, ct) {
+                    self.upsert_table(table);
+                }
+            }
+            ArenaStatement::DropTable { names } => {
+                for n in arena.strings(*names) {
+                    self.remove_table(n);
+                }
+            }
+            ArenaStatement::AlterTable { name, ops } => {
+                for op in arena.ops(*ops) {
+                    if let AlterOp::RenameTable(new_name) = op {
+                        if let Some(mut t) = self.remove_table(name) {
+                            t.name = new_name.clone();
+                            self.upsert_table(t);
+                        }
                         continue;
                     }
-                    let columns = arena.columns(ct.columns);
-                    let mut table = Table::new(ct.name.clone());
-                    table.attributes.reserve(columns.len());
-                    for col in columns {
-                        table.push_attribute(column_to_attribute(col));
-                    }
-                    table.set_primary_key(arena.primary_key_columns(ct));
-                    for constraint in arena.constraints(ct.constraints) {
-                        if let crate::ast::TableConstraint::ForeignKey {
-                            columns,
-                            foreign_table,
-                            foreign_columns,
-                            ..
-                        } = constraint
-                        {
-                            table.push_foreign_key(ForeignKey {
-                                columns: columns.clone(),
-                                foreign_table: foreign_table.clone(),
-                                foreign_columns: foreign_columns.clone(),
-                            });
+                    let Some(table) = self.table_mut(name) else {
+                        continue;
+                    };
+                    match op {
+                        AlterOp::AddColumn(def) => {
+                            table.push_attribute(column_to_attribute(def));
+                            if def.inline_primary_key {
+                                table.set_primary_key(vec![def.name.clone()]);
+                            }
                         }
-                    }
-                    schema.upsert_table(table);
-                }
-                ArenaStatement::DropTable { names } => {
-                    for n in arena.strings(*names) {
-                        schema.remove_table(n);
-                    }
-                }
-                ArenaStatement::AlterTable { name, ops } => {
-                    for op in arena.ops(*ops) {
-                        if let AlterOp::RenameTable(new_name) = op {
-                            if let Some(mut t) = schema.remove_table(name) {
-                                t.name = new_name.clone();
-                                schema.upsert_table(t);
-                            }
-                            continue;
+                        AlterOp::DropColumn(col) => {
+                            table.remove_attribute(col);
                         }
-                        let Some(table) = schema.table_mut(name) else {
-                            continue;
-                        };
-                        match op {
-                            AlterOp::AddColumn(def) => {
-                                table.push_attribute(column_to_attribute(def));
-                                if def.inline_primary_key {
-                                    table.set_primary_key(vec![def.name.clone()]);
-                                }
-                            }
-                            AlterOp::DropColumn(col) => {
-                                table.remove_attribute(col);
-                            }
-                            AlterOp::ModifyColumn(def) => {
-                                table.replace_attribute(&def.name.clone(), column_to_attribute(def));
-                            }
-                            AlterOp::ChangeColumn { old_name, def } => {
-                                table.replace_attribute(old_name, column_to_attribute(def));
-                            }
-                            AlterOp::AddPrimaryKey(cols) => {
-                                table.set_primary_key(cols.clone());
-                            }
-                            AlterOp::DropPrimaryKey => {
-                                table.set_primary_key(Vec::new());
-                            }
-                            // Renames are applied before the table lookup
-                            // above; nothing left to do here.
-                            AlterOp::RenameTable(_) => {}
+                        AlterOp::ModifyColumn(def) => {
+                            table.replace_attribute(&def.name.clone(), column_to_attribute(def));
                         }
+                        AlterOp::ChangeColumn { old_name, def } => {
+                            table.replace_attribute(old_name, column_to_attribute(def));
+                        }
+                        AlterOp::AddPrimaryKey(cols) => {
+                            table.set_primary_key(cols.clone());
+                        }
+                        AlterOp::DropPrimaryKey => {
+                            table.set_primary_key(Vec::new());
+                        }
+                        // Renames are applied before the table lookup
+                        // above; nothing left to do here.
+                        AlterOp::RenameTable(_) => {}
                     }
                 }
-                ArenaStatement::Other { .. } => {}
             }
+            ArenaStatement::Other { .. } => {}
         }
-        schema
     }
 
     /// Insert a table, replacing any previous definition of the same name
     /// (the replacement keeps the original file position).
-    pub fn upsert_table(&mut self, table: Table) {
+    pub fn upsert_table(&mut self, table: impl Into<Arc<Table>>) {
+        let table = table.into();
         if let Some(&i) = self.index.get(&table.name) {
             self.tables[i] = table;
         } else {
@@ -409,32 +347,36 @@ impl Schema {
         }
     }
 
-    /// Remove a table by name, returning it if present.
+    /// Remove a table by name, returning it if present: the table itself
+    /// when no other schema shares it, else a clone.
     pub fn remove_table(&mut self, name: &str) -> Option<Table> {
         let i = self.index.remove(name)?;
-        let t = self.tables.remove(i);
+        let mut t = self.tables.remove(i);
         for v in self.index.values_mut() {
             if *v > i {
                 *v -= 1;
             }
         }
-        Some(t)
+        // `make_mut` clones only a shared table; the placeholder left
+        // behind allocates nothing and is freed with `t`.
+        Some(std::mem::replace(Arc::make_mut(&mut t), Table::new("")))
     }
 
     /// Tables in file order.
-    pub fn tables(&self) -> &[Table] {
+    pub fn tables(&self) -> &[Arc<Table>] {
         &self.tables
     }
 
     /// Look up a table by name.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.index.get(name).map(|&i| &self.tables[i])
+        self.index.get(name).map(|&i| &*self.tables[i])
     }
 
-    /// Mutable lookup by name.
+    /// Mutable lookup by name. Copy-on-write: a table shared with another
+    /// schema is cloned first, so only this schema sees the change.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         let i = *self.index.get(name)?;
-        Some(&mut self.tables[i])
+        Some(Arc::make_mut(&mut self.tables[i]))
     }
 
     /// Number of tables — the paper's *schema size* in tables.
@@ -500,6 +442,20 @@ mod tests {
         assert_eq!(s.table("c").unwrap().name, "c");
         assert_eq!(s.table("a").unwrap().name, "a");
         assert!(s.table("b").is_none());
+    }
+
+    #[test]
+    fn shared_tables_are_copy_on_write() {
+        let a = parse_schema("CREATE TABLE t (x INT); CREATE TABLE u (y INT);").unwrap();
+        let mut b = a.clone();
+        b.table_mut("t")
+            .unwrap()
+            .push_attribute(Attribute::new("z", DataType::int()));
+        assert_eq!(b.remove_table("u").unwrap().name, "u");
+        assert_eq!(a.table("t").unwrap().arity(), 1);
+        assert_eq!(a.table_count(), 2);
+        assert_eq!(b.table("t").unwrap().arity(), 2);
+        assert_eq!(b.table_count(), 1);
     }
 
     #[test]

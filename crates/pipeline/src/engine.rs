@@ -522,7 +522,8 @@ impl MiningEngine {
                 reg.add("mine.spill.bytes", stream_report.spill_bytes);
             }
             // Hot-path telemetry: AST-arena bytes allocated by this pass's
-            // parses (delta over a process-cumulative counter) and the
+            // parses (delta over a process-cumulative counter; statements
+            // reused from the previous version build no arena) and the
             // current size of the global symbol-interning table.
             reg.add(
                 "parse.arena_bytes",

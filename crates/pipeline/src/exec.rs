@@ -17,17 +17,18 @@
 //! the digest *pair* of the two versions. DDL files change rarely
 //! relative to history length, and generated corpora share blobs across
 //! projects, so repeated content parses once and identical version
-//! pairs diff once. Both `parse_schema` and `diff` are pure functions
-//! of blob content, so cached and uncached runs are bit-identical — the
-//! differential test suite (`tests/differential_parallel.rs`) enforces
-//! this.
+//! pairs diff once. A miss parses with the history's [`HistoryParser`],
+//! which returns what `parse_schema` returns. Parse and `diff` are pure
+//! functions of blob content, so cached and uncached runs are
+//! bit-identical — the differential test suite
+//! (`tests/differential_parallel.rs`) enforces this.
 //!
 //! [`ExecStats`] reports hit/miss counters and per-stage timings so the
 //! cache's payoff is observable from `StudyResult`.
 
 use parking_lot::RwLock;
 use schevo_core::diff::{diff, SchemaDelta};
-use schevo_ddl::{parse_schema, Schema};
+use schevo_ddl::{HistoryParser, Schema};
 use schevo_vcs::sha1::Digest;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -79,7 +80,7 @@ pub struct ExecStats {
     pub tasks: usize,
     /// Parse-cache hits (0 when the cache is disabled).
     pub parse_hits: u64,
-    /// Parse-cache misses, i.e. actual `parse_schema` invocations under
+    /// Parse-cache misses, i.e. actual version parses under
     /// caching; equals total version count when the cache is disabled.
     pub parse_misses: u64,
     /// Diff-cache hits (0 when the cache is disabled).
@@ -201,12 +202,13 @@ pub(crate) struct MineCaches {
 }
 
 impl MineCaches {
-    /// Parse `content` through the cache. Returns `None` when the blob
-    /// is unparseable.
-    pub(crate) fn parse(
+    /// Parse `content` through the cache, with the history's `parser` on
+    /// a miss. Returns `None` when the blob is unparseable.
+    pub(crate) fn parse<'a>(
         &self,
         digest: Digest,
-        content: &str,
+        content: &'a str,
+        parser: &mut HistoryParser<'a>,
         tally: &mut StageTally,
     ) -> Option<Schema> {
         if let Some(cached) = self.parse.read().get(&digest) {
@@ -214,7 +216,7 @@ impl MineCaches {
             return cached.clone();
         }
         tally.count_parse(false);
-        let parsed = parse_schema(content).ok();
+        let parsed = parser.parse(content).ok();
         self.parse.write().insert(digest, parsed.clone());
         parsed
     }
@@ -884,17 +886,18 @@ mod tests {
         use schevo_vcs::sha1::sha1;
         let caches = MineCaches::default();
         let mut tally = StageTally::default();
+        let mut parser = HistoryParser::new();
         let sql = "CREATE TABLE t (a INT);";
         let d = sha1(sql.as_bytes());
-        let first = caches.parse(d, sql, &mut tally);
-        let second = caches.parse(d, sql, &mut tally);
+        let first = caches.parse(d, sql, &mut parser, &mut tally);
+        let second = caches.parse(d, sql, &mut parser, &mut tally);
         assert_eq!(first, second);
         assert!(first.is_some());
         // Unparseable content is cached as a failure.
         let bad = "CREATE TABLE t (a INT); '";
         let bd = sha1(bad.as_bytes());
-        assert!(caches.parse(bd, bad, &mut tally).is_none());
-        assert!(caches.parse(bd, bad, &mut tally).is_none());
+        assert!(caches.parse(bd, bad, &mut parser, &mut tally).is_none());
+        assert!(caches.parse(bd, bad, &mut parser, &mut tally).is_none());
         let stats = ExecStats::from_tally(&tally, 1, 0, true, Instant::now());
         assert_eq!(stats.parse_hits, 2);
         assert_eq!(stats.parse_misses, 2);
@@ -905,8 +908,8 @@ mod tests {
         use schevo_vcs::sha1::sha1;
         let caches = MineCaches::default();
         let mut tally = StageTally::default();
-        let a = parse_schema("CREATE TABLE t (a INT);").unwrap();
-        let b = parse_schema("CREATE TABLE t (a INT, b INT);").unwrap();
+        let a = schevo_ddl::parse_schema("CREATE TABLE t (a INT);").unwrap();
+        let b = schevo_ddl::parse_schema("CREATE TABLE t (a INT, b INT);").unwrap();
         let key = (sha1(b"a"), sha1(b"b"));
         let miss = caches.diff(key, &a, &b, &mut tally);
         let hit = caches.diff(key, &a, &b, &mut tally);

@@ -22,6 +22,7 @@ use schevo_core::measures::measure_history_with;
 use schevo_core::model::{CommitMeta, SchemaHistory, SchemaVersion};
 use schevo_core::profile::{EvolutionProfile, ProjectContext};
 use schevo_core::tables::{table_lives, table_lives_with, TableLife};
+use schevo_ddl::HistoryParser;
 use schevo_obs::ObsHooks;
 use schevo_vcs::sha1::{sha1, Digest};
 use serde::{Deserialize, Serialize};
@@ -93,16 +94,17 @@ fn build_history(
 ) -> Option<(SchemaHistory, Vec<Digest>)> {
     let mut versions = Vec::with_capacity(candidate.versions.len());
     let mut digests = Vec::with_capacity(candidate.versions.len());
+    let mut parser = HistoryParser::new();
     for v in &candidate.versions {
         let schema = match caches {
             Some(c) => {
                 let digest = sha1(v.content.as_bytes());
                 digests.push(digest);
-                c.parse(digest, &v.content, tally)?
+                c.parse(digest, &v.content, &mut parser, tally)?
             }
             None => {
                 tally.count_parse(false);
-                schevo_ddl::parse_schema(&v.content).ok()?
+                parser.parse(&v.content).ok()?
             }
         };
         versions.push(SchemaVersion {
@@ -334,17 +336,18 @@ fn mine_task_graceful(
     let t_parse = Instant::now();
     let mut versions = Vec::with_capacity(keep.len());
     let mut digests = Vec::with_capacity(keep.len());
+    let mut parser = HistoryParser::new();
     for &i in &keep {
         let v = &vs[i];
         let (strict, strict_err) = match caches {
             Some(c) => {
                 let digest = sha1(v.content.as_bytes());
                 digests.push(digest);
-                (c.parse(digest, &v.content, tally), None)
+                (c.parse(digest, &v.content, &mut parser, tally), None)
             }
             None => {
                 tally.count_parse(false);
-                match schevo_ddl::parse_schema(&v.content) {
+                match parser.parse(&v.content) {
                     Ok(s) => (Some(s), None),
                     Err(e) => (None, Some(e)),
                 }

@@ -313,7 +313,10 @@ pub fn read_pack(bytes: &[u8]) -> Result<Repository, PackError> {
     }
     let store = Arc::new(ObjectStore::new());
     let count = r.u32()? as usize;
-    let mut loaded: Vec<Digest> = Vec::with_capacity(count);
+    // The count is read from the input: every object takes at least one
+    // byte, so a count beyond the pack's length is corrupt and must not
+    // size an allocation.
+    let mut loaded: Vec<Digest> = Vec::with_capacity(count.min(bytes.len()));
     for _ in 0..count {
         let obj = read_object(&mut r)?;
         loaded.push(store.put(obj));

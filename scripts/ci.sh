@@ -4,12 +4,18 @@
 # worker count and with the parse/diff cache on or off, the chaos suite
 # (fault injection + graceful degradation), the scale tier (sharded store
 # byte-identity plus a 20x streaming run under a fixed peak-RSS ceiling),
+# the paper-scale study against its committed bytes and an RSS ceiling,
 # a deprecation gate over the legacy mine_all_* wrappers, a panic-site
 # budget over the mining-path crates, and a serving-mode observability
 # gate (request-log schema, request-id echo, `schevo top`, and an
 # instrumented-vs-bare overhead fence).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Peak RSS in MB from a `--metrics-out` JSON export (empty if absent).
+peak_rss_mb() {
+  awk '/"process.peak_rss_bytes"/ { getline; gsub(/[ ,]/, ""); print int($0 / 1000000); exit }' "$1"
+}
 
 echo "==> build (release)"
 cargo build --release --workspace
@@ -258,19 +264,38 @@ store_big="$tmp/store-20x"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale-factor 20 \
   --workers 1 --no-cache --store-dir "$store_big" --shards 8 \
   --metrics-out "$tmp/scale-metrics.json" >/dev/null 2>&1
-rss=$(awk '/"process.peak_rss_bytes"/ { getline; gsub(/[ ,]/, ""); print; exit }' \
-  "$tmp/scale-metrics.json")
-if [ -z "$rss" ]; then
+rss_mb=$(peak_rss_mb "$tmp/scale-metrics.json")
+if [ -z "$rss_mb" ]; then
   echo "SCALE FAILURE: peak-RSS gauge missing from metrics export" >&2
   exit 1
 fi
-rss_mb=$((rss / 1000000))
 rm -rf "$store_big"
 if [ "$rss_mb" -gt "$RSS_CEILING_MB" ]; then
   echo "SCALE FAILURE: 20x streaming run peaked at ${rss_mb} MB (ceiling ${RSS_CEILING_MB} MB)" >&2
   exit 1
 fi
 echo "    20x streaming run peaked at ${rss_mb} MB (ceiling ${RSS_CEILING_MB} MB)"
+
+echo "==> paper-scale memory: committed study bytes under a peak-RSS ceiling"
+# The paper-scale study must reproduce the committed study_results.json
+# byte for byte while staying under a fixed peak-RSS ceiling. Parsed
+# versions share unchanged tables (Arc<Table>, reused statement by
+# statement), so the parse results the study holds cost refcounts, not
+# copies. Measured: ~135 MB; ~310 MB when every version owned its tables.
+PAPER_RSS_CEILING_MB=200
+paper_dir="$tmp/paper"
+cargo run -q --release --bin schevo -- study --scale 1 --seed 2019 --workers 1 \
+  --out "$paper_dir" --metrics-out "$tmp/paper-metrics.json" >/dev/null 2>&1
+if ! cmp -s study_results.json "$paper_dir/study_results.json"; then
+  echo "PAPER FAILURE: study_results.json differs from the committed file" >&2
+  exit 1
+fi
+paper_mb=$(peak_rss_mb "$tmp/paper-metrics.json")
+if [ -z "$paper_mb" ] || [ "$paper_mb" -gt "$PAPER_RSS_CEILING_MB" ]; then
+  echo "PAPER FAILURE: paper-scale study peaked at ${paper_mb:-?} MB (ceiling ${PAPER_RSS_CEILING_MB} MB)" >&2
+  exit 1
+fi
+echo "    paper-scale study byte-identical, peaked at ${paper_mb} MB (ceiling ${PAPER_RSS_CEILING_MB} MB)"
 
 echo "==> perf lab: bench-smoke gate (schema + regression fence)"
 # The smoke-tier lab must finish fast and self-validate, and its timings

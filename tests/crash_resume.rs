@@ -12,8 +12,13 @@ use std::process::Command;
 const SEED: &str = "2019";
 const SCALE: &str = "20";
 
-fn dir() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("schevo_crash_resume_{}", std::process::id()));
+/// A scratch directory of its own per test: tests run concurrently, and
+/// two of them write a `golden/` and `full.wal` each.
+fn dir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!(
+        "schevo_crash_resume_{tag}_{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&d).expect("create scratch dir");
     d
 }
@@ -64,7 +69,7 @@ fn golden_and_commit_count(scratch: &Path) -> (Vec<u8>, Vec<u8>, u64) {
 
 #[test]
 fn kill_at_every_commit_point_then_resume_matches_golden() {
-    let scratch = dir();
+    let scratch = dir("kill");
     let (golden_stdout, golden_json, commits) = golden_and_commit_count(&scratch);
 
     // Alternate worker/cache configurations between the crashed process
@@ -129,7 +134,7 @@ fn kill_at_every_commit_point_then_resume_matches_golden() {
 
 #[test]
 fn resume_from_corrupt_tail_truncates_and_matches_golden() {
-    let scratch = dir();
+    let scratch = dir("torn");
     let (golden_stdout, golden_json, _) = golden_and_commit_count(&scratch);
 
     // Build a journal, then tear its last record the way a crash inside
