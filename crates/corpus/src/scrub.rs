@@ -32,12 +32,11 @@
 //! worker count.
 
 use crate::store::{
-    decode_record, manifest_path, shard_path, ShardStore, StoreError, StoreManifest, FRAME_LEN,
-    MAX_RECORD_LEN, SHARD_MAGIC,
+    decode_record, manifest_path, shard_path, ShardStore, StoreError, StoreManifest, SHARD_MAGIC,
 };
 use crate::universe::CorpusDigester;
 use schevo_core::failpoint;
-use schevo_vcs::sha1::sha1;
+use schevo_vcs::frame;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::Path;
@@ -181,22 +180,7 @@ fn walk_shard(
 /// Verify a candidate frame at `pos`: plausible length, in-bounds,
 /// checksum match, decodable payload. Feeds the digester on success.
 fn verify_frame_at(bytes: &[u8], pos: usize, digester: &mut CorpusDigester) -> Option<GoodFrame> {
-    let rest = &bytes[pos..];
-    if rest.len() < FRAME_LEN {
-        return None;
-    }
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-    if len == 0 || len > MAX_RECORD_LEN {
-        return None;
-    }
-    let len = len as usize;
-    if rest.len() < FRAME_LEN + len {
-        return None;
-    }
-    let payload = &rest[FRAME_LEN..FRAME_LEN + len];
-    if sha1(payload).0 != rest[4..FRAME_LEN] {
-        return None;
-    }
+    let payload = frame::decode(&bytes[pos..]).ok()?;
     let record = decode_record(payload).ok()?;
     let materialized = match &record.materialized {
         Some((repo, _, _)) => {
@@ -205,7 +189,7 @@ fn verify_frame_at(bytes: &[u8], pos: usize, digester: &mut CorpusDigester) -> O
         }
         None => false,
     };
-    Some(GoodFrame { start: pos, end: pos + FRAME_LEN + len, materialized })
+    Some(GoodFrame { start: pos, end: pos + frame::frame_len(payload.len()), materialized })
 }
 
 /// Publish `contents` at `path` via temp file + fsync + rename +

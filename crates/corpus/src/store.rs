@@ -14,14 +14,9 @@
 //! <dir>/shard-001.pack         ...
 //! ```
 //!
-//! Each shard starts with the 8-byte magic `SCHEVOST` followed by frames:
-//!
-//! ```text
-//! u32 payload_len (LE) | 20-byte SHA-1(payload) | payload
-//! ```
-//!
-//! — the same length-prefix + checksum discipline as the WAL mining
-//! journal. The payload itself is read back with the bounds-checked
+//! Each shard starts with the 8-byte magic `SCHEVOST` followed by
+//! [`schevo_vcs::frame`] frames, the format the mining journal uses too.
+//! Each frame's payload is read back with the bounds-checked
 //! [`schevo_vcs::pack::Reader`] primitives:
 //!
 //! ```text
@@ -53,6 +48,7 @@
 use crate::libio::LibioRecord;
 use crate::universe::{generate_records, CorpusDigester, CorpusRecord, UniverseConfig};
 use schevo_core::failpoint;
+use schevo_vcs::frame::{self, FrameError};
 use schevo_vcs::pack::{read_pack, write_pack, PackError, Reader};
 use schevo_vcs::repo::Repository;
 use schevo_vcs::sha1::sha1;
@@ -67,13 +63,6 @@ pub const STORE_VERSION: u64 = 1;
 /// Shard-file magic.
 pub(crate) const SHARD_MAGIC: &[u8; 8] = b"SCHEVOST";
 
-/// Upper bound on one record's payload (the largest paper-scale record
-/// is ~3 orders of magnitude smaller; anything bigger is corruption).
-pub(crate) const MAX_RECORD_LEN: u32 = 1 << 26;
-
-/// Frame header size: u32 length + 20-byte SHA-1.
-pub(crate) const FRAME_LEN: usize = 24;
-
 /// Errors from store creation, writing, or opening.
 #[derive(Debug)]
 pub enum StoreError {
@@ -81,6 +70,8 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The manifest is missing, unreadable, or incompatible.
     Manifest(String),
+    /// A record cannot be framed (its payload is empty or over the cap).
+    Frame(FrameError),
 }
 
 impl std::fmt::Display for StoreError {
@@ -88,6 +79,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
             StoreError::Manifest(m) => write!(f, "store manifest: {m}"),
+            StoreError::Frame(e) => write!(f, "store record: {e}"),
         }
     }
 }
@@ -97,6 +89,12 @@ impl std::error::Error for StoreError {}
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> StoreError {
         StoreError::Io(e)
+    }
+}
+
+impl From<FrameError> for StoreError {
+    fn from(e: FrameError) -> StoreError {
+        StoreError::Frame(e)
     }
 }
 
@@ -419,12 +417,8 @@ impl StoreWriter {
     /// Append one record to its shard.
     pub fn write(&mut self, record: &CorpusRecord) -> Result<(), StoreError> {
         let payload = encode_record(self.seq, record);
+        let header = frame::header(&payload)?;
         let shard = shard_of(&record.name, self.shards.len());
-        let digest = sha1(&payload);
-        let mut frame = Vec::with_capacity(FRAME_LEN + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&digest.0);
-        frame.extend_from_slice(&payload);
         // The failpoint fires *before* any bytes reach the buffered
         // writer, so an absorbed transient fault cannot duplicate the
         // frame. A real mid-write error is not retried: `write_all`
@@ -432,10 +426,11 @@ impl StoreWriter {
         failpoint::retry_io(failpoint::RetryPolicy::default(), || {
             failpoint::check("store.write")
         })?;
-        self.shards[shard].write_all(&frame)?;
+        self.shards[shard].write_all(&header)?;
+        self.shards[shard].write_all(&payload)?;
         self.seq += 1;
         self.io.records_written += 1;
-        self.io.bytes_written += frame.len() as u64;
+        self.io.bytes_written += frame::frame_len(payload.len()) as u64;
         if let Some(body) = &record.body {
             self.materialized += 1;
             self.digester.add(&record.name, &record.sql_paths, body.repo());
@@ -675,33 +670,6 @@ impl StoreStream {
         self.io
     }
 
-    /// Read bytes fully, distinguishing clean EOF (`Ok(false)`) from a
-    /// partial fill (`Err`: truncation mid-frame).
-    fn read_frame_bytes(
-        file: &mut BufReader<File>,
-        buf: &mut [u8],
-        at_boundary: bool,
-    ) -> Result<bool, String> {
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            match file.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    if filled == 0 && at_boundary {
-                        return Ok(false);
-                    }
-                    return Err(format!(
-                        "truncated frame: {filled} of {} bytes",
-                        buf.len()
-                    ));
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(format!("read: {e}")),
-            }
-        }
-        Ok(true)
-    }
-
     /// Pull the next frame of shard `i` into `pending[i]`.
     fn refill(&mut self, i: usize) {
         let cursor = &mut self.cursors[i];
@@ -735,78 +703,43 @@ impl StoreStream {
         // Shard magic, once, at offset zero.
         if cursor.offset == 0 {
             let mut magic = [0u8; 8];
-            match Self::read_frame_bytes(file, &mut magic, false) {
-                Ok(_) if &magic == SHARD_MAGIC => {
-                    cursor.offset = 8;
-                    self.io.bytes_read += 8;
-                }
-                Ok(_) => {
-                    cursor.dead = true;
-                    self.pending[i] = Pending::Corrupt {
-                        offset: 0,
-                        detail: "bad shard magic".to_string(),
-                    };
-                    return;
-                }
-                Err(detail) => {
-                    cursor.dead = true;
-                    self.pending[i] = Pending::Corrupt { offset: 0, detail };
-                    return;
-                }
+            let detail = match file.read_exact(&mut magic) {
+                Ok(()) if &magic == SHARD_MAGIC => None,
+                Ok(()) => Some("bad shard magic".to_string()),
+                Err(e) => Some(format!("shard magic: {e}")),
+            };
+            if let Some(detail) = detail {
+                cursor.dead = true;
+                self.pending[i] = Pending::Corrupt { offset: 0, detail };
+                return;
             }
+            cursor.offset = 8;
+            self.io.bytes_read += 8;
         }
         let frame_offset = cursor.offset;
-        let mut header = [0u8; FRAME_LEN];
-        match Self::read_frame_bytes(file, &mut header, true) {
+        match frame::read_into(file, &mut cursor.payload_buf) {
+            Ok(true) => {}
             Ok(false) => {
                 self.pending[i] = Pending::Empty;
                 return;
             }
-            Ok(true) => {}
-            Err(detail) => {
+            Err(e) => {
                 cursor.dead = true;
                 self.pending[i] = Pending::Corrupt {
                     offset: frame_offset,
-                    detail,
+                    detail: e.to_string(),
                 };
                 return;
             }
         }
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        if len == 0 || len > MAX_RECORD_LEN {
-            cursor.dead = true;
-            self.pending[i] = Pending::Corrupt {
-                offset: frame_offset,
-                detail: format!("implausible record length {len}"),
-            };
-            return;
-        }
-        cursor.payload_buf.resize(len as usize, 0);
-        if let Err(detail) = Self::read_frame_bytes(file, &mut cursor.payload_buf, false) {
-            cursor.dead = true;
-            self.pending[i] = Pending::Corrupt {
-                offset: frame_offset,
-                detail,
-            };
-            return;
-        }
-        let stored: [u8; 20] = header[4..24].try_into().unwrap_or([0u8; 20]);
-        let actual = sha1(&cursor.payload_buf);
-        if actual.0 != stored {
-            cursor.dead = true;
-            self.pending[i] = Pending::Corrupt {
-                offset: frame_offset,
-                detail: "record checksum mismatch".to_string(),
-            };
-            return;
-        }
-        cursor.offset += (FRAME_LEN + len as usize) as u64;
-        self.io.bytes_read += (FRAME_LEN + len as usize) as u64;
+        let len = frame::frame_len(cursor.payload_buf.len()) as u64;
+        cursor.offset += len;
+        self.io.bytes_read += len;
         // The frame verified, so the boundary is trustworthy: a decode
         // failure (a store bug, not bit rot) skips only this record.
         // Decoding borrows the scratch buffer in place — the record owns
         // its strings and pack, so nothing aliases the buffer afterwards.
-        match decode_record(&self.cursors[i].payload_buf) {
+        match decode_record(&cursor.payload_buf) {
             Ok(record) => {
                 self.io.records_read += 1;
                 self.pending[i] = Pending::Record(Box::new(record));

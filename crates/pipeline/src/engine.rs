@@ -1,8 +1,7 @@
 //! The unified mining engine: one entry point that pulls candidates from
 //! any [`CandidateSource`] through the bounded-window streaming executor
-//! and produces everything the legacy `mine_all_*` family produced —
-//! profiles, quarantine accounting, journal durability, observability —
-//! behind a single API.
+//! and produces profiles, quarantine accounting, journal durability and
+//! observability behind a single API.
 //!
 //! Candidates flow through a bounded in-flight window: the source is
 //! only polled when a worker slot frees up, so a sharded on-disk corpus
@@ -40,8 +39,7 @@ pub enum MinePolicy {
     /// every event — the behavior of the legacy graceful/durable path.
     Graceful,
     /// First-failure semantics per candidate: an unparseable history is
-    /// silently dropped and counted, with no salvage attempt — the
-    /// behavior of the legacy `mine_all`/`mine_all_stats` path.
+    /// silently dropped and counted, with no salvage attempt.
     Strict,
 }
 

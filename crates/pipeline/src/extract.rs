@@ -1,20 +1,16 @@
 //! Parallel measurement of funnel candidates: parse every version, diff
 //! every transition, and build per-project evolution profiles.
 //!
-//! The parallel entry points run on the work-stealing executor of
-//! [`crate::exec`]: one task per candidate history, stolen from a shared
-//! injector, with results reassembled in candidate order so the output
-//! is identical for every worker count. With caching enabled, blob
+//! The mining tasks here run under [`crate::engine::MiningEngine`] on the
+//! work-stealing executor of [`crate::exec`]: one task per candidate
+//! history, stolen from a shared injector, with results reassembled in
+//! candidate order so the output is identical for every worker count. With caching enabled, blob
 //! parses and version-pair diffs are shared across candidates through
 //! the content-addressed [`crate::exec::MineCaches`].
 
-use crate::engine::{MinePolicy, MiningEngine};
-use crate::exec::{watchdog, ExecOptions, ExecStats, MineCaches, StageTally};
+use crate::exec::{watchdog, MineCaches, StageTally};
 use crate::funnel::CandidateHistory;
-use crate::journal::{DurabilityOptions, JournalSummary};
-use crate::quarantine::{QuarantineRecord, QuarantineReport, RecoveryRecord};
-use crate::source::SliceSource;
-use crate::study::StudyOptions;
+use crate::quarantine::{QuarantineRecord, RecoveryRecord};
 use schevo_core::diff::{diff, SchemaDelta};
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_core::fk::{fk_profile, fk_profile_with, FkProfile};
@@ -23,7 +19,6 @@ use schevo_core::model::{CommitMeta, SchemaHistory, SchemaVersion};
 use schevo_core::profile::{EvolutionProfile, ProjectContext};
 use schevo_core::tables::{table_lives, table_lives_with, TableLife};
 use schevo_ddl::HistoryParser;
-use schevo_obs::ObsHooks;
 use schevo_vcs::sha1::{sha1, Digest};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -198,32 +193,6 @@ fn diff_and_profile(
         profile,
         fk,
         table_lives: lives,
-    }
-}
-
-/// Mine all candidates on the work-stealing executor, with full
-/// observability. Output order matches input order for every worker
-/// count and cache setting; unparseable candidates are dropped and
-/// counted in the second return value; the third carries cache hit/miss
-/// counters and per-stage timings.
-#[deprecated(note = "use `MiningEngine::mine` over a `CandidateSource` (e.g. `SliceSource`)")]
-pub fn mine_all_stats(
-    candidates: &[CandidateHistory],
-    reed_threshold: u64,
-    options: &ExecOptions,
-) -> (Vec<Mined>, usize, ExecStats) {
-    let engine = MiningEngine::new(StudyOptions {
-        reed_threshold: Some(reed_threshold),
-        workers: options.workers,
-        cache: options.cache,
-        ..StudyOptions::default()
-    })
-    .with_policy(MinePolicy::Strict);
-    match engine.mine(&SliceSource::new(candidates)) {
-        Ok(out) => (out.mined, out.parse_failures, out.exec),
-        // Unreachable without a journal or spill pressure; degrade to an
-        // all-failed pass rather than panicking.
-        Err(_) => (Vec::new(), candidates.len(), ExecStats::default()),
     }
 }
 
@@ -405,43 +374,6 @@ fn mine_task_graceful(
     }
 }
 
-/// Mine all candidates with graceful degradation on the work-stealing
-/// executor. Like [`mine_all_stats`], output order matches input order
-/// for every worker count and cache setting — including the quarantine
-/// report, whose events are collected in candidate order. On a clean
-/// corpus the mined output is bit-identical to [`mine_all_stats`] and
-/// the report is empty.
-#[deprecated(note = "use `MiningEngine::mine` over a `CandidateSource` (e.g. `SliceSource`)")]
-pub fn mine_all_graceful(
-    candidates: &[CandidateHistory],
-    reed_threshold: u64,
-    options: &ExecOptions,
-) -> (Vec<Mined>, QuarantineReport, ExecStats) {
-    let engine = MiningEngine::new(StudyOptions {
-        reed_threshold: Some(reed_threshold),
-        workers: options.workers,
-        cache: options.cache,
-        ..StudyOptions::default()
-    });
-    match engine.mine(&SliceSource::new(candidates)) {
-        Ok(out) => (out.mined, out.quarantine, out.exec),
-        // Unreachable: without a journal configured the pass has no
-        // error source. Degrade to an empty result carrying the error
-        // rather than panicking.
-        Err(e) => (
-            Vec::new(),
-            QuarantineReport {
-                recovered: Vec::new(),
-                quarantined: vec![QuarantineRecord {
-                    error: e,
-                    recovery_attempted: false,
-                }],
-            },
-            ExecStats::default(),
-        ),
-    }
-}
-
 /// One mining task: graceful mining under the soft watchdog. An overrun
 /// is appended to the task's recovery list as a
 /// [`ErrorClass::DeadlineExceeded`] event — deterministic in position
@@ -471,115 +403,12 @@ pub(crate) fn mine_task_watched(
     outcome
 }
 
-/// [`mine_all_graceful`] with a durability layer: write-ahead journaling
-/// of every completed candidate, resume-from-journal, deterministic
-/// crash injection, and the per-task watchdog deadline.
-///
-/// With `durability` at its default this is exactly the in-memory
-/// graceful pass (no journal I/O, no key hashing, no timing). With a
-/// journal configured, every freshly mined outcome is committed from the
-/// caller thread as it completes; with `resume` set, records whose
-/// content key matches a current candidate are replayed instead of
-/// re-mined, and the merged result is bit-identical to an uninterrupted
-/// run — [`ExecStats`], which varies with scheduling anyway, is the only
-/// thing that can differ.
-///
-/// Errors are journal-scoped only: open/replay/append failures surface
-/// as [`ErrorClass::Journal`] errors; a corrupt journal *tail* is not an
-/// error (replay degrades to the valid prefix and reports it in the
-/// returned [`JournalSummary`]).
-#[deprecated(note = "use `MiningEngine::mine` over a `CandidateSource` (e.g. `SliceSource`)")]
-pub fn mine_all_durable(
-    candidates: &[CandidateHistory],
-    reed_threshold: u64,
-    options: &ExecOptions,
-    durability: &DurabilityOptions,
-) -> Result<(Vec<Mined>, QuarantineReport, ExecStats, Option<JournalSummary>), SchevoError> {
-    let engine = MiningEngine::new(StudyOptions {
-        reed_threshold: Some(reed_threshold),
-        workers: options.workers,
-        cache: options.cache,
-        durability: durability.clone(),
-        ..StudyOptions::default()
-    });
-    let out = engine.mine(&SliceSource::new(candidates))?;
-    Ok((out.mined, out.quarantine, out.exec, out.journal))
-}
-
-/// [`mine_all_durable`] with observability hooks: per-task tallies fold
-/// into the metrics registry (cache hit/miss counters, per-task stage
-/// latency histograms observed **in candidate order**, quarantine and
-/// journal counters) and the progress heartbeat advances as tasks
-/// complete. With default hooks this *is* `mine_all_durable` — the
-/// hooks only read what the pass already computes, never steer it, so
-/// mined output is bit-identical with observability on or off.
-#[deprecated(note = "use `MiningEngine::mine` over a `CandidateSource` (e.g. `SliceSource`)")]
-pub fn mine_all_observed(
-    candidates: &[CandidateHistory],
-    reed_threshold: u64,
-    options: &ExecOptions,
-    durability: &DurabilityOptions,
-    obs: &ObsHooks,
-) -> Result<(Vec<Mined>, QuarantineReport, ExecStats, Option<JournalSummary>), SchevoError> {
-    let engine = MiningEngine::new(StudyOptions {
-        reed_threshold: Some(reed_threshold),
-        workers: options.workers,
-        cache: options.cache,
-        durability: durability.clone(),
-        obs: obs.clone(),
-        ..StudyOptions::default()
-    });
-    let out = engine.mine(&SliceSource::new(candidates))?;
-    Ok((out.mined, out.quarantine, out.exec, out.journal))
-}
-
-/// Mine all candidates in parallel, producing profiles plus extension
-/// records. Order of the output matches the input; unparseable candidates
-/// are dropped and counted in the second return value.
-#[deprecated(note = "use `MiningEngine::mine` over a `CandidateSource` (e.g. `SliceSource`)")]
-pub fn mine_all_extended(
-    candidates: &[CandidateHistory],
-    reed_threshold: u64,
-    workers: usize,
-) -> (Vec<Mined>, usize) {
-    let engine = MiningEngine::new(StudyOptions {
-        reed_threshold: Some(reed_threshold),
-        workers,
-        ..StudyOptions::default()
-    })
-    .with_policy(MinePolicy::Strict);
-    match engine.mine(&SliceSource::new(candidates)) {
-        Ok(out) => (out.mined, out.parse_failures),
-        Err(_) => (Vec::new(), candidates.len()),
-    }
-}
-
-/// Mine all candidates in parallel, keeping only the paper's profiles.
-#[deprecated(note = "use `MiningEngine::mine` over a `CandidateSource` (e.g. `SliceSource`)")]
-pub fn mine_all(
-    candidates: &[CandidateHistory],
-    reed_threshold: u64,
-    workers: usize,
-) -> (Vec<EvolutionProfile>, usize) {
-    let engine = MiningEngine::new(StudyOptions {
-        reed_threshold: Some(reed_threshold),
-        workers,
-        ..StudyOptions::default()
-    })
-    .with_policy(MinePolicy::Strict);
-    match engine.mine(&SliceSource::new(candidates)) {
-        Ok(out) => (
-            out.mined.into_iter().map(|m| m.profile).collect(),
-            out.parse_failures,
-        ),
-        Err(_) => (Vec::new(), candidates.len()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MiningOutput;
+    use crate::engine::{MinePolicy, MiningEngine, MiningOutput};
+    use crate::source::SliceSource;
+    use crate::study::StudyOptions;
     use crate::funnel::{run_funnel, FunnelOutcome};
     use schevo_core::heartbeat::REED_THRESHOLD;
     use schevo_corpus::universe::{generate, UniverseConfig};
@@ -678,25 +507,5 @@ mod tests {
         let cached = mine_strict(std::slice::from_ref(&bad), 1, true);
         assert!(cached.mined.is_empty());
         assert_eq!(cached.parse_failures, 1);
-    }
-
-    #[test]
-    fn deprecated_wrappers_still_work() {
-        #![allow(deprecated)]
-        let o = outcome();
-        let (profiles, failures) = mine_all(&o.analyzed, REED_THRESHOLD, 2);
-        assert_eq!(failures, 0);
-        assert_eq!(profiles.len(), o.analyzed.len());
-        let (mined, report, _) = mine_all_graceful(
-            &o.analyzed,
-            REED_THRESHOLD,
-            &ExecOptions {
-                workers: 2,
-                cache: true,
-            },
-        );
-        assert!(report.is_clean());
-        let wrapped: Vec<_> = mined.into_iter().map(|m| m.profile).collect();
-        assert_eq!(wrapped, profiles);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! A long study run must survive being killed mid-flight without losing
 //! mined work. As the work-stealing executor completes each candidate,
-//! the caller thread appends one journal record — length-prefixed,
-//! SHA-1-checksummed, JSON-payloaded — with a single `write_all` plus
+//! the caller thread appends one journal record — a JSON payload in a
+//! [`schevo_vcs::frame`] frame — with a single `write_all` plus
 //! `sync_data`, so a record is either fully committed or absent. On
 //! restart, [`replay_bytes`] walks the journal with the same
 //! fail-closed discipline as the bounds-checked pack reader: a
@@ -25,7 +25,8 @@ use crate::extract::MineOutcome;
 use crate::funnel::CandidateHistory;
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_core::failpoint;
-use schevo_vcs::sha1::{sha1, Digest, Sha1};
+use schevo_vcs::frame;
+use schevo_vcs::sha1::{Digest, Sha1};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -38,14 +39,6 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"SCHEVOJ1";
 
 /// Byte length of the file header (just the magic).
 pub const HEADER_LEN: usize = JOURNAL_MAGIC.len();
-
-/// Frame overhead per record: 4-byte LE payload length + 20-byte SHA-1.
-pub const FRAME_LEN: usize = 4 + 20;
-
-/// Upper bound on one record's payload. A length field above this is
-/// corruption, not a record — it stops replay before a garbage length
-/// can drive a huge allocation.
-pub const MAX_RECORD_LEN: u32 = 1 << 26; // 64 MiB
 
 /// Durability knobs of a mining pass, carried by
 /// [`crate::study::StudyOptions`].
@@ -129,26 +122,28 @@ fn io_error(path: &Path, op: &str, e: &std::io::Error) -> SchevoError {
     )
 }
 
-/// Encode one record into its on-disk frame:
-/// `u32 LE payload length | SHA-1(payload) | payload`.
+/// Encode one record into its on-disk frame: its JSON in a
+/// [`schevo_vcs::frame`] frame.
 pub fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, SchevoError> {
+    let fail = |e: String| SchevoError::project(ErrorClass::Journal, &record.key, e);
     let payload = serde_json::to_string(record)
-        .map_err(|e| {
-            SchevoError::project(ErrorClass::Journal, &record.key, format!("encode: {e}"))
-        })?
+        .map_err(|e| fail(format!("encode: {e}")))?
         .into_bytes();
-    if payload.len() > MAX_RECORD_LEN as usize {
-        return Err(SchevoError::project(
-            ErrorClass::Journal,
-            &record.key,
-            format!("record payload of {} bytes exceeds cap", payload.len()),
-        ));
-    }
-    let mut buf = Vec::with_capacity(FRAME_LEN + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&sha1(&payload).0);
+    let header = frame::header(&payload).map_err(|e| fail(format!("encode: {e}")))?;
+    let mut buf = Vec::with_capacity(frame::frame_len(payload.len()));
+    buf.extend_from_slice(&header);
     buf.extend_from_slice(&payload);
     Ok(buf)
+}
+
+/// Decode the record framed at the start of `bytes`, plus its frame length.
+fn decode_frame(bytes: &[u8]) -> Result<(JournalRecord, usize), String> {
+    let payload = frame::decode(bytes).map_err(|e| format!("record frame: {e}"))?;
+    let record = std::str::from_utf8(payload)
+        .map_err(|e| e.to_string())
+        .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
+        .map_err(|e| format!("undecodable record payload: {e}"))?;
+    Ok((record, frame::frame_len(payload.len())))
 }
 
 /// Replay journal bytes, stopping at the last valid record.
@@ -172,55 +167,14 @@ pub fn replay_bytes(bytes: &[u8], origin: &str) -> Replay {
     replay.valid_len = HEADER_LEN as u64;
     let mut at = HEADER_LEN;
     while at < bytes.len() {
-        let rest = &bytes[at..];
-        if rest.len() < FRAME_LEN {
-            replay.corruption = Some(corrupt(
-                origin,
-                at,
-                format!("truncated record frame ({} trailing byte(s))", rest.len()),
-            ));
-            return replay;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        if len == 0 || len > MAX_RECORD_LEN {
-            replay.corruption =
-                Some(corrupt(origin, at, format!("implausible record length {len}")));
-            return replay;
-        }
-        let len = len as usize;
-        if rest.len() < FRAME_LEN + len {
-            replay.corruption = Some(corrupt(
-                origin,
-                at,
-                format!(
-                    "truncated record payload ({} of {len} byte(s) present)",
-                    rest.len() - FRAME_LEN
-                ),
-            ));
-            return replay;
-        }
-        let stored = Digest({
-            let mut d = [0u8; 20];
-            d.copy_from_slice(&rest[4..FRAME_LEN]);
-            d
-        });
-        let payload = &rest[FRAME_LEN..FRAME_LEN + len];
-        if sha1(payload) != stored {
-            replay.corruption = Some(corrupt(origin, at, "record checksum mismatch"));
-            return replay;
-        }
-        let record: JournalRecord = match std::str::from_utf8(payload)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
-        {
+        let (record, len) = match decode_frame(&bytes[at..]) {
             Ok(r) => r,
             Err(e) => {
-                replay.corruption =
-                    Some(corrupt(origin, at, format!("undecodable record payload: {e}")));
+                replay.corruption = Some(corrupt(origin, at, e));
                 return replay;
             }
         };
-        at += FRAME_LEN + len;
+        at += len;
         replay.records.push(record);
         replay.record_ends.push(at as u64);
         replay.valid_len = at as u64;
@@ -375,6 +329,7 @@ pub fn candidate_key(candidate: &CandidateHistory, reed_threshold: u64) -> Diges
 mod tests {
     use super::*;
     use crate::quarantine::RecoveryRecord;
+    use schevo_vcs::sha1::sha1;
     use schevo_vcs::history::FileVersion;
     use schevo_vcs::timestamp::Timestamp;
 

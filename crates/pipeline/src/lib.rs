@@ -28,8 +28,6 @@ pub mod study;
 
 pub use engine::{MinePolicy, MiningEngine, MiningOutput, StreamOptions, WarmCaches};
 pub use exec::{default_workers, ExecOptions, ExecStats};
-#[allow(deprecated)]
-pub use extract::{mine_all_durable, mine_all_graceful};
 pub use extract::MineOutcome;
 pub use journal::{candidate_key, DurabilityOptions, JournalRecord, JournalSummary, JournalWriter};
 pub use funnel::{run_funnel, CandidateHistory, Exclusion, FunnelOutcome, FunnelReport};

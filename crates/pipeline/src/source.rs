@@ -112,12 +112,11 @@ impl CandidateSource for Universe {
 }
 
 // ---------------------------------------------------------------------
-// Slice backend: pre-funneled candidates (the legacy mine_all_* shape).
+// Slice backend: pre-funneled candidates.
 // ---------------------------------------------------------------------
 
-/// A source over candidates that already passed a funnel elsewhere —
-/// the compatibility shape behind the deprecated `mine_all_*` wrappers
-/// and the unit-level mining tests. The funnel ledger only counts the
+/// A source over candidates that already passed a funnel elsewhere, as
+/// the unit-level mining tests and the benchmarks hold them. The funnel ledger only counts the
 /// candidates through (`analyzed`); no filtering happens.
 #[derive(Debug, Clone, Copy)]
 pub struct SliceSource<'a> {

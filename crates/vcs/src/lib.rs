@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+pub mod frame;
 pub mod history;
 pub mod object;
 pub mod pack;

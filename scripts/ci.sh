@@ -5,10 +5,9 @@
 # (fault injection + graceful degradation), the scale tier (sharded store
 # byte-identity plus a 20x streaming run under a fixed peak-RSS ceiling),
 # the paper-scale study against its committed bytes and an RSS ceiling,
-# a deprecation gate over the legacy mine_all_* wrappers, a panic-site
-# budget over the mining-path crates, and a serving-mode observability
-# gate (request-log schema, request-id echo, `schevo top`, and an
-# instrumented-vs-bare overhead fence).
+# a panic-site budget over the mining-path crates, and a serving-mode
+# observability gate (request-log schema, request-id echo, `schevo top`,
+# and an instrumented-vs-bare overhead fence).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -566,23 +565,6 @@ if awk -v i="$instr_min" -v b="$bare_min" 'BEGIN { exit !(i > b * 1.05) }'; then
   exit 1
 fi
 echo "    serving-mode overhead: instrumented min ${instr_min}us vs bare ${bare_min}us (fence: +5%)"
-
-echo "==> deprecation gate: no first-party callers of mine_all_*"
-# The legacy mine_all_* family survives only as #[deprecated] wrappers in
-# crates/pipeline/src/extract.rs (plus the one compatibility re-export in
-# the pipeline crate root). Everything else goes through MiningEngine.
-offenders=$(grep -rn "mine_all_" \
-  crates/*/src crates/*/tests crates/*/benches src examples tests \
-  --include='*.rs' 2>/dev/null \
-  | grep -v "^crates/pipeline/src/extract.rs:" \
-  | grep -v "^crates/pipeline/src/lib.rs:[0-9]*:pub use extract::" \
-  | grep -v "^[^:]*:[0-9]*:[[:space:]]*//" || true)
-if [ -n "$offenders" ]; then
-  echo "DEPRECATION FAILURE: first-party code still calls mine_all_*:" >&2
-  echo "$offenders" >&2
-  exit 1
-fi
-echo "    mining entry point is MiningEngine everywhere outside the wrappers"
 
 echo "==> panic-site budget (ddl, vcs, pipeline, obs, serve, atomic writer)"
 # Graceful degradation means the mining path must not grow new panic
