@@ -27,6 +27,7 @@
 //! [`MiningEngine`]: schevo_pipeline::MiningEngine
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
 pub mod frame;

@@ -174,6 +174,9 @@ pub fn install_drain_signals() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     let handler = on_drain_signal as *const () as usize;
+    // SAFETY: `signal(2)` with valid signal numbers and a pointer to an
+    // `extern "C" fn(i32)` that lives for the whole program; the handler
+    // does only an atomic store, which is async-signal-safe.
     unsafe {
         signal(SIGINT, handler);
         signal(SIGTERM, handler);

@@ -4,7 +4,7 @@
 //! so that equal objects always share an address and the address never
 //! depends on process state.
 
-use crate::sha1::{sha1, Digest};
+use crate::sha1::{Digest, Sha1};
 use crate::timestamp::Timestamp;
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -25,10 +25,7 @@ impl Blob {
     /// The blob's content address (`blob <len>\0<data>`, exactly git's
     /// scheme).
     pub fn id(&self) -> Digest {
-        let mut buf = Vec::with_capacity(self.data.len() + 16);
-        buf.extend_from_slice(format!("blob {}\0", self.data.len()).as_bytes());
-        buf.extend_from_slice(&self.data);
-        sha1(&buf)
+        address("blob", self.data.len(), [&self.data[..]])
     }
 
     /// Interpret the blob as UTF-8 text (lossy).
@@ -55,16 +52,13 @@ impl Tree {
 
     /// The tree's content address.
     pub fn id(&self) -> Digest {
-        let mut payload = Vec::new();
-        for (path, id) in &self.entries {
-            payload.extend_from_slice(path.as_bytes());
-            payload.push(0);
-            payload.extend_from_slice(&id.0);
-        }
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        buf.extend_from_slice(format!("tree {}\0", payload.len()).as_bytes());
-        buf.extend_from_slice(&payload);
-        sha1(&buf)
+        // Each entry is `path \0 id`.
+        let len = self.entries.keys().map(|path| path.len() + 1 + 20).sum();
+        let parts = self
+            .entries
+            .iter()
+            .flat_map(|(path, id)| [path.as_bytes(), &[0], &id.0]);
+        address("tree", len, parts)
     }
 
     /// The blob id at `path`, if present.
@@ -114,11 +108,22 @@ impl Commit {
         payload.extend_from_slice(format!("author {} {}\n", self.author, self.timestamp.0).as_bytes());
         payload.push(b'\n');
         payload.extend_from_slice(self.message.as_bytes());
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        buf.extend_from_slice(format!("commit {}\0", payload.len()).as_bytes());
-        buf.extend_from_slice(&payload);
-        sha1(&buf)
+        address("commit", payload.len(), [&payload[..]])
     }
+}
+
+/// Git's object address: SHA-1 of `kind len\0` followed by the payload,
+/// streamed part by part; `len` is the payload's total length.
+fn address<'a>(kind: &str, len: usize, payload: impl IntoIterator<Item = &'a [u8]>) -> Digest {
+    let mut h = Sha1::new();
+    h.update(kind.as_bytes());
+    h.update(b" ");
+    h.update(len.to_string().as_bytes());
+    h.update(b"\0");
+    for part in payload {
+        h.update(part);
+    }
+    h.finalize()
 }
 
 /// Any stored object.
