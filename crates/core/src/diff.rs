@@ -20,6 +20,7 @@
 use crate::intern::{self, Symbol, SymbolMap};
 use schevo_ddl::{Schema, Table};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A named attribute occurrence `(table, attribute)`.
 pub type AttrRef = (String, String);
@@ -120,13 +121,13 @@ struct SchemaView<'a> {
 }
 
 impl<'a> SchemaView<'a> {
-    /// Build the view, interning every table and attribute name. One lock
-    /// acquisition per schema, not per name.
-    fn build(schema: &'a Schema) -> Self {
+    /// Build the view over `tables`, interning every table and attribute
+    /// name. One lock acquisition per schema, not per name.
+    fn build(tables_in: impl Iterator<Item = &'a Table>) -> Self {
         intern::with_interner(|it| {
-            let mut tables = Vec::with_capacity(schema.tables().len());
+            let mut tables = Vec::new();
             let mut index = SymbolMap::default();
-            for (ti, table) in schema.tables().iter().enumerate() {
+            for (ti, table) in tables_in.enumerate() {
                 let tsym = it.intern(&table.name);
                 let attr_syms: Vec<Symbol> = table
                     .attributes()
@@ -166,6 +167,23 @@ impl<'a> SchemaView<'a> {
     }
 }
 
+/// The addresses of `schema`'s tables, sorted for binary search.
+fn sorted_table_ptrs(schema: &Schema) -> Vec<*const Table> {
+    let mut ptrs: Vec<_> = schema.tables().iter().map(Arc::as_ptr).collect();
+    ptrs.sort_unstable();
+    ptrs
+}
+
+/// The tables of `schema`, in file order, that the other version (whose
+/// [`sorted_table_ptrs`] are `other`) does not hold as the same `Arc`.
+fn unshared<'a>(schema: &'a Schema, other: &'a [*const Table]) -> impl Iterator<Item = &'a Table> {
+    schema
+        .tables()
+        .iter()
+        .filter(|t| other.binary_search(&Arc::as_ptr(t)).is_err())
+        .map(|t| &**t)
+}
+
 /// Diff two schema versions into a [`SchemaDelta`].
 ///
 /// Tables and attributes are matched by name; renames register as a
@@ -177,11 +195,19 @@ impl<'a> SchemaView<'a> {
 /// symbols; the emitted delta carries strings cloned from the input
 /// schemas in file order, so the output is bit-identical to a string-keyed
 /// diff and independent of symbol-id assignment order.
+///
+/// A table both versions hold as the same `Arc` (consecutive versions
+/// parsed by `HistoryParser` share most of theirs) is unchanged, so it adds
+/// nothing to the delta. Such shared tables are left out before the views
+/// are built: interning their names would be most of the work. Leaving
+/// them out changes no lookup, because a table's name is unique in its
+/// schema and a shared table has the same name on both sides.
 pub fn diff(old: &Schema, new: &Schema) -> SchemaDelta {
     let _span = schevo_obs::span!("core.diff");
     let mut delta = SchemaDelta::default();
-    let old_view = SchemaView::build(old);
-    let new_view = SchemaView::build(new);
+    let (old_ptrs, new_ptrs) = (sorted_table_ptrs(old), sorted_table_ptrs(new));
+    let old_view = SchemaView::build(unshared(old, &new_ptrs));
+    let new_view = SchemaView::build(unshared(new, &old_ptrs));
 
     for (tsym, tv) in &new_view.tables {
         let table = tv.table;
@@ -287,6 +313,20 @@ mod tests {
         assert_eq!(d, SchemaDelta::default());
         assert!(!d.is_active());
         assert_eq!(d.activity(), 0);
+    }
+
+    #[test]
+    fn shared_tables_are_skipped_and_others_still_compared() {
+        let old = s("CREATE TABLE t (a INT); CREATE TABLE u (b INT); CREATE TABLE v (c INT);");
+        let mut new = old.clone();
+        let d = schevo_ddl::Attribute::new("d", schevo_ddl::types::DataType::int());
+        new.table_mut("u").unwrap().push_attribute(d);
+        new.remove_table("v");
+        let d = diff(&old, &new);
+        assert_eq!(d.injected, vec![("u".to_string(), "d".to_string())]);
+        assert_eq!(d.tables_deleted, vec!["v".to_string()]);
+        assert_eq!(d.activity(), 2);
+        assert_eq!(diff(&old, &old.clone()), SchemaDelta::default());
     }
 
     #[test]

@@ -2,13 +2,29 @@
 //! since the previous version are reused instead of parsed again.
 //!
 //! Consecutive versions of a schema file mostly differ in a few tables, so
-//! most of their statements are byte-identical. [`HistoryParser`] still
-//! lexes every version whole (lex errors and their offsets are those of
-//! [`crate::parse_schema`]), then walks its top-level statements with the
-//! same [`Parser`] step `parse_schema` uses. Each statement is keyed by its
-//! source text from its first token through its first `;` token; when the
-//! previous version had a statement with the same key, its lowered result
-//! is applied again and the parse is skipped.
+//! most of their bytes and statements are identical. [`HistoryParser`]
+//! keeps the previous version's text and tokens and lexes each version as
+//! an edit of it ([`tokenize_edit`]): only the bytes between the common
+//! prefix and suffix, widened to the enclosing `;` tokens, are lexed again,
+//! and the old tokens around them are moved over, their spans shifted. The
+//! result is exactly [`tokenize`]'s, lex errors and their offsets included;
+//! after a version that fails to lex, the next one is lexed whole.
+//!
+//! It then walks the top-level statements with the same [`Parser`] step
+//! `parse_schema` uses. Each statement is keyed by its source text from its
+//! first token through its first `;` token; when the previous version had a
+//! statement with the same key, its lowered result is applied again and
+//! the parse is skipped.
+//!
+//! # Why lexing an edit gives the same tokens
+//!
+//! The lexer carries no state from one token to the next, and a `;` is one
+//! byte with no lookahead. So the tokens up to a `;` token that ends inside
+//! the common prefix depend on prefix bytes only, and lexing restarted right
+//! after it proceeds as a whole-text lex would. Once that restarted lex
+//! emits a `;` inside the common suffix at an offset where the old stream
+//! had a `;` too, both streams continue from the same state over the same
+//! bytes, so the old tokens are taken over from there on.
 //!
 //! # Why a key determines its result
 //!
@@ -28,10 +44,10 @@
 
 use crate::arena::{record_arena_bytes, ArenaStatement, ScriptArena};
 use crate::error::ParseError;
-use crate::lexer::tokenize;
+use crate::lexer::{tokenize, tokenize_edit};
 use crate::parser::Parser;
 use crate::schema::{Schema, Table};
-use crate::token::TokenKind;
+use crate::token::{Token, TokenKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -81,6 +97,9 @@ pub struct HistoryParser<'a> {
     previous: HashMap<&'a str, Lowered>,
     /// The same, being built for the version under parse.
     current: HashMap<&'a str, Lowered>,
+    /// The text and tokens of the last version, if it lexed; the next
+    /// version is lexed as an edit of it.
+    lexed: Option<(&'a str, Vec<Token>)>,
     statements: u64,
     reused: u64,
 }
@@ -96,10 +115,15 @@ impl<'a> HistoryParser<'a> {
     /// # Errors
     ///
     /// Exactly those of [`crate::parse_schema`]: only lex errors. A version
-    /// that fails to lex leaves the memo as it was.
+    /// that fails to lex leaves the statement memo as it was, and the next
+    /// version is lexed whole.
     pub fn parse(&mut self, sql: &'a str) -> Result<Schema, ParseError> {
         let _span = schevo_obs::span!("ddl.parse", bytes = sql.len());
-        let mut parser = Parser::new(tokenize(sql)?);
+        let tokens = match self.lexed.take() {
+            Some((prev, tokens)) => tokenize_edit(prev, tokens, sql)?,
+            None => tokenize(sql)?,
+        };
+        let mut parser = Parser::new(tokens);
         let mut schema = Schema::new();
         let mut arena_bytes = 0;
         self.current.clear();
@@ -153,7 +177,14 @@ impl<'a> HistoryParser<'a> {
         }
         record_arena_bytes(arena_bytes + parser.arena_mut().heap_bytes());
         std::mem::swap(&mut self.previous, &mut self.current);
+        self.lexed = Some((sql, parser.into_tokens()));
         Ok(schema)
+    }
+
+    /// The tokens of the last version parsed, exactly [`tokenize`]'s; empty
+    /// if it failed to lex.
+    pub fn tokens(&self) -> &[Token] {
+        self.lexed.as_ref().map_or(&[], |(_, tokens)| tokens)
     }
 
     /// Top-level statements met so far, over every version.

@@ -25,6 +25,25 @@
 //! [`reference`] and serves as the oracle: the proptest battery in
 //! `crates/ddl/tests/proptest_lexer_fastpath.rs` checks both lexers produce
 //! bit-identical token streams and error spans on arbitrary inputs.
+//!
+//! # Lexing an edit
+//!
+//! [`tokenize_edit`] lexes the next version of a text from the tokens of
+//! the previous one, touching only the bytes that changed. It keeps the old
+//! tokens through the last `;` token that ends at or before the first
+//! differing byte, and runs the same lexer loop from there. When that loop
+//! emits a `;` starting inside the suffix both texts share, and the old
+//! stream had a `;` at the matching old offset, the rest of the old tokens
+//! are moved over with their spans shifted by the length difference, and
+//! the loop stops.
+//!
+//! Both cut points are sound because the lexer carries no state from one
+//! token to the next and a `;` is one byte with no lookahead: whatever
+//! follows a `;` token lexes the same way whatever preceded it. The tokens
+//! before a `;` that ends in the common prefix depend only on bytes of that
+//! prefix, and the tokens after a `;` in the common suffix depend only on
+//! bytes of that suffix. Lex errors are only raised at end of input, so a
+//! version that fails to lex fails exactly where [`tokenize`] fails.
 
 use crate::error::{ParseError, Span};
 use crate::token::{Token, TokenKind};
@@ -48,6 +67,80 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
         Some(e) => Err(e),
         None => Ok(tokens),
     }
+}
+
+/// Tokenize `sql`, the next version of `prev`, reusing `prev_tokens`.
+///
+/// `prev_tokens` must be what [`tokenize`] returned for `prev`. The result
+/// is exactly what [`tokenize`] returns for `sql`, `Ok` and `Err` alike; only
+/// the bytes between the longest common prefix and suffix of the two texts
+/// (widened to the enclosing `;` tokens) are lexed again. The old tokens
+/// are moved, not cloned. See the [module docs](self) for why this holds.
+///
+/// # Errors
+///
+/// Exactly those of [`tokenize`] on `sql`.
+pub fn tokenize_edit(
+    prev: &str,
+    mut prev_tokens: Vec<Token>,
+    sql: &str,
+) -> Result<Vec<Token>, ParseError> {
+    let (old, new) = (prev.as_bytes(), sql.as_bytes());
+    let prefix = common_prefix(old, new);
+    // The suffix may not overlap the prefix in either text, so a resync
+    // point always lies past where lexing restarts.
+    let room = old.len().min(new.len()) - prefix;
+    let suffix = common_suffix(&old[old.len() - room..], &new[new.len() - room..]);
+    let ended = prev_tokens.partition_point(|t| t.span.end <= prefix);
+    let keep = prev_tokens[..ended]
+        .iter()
+        .rposition(|t| t.kind == TokenKind::Semicolon)
+        .map_or(0, |i| i + 1);
+    let tail = prev_tokens.split_off(keep);
+    let lexer = Lexer {
+        src: new,
+        pos: prev_tokens.last().map_or(0, |t| t.span.end),
+        tokens: prev_tokens,
+        resync: Some(Resync {
+            from: new.len() - suffix,
+            shift: new.len() as isize - old.len() as isize,
+            tail,
+        }),
+    };
+    match lexer.run() {
+        (tokens, None) => Ok(tokens),
+        (_, Some(e)) => Err(e),
+    }
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const CHUNK: usize = 64;
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    // Whole chunks compare as one `memcmp`; the differing chunk bytewise.
+    while i + CHUNK <= n && a[i..i + CHUNK] == b[i..i + CHUNK] {
+        i += CHUNK;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// Length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    const CHUNK: usize = 64;
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut i = 0;
+    while i + CHUNK <= n && a[n - i - CHUNK..n - i] == b[n - i - CHUNK..n - i] {
+        i += CHUNK;
+    }
+    while i < n && a[n - i - 1] == b[n - i - 1] {
+        i += 1;
+    }
+    i
 }
 
 /// Tokenize as much of a script as possible.
@@ -235,6 +328,20 @@ struct Lexer<'s> {
     src: &'s [u8],
     pos: usize,
     tokens: Vec<Token>,
+    /// When lexing an edit: where the rest of the previous version's
+    /// tokens can be taken over ([`tokenize_edit`]).
+    resync: Option<Resync>,
+}
+
+/// The part of a previous version's token stream that may still be reused.
+struct Resync {
+    /// Offset in the new text where the suffix shared with the old one
+    /// starts.
+    from: usize,
+    /// New offset minus old offset of the same byte of that suffix.
+    shift: isize,
+    /// The old tokens after the ones kept as the prefix, in old offsets.
+    tail: Vec<Token>,
 }
 
 impl<'s> Lexer<'s> {
@@ -245,6 +352,7 @@ impl<'s> Lexer<'s> {
             // One token per ~6 source bytes is typical for DDL dumps;
             // pre-sizing avoids the early doubling churn on every parse.
             tokens: Vec::with_capacity(input.len() / 6 + 4),
+            resync: None,
         }
     }
 
@@ -298,6 +406,7 @@ impl<'s> Lexer<'s> {
                 CL_SEMI => {
                     self.pos += 1;
                     self.push(TokenKind::Semicolon, start);
+                    self.resync(start);
                     Ok(())
                 }
                 CL_EQ => {
@@ -357,6 +466,39 @@ impl<'s> Lexer<'s> {
             }
         }
         (self.tokens, None)
+    }
+
+    /// When lexing an edit, take over the rest of the previous version's
+    /// tokens if the `;` just lexed at `start` lies in the shared suffix
+    /// and was also a `;` token of the previous version, and stop the loop:
+    /// everything after it lexes as it did there.
+    #[inline]
+    fn resync(&mut self, start: usize) {
+        let Some(r) = &mut self.resync else {
+            return;
+        };
+        if start < r.from {
+            return;
+        }
+        let old_start = start.wrapping_add_signed(-r.shift);
+        let i = r.tail.partition_point(|t| t.span.start < old_start);
+        if !r
+            .tail
+            .get(i)
+            .is_some_and(|t| t.span.start == old_start && t.kind == TokenKind::Semicolon)
+        {
+            return;
+        }
+        let shift = r.shift;
+        self.tokens.extend(r.tail.drain(i + 1..).map(|mut t| {
+            t.span = Span::new(
+                t.span.start.wrapping_add_signed(shift),
+                t.span.end.wrapping_add_signed(shift),
+            );
+            t
+        }));
+        self.resync = None;
+        self.pos = self.src.len();
     }
 
     /// Decode the character at `pos` and return it with its byte width.
@@ -814,6 +956,47 @@ mod tests {
         let (tokens, err) = tokenize_recovering(clean);
         assert!(err.is_none());
         assert_eq!(tokens, tokenize(clean).unwrap());
+    }
+
+    #[test]
+    fn edits_lex_like_tokenize() {
+        let base = "CREATE TABLE a (x INT); INSERT INTO t VALUES ('p;q'); CREATE TABLE b (y INT);";
+        let edits = [
+            base.replace("x INT", "x INT, z TEXT"),
+            base.replace("'p;q'", "'p;;q'"),
+            base.replace("'p;q'", "'p;q"),
+            base.replace("(y INT)", "(y INT) /*"),
+            format!("-- head\n{base}"),
+            format!("{base} DROP TABLE a;"),
+            base.replacen(';', "", 1),
+            base[..base.len() - 1].to_string(),
+            base.to_string(),
+            String::new(),
+        ];
+        for next in &edits {
+            let edited = tokenize_edit(base, tokenize(base).unwrap(), next);
+            let whole = tokenize(next);
+            assert_eq!(
+                edited.map_err(|e| (e.span, e.to_string())),
+                whole.map_err(|e| (e.span, e.to_string())),
+                "edit to {next:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn common_prefix_and_suffix_span_chunks() {
+        let a: Vec<u8> = (0..200u8).collect();
+        for i in [0, 1, 63, 64, 65, 130, 199] {
+            let mut b = a.clone();
+            b[i] ^= 0xff;
+            assert_eq!(common_prefix(&a, &b), i);
+            assert_eq!(common_suffix(&a, &b), a.len() - 1 - i);
+        }
+        assert_eq!(common_prefix(&a, &a[..150]), 150);
+        assert_eq!(common_suffix(&a, &a[50..]), 150);
+        assert_eq!(common_prefix(b"", &a), 0);
+        assert_eq!(common_suffix(&a, b""), 0);
     }
 
     #[test]

@@ -243,6 +243,11 @@ impl Parser {
         &self.tokens
     }
 
+    /// The lexed tokens, handed back.
+    pub(crate) fn into_tokens(self) -> Vec<Token> {
+        self.tokens
+    }
+
     /// The cursor (index of the next token).
     pub(crate) fn pos(&self) -> usize {
         self.pos

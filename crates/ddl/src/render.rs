@@ -59,26 +59,44 @@ pub fn render_schema_with(schema: &Schema, opts: &RenderOptions) -> String {
     out
 }
 
-fn quoted(name: &str, opts: &RenderOptions) -> String {
-    if opts.backquote_identifiers {
-        format!("`{}`", name.replace('`', "``"))
-    } else {
-        name.to_string()
+/// Append `name` to `out`, backquoted with any inner backquote doubled
+/// when `opts` asks for quoting.
+fn push_ident(out: &mut String, name: &str, opts: &RenderOptions) {
+    if !opts.backquote_identifiers {
+        out.push_str(name);
+        return;
+    }
+    out.push('`');
+    for (i, part) in name.split('`').enumerate() {
+        if i > 0 {
+            out.push_str("``");
+        }
+        out.push_str(part);
+    }
+    out.push('`');
+}
+
+/// Append `names` to `out` as a `, `-separated identifier list.
+fn push_ident_list(out: &mut String, names: &[String], opts: &RenderOptions) {
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_ident(out, name, opts);
     }
 }
 
 fn render_table(out: &mut String, table: &Table, opts: &RenderOptions) {
-    let _ = writeln!(out, "CREATE TABLE {} (", quoted(&table.name, opts));
+    out.push_str("CREATE TABLE ");
+    push_ident(out, &table.name, opts);
+    out.push_str(" (\n");
     let n = table.arity();
     let has_pk = !table.primary_key().is_empty();
     let fk_count = table.foreign_keys().len();
     for (i, attr) in table.attributes().iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {} {}",
-            quoted(&attr.name, opts),
-            attr.data_type
-        );
+        out.push_str("  ");
+        push_ident(out, &attr.name, opts);
+        let _ = write!(out, " {}", attr.data_type);
         if attr.not_null {
             out.push_str(" NOT NULL");
         }
@@ -88,32 +106,27 @@ fn render_table(out: &mut String, table: &Table, opts: &RenderOptions) {
         out.push('\n');
     }
     if has_pk {
-        let cols: Vec<String> = table
-            .primary_key()
-            .iter()
-            .map(|c| quoted(c, opts))
-            .collect();
-        let _ = write!(out, "  PRIMARY KEY ({})", cols.join(", "));
+        out.push_str("  PRIMARY KEY (");
+        push_ident_list(out, table.primary_key(), opts);
+        out.push(')');
         out.push_str(if fk_count > 0 { ",\n" } else { "\n" });
     }
     for (k, fk) in table.foreign_keys().iter().enumerate() {
-        let cols: Vec<String> = fk.columns.iter().map(|c| quoted(c, opts)).collect();
-        let _ = write!(
-            out,
-            "  FOREIGN KEY ({}) REFERENCES {}",
-            cols.join(", "),
-            quoted(&fk.foreign_table, opts)
-        );
+        out.push_str("  FOREIGN KEY (");
+        push_ident_list(out, &fk.columns, opts);
+        out.push_str(") REFERENCES ");
+        push_ident(out, &fk.foreign_table, opts);
         if !fk.foreign_columns.is_empty() {
-            let fcols: Vec<String> = fk.foreign_columns.iter().map(|c| quoted(c, opts)).collect();
-            let _ = write!(out, " ({})", fcols.join(", "));
+            out.push_str(" (");
+            push_ident_list(out, &fk.foreign_columns, opts);
+            out.push(')');
         }
         out.push_str(if k + 1 < fk_count { ",\n" } else { "\n" });
     }
     if opts.engine_clause {
-        let _ = writeln!(out, ") ENGINE=InnoDB DEFAULT CHARSET=utf8;");
+        out.push_str(") ENGINE=InnoDB DEFAULT CHARSET=utf8;\n");
     } else {
-        let _ = writeln!(out, ");");
+        out.push_str(");\n");
     }
 }
 

@@ -19,11 +19,50 @@
 //!   overhead.
 //!
 //! Both parsers' results are compared version by version before timing.
+//!
+//! Two more pairs isolate the layers under the parse and after it:
+//!
+//! * **lexing**, in both orders — `tokenize` on every version whole against
+//!   `tokenize_edit`, which lexes each version as an edit of the previous
+//!   one. Every version's tokens are compared first.
+//! * **diff**, on the histories — `diff` of each pair of consecutive
+//!   versions as `HistoryParser` returns them (most tables are the same
+//!   `Arc`, which `diff` skips) against the same pairs with every table
+//!   deep-copied, so none is shared. Both deltas are compared first.
 
-use schevo::ddl::{parse_schema, HistoryParser};
+use schevo::core::diff::diff;
+use schevo::ddl::lexer::{tokenize, tokenize_edit};
+use schevo::ddl::token::Token;
+use schevo::ddl::{parse_schema, HistoryParser, Table};
 use schevo::pipeline::funnel::run_funnel;
 use schevo::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Lex `sequences`, each version as an edit of the previous one when that
+/// one lexed.
+fn lex_incrementally(sequences: &[Vec<&str>], mut each: impl FnMut(&str, &[Token])) {
+    for seq in sequences {
+        let mut prev: Option<(&str, Vec<Token>)> = None;
+        for &sql in seq {
+            let tokens = match prev.take() {
+                Some((p, tokens)) => tokenize_edit(p, tokens, sql),
+                None => tokenize(sql),
+            };
+            prev = tokens.ok().map(|tokens| (sql, tokens));
+            each(sql, prev.as_ref().map_or(&[], |(_, t)| t));
+        }
+    }
+}
+
+/// `schema` with every table in a fresh allocation, shared with nothing.
+fn deep_copy(schema: &Schema) -> Schema {
+    let mut copy = Schema::new();
+    for t in schema.tables() {
+        copy.upsert_table(Table::clone(t));
+    }
+    copy
+}
 
 fn main() {
     let rounds: usize = std::env::args()
@@ -54,10 +93,33 @@ fn main() {
         .iter()
         .flatten()
         .fold((0, 0), |(n, b), v| (n + 1, b + v.len()));
+    // Bytes of each version in a prefix or suffix it shares with the
+    // previous one (not overlapping in either).
+    let unchanged: usize = histories
+        .iter()
+        .flat_map(|seq| seq.windows(2))
+        .map(|w| {
+            let (a, b) = (w[0].as_bytes(), w[1].as_bytes());
+            let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+            let room = a.len().min(b.len()) - prefix;
+            let suffix = (a.iter().rev().zip(b.iter().rev()))
+                .take(room)
+                .take_while(|(x, y)| x == y)
+                .count();
+            prefix + suffix
+        })
+        .sum();
+    let later: usize = histories
+        .iter()
+        .flat_map(|seq| &seq[1.min(seq.len())..])
+        .map(|v| v.len())
+        .sum();
     println!(
-        "{} histories, {versions} versions, {:.1} MB",
+        "{} histories, {versions} versions, {:.1} MB; {:.1}% of the bytes of each \
+         version after the first lie in a prefix or suffix shared with the previous one",
         histories.len(),
-        bytes as f64 / 1e6
+        bytes as f64 / 1e6,
+        unchanged as f64 / later as f64 * 100.0
     );
 
     for (label, sequences) in [("histories", &histories), ("no reuse", &marked)] {
@@ -99,5 +161,84 @@ fn main() {
             incremental,
             (incremental / stateless - 1.0) * 100.0
         );
+
+        lex_incrementally(sequences, |sql, tokens| {
+            let whole = tokenize(sql).unwrap_or_default();
+            assert!(tokens == whole, "{label}: incremental tokens diverged");
+        });
+        let (mut whole, mut edited) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..rounds {
+            let t = Instant::now();
+            for sql in sequences.iter().flatten() {
+                std::hint::black_box(tokenize(sql).ok());
+            }
+            whole = whole.min(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            lex_incrementally(sequences, |_, tokens| {
+                std::hint::black_box(tokens);
+            });
+            edited = edited.min(t.elapsed().as_secs_f64());
+        }
+        println!(
+            "{label:>9}: lexing whole {whole:.3} s, as edits {edited:.3} s ({:+.1}%), \
+             min of {rounds}",
+            (edited / whole - 1.0) * 100.0
+        );
     }
+
+    // Diff consecutive versions, tables shared as parsed and deep-copied.
+    // Copies are made one history at a time, outside the timed spans, so
+    // that only one history's copies are alive at once.
+    let parsed: Vec<Vec<Schema>> = histories
+        .iter()
+        .map(|seq| {
+            let mut parser = HistoryParser::new();
+            seq.iter()
+                .filter_map(|sql| parser.parse(sql).ok())
+                .collect()
+        })
+        .collect();
+    let (mut diffs, mut surviving, mut same_arc) = (0, 0, 0);
+    for shared in &parsed {
+        let copies: Vec<Schema> = shared.iter().map(deep_copy).collect();
+        for (s, c) in shared.windows(2).zip(copies.windows(2)) {
+            assert_eq!(
+                diff(&s[0], &s[1]),
+                diff(&c[0], &c[1]),
+                "diff of deep copies diverged"
+            );
+            diffs += 1;
+            for t in s[1].tables() {
+                if let Some(old) = s[0].tables().iter().find(|o| o.name == t.name) {
+                    surviving += 1;
+                    same_arc += usize::from(Arc::ptr_eq(old, t));
+                }
+            }
+        }
+    }
+    let (mut with_shared, mut without) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..rounds {
+        let (mut shared_s, mut copies_s) = (0.0, 0.0);
+        for shared in &parsed {
+            let copies: Vec<Schema> = shared.iter().map(deep_copy).collect();
+            let t = Instant::now();
+            for w in shared.windows(2) {
+                std::hint::black_box(diff(&w[0], &w[1]));
+            }
+            shared_s += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            for w in copies.windows(2) {
+                std::hint::black_box(diff(&w[0], &w[1]));
+            }
+            copies_s += t.elapsed().as_secs_f64();
+        }
+        with_shared = with_shared.min(shared_s);
+        without = without.min(copies_s);
+    }
+    println!(
+        "     diff: {diffs} transitions, {same_arc} of {surviving} surviving tables shared; \
+         no table shared {without:.3} s, shared tables skipped {with_shared:.3} s ({:+.1}%), \
+         min of {rounds}",
+        (with_shared / without - 1.0) * 100.0
+    );
 }

@@ -5,6 +5,7 @@
 # (fault injection + graceful degradation), the scale tier (sharded store
 # byte-identity plus a 20x streaming run under a fixed peak-RSS ceiling),
 # the paper-scale study against its committed bytes and an RSS ceiling,
+# a paper-scale differential of incremental parsing, lexing and diffing,
 # a panic-site budget over the mining-path crates, and a serving-mode
 # observability gate (request-log schema, request-id echo, `schevo top`,
 # and an instrumented-vs-bare overhead fence).
@@ -295,6 +296,13 @@ if [ -z "$paper_mb" ] || [ "$paper_mb" -gt "$PAPER_RSS_CEILING_MB" ]; then
   exit 1
 fi
 echo "    paper-scale study byte-identical, peaked at ${paper_mb} MB (ceiling ${PAPER_RSS_CEILING_MB} MB)"
+
+echo "==> paper-scale differential: incremental parse, lex and diff"
+# On every candidate history of the paper corpus, HistoryParser must equal
+# parse_schema, lexing each version as an edit must give tokenize's tokens,
+# and diff over shared tables must equal diff over deep copies. The example
+# panics on the first divergence, before it times anything (one round).
+cargo run -q --release --example history_parse -- 1
 
 echo "==> perf lab: bench-smoke gate (schema + regression fence)"
 # The smoke-tier lab must finish fast and self-validate, and its timings

@@ -1,25 +1,51 @@
 //! Differential battery for incremental history parsing.
 //!
-//! `HistoryParser` reuses statements a version shares with the version
-//! before it. Its contract is that reuse is unobservable: every version
-//! parses to exactly what the stateless `parse_schema` oracle returns,
-//! `Ok` and `Err` alike, whatever sequence came before. This file checks
-//! that over every candidate of a small universe, over fault-injected
-//! corpora, over random sequences in which each version is a byte-flipped,
-//! truncated or spliced copy of the previous one, and over pinned shapes
-//! that a naive memo gets wrong.
+//! `HistoryParser` lexes each version as an edit of the one before it and
+//! reuses the statements the two share. Its contract is that both are
+//! unobservable: every version lexes to exactly `tokenize`'s tokens (which
+//! the character-level `lexer::reference` also produces) and parses to
+//! exactly what the stateless `parse_schema` oracle returns, `Ok` and `Err`
+//! alike, whatever sequence came before. This file checks that over every
+//! candidate of a small universe, over fault-injected corpora, over random
+//! sequences in which each version is a byte-flipped, truncated or spliced
+//! copy of the previous one, and over pinned shapes that a naive memo or a
+//! naive incremental lexer gets wrong.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use schevo::corpus::faultgen::{corrupt_versions, inject, FaultClass, FaultPlan};
 use schevo::corpus::universe::{generate, UniverseConfig};
+use schevo::ddl::lexer::{reference, tokenize, tokenize_edit};
 use schevo::ddl::{parse_schema, HistoryParser, Schema};
 use schevo::pipeline::funnel::{run_funnel, CandidateHistory};
 use schevo::vcs::history::WalkStrategy;
 
+/// Why the tokens `parser` kept for `sql` (the version it just parsed)
+/// differ from `tokenize`'s or the reference lexer's, if they do.
+fn token_divergence(parser: &HistoryParser, sql: &str) -> Option<String> {
+    let (slow, slow_err) = reference::tokenize_recovering(sql);
+    let whole = tokenize(sql);
+    let expected = match &whole {
+        Ok(tokens) if slow_err.is_none() && *tokens == slow => tokens.as_slice(),
+        Err(e)
+            if slow_err.as_ref().map(|s| (s.span, s.to_string()))
+                == Some((e.span, e.to_string())) =>
+        {
+            &[]
+        }
+        _ => {
+            return Some(format!(
+                "tokenize and the reference lexer disagree on {sql:?}"
+            ))
+        }
+    };
+    (parser.tokens() != expected).then(|| format!("tokens diverged from tokenize on {sql:?}"))
+}
+
 /// Parse `versions` in order with one `HistoryParser` and demand each
-/// result equal the oracle's. Returns the parser's `(statements, reused)`.
+/// version's tokens and result equal the oracles'. Returns the parser's
+/// `(statements, reused)`.
 fn assert_matches_oracle<S: AsRef<str>>(versions: &[S], label: &str) -> (u64, u64) {
     let mut parser = HistoryParser::new();
     for (i, v) in versions.iter().enumerate() {
@@ -29,8 +55,24 @@ fn assert_matches_oracle<S: AsRef<str>>(versions: &[S], label: &str) -> (u64, u6
             parse_schema(sql),
             "{label}: version {i} diverged from parse_schema on {sql:?}"
         );
+        if let Some(why) = token_divergence(&parser, sql) {
+            panic!("{label}: version {i}: {why}");
+        }
     }
     (parser.statements(), parser.reused())
+}
+
+/// Lex `next` as an edit of `prev` and demand `tokenize`'s result, tokens
+/// or error (message and offset) alike.
+fn assert_edit_lexes_like_tokenize(prev: &str, next: &str) {
+    let prev_tokens = tokenize(prev).expect("the previous version must lex");
+    let edited = tokenize_edit(prev, prev_tokens, next);
+    let whole = tokenize(next);
+    assert_eq!(
+        edited.as_ref().map_err(|e| (e.span, e.to_string())),
+        whole.as_ref().map_err(|e| (e.span, e.to_string())),
+        "edit {prev:?} -> {next:?} lexed differently"
+    );
 }
 
 fn candidates(universe: &schevo::corpus::universe::Universe) -> Vec<CandidateHistory> {
@@ -179,6 +221,160 @@ fn lex_error_then_clean_version() {
     assert!(parse_schema(v2).is_err());
     let (_, reused) = assert_matches_oracle(&[v1, v2, v3, v2, v2, v1], "lex error");
     assert!(reused > 0);
+}
+
+// -- lexing an edit --------------------------------------------------------
+
+/// Pairs of consecutive versions that stress where lexing restarts and
+/// where it takes the old tokens over.
+const ADVERSARIAL_EDITS: &[(&str, &str)] = &[
+    // An edit opens a block comment or a string that swallows the suffix,
+    // and the next closes it again.
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT); /* CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT); /* CREATE TABLE b (y INT); */ CREATE TABLE c (z INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT DEFAULT 'q'); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT DEFAULT 'q); CREATE TABLE c (z INT);",
+    ),
+    (
+        "INSERT INTO t VALUES (';'); CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "INSERT INTO t VALUES ('); CREATE TABLE a (x INT'); CREATE TABLE b (y INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "CREATE TABLE a (x INT); `CREATE TABLE b (y INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); -- note\nCREATE TABLE b (y INT);",
+        "CREATE TABLE a (x INT); -- note CREATE TABLE b (y INT);",
+    ),
+    // An edit inside a string literal that holds `;`s.
+    (
+        "INSERT INTO t VALUES ('a;b;c'); CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "INSERT INTO t VALUES ('a;bb;c'); CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+    ),
+    (
+        "CREATE TABLE a (x TEXT DEFAULT 'p;q'); CREATE TABLE b (y INT);",
+        "CREATE TABLE a (x TEXT DEFAULT 'p;;q'); CREATE TABLE b (y INT);",
+    ),
+    // Edits at offset 0 and at the end.
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "-- header\nCREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "XCREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT)",
+    ),
+    // Growing and shrinking by whole statements in the middle.
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT, w TEXT); CREATE TABLE c (z INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT, w TEXT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE c (z INT);",
+    ),
+    // A multibyte character at the edit boundary, on either side.
+    (
+        "CREATE TABLE größe (ü INT); CREATE TABLE b (y INT);",
+        "CREATE TABLE größe (ö INT); CREATE TABLE b (y INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE ß (y INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE é (y INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT);é; CREATE TABLE b (y INT);",
+        "CREATE TABLE a (x INT);本; CREATE TABLE b (y INT);",
+    ),
+    // An edit that removes, adds or moves a `;`.
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT) CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT) CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT) CREATE; TABLE b (y INT); CREATE TABLE c (z INT);",
+    ),
+    (";;;;", ";;;"),
+    (";;;", ";;;;"),
+    ("a;b;c;", "a;c;b;"),
+    // A lex error in the changed region.
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);",
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT '); CREATE TABLE c (z INT);",
+    ),
+    (
+        "CREATE TABLE a (x INT); CREATE TABLE b (y INT);",
+        "CREATE TABLE a (x INT); [CREATE TABLE b (y INT);",
+    ),
+    // Numbers, `-` and `/` right before a `;`: the tokens whose lexing
+    // looks ahead.
+    ("SELECT 1e;SELECT 2;", "SELECT 1e;SELECT 3;"),
+    ("SELECT 1e+;SELECT 2;", "SELECT 1e+;SELECT 3;"),
+    ("SELECT 1 -;SELECT 2 /;", "SELECT 1 -;SELECT 2 /*;*/;"),
+    // Identical and empty texts.
+    ("CREATE TABLE a (x INT);", "CREATE TABLE a (x INT);"),
+    ("CREATE TABLE a (x INT);\n", "CREATE TABLE a (x INT);\n"),
+    ("", "CREATE TABLE a (x INT);"),
+    ("CREATE TABLE a (x INT);", ""),
+];
+
+#[test]
+fn adversarial_edits_lex_like_tokenize() {
+    for (prev, next) in ADVERSARIAL_EDITS {
+        for (a, b) in [(prev, next), (next, prev)] {
+            if tokenize(a).is_ok() {
+                assert_edit_lexes_like_tokenize(a, b);
+            }
+            assert_matches_oracle(&[a, b, a], "adversarial");
+        }
+    }
+}
+
+#[test]
+fn lex_errors_keep_tokenize_message_and_offset() {
+    let v1 = "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);";
+    let v2 = "CREATE TABLE a (x INT); CREATE TABLE b (y INT /*); CREATE TABLE c (z INT);";
+    let mut parser = HistoryParser::new();
+    parser.parse(v1).unwrap();
+    let err = parser.parse(v2).unwrap_err();
+    let whole = tokenize(v2).unwrap_err();
+    assert_eq!((err.span, err.to_string()), (whole.span, whole.to_string()));
+    assert_eq!(err.span.start, v2.find("/*").unwrap());
+    // A version that failed to lex leaves nothing to lex the next against.
+    assert!(parser.tokens().is_empty());
+    parser.parse(v1).unwrap();
+    assert_eq!(parser.tokens(), tokenize(v1).unwrap().as_slice());
+}
+
+#[test]
+fn old_tokens_are_taken_over_with_shifted_spans() {
+    let v1 = "CREATE TABLE a (x INT); CREATE TABLE b (y INT);";
+    let v2 = "CREATE TABLE a (x INT, w TEXT); CREATE TABLE b (y INT);";
+    let edited = tokenize_edit(v1, tokenize(v1).unwrap(), v2).unwrap();
+    let last = edited.last().unwrap();
+    assert_eq!(last.span.start, v2.len() - 1);
+    assert_eq!(edited, tokenize(v2).unwrap());
 }
 
 // -- copy-on-write and serialization ---------------------------------------
@@ -331,6 +527,19 @@ proptest! {
                 parse_schema(sql),
                 "version {} of {:?} diverged on {:?}", i, edits, sql
             );
+            if let Some(why) = token_divergence(&parser, sql) {
+                prop_assert!(false, "version {} of {:?}: {}", i, edits, why);
+            }
+            if i > 0 {
+                if let Ok(prev_tokens) = tokenize(&versions[i - 1]) {
+                    let edited = tokenize_edit(&versions[i - 1], prev_tokens, sql);
+                    prop_assert_eq!(
+                        edited.map_err(|e| (e.span, e.to_string())),
+                        tokenize(sql).map_err(|e| (e.span, e.to_string())),
+                        "edit {} of {:?} lexed differently on {:?}", i, edits, sql
+                    );
+                }
+            }
         }
     }
 }
