@@ -8,7 +8,8 @@ use schevo_pipeline::ablation::{
 
 fn bench(c: &mut Criterion) {
     let small = small_universe();
-    let points = reed_threshold_sensitivity(small, &[6, 10, 14, 20, 30]);
+    let points =
+        reed_threshold_sensitivity(small, &[6, 10, 14, 20, 30]).expect("clean corpus");
     let mut body = String::from("threshold  counts (Frozen, AF, FSF, Mod, FSL, Act)\n");
     for p in &points {
         body.push_str(&format!("{:>9}  {:?}\n", p.threshold, p.counts));

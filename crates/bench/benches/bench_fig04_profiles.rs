@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use schevo_bench::{paper_study, print_block, small_universe};
-use schevo_pipeline::study::{run_study, StudyOptions};
+use schevo_pipeline::study::{try_run_study_source, StudyOptions};
 use schevo_report::{fig04_csv, fig04_table};
 
 fn bench(c: &mut Criterion) {
@@ -13,7 +13,12 @@ fn bench(c: &mut Criterion) {
 
     let small = small_universe();
     c.bench_function("fig04/study_small_universe", |b| {
-        b.iter(|| run_study(small, StudyOptions::default()).taxa.len())
+        b.iter(|| {
+            try_run_study_source(small, StudyOptions::default())
+                .expect("clean corpus")
+                .taxa
+                .len()
+        })
     });
     c.bench_function("fig04/render_table", |b| b.iter(|| fig04_table(study).len()));
 }

@@ -9,7 +9,7 @@ use schevo_bench::{print_block, small_universe};
 use schevo_core::heartbeat::REED_THRESHOLD;
 use schevo_pipeline::exec::ExecStats;
 use schevo_pipeline::funnel::{run_funnel, CandidateHistory};
-use schevo_pipeline::{MinePolicy, MiningEngine, SliceSource, StudyOptions};
+use schevo_pipeline::{MiningEngine, SliceSource, StudyOptions};
 use schevo_vcs::history::WalkStrategy;
 
 fn mine_stats(candidates: &[CandidateHistory], workers: usize, cache: bool) -> (usize, usize, ExecStats) {
@@ -18,12 +18,11 @@ fn mine_stats(candidates: &[CandidateHistory], workers: usize, cache: bool) -> (
         workers,
         cache,
         ..StudyOptions::default()
-    })
-    .with_policy(MinePolicy::Strict);
+    });
     let out = engine
         .mine(&SliceSource::new(candidates))
-        .expect("strict mining over a clean corpus");
-    (out.mined.len(), out.parse_failures, out.exec)
+        .expect("mining over a clean corpus");
+    (out.mined.len(), out.quarantine.quarantined.len(), out.exec)
 }
 
 fn bench(c: &mut Criterion) {

@@ -3,14 +3,19 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use schevo_bench::{paper_study, print_block, small_universe};
-use schevo_pipeline::study::{run_study, StudyOptions};
+use schevo_pipeline::study::{try_run_study_source, StudyOptions};
 use schevo_report::narrative_table;
 
 fn bench(c: &mut Criterion) {
     print_block("Narrative (§IV/§VI)", &narrative_table(paper_study()));
     let small = small_universe();
     c.bench_function("narrative/small_study", |b| {
-        b.iter(|| run_study(small, StudyOptions::default()).narrative.rigid_pct_of_cloned)
+        b.iter(|| {
+            try_run_study_source(small, StudyOptions::default())
+                .expect("clean corpus")
+                .narrative
+                .rigid_pct_of_cloned
+        })
     });
 }
 

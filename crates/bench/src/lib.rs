@@ -3,7 +3,7 @@
 //! so each bench measures its own computation, not corpus generation.
 
 use schevo_corpus::universe::{generate, Universe, UniverseConfig};
-use schevo_pipeline::study::{run_study, StudyOptions, StudyResult};
+use schevo_pipeline::study::{try_run_study_source, StudyOptions, StudyResult};
 use std::sync::OnceLock;
 
 pub mod lab;
@@ -27,7 +27,9 @@ pub fn small_universe() -> &'static Universe {
 /// The full study over the paper-scale universe.
 pub fn paper_study() -> &'static StudyResult {
     static S: OnceLock<StudyResult> = OnceLock::new();
-    S.get_or_init(|| run_study(paper_universe(), StudyOptions::default()))
+    S.get_or_init(|| {
+        try_run_study_source(paper_universe(), StudyOptions::default()).expect("clean corpus")
+    })
 }
 
 /// Print a titled block once (benches regenerate the paper's rows as a side

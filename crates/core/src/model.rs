@@ -155,7 +155,7 @@ mod tests {
         Timestamp::from_date(2018, 1, 1) + days * 86_400
     }
 
-    fn build_history() -> SchemaHistory {
+    fn sample_history() -> SchemaHistory {
         let mut repo = Repository::new("t/proj");
         repo.commit(
             &[FileChange::write("s.sql", "CREATE TABLE a (x INT);")],
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn builds_from_vcs_versions() {
-        let h = build_history();
+        let h = sample_history();
         assert_eq!(h.commit_count(), 3);
         assert_eq!(h.transition_count(), 2);
         assert!(!h.is_history_less());
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn transitions_are_one_based_pairs() {
-        let h = build_history();
+        let h = sample_history();
         let t: Vec<usize> = h.transitions().map(|(i, _, _)| i).collect();
         assert_eq!(t, vec![1, 2]);
         let (_, old, new) = h.transitions().next().unwrap();
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn sup_in_months_and_days() {
-        let h = build_history();
+        let h = sample_history();
         assert_eq!(h.sup_days(), 100);
         // 2018-01-01 → 2018-04-11 spans Jan..Apr → 4 months by convention.
         assert_eq!(h.sup_months(), 4);
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn size_line_tracks_growth() {
-        let h = build_history();
+        let h = sample_history();
         assert_eq!(
             h.size_line(),
             vec![(0, 1, 1), (40, 1, 2), (100, 2, 3)]

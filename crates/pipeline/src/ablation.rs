@@ -2,7 +2,8 @@
 //! history-walk strategy, and classification-rule order.
 
 use crate::funnel::run_funnel;
-use crate::study::{run_study, StudyOptions, StudyResult};
+use crate::study::{try_run_study_source, StudyOptions, StudyResult};
+use schevo_core::errors::SchevoError;
 use schevo_core::profile::EvolutionProfile;
 use schevo_core::taxa::{classify, ProjectClass, Taxon, TaxonFeatures};
 use schevo_corpus::universe::Universe;
@@ -20,21 +21,24 @@ pub struct ThresholdPoint {
 
 /// How taxa populations shift when the reed threshold moves — the
 /// sensitivity of the classification to the 85%-rule constant.
-pub fn reed_threshold_sensitivity(universe: &Universe, thresholds: &[u64]) -> Vec<ThresholdPoint> {
+pub fn reed_threshold_sensitivity(
+    universe: &Universe,
+    thresholds: &[u64],
+) -> Result<Vec<ThresholdPoint>, SchevoError> {
     thresholds
         .iter()
         .map(|&t| {
-            let s = run_study(
+            let s = try_run_study_source(
                 universe,
                 StudyOptions {
                     reed_threshold: Some(t),
                     ..Default::default()
                 },
-            );
-            ThresholdPoint {
+            )?;
+            Ok(ThresholdPoint {
                 threshold: t,
                 counts: taxa_counts(&s),
-            }
+            })
         })
         .collect()
 }
@@ -155,7 +159,7 @@ mod tests {
     #[test]
     fn lower_threshold_creates_more_reeds_and_moves_projects() {
         let u = generate(UniverseConfig::small(21, 12));
-        let points = reed_threshold_sensitivity(&u, &[6, 14, 30]);
+        let points = reed_threshold_sensitivity(&u, &[6, 14, 30]).expect("clean corpus");
         assert_eq!(points.len(), 3);
         // At the canonical threshold, counts match ground truth.
         let canonical = points.iter().find(|p| p.threshold == 14).unwrap();
@@ -207,7 +211,7 @@ mod tests {
     #[test]
     fn rule_order_comparison_over_corpus() {
         let u = generate(UniverseConfig::small(21, 12));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let cmp = rule_order_comparison(&s.profiles);
         assert_eq!(cmp.compared, s.profiles.len());
         // The alternate order can only shrink FS&Low (low-activity members

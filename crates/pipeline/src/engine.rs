@@ -15,7 +15,7 @@
 use crate::exec::{
     execute_stream_with, ExecStats, MineCaches, SpillOptions, StageTally, StreamItem,
 };
-use crate::extract::{mine_task, mine_task_watched, MineOutcome, Mined};
+use crate::extract::{mine_task_watched, MineOutcome, Mined};
 use crate::funnel::{CandidateHistory, FunnelReport};
 use crate::journal::{candidate_key, replay_file, JournalRecord, JournalSummary, JournalWriter};
 use crate::quarantine::QuarantineReport;
@@ -31,17 +31,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How the engine treats damaged histories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MinePolicy {
-    /// Recover what can be recovered, quarantine the rest, and report
-    /// every event — the behavior of the legacy graceful/durable path.
-    Graceful,
-    /// First-failure semantics per candidate: an unparseable history is
-    /// silently dropped and counted, with no salvage attempt.
-    Strict,
-}
 
 /// Streaming knobs of the engine: how much work may be in flight and
 /// when ordered reassembly spills to disk. The defaults reproduce the
@@ -76,13 +65,9 @@ pub struct MiningOutput {
     /// Mined results in candidate order.
     pub mined: Vec<Mined>,
     /// Degradation accounting (recoveries and quarantines, in candidate
-    /// order). Under [`MinePolicy::Strict`] only store-corruption events
-    /// appear here; parse failures are counted, not recorded.
+    /// order). Every candidate without a profile has exactly one
+    /// quarantine record here.
     pub quarantine: QuarantineReport,
-    /// Candidates that produced no profile: quarantined histories under
-    /// [`MinePolicy::Graceful`], silently dropped ones under
-    /// [`MinePolicy::Strict`].
-    pub parse_failures: usize,
     /// Executor observability (cache counters, stage timings).
     pub exec: ExecStats,
     /// Journal accounting when a journal was configured.
@@ -134,7 +119,16 @@ struct JournalCtx {
     error: Option<SchevoError>,
 }
 
-/// The single mining entry point: configure once, mine any source.
+/// The single mining entry point: configure once, then [`mine`] any
+/// source or run the whole [`study`] over it.
+///
+/// Every candidate goes through one graceful pass: damaged versions are
+/// recovered where possible, histories that cannot be recovered are
+/// quarantined, and every event is reported. [`StudyOptions::strict`]
+/// is a policy over that pass's report, applied by [`study`].
+///
+/// [`mine`]: MiningEngine::mine
+/// [`study`]: MiningEngine::study
 ///
 /// ```no_run
 /// use schevo_corpus::universe::{generate, UniverseConfig};
@@ -144,29 +138,24 @@ struct JournalCtx {
 /// let universe = generate(UniverseConfig::paper(2019));
 /// let engine = MiningEngine::new(StudyOptions::default());
 /// let output = engine.mine(&universe).expect("mining");
-/// assert_eq!(output.mined.len(), output.funnel.analyzed - output.parse_failures);
+/// assert_eq!(
+///     output.mined.len(),
+///     output.funnel.analyzed - output.quarantine.quarantined.len()
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct MiningEngine {
     options: StudyOptions,
-    policy: MinePolicy,
     warm: Option<Arc<MineCaches>>,
 }
 
 impl MiningEngine {
-    /// An engine with graceful degradation (the study default).
+    /// An engine over `options`, with a fresh parse/diff cache per pass.
     pub fn new(options: StudyOptions) -> MiningEngine {
         MiningEngine {
             options,
-            policy: MinePolicy::Graceful,
             warm: None,
         }
-    }
-
-    /// Override the damage policy.
-    pub fn with_policy(mut self, policy: MinePolicy) -> MiningEngine {
-        self.policy = policy;
-        self
     }
 
     /// Mine with a shared long-lived parse/diff cache instead of a
@@ -202,7 +191,6 @@ impl MiningEngine {
             .workers
             .clamp(1, 32)
             .min(size_hint.unwrap_or(usize::MAX).max(1));
-        let policy = self.policy;
 
         // Journal setup: replay on resume, then open for appending past
         // the valid prefix (or start fresh).
@@ -298,16 +286,7 @@ impl MiningEngine {
             let _span = span!("mine.task", project = c.name);
             let task_start = Instant::now();
             let mut tally = StageTally::default();
-            let outcome = match policy {
-                MinePolicy::Graceful => {
-                    mine_task_watched(c, reed, deadline, caches.as_deref(), &mut tally)
-                }
-                MinePolicy::Strict => MineOutcome {
-                    mined: mine_task(c, reed, caches.as_deref(), &mut tally),
-                    recovered: Vec::new(),
-                    quarantined: None,
-                },
-            };
+            let outcome = mine_task_watched(c, reed, deadline, caches.as_deref(), &mut tally);
             if let Some(sc) = scope_ref {
                 // One lane per worker slot keeps per-request traces
                 // readable in Perfetto; lane 0 is the caller thread.
@@ -385,7 +364,6 @@ impl MiningEngine {
         let mut total = StageTally::default();
         let mut mined: Vec<Mined> = Vec::new();
         let mut report = QuarantineReport::default();
-        let mut strict_drops = 0usize;
         let emit = |_seq: usize, slot: MineSlot| {
             total.merge(&slot.tally);
             if slot.fresh {
@@ -397,14 +375,7 @@ impl MiningEngine {
             }
             let outcome = slot.outcome;
             report.recovered.extend(outcome.recovered);
-            match outcome.quarantined {
-                Some(q) => report.quarantined.push(q),
-                None => {
-                    if outcome.mined.is_none() {
-                        strict_drops += 1;
-                    }
-                }
-            }
+            report.quarantined.extend(outcome.quarantined);
             if let Some(m) = outcome.mined {
                 mined.push(m);
             }
@@ -530,16 +501,11 @@ impl MiningEngine {
             reg.set_gauge("intern.symbols", schevo_core::symbol_count() as u64);
         }
 
-        let parse_failures = match policy {
-            MinePolicy::Strict => strict_drops,
-            MinePolicy::Graceful => report.quarantined.len(),
-        };
         let exec = ExecStats::from_tally(&total, workers, stream_report.total, o.cache, wall);
         Ok(MiningOutput {
             funnel: sources.funnel,
             mined,
             quarantine: report,
-            parse_failures,
             exec,
             journal: summary,
             io: sources.io,
@@ -566,7 +532,6 @@ mod tests {
         let out = engine.mine(&u).expect("clean corpus");
         assert_eq!(out.mined.len(), u.expected.analyzed);
         assert!(out.quarantine.is_clean());
-        assert_eq!(out.parse_failures, 0);
         assert_eq!(out.io.records_read, 0, "in-memory source does no I/O");
         assert_eq!(out.funnel.analyzed, u.expected.analyzed);
     }
@@ -648,14 +613,15 @@ mod tests {
     }
 
     #[test]
-    fn strict_policy_counts_drops_over_slices() {
+    fn slice_source_mines_every_candidate() {
         let u = generate(UniverseConfig::small(11, 20));
         let outcome = run_funnel(&u, WalkStrategy::FirstParent);
         let slice = SliceSource::new(&outcome.analyzed);
-        let engine = MiningEngine::new(StudyOptions::default()).with_policy(MinePolicy::Strict);
-        let out = engine.mine(&slice).expect("slice");
+        let out = MiningEngine::new(StudyOptions::default())
+            .mine(&slice)
+            .expect("slice");
         assert_eq!(out.mined.len(), outcome.analyzed.len());
-        assert_eq!(out.parse_failures, 0);
+        assert!(out.quarantine.is_clean());
         assert_eq!(out.funnel.analyzed, outcome.analyzed.len());
     }
 }

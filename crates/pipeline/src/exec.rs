@@ -3,13 +3,13 @@
 //!
 //! ## Executor
 //!
-//! [`execute_ordered`] replaces static chunking: every task (one
-//! candidate history) goes into a shared [`crossbeam::deque::Injector`],
-//! workers steal tasks one at a time, and results flow back over a
-//! channel tagged with their task index. The caller reassembles them
-//! into input order, so the output is **deterministic regardless of
-//! worker count or scheduling** — long histories no longer serialize a
-//! whole chunk behind them.
+//! `execute_stream_with` pulls tasks (one candidate history each) from
+//! a source on the caller thread into a bounded window; workers take
+//! them one at a time, and results flow back over a channel tagged with
+//! their sequence number. The caller reassembles them into sequence
+//! order, spilling out-of-order results to disk past a threshold, so the
+//! output is **deterministic regardless of worker count or scheduling**
+//! and memory is bounded by the window, not by the corpus.
 //!
 //! ## Cache
 //!
@@ -38,15 +38,6 @@ use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Execution options of a mining pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Worker threads (clamped to `1..=32` and to the task count).
-    pub workers: usize,
-    /// Whether the content-addressed parse/diff cache is consulted.
-    pub cache: bool,
-}
-
 /// Default worker count: one per available hardware thread. Results are
 /// identical for every worker count, so the default only tunes speed —
 /// on a single-core host it degenerates to the serial fast path.
@@ -55,15 +46,6 @@ pub fn default_workers() -> usize {
         .map(|n| n.get())
         .unwrap_or(8)
         .clamp(1, 32)
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            workers: default_workers(),
-            cache: true,
-        }
-    }
 }
 
 /// Observability counters of one mining pass: a thin view over the
@@ -240,106 +222,6 @@ impl MineCaches {
     }
 }
 
-/// Work-stealing parallel map preserving input order.
-///
-/// Task indices are pushed into a shared injector; `workers` scoped
-/// threads steal one index at a time, run `work`, and send
-/// `(index, result)` back over a channel. The caller thread reassembles
-/// results into their input slots, so the returned vector matches
-/// `items` positionally no matter how tasks interleave. With one worker
-/// (or one item) the map degenerates to a serial loop with no threads.
-pub fn execute_ordered<T, R, F>(items: &[T], workers: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    execute_ordered_with(items, workers, work, |_, _| {})
-}
-
-/// [`execute_ordered`] with a completion hook: `on_complete(index, &result)`
-/// runs **on the caller thread**, in completion order (not input order),
-/// once per task, before the result is slotted. This is the durability
-/// hook — the mining journal appends each record from here, so a worker
-/// panic can never tear a half-written record: workers only compute, the
-/// caller thread owns the journal file, and every result received before
-/// the panic propagates has already been committed whole.
-pub fn execute_ordered_with<T, R, F, C>(
-    items: &[T],
-    workers: usize,
-    work: F,
-    mut on_complete: C,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    C: FnMut(usize, &R),
-{
-    let workers = workers.clamp(1, 32).min(items.len().max(1));
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let r = work(i, t);
-                on_complete(i, &r);
-                r
-            })
-            .collect();
-    }
-    let injector = crossbeam::deque::Injector::new();
-    for idx in 0..items.len() {
-        injector.push(idx);
-    }
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let scope_result = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let tx = tx.clone();
-                let injector = &injector;
-                let work = &work;
-                scope.spawn(move |_| loop {
-                    match injector.steal() {
-                        crossbeam::deque::Steal::Success(idx) => {
-                            // A dropped receiver means the caller is gone
-                            // (sibling panic); stop stealing.
-                            if tx.send((idx, work(idx, &items[idx]))).is_err() {
-                                break;
-                            }
-                        }
-                        crossbeam::deque::Steal::Empty => break,
-                        crossbeam::deque::Steal::Retry => continue,
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (idx, result) in rx {
-            on_complete(idx, &result);
-            slots[idx] = Some(result);
-        }
-        // The receive loop only ends once every sender is dropped, so the
-        // joins below never block. A panicked worker has left its task's
-        // slot unfilled — surface the worker's own panic payload, not a
-        // misleading missing-slot assertion.
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every stolen task reports exactly once"))
-            .collect()
-    });
-    match scope_result {
-        Ok(results) => results,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
 /// One item pulled from a streaming candidate source.
 pub(crate) enum StreamItem<T, R> {
     /// A task for the workers.
@@ -360,15 +242,6 @@ pub(crate) struct SpillOptions {
     pub(crate) threshold: usize,
     /// Directory for the spill file; the system temp dir when `None`.
     pub(crate) dir: Option<PathBuf>,
-}
-
-impl Default for SpillOptions {
-    fn default() -> Self {
-        SpillOptions {
-            threshold: 512,
-            dir: None,
-        }
-    }
 }
 
 /// Accounting of one streaming pass.
@@ -561,8 +434,9 @@ enum WorkerMsg<R> {
 /// while the window is full, which is what bounds peak memory.
 /// [`StreamItem::Ready`] items skip the workers. `on_complete(seq, &r)`
 /// runs on the caller thread in completion order for computed results
-/// only (the durability hook, exactly as in [`execute_ordered_with`]);
-/// `emit(seq, r)` runs on the caller thread strictly in sequence order
+/// only (the durability hook: the caller thread owns the journal file
+/// and workers only compute, so a worker panic can never tear a
+/// half-written record); `emit(seq, r)` runs on the caller thread strictly in sequence order
 /// for every item. Worker panics propagate their original payload after
 /// the remaining workers drain. With `workers <= 1` no threads are
 /// spawned and items flow through serially.
@@ -764,28 +638,85 @@ pub fn watchdog<R>(deadline: Option<Duration>, task: impl FnOnce() -> R) -> (R, 
 mod tests {
     use super::*;
 
+    /// Stream `0..n` through the executor with a window of 4 and a spill
+    /// threshold of 2, so out-of-order results also spill to disk.
+    /// Returns the emitted results (asserted to arrive in sequence) and
+    /// the pass report.
+    fn stream<R>(
+        n: usize,
+        workers: usize,
+        work: impl Fn(usize, &usize) -> R + Sync,
+        on_complete: impl FnMut(usize, &R),
+    ) -> (Vec<R>, StreamReport)
+    where
+        R: Send + Serialize + serde::Deserialize,
+    {
+        let spill = SpillOptions {
+            threshold: 2,
+            dir: None,
+        };
+        let mut out = Vec::new();
+        let report = execute_stream_with(
+            |seq| (seq < n).then_some(StreamItem::Work(seq)),
+            workers,
+            4,
+            &spill,
+            work,
+            on_complete,
+            |seq, r| {
+                assert_eq!(seq, out.len(), "emitted out of sequence");
+                out.push(r);
+            },
+        )
+        .expect("spill file usable");
+        (out, report)
+    }
+
     #[test]
     fn ordered_output_for_any_worker_count() {
-        let items: Vec<usize> = (0..100).collect();
+        use std::sync::atomic::{AtomicUsize, Ordering};
         for workers in [1, 2, 3, 8, 33, usize::MAX] {
-            let out = execute_ordered(&items, workers, |i, &x| {
-                assert_eq!(i, x);
-                x * 2
-            });
+            // With more than one worker, task 0 waits for three others to
+            // finish, so at least three results park out of order and the
+            // third spills past the threshold of 2.
+            let finished = AtomicUsize::new(0);
+            let (out, report) = stream(
+                100,
+                workers,
+                |i, &x| {
+                    assert_eq!(i, x);
+                    if x == 0 && workers > 1 {
+                        while finished.load(Ordering::SeqCst) < 3 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    x * 2
+                },
+                |_, _| {},
+            );
             assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+            assert_eq!((report.total, report.fresh), (100, 100));
+            if workers > 1 {
+                assert!(report.spill_events > 0, "workers={workers}: nothing spilled");
+            }
         }
     }
 
     #[test]
     fn worker_panic_payload_propagates() {
-        let items: Vec<usize> = (0..50).collect();
         let caught = std::panic::catch_unwind(|| {
-            execute_ordered(&items, 4, |_, &x| {
-                if x == 17 {
-                    panic!("task 17 exploded");
-                }
-                x
-            })
+            stream(
+                50,
+                4,
+                |_, &x| {
+                    if x == 17 {
+                        panic!("task 17 exploded");
+                    }
+                    x
+                },
+                |_, _| {},
+            )
         })
         .expect_err("executor must propagate the worker panic");
         let msg = caught
@@ -813,13 +744,10 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let writer = std::sync::Mutex::new(
-            JournalWriter::create(&path).expect("create journal in temp dir"),
-        );
-        let items: Vec<usize> = (0..50).collect();
+        let mut writer = JournalWriter::create(&path).expect("create journal in temp dir");
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_ordered_with(
-                &items,
+            stream(
+                50,
                 4,
                 |_, &x| {
                     if x == 23 {
@@ -836,16 +764,12 @@ mod tests {
                             quarantined: None,
                         },
                     };
-                    writer
-                        .lock()
-                        .expect("journal mutex")
-                        .append(&record)
-                        .expect("append to temp journal");
+                    writer.append(&record).expect("append to temp journal");
                 },
             )
         }));
         assert!(caught.is_err(), "executor must propagate the worker panic");
-        let committed = writer.lock().expect("journal mutex").commits();
+        let committed = writer.commits();
         let replay = replay_file(&path).expect("journal file readable after panic");
         assert!(
             replay.corruption.is_none(),
@@ -876,9 +800,14 @@ mod tests {
 
     #[test]
     fn empty_and_single_item_inputs() {
-        let none: Vec<u32> = Vec::new();
-        assert!(execute_ordered(&none, 8, |_, &x| x).is_empty());
-        assert_eq!(execute_ordered(&[7u32], 8, |_, &x| x + 1), vec![8]);
+        for workers in [1, 8] {
+            let (none, report) = stream(0, workers, |_, &x| x, |_, _| {});
+            assert!(none.is_empty());
+            assert_eq!(report.total, 0);
+            let (one, report) = stream(1, workers, |_, &x| x + 7, |_, _| {});
+            assert_eq!(one, vec![7]);
+            assert_eq!((report.total, report.fresh), (1, 1));
+        }
     }
 
     #[test]

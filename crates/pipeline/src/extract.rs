@@ -76,81 +76,9 @@ pub fn mine_extended(candidate: &CandidateHistory, reed_threshold: u64) -> Optio
     })
 }
 
-/// Parse a candidate's versions into a history, optionally through the
-/// content-addressed cache, counting every parse lookup. Returns the
-/// history plus the per-version blob digests (the diff cache keys;
-/// empty when uncached), or `None` when any version is unparseable —
-/// the same first-failure semantics as
-/// [`SchemaHistory::from_file_versions`].
-fn build_history(
-    candidate: &CandidateHistory,
-    caches: Option<&MineCaches>,
-    tally: &mut StageTally,
-) -> Option<(SchemaHistory, Vec<Digest>)> {
-    let mut versions = Vec::with_capacity(candidate.versions.len());
-    let mut digests = Vec::with_capacity(candidate.versions.len());
-    let mut parser = HistoryParser::new();
-    for v in &candidate.versions {
-        let schema = match caches {
-            Some(c) => {
-                let digest = sha1(v.content.as_bytes());
-                digests.push(digest);
-                c.parse(digest, &v.content, &mut parser, tally)?
-            }
-            None => {
-                tally.count_parse(false);
-                parser.parse(&v.content).ok()?
-            }
-        };
-        versions.push(SchemaVersion {
-            meta: CommitMeta {
-                id: v.commit.to_hex(),
-                timestamp: v.timestamp,
-                author: v.author.clone(),
-                message: v.message.clone(),
-            },
-            schema,
-            source_len: v.content.len(),
-        });
-    }
-    Some((
-        SchemaHistory {
-            project: candidate.name.clone(),
-            versions,
-        },
-        digests,
-    ))
-}
-
-/// Mine one candidate, optionally through the shared caches, recording
-/// per-stage timings. Produces exactly what [`mine_extended`] produces:
-/// parse and diff are pure functions of blob content, so the cached path
-/// differs only in *where* the values come from.
-pub(crate) fn mine_task(
-    candidate: &CandidateHistory,
-    reed_threshold: u64,
-    caches: Option<&MineCaches>,
-    tally: &mut StageTally,
-) -> Option<Mined> {
-    // Parse stage.
-    let t_parse = Instant::now();
-    let parsed = build_history(candidate, caches, tally);
-    tally.add_parse_nanos(t_parse);
-    let (history, digests) = parsed?;
-    Some(diff_and_profile(
-        candidate,
-        history,
-        &digests,
-        reed_threshold,
-        caches,
-        tally,
-    ))
-}
-
 /// Diff and profile a parsed history: every transition diffed exactly
 /// once, then fanned out to the measurement pass and both extension
-/// studies. Shared by the strict and graceful paths so they cannot
-/// diverge downstream of parsing.
+/// studies.
 fn diff_and_profile(
     candidate: &CandidateHistory,
     history: SchemaHistory,
@@ -235,8 +163,9 @@ impl MineOutcome {
 /// recorded as a recovery. Stage 2 (parse): versions that fail the
 /// strict parse are re-parsed with statement-level recovery; a version
 /// whose salvage is an empty schema quarantines the whole history.
-/// Stage 3 (diff + profile) is byte-identical to the strict path. On a
-/// clean candidate no stage does anything the strict path would not.
+/// Stage 3 diffs and profiles the surviving versions. On a clean
+/// candidate no stage changes anything, so the result equals
+/// [`mine_extended`].
 fn mine_task_graceful(
     candidate: &CandidateHistory,
     reed_threshold: u64,
@@ -406,7 +335,7 @@ pub(crate) fn mine_task_watched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MinePolicy, MiningEngine, MiningOutput};
+    use crate::engine::{MiningEngine, MiningOutput};
     use crate::source::SliceSource;
     use crate::study::StudyOptions;
     use crate::funnel::{run_funnel, FunnelOutcome};
@@ -419,13 +348,12 @@ mod tests {
         run_funnel(&u, WalkStrategy::FirstParent)
     }
 
-    fn mine_strict(candidates: &[CandidateHistory], workers: usize, cache: bool) -> MiningOutput {
+    fn mine(candidates: &[CandidateHistory], workers: usize, cache: bool) -> MiningOutput {
         MiningEngine::new(StudyOptions {
             workers,
             cache,
             ..StudyOptions::default()
         })
-        .with_policy(MinePolicy::Strict)
         .mine(&SliceSource::new(candidates))
         .expect("no journal, no error source")
     }
@@ -433,8 +361,8 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         let o = outcome();
-        let out = mine_strict(&o.analyzed, 8, true);
-        assert_eq!(out.parse_failures, 0);
+        let out = mine(&o.analyzed, 8, true);
+        assert!(out.quarantine.is_clean());
         let par: Vec<_> = out.mined.iter().map(|m| m.profile.clone()).collect();
         let serial: Vec<_> = o
             .analyzed
@@ -447,10 +375,10 @@ mod tests {
     #[test]
     fn cached_equals_uncached() {
         let o = outcome();
-        let on = mine_strict(&o.analyzed, 4, true);
-        let off = mine_strict(&o.analyzed, 4, false);
+        let on = mine(&o.analyzed, 4, true);
+        let off = mine(&o.analyzed, 4, false);
         assert_eq!(on.mined, off.mined);
-        assert_eq!(on.parse_failures, off.parse_failures);
+        assert_eq!(on.quarantine, off.quarantine);
         let (s1, s2) = (on.exec, off.exec);
         assert!(s1.cache_enabled);
         assert!(!s2.cache_enabled);
@@ -467,7 +395,7 @@ mod tests {
     #[test]
     fn profiles_carry_context() {
         let o = outcome();
-        let out = mine_strict(&o.analyzed, 4, true);
+        let out = mine(&o.analyzed, 4, true);
         assert!(!out.mined.is_empty());
         for m in &out.mined {
             assert!(m.profile.context.is_some());
@@ -478,13 +406,13 @@ mod tests {
     #[test]
     fn single_worker_path() {
         let o = outcome();
-        let out = mine_strict(&o.analyzed, 1, true);
-        assert_eq!(out.parse_failures, 0);
+        let out = mine(&o.analyzed, 1, true);
+        assert!(out.quarantine.is_clean());
         assert_eq!(out.mined.len(), o.analyzed.len());
     }
 
     #[test]
-    fn unparseable_candidate_is_counted() {
+    fn unparseable_version_is_salvaged_and_recorded_identically_cached_or_not() {
         use schevo_vcs::history::FileVersion;
         use schevo_vcs::timestamp::Timestamp;
         let bad = crate::funnel::CandidateHistory {
@@ -500,12 +428,16 @@ mod tests {
             pup_months: 1,
             total_commits: 1,
         };
-        let out = mine_strict(std::slice::from_ref(&bad), 2, false);
-        assert!(out.mined.is_empty());
-        assert_eq!(out.parse_failures, 1);
-        // The cached path counts the same failure.
-        let cached = mine_strict(std::slice::from_ref(&bad), 1, true);
-        assert!(cached.mined.is_empty());
-        assert_eq!(cached.parse_failures, 1);
+        let out = mine(std::slice::from_ref(&bad), 2, false);
+        assert_eq!(out.mined.len(), 1, "the salvaged table keeps the project");
+        assert!(out.quarantine.quarantined.is_empty());
+        assert_eq!(out.quarantine.recovered.len(), 1);
+        let record = &out.quarantine.recovered[0];
+        assert_eq!(record.error.class, ErrorClass::Lex);
+        assert_eq!(record.error.version_index, Some(0));
+        // The cached path salvages and records the same failure.
+        let cached = mine(std::slice::from_ref(&bad), 1, true);
+        assert_eq!(cached.mined, out.mined);
+        assert_eq!(cached.quarantine, out.quarantine);
     }
 }

@@ -7,10 +7,12 @@
 //!
 //! ```no_run
 //! use schevo_corpus::universe::{generate, UniverseConfig};
-//! use schevo_pipeline::study::{run_study, StudyOptions};
+//! use schevo_pipeline::{MiningEngine, StudyOptions};
 //!
 //! let universe = generate(UniverseConfig::paper(2019));
-//! let study = run_study(&universe, StudyOptions::default());
+//! let study = MiningEngine::new(StudyOptions::default())
+//!     .study(&universe)
+//!     .expect("clean corpus, no journal");
 //! assert_eq!(study.report.analyzed, 195);
 //! ```
 
@@ -26,14 +28,14 @@ pub mod quarantine;
 pub mod source;
 pub mod study;
 
-pub use engine::{MinePolicy, MiningEngine, MiningOutput, StreamOptions, WarmCaches};
-pub use exec::{default_workers, ExecOptions, ExecStats};
+pub use engine::{MiningEngine, MiningOutput, StreamOptions, WarmCaches};
+pub use exec::{default_workers, ExecStats};
 pub use extract::MineOutcome;
 pub use journal::{candidate_key, DurabilityOptions, JournalRecord, JournalSummary, JournalWriter};
 pub use funnel::{run_funnel, CandidateHistory, Exclusion, FunnelOutcome, FunnelReport};
 pub use quarantine::{QuarantineRecord, QuarantineReport, RecoveryRecord};
 pub use source::{CandidateSource, CandidateStream, SliceSource, SourceEvent, SourceSummary};
 pub use study::{
-    exit_code, run_study, try_run_study, try_run_study_engine, try_run_study_source, Narrative,
-    StatisticsBattery, StudyOptions, StudyResult, TaxonStats,
+    exit_code, try_run_study_source, Narrative, StatisticsBattery, StudyOptions, StudyResult,
+    TaxonStats,
 };

@@ -15,7 +15,6 @@ use schevo_core::tables::{electrolysis, fate_activity_table, ElectrolysisStats};
 use schevo_core::profile::EvolutionProfile;
 use schevo_core::shape::ShapeClass;
 use schevo_core::taxa::{ProjectClass, Taxon};
-use schevo_corpus::universe::Universe;
 use schevo_obs::{span, ObsHooks};
 use schevo_stats::describe::{percent_where, Summary};
 use schevo_stats::kruskal::{kruskal_wallis, pairwise_kruskal, KruskalWallis, PairwiseMatrix};
@@ -40,10 +39,11 @@ pub struct StudyOptions {
     /// mining. Results are bit-identical either way; this only trades
     /// memory for repeated work.
     pub cache: bool,
-    /// Fail-fast mode: any degradation event (recovery or quarantine)
-    /// aborts the study with its [`SchevoError`] instead of continuing.
-    /// With the default `false`, damaged histories are quarantined and
-    /// the study completes on the clean subset.
+    /// Strict mode: the mining pass still runs to the end, but if it
+    /// recorded any degradation event the study returns an error instead
+    /// of statistics — the first quarantine in candidate order, else the
+    /// first recovery. With the default `false`, damaged histories are
+    /// quarantined and the study completes on the clean subset.
     pub strict: bool,
     /// Durability layer: write-ahead mining journal, resume, crash
     /// injection, and the per-task watchdog deadline. The default is
@@ -179,11 +179,8 @@ pub struct StudyResult {
     pub used_reed_threshold: u64,
     /// Narrative percentages.
     pub narrative: Narrative,
-    /// Candidates whose versions failed to parse (excluded from profiles).
-    /// Always equals `quarantine.quarantined.len()`.
-    pub parse_failures: usize,
     /// Degradation accounting: what the miner recovered from and what it
-    /// quarantined. Empty on a clean corpus.
+    /// quarantined (excluded from profiles). Empty on a clean corpus.
     pub quarantine: QuarantineReport,
     /// Foreign-key extension study (corpus aggregate).
     pub fk: FkCorpusStats,
@@ -305,227 +302,204 @@ pub fn exit_code(_error: &SchevoError) -> i32 {
     3
 }
 
-/// Run the complete study over a universe.
-///
-/// Damaged histories are quarantined (see [`StudyResult::quarantine`])
-/// and the study continues on the clean subset. With
-/// [`StudyOptions::strict`] set, a degradation event aborts; with a
-/// journal configured, an unusable journal aborts — this infallible
-/// wrapper then panics; use [`try_run_study`] to handle the error.
-pub fn run_study(universe: &Universe, options: StudyOptions) -> StudyResult {
-    match try_run_study(universe, options) {
-        Ok(study) => study,
-        Err(e) => panic!("study aborted: {e}"),
-    }
-}
-
-/// Run the complete study, surfacing strict-mode and journal failures
-/// as errors.
-///
-/// Without `options.strict` and without a journal this never fails.
-pub fn try_run_study(universe: &Universe, options: StudyOptions) -> Result<StudyResult, SchevoError> {
-    try_run_study_source(universe, options)
-}
-
 /// Run the complete study over any [`CandidateSource`] — the in-memory
-/// universe or a sharded on-disk store. Candidates stream through the
-/// [`MiningEngine`]; the statistical battery runs on the mined
-/// population exactly as before, so output is byte-identical across
-/// backends.
+/// universe or a sharded on-disk store — with a fresh engine over
+/// `options`. See [`MiningEngine::study`].
 pub fn try_run_study_source(
     source: &dyn CandidateSource,
     options: StudyOptions,
 ) -> Result<StudyResult, SchevoError> {
-    try_run_study_engine(&MiningEngine::new(options), source)
+    MiningEngine::new(options).study(source)
 }
 
-/// Run the complete study through a caller-owned [`MiningEngine`] — the
-/// entry point for resident callers (the serve daemon) that reuse one
-/// configured engine, warm caches and all, across many requests. The
-/// batch paths above delegate here, so output is byte-identical however
-/// the engine was obtained.
-pub fn try_run_study_engine(
-    engine: &MiningEngine,
-    source: &dyn CandidateSource,
-) -> Result<StudyResult, SchevoError> {
-    let options = engine.options();
-    let registry = options.obs.registry.clone();
-    let registry = registry.as_deref();
-    let strict = options.strict;
-    let used_reed_threshold = options.reed_threshold.unwrap_or(REED_THRESHOLD);
+impl MiningEngine {
+    /// Run the complete study over `source`: stream its candidates through
+    /// [`MiningEngine::mine`], then run the statistical battery on the
+    /// mined population. Output is byte-identical across backends and
+    /// however the engine was configured to reuse caches.
+    ///
+    /// Errors come from [`MiningEngine::mine`] (an unusable journal or
+    /// spill file) or, with [`StudyOptions::strict`] set, are the first
+    /// degradation event the pass recorded.
+    pub fn study(&self, source: &dyn CandidateSource) -> Result<StudyResult, SchevoError> {
+        let options = self.options();
+        let registry = options.obs.registry.clone();
+        let registry = registry.as_deref();
+        let strict = options.strict;
+        let used_reed_threshold = options.reed_threshold.unwrap_or(REED_THRESHOLD);
 
-    let t_run = Instant::now();
-    let output = {
-        let _span = span!("study.mine", candidates = source.size_hint().unwrap_or(0));
-        engine.mine(source)?
-    };
-    if let Some(reg) = registry {
-        // The funnel runs inside the source (eagerly for the in-memory
-        // backend, interleaved with reads for the sharded one); its
-        // stage wall time is the accumulated source time either way.
-        reg.set_gauge("study.stage.funnel.nanos", output.source_nanos);
-        reg.set_gauge(
-            "study.stage.mine.nanos",
-            (t_run.elapsed().as_nanos() as u64).saturating_sub(output.source_nanos),
-        );
-        record_funnel_rejects(reg, &output.funnel);
-    }
-    if strict {
-        if let Some(e) = output.quarantine.first_error() {
-            return Err(e.clone());
+        let t_run = Instant::now();
+        let output = {
+            let _span = span!("study.mine", candidates = source.size_hint().unwrap_or(0));
+            self.mine(source)?
+        };
+        if let Some(reg) = registry {
+            // The funnel runs inside the source (eagerly for the in-memory
+            // backend, interleaved with reads for the sharded one); its
+            // stage wall time is the accumulated source time either way.
+            reg.set_gauge("study.stage.funnel.nanos", output.source_nanos);
+            reg.set_gauge(
+                "study.stage.mine.nanos",
+                (t_run.elapsed().as_nanos() as u64).saturating_sub(output.source_nanos),
+            );
+            record_funnel_rejects(reg, &output.funnel);
         }
-    }
-    let report = output.funnel;
-    let mined = output.mined;
-    let quarantine = output.quarantine;
-    let exec = output.exec;
-    let journal = output.journal;
+        if strict {
+            if let Some(e) = output.quarantine.first_error() {
+                return Err(e.clone());
+            }
+        }
+        let report = output.funnel;
+        let mined = output.mined;
+        let quarantine = output.quarantine;
+        let exec = output.exec;
+        let journal = output.journal;
 
-    let t_stats = Instant::now();
-    let _stats_span = span!("study.stats");
-    let parse_failures = quarantine.quarantined.len();
-    let fk_profiles: Vec<schevo_core::fk::FkProfile> = mined.iter().map(|m| m.fk).collect();
-    let pooled_lives: Vec<schevo_core::tables::TableLife> = mined
-        .iter()
-        .flat_map(|m| m.table_lives.iter().cloned())
-        .collect();
-    let profiles: Vec<EvolutionProfile> = mined.into_iter().map(|m| m.profile).collect();
+        let t_stats = Instant::now();
+        let _stats_span = span!("study.stats");
+        let fk_profiles: Vec<schevo_core::fk::FkProfile> = mined.iter().map(|m| m.fk).collect();
+        let pooled_lives: Vec<schevo_core::tables::TableLife> = mined
+            .iter()
+            .flat_map(|m| m.table_lives.iter().cloned())
+            .collect();
+        let profiles: Vec<EvolutionProfile> = mined.into_iter().map(|m| m.profile).collect();
 
-    // Reed-threshold derivation (§III-B): activities of single-active-commit
-    // projects, 85% split.
-    let single_ac: Vec<u64> = profiles
-        .iter()
-        .filter(|p| p.active_commits == 1)
-        .map(|p| p.total_activity)
-        .collect();
-    let derived_reed_threshold = derive_reed_threshold(&single_ac);
+        // Reed-threshold derivation (§III-B): activities of single-active-commit
+        // projects, 85% split.
+        let single_ac: Vec<u64> = profiles
+            .iter()
+            .filter(|p| p.active_commits == 1)
+            .map(|p| p.total_activity)
+            .collect();
+        let derived_reed_threshold = derive_reed_threshold(&single_ac);
 
-    // Per-taxon stats.
-    let taxa: Vec<TaxonStats> = Taxon::ALL
-        .iter()
-        .map(|&t| {
-            let members: Vec<&EvolutionProfile> = profiles
+        // Per-taxon stats.
+        let taxa: Vec<TaxonStats> = Taxon::ALL
+            .iter()
+            .map(|&t| {
+                let members: Vec<&EvolutionProfile> = profiles
+                    .iter()
+                    .filter(|p| p.class == ProjectClass::Taxon(t))
+                    .collect();
+                taxon_stats(t, &members)
+            })
+            .collect();
+
+        // Statistical battery.
+        let group = |t: Taxon, f: &dyn Fn(&EvolutionProfile) -> f64| -> Vec<f64> {
+            profiles
                 .iter()
                 .filter(|p| p.class == ProjectClass::Taxon(t))
-                .collect();
-            taxon_stats(t, &members)
+                .map(f)
+                .collect()
+        };
+        let act = |p: &EvolutionProfile| p.total_activity as f64;
+        let ac = |p: &EvolutionProfile| p.active_commits as f64;
+        // Ablation thresholds can empty a taxon; KW runs over non-empty groups.
+        let all_groups_act: Vec<Vec<f64>> = Taxon::ALL
+            .iter()
+            .map(|&t| group(t, &act))
+            .filter(|g| !g.is_empty())
+            .collect();
+        let all_groups_ac: Vec<Vec<f64>> = Taxon::ALL
+            .iter()
+            .map(|&t| group(t, &ac))
+            .filter(|g| !g.is_empty())
+            .collect();
+        let refs_act: Vec<&[f64]> = all_groups_act.iter().map(|g| g.as_slice()).collect();
+        let refs_ac: Vec<&[f64]> = all_groups_ac.iter().map(|g| g.as_slice()).collect();
+        let kw_activity = kruskal_wallis(&refs_act).expect("≥2 non-degenerate groups");
+        let kw_active_commits = kruskal_wallis(&refs_ac).expect("≥2 non-degenerate groups");
+        let labelled_act: Vec<(String, Vec<f64>)> = Taxon::NON_FROZEN
+            .iter()
+            .map(|&t| (t.short().to_string(), group(t, &act)))
+            .filter(|(_, g)| !g.is_empty())
+            .collect();
+        let labelled_ac: Vec<(String, Vec<f64>)> = Taxon::NON_FROZEN
+            .iter()
+            .map(|&t| (t.short().to_string(), group(t, &ac)))
+            .filter(|(_, g)| !g.is_empty())
+            .collect();
+        let pairwise_activity = pairwise_kruskal(&labelled_act).expect("pairwise activity");
+        let pairwise_active_commits =
+            pairwise_kruskal(&labelled_ac).expect("pairwise active commits");
+        let all_act: Vec<f64> = profiles.iter().map(act).collect();
+        let all_ac: Vec<f64> = profiles.iter().map(ac).collect();
+        let shapiro_activity = shapiro_wilk(&all_act).expect("SW on activity");
+        let shapiro_active_commits = shapiro_wilk(&all_ac).expect("SW on active commits");
+        let activity_ac_spearman = spearman(&all_act, &all_ac).expect("Spearman on activity/AC");
+
+        // Narrative percentages.
+        let cloned = report.cloned.max(1) as f64;
+        let count_of = |t: Taxon|
+
+            profiles
+                .iter()
+                .filter(|p| p.class == ProjectClass::Taxon(t))
+                .count() as f64;
+        let frozen = count_of(Taxon::Frozen);
+        let almost = count_of(Taxon::AlmostFrozen);
+        let fsf: Vec<&EvolutionProfile> = profiles
+            .iter()
+            .filter(|p| p.class == ProjectClass::Taxon(Taxon::FocusedShotFrozen))
+            .collect();
+        let moderate: Vec<&EvolutionProfile> = profiles
+            .iter()
+            .filter(|p| p.class == ProjectClass::Taxon(Taxon::Moderate))
+            .collect();
+        let narrative = Narrative {
+            rigid_pct_of_cloned: 100.0 * report.rigid as f64 / cloned,
+            frozen_pct_of_cloned: 100.0 * frozen / cloned,
+            almost_frozen_pct_of_cloned: 100.0 * almost / cloned,
+            little_or_none_pct_of_cloned: 100.0 * (report.rigid as f64 + frozen + almost)
+                / cloned,
+            zero_to_three_active_pct: percent_where(&profiles, |p| p.active_commits <= 3),
+            pup_over_24_pct: percent_where(&profiles, |p| {
+                p.context.map(|c| c.pup_months > 24).unwrap_or(false)
+            }),
+            pup_over_12_pct: percent_where(&profiles, |p| {
+                p.context.map(|c| c.pup_months > 12).unwrap_or(false)
+            }),
+            fsf_single_active_flat_pct: percent_where(&fsf, |p| {
+                p.active_commits == 1 && p.shape == ShapeClass::Flat
+            }),
+            fsf_single_step_pct: percent_where(&fsf, |p| p.shape == ShapeClass::SingleStepUp),
+            moderate_rise_pct: percent_where(&moderate, |p| p.shape.is_rise()),
+            moderate_flat_pct: percent_where(&moderate, |p| p.shape == ShapeClass::Flat),
+        };
+
+        if let Some(reg) = registry {
+            reg.set_gauge("study.stage.stats.nanos", t_stats.elapsed().as_nanos() as u64);
+        }
+
+        Ok(StudyResult {
+            report,
+            profiles,
+            taxa,
+            stats: StatisticsBattery {
+                kw_activity,
+                kw_active_commits,
+                pairwise_activity,
+                pairwise_active_commits,
+                shapiro_activity,
+                shapiro_active_commits,
+                activity_ac_spearman,
+            },
+            derived_reed_threshold,
+            used_reed_threshold,
+            narrative,
+            quarantine,
+            fk: fk_corpus_stats(&fk_profiles),
+            electrolysis: electrolysis(&pooled_lives),
+            fate_activity_chi2: {
+                let ct = fate_activity_table(&pooled_lives);
+                let rows: Vec<Vec<u64>> = ct.iter().map(|r| r.to_vec()).collect();
+                schevo_stats::chi2_independence(&rows).ok()
+            },
+            exec,
+            journal,
         })
-        .collect();
-
-    // Statistical battery.
-    let group = |t: Taxon, f: &dyn Fn(&EvolutionProfile) -> f64| -> Vec<f64> {
-        profiles
-            .iter()
-            .filter(|p| p.class == ProjectClass::Taxon(t))
-            .map(f)
-            .collect()
-    };
-    let act = |p: &EvolutionProfile| p.total_activity as f64;
-    let ac = |p: &EvolutionProfile| p.active_commits as f64;
-    // Ablation thresholds can empty a taxon; KW runs over non-empty groups.
-    let all_groups_act: Vec<Vec<f64>> = Taxon::ALL
-        .iter()
-        .map(|&t| group(t, &act))
-        .filter(|g| !g.is_empty())
-        .collect();
-    let all_groups_ac: Vec<Vec<f64>> = Taxon::ALL
-        .iter()
-        .map(|&t| group(t, &ac))
-        .filter(|g| !g.is_empty())
-        .collect();
-    let refs_act: Vec<&[f64]> = all_groups_act.iter().map(|g| g.as_slice()).collect();
-    let refs_ac: Vec<&[f64]> = all_groups_ac.iter().map(|g| g.as_slice()).collect();
-    let kw_activity = kruskal_wallis(&refs_act).expect("≥2 non-degenerate groups");
-    let kw_active_commits = kruskal_wallis(&refs_ac).expect("≥2 non-degenerate groups");
-    let labelled_act: Vec<(String, Vec<f64>)> = Taxon::NON_FROZEN
-        .iter()
-        .map(|&t| (t.short().to_string(), group(t, &act)))
-        .filter(|(_, g)| !g.is_empty())
-        .collect();
-    let labelled_ac: Vec<(String, Vec<f64>)> = Taxon::NON_FROZEN
-        .iter()
-        .map(|&t| (t.short().to_string(), group(t, &ac)))
-        .filter(|(_, g)| !g.is_empty())
-        .collect();
-    let pairwise_activity = pairwise_kruskal(&labelled_act).expect("pairwise activity");
-    let pairwise_active_commits = pairwise_kruskal(&labelled_ac).expect("pairwise active commits");
-    let all_act: Vec<f64> = profiles.iter().map(act).collect();
-    let all_ac: Vec<f64> = profiles.iter().map(ac).collect();
-    let shapiro_activity = shapiro_wilk(&all_act).expect("SW on activity");
-    let shapiro_active_commits = shapiro_wilk(&all_ac).expect("SW on active commits");
-    let activity_ac_spearman = spearman(&all_act, &all_ac).expect("Spearman on activity/AC");
-
-    // Narrative percentages.
-    let cloned = report.cloned.max(1) as f64;
-    let count_of = |t: Taxon|
-
-        profiles
-            .iter()
-            .filter(|p| p.class == ProjectClass::Taxon(t))
-            .count() as f64;
-    let frozen = count_of(Taxon::Frozen);
-    let almost = count_of(Taxon::AlmostFrozen);
-    let fsf: Vec<&EvolutionProfile> = profiles
-        .iter()
-        .filter(|p| p.class == ProjectClass::Taxon(Taxon::FocusedShotFrozen))
-        .collect();
-    let moderate: Vec<&EvolutionProfile> = profiles
-        .iter()
-        .filter(|p| p.class == ProjectClass::Taxon(Taxon::Moderate))
-        .collect();
-    let narrative = Narrative {
-        rigid_pct_of_cloned: 100.0 * report.rigid as f64 / cloned,
-        frozen_pct_of_cloned: 100.0 * frozen / cloned,
-        almost_frozen_pct_of_cloned: 100.0 * almost / cloned,
-        little_or_none_pct_of_cloned: 100.0 * (report.rigid as f64 + frozen + almost)
-            / cloned,
-        zero_to_three_active_pct: percent_where(&profiles, |p| p.active_commits <= 3),
-        pup_over_24_pct: percent_where(&profiles, |p| {
-            p.context.map(|c| c.pup_months > 24).unwrap_or(false)
-        }),
-        pup_over_12_pct: percent_where(&profiles, |p| {
-            p.context.map(|c| c.pup_months > 12).unwrap_or(false)
-        }),
-        fsf_single_active_flat_pct: percent_where(&fsf, |p| {
-            p.active_commits == 1 && p.shape == ShapeClass::Flat
-        }),
-        fsf_single_step_pct: percent_where(&fsf, |p| p.shape == ShapeClass::SingleStepUp),
-        moderate_rise_pct: percent_where(&moderate, |p| p.shape.is_rise()),
-        moderate_flat_pct: percent_where(&moderate, |p| p.shape == ShapeClass::Flat),
-    };
-
-    if let Some(reg) = registry {
-        reg.set_gauge("study.stage.stats.nanos", t_stats.elapsed().as_nanos() as u64);
     }
-
-    Ok(StudyResult {
-        report,
-        profiles,
-        taxa,
-        stats: StatisticsBattery {
-            kw_activity,
-            kw_active_commits,
-            pairwise_activity,
-            pairwise_active_commits,
-            shapiro_activity,
-            shapiro_active_commits,
-            activity_ac_spearman,
-        },
-        derived_reed_threshold,
-        used_reed_threshold,
-        narrative,
-        parse_failures,
-        quarantine,
-        fk: fk_corpus_stats(&fk_profiles),
-        electrolysis: electrolysis(&pooled_lives),
-        fate_activity_chi2: {
-            let ct = fate_activity_table(&pooled_lives);
-            let rows: Vec<Vec<u64>> = ct.iter().map(|r| r.to_vec()).collect();
-            schevo_stats::chi2_independence(&rows).ok()
-        },
-        exec,
-        journal,
-    })
 }
 
 #[cfg(test)]
@@ -535,14 +509,14 @@ mod tests {
 
     fn small_study() -> StudyResult {
         let u = generate(UniverseConfig::small(2019, 8));
-        run_study(&u, StudyOptions::default())
+        try_run_study_source(&u, StudyOptions::default()).expect("clean corpus")
     }
 
     #[test]
     fn study_recovers_taxa_counts() {
         let u = generate(UniverseConfig::small(2019, 8));
-        let s = run_study(&u, StudyOptions::default());
-        assert_eq!(s.parse_failures, 0);
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
+        assert!(s.quarantine.is_clean());
         for (i, &t) in Taxon::ALL.iter().enumerate() {
             assert_eq!(
                 s.taxon_stats(t).count,

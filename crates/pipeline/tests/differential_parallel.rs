@@ -6,7 +6,7 @@
 
 use schevo_corpus::universe::{generate, Universe};
 use schevo_corpus::UniverseConfig;
-use schevo_pipeline::study::{run_study, StudyOptions, StudyResult};
+use schevo_pipeline::study::{try_run_study_source, StudyOptions, StudyResult};
 use std::sync::OnceLock;
 
 fn universe() -> &'static Universe {
@@ -15,7 +15,7 @@ fn universe() -> &'static Universe {
 }
 
 fn study(workers: usize, cache: bool) -> StudyResult {
-    run_study(
+    try_run_study_source(
         universe(),
         StudyOptions {
             workers,
@@ -23,6 +23,7 @@ fn study(workers: usize, cache: bool) -> StudyResult {
             ..StudyOptions::default()
         },
     )
+    .expect("clean corpus")
 }
 
 /// Every observable output of two studies must agree. `ExecStats` is
@@ -40,10 +41,7 @@ fn assert_identical(a: &StudyResult, b: &StudyResult, label: &str) {
         a.used_reed_threshold, b.used_reed_threshold,
         "{label}: used reed threshold diverged"
     );
-    assert_eq!(
-        a.parse_failures, b.parse_failures,
-        "{label}: parse failures diverged"
-    );
+    assert_eq!(a.quarantine, b.quarantine, "{label}: quarantine diverged");
     assert_eq!(a.fk, b.fk, "{label}: fk extension diverged");
     assert_eq!(
         a.electrolysis, b.electrolysis,

@@ -1,21 +1,23 @@
 //! Property tests for the work-stealing miner: for *arbitrary* candidate
 //! sets — valid histories, unparseable blobs, duplicated contents — and
-//! arbitrary worker counts / cache settings, a strict [`MiningEngine`]
-//! pass over a [`SliceSource`] must equal a plain serial fold of
-//! `mine_candidate`/`mine_extended`, insensitive to its execution
+//! arbitrary worker counts / cache settings, a [`MiningEngine`] pass over
+//! a [`SliceSource`] mines every candidate, accounts for every recovery,
+//! equals a plain serial fold of `mine_candidate`/`mine_extended` where
+//! no version needed salvage, and is insensitive to its execution
 //! configuration.
 
 use proptest::prelude::*;
+use schevo_core::errors::ErrorClass;
 use schevo_core::heartbeat::REED_THRESHOLD;
 use schevo_pipeline::extract::{mine_candidate, mine_extended};
 use schevo_pipeline::funnel::CandidateHistory;
-use schevo_pipeline::{MinePolicy, MiningEngine, MiningOutput, SliceSource, StudyOptions};
+use schevo_pipeline::{MiningEngine, MiningOutput, SliceSource, StudyOptions};
 use schevo_vcs::history::FileVersion;
 use schevo_vcs::sha1::sha1;
 use schevo_vcs::timestamp::Timestamp;
 
 /// A small pool of DDL blobs. Index 5 is deliberately unparseable
-/// (unterminated string literal) so failure counting is exercised, and
+/// (unterminated string literal) so salvage is exercised, and
 /// the pool is small so the same content recurs across candidates — the
 /// content-addressed cache's bread and butter.
 fn blob(id: usize) -> &'static str {
@@ -71,61 +73,100 @@ fn candidates_strategy() -> impl Strategy<Value = Vec<CandidateHistory>> {
     })
 }
 
-fn mine_strict(cands: &[CandidateHistory], workers: usize, cache: bool) -> MiningOutput {
+fn mine(cands: &[CandidateHistory], workers: usize, cache: bool) -> MiningOutput {
     MiningEngine::new(StudyOptions {
         reed_threshold: Some(REED_THRESHOLD),
         workers,
         cache,
         ..StudyOptions::default()
     })
-    .with_policy(MinePolicy::Strict)
     .mine(&SliceSource::new(cands))
-    .expect("strict slice mining cannot fail without a journal")
+    .expect("slice mining cannot fail without a journal")
+}
+
+/// The candidate with each run of byte-identical consecutive versions
+/// collapsed to its first version.
+fn dedupe(c: &CandidateHistory) -> CandidateHistory {
+    let mut d = c.clone();
+    d.versions.dedup_by(|later, kept| later.content == kept.content);
+    d
+}
+
+/// The recoveries one candidate must report, as `(class, project,
+/// version index)`: every dropped duplicate, then every salvaged
+/// unparseable version, each at its index in the original history.
+fn expected_recoveries(c: &CandidateHistory) -> Vec<(ErrorClass, String, Option<u64>)> {
+    let mut duplicates = Vec::new();
+    let mut salvaged = Vec::new();
+    let mut kept: Option<&str> = None;
+    for (i, v) in c.versions.iter().enumerate() {
+        let at = Some(i as u64);
+        if kept == Some(v.content.as_str()) {
+            duplicates.push((ErrorClass::DuplicateVersion, c.name.clone(), at));
+            continue;
+        }
+        kept = Some(&v.content);
+        if v.content == blob(5) {
+            salvaged.push((ErrorClass::Lex, c.name.clone(), at));
+        }
+    }
+    duplicates.extend(salvaged);
+    duplicates
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The paper-profile output of the parallel engine is exactly the
-    /// serial `mine_candidate` fold, and the failure count is exactly
-    /// the number of candidates the serial fold rejects.
+    /// Every candidate is mined and none is quarantined; the recoveries
+    /// are exactly the dropped duplicates plus the salvaged versions;
+    /// and every candidate without a salvaged version equals the serial
+    /// `mine_extended`/`mine_candidate` fold of its deduped history.
     #[test]
-    fn engine_equals_serial_fold(
-        cands in candidates_strategy(),
-        workers in 1usize..9,
-    ) {
-        let out = mine_strict(&cands, workers, true);
-        let par: Vec<_> = out.mined.into_iter().map(|m| m.profile).collect();
-        let serial: Vec<_> = cands
-            .iter()
-            .filter_map(|c| mine_candidate(c, REED_THRESHOLD))
-            .collect();
-        let serial_failures = cands.len() - serial.len();
-        prop_assert_eq!(out.parse_failures, serial_failures);
-        prop_assert_eq!(par, serial);
-    }
-
-    /// The extended records (profile + fk + table lives) are likewise a
-    /// serial fold of `mine_extended`, independent of worker count and
-    /// cache setting.
-    #[test]
-    fn engine_output_is_config_invariant(
+    fn engine_equals_serial_fold_on_deduped_candidates(
         cands in candidates_strategy(),
         workers in 1usize..9,
         cache in any::<bool>(),
     ) {
-        let out = mine_strict(&cands, workers, cache);
-        let serial: Vec<_> = cands
+        let out = mine(&cands, workers, cache);
+        prop_assert_eq!(out.mined.len(), cands.len());
+        prop_assert!(out.quarantine.quarantined.is_empty());
+        let recovered: Vec<_> = out
+            .quarantine
+            .recovered
             .iter()
-            .filter_map(|c| mine_extended(c, REED_THRESHOLD))
+            .map(|r| (r.error.class, r.error.project.clone(), r.error.version_index))
             .collect();
-        prop_assert_eq!(out.parse_failures, cands.len() - serial.len());
-        prop_assert_eq!(out.mined, serial);
+        let expected: Vec<_> = cands.iter().flat_map(expected_recoveries).collect();
+        prop_assert_eq!(recovered, expected);
+        for (c, m) in cands.iter().zip(&out.mined) {
+            let d = dedupe(c);
+            if d.versions.iter().any(|v| v.content == blob(5)) {
+                continue;
+            }
+            let serial = mine_extended(&d, REED_THRESHOLD).expect("parseable history");
+            prop_assert_eq!(m, &serial);
+            prop_assert_eq!(Some(m.profile.clone()), mine_candidate(&d, REED_THRESHOLD));
+        }
         prop_assert_eq!(out.exec.tasks, cands.len());
         prop_assert_eq!(out.exec.cache_enabled, cache);
         if !cache {
             prop_assert_eq!(out.exec.parse_hits, 0);
             prop_assert_eq!(out.exec.diff_hits, 0);
         }
+    }
+
+    /// The mined records and the quarantine report are identical for
+    /// every worker count and cache setting: each configuration equals
+    /// the serial, uncached pass.
+    #[test]
+    fn engine_output_is_config_invariant(
+        cands in candidates_strategy(),
+        workers in 1usize..9,
+        cache in any::<bool>(),
+    ) {
+        let baseline = mine(&cands, 1, false);
+        let out = mine(&cands, workers, cache);
+        prop_assert_eq!(out.mined, baseline.mined);
+        prop_assert_eq!(out.quarantine, baseline.quarantine);
     }
 }

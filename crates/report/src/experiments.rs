@@ -728,12 +728,12 @@ fn fault_appendix(d: &FaultDemo) -> String {
 mod tests {
     use super::*;
     use schevo_corpus::universe::{generate, UniverseConfig};
-    use schevo_pipeline::study::{run_study, StudyOptions};
+    use schevo_pipeline::study::{try_run_study_source, StudyOptions};
 
     #[test]
     fn markdown_contains_every_section() {
         let u = generate(UniverseConfig::small(2019, 12));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let md = experiments_markdown(&s, &ExperimentExtras::default());
         for section in [
             "# EXPERIMENTS",
@@ -755,12 +755,13 @@ mod tests {
     #[test]
     fn markdown_includes_ablations_when_present() {
         let u = generate(UniverseConfig::small(7, 16));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let extras = ExperimentExtras {
             threshold_points: schevo_pipeline::ablation::reed_threshold_sensitivity(
                 &u,
                 &[10, 14],
-            ),
+            )
+            .expect("clean corpus"),
             walk: Some(schevo_pipeline::ablation::walk_strategy_comparison(&u)),
             rule_order: Some(schevo_pipeline::ablation::rule_order_comparison(&s.profiles)),
             fault_demo: None,
@@ -778,7 +779,7 @@ mod tests {
     #[test]
     fn markdown_includes_fault_appendix_when_present() {
         let u = generate(UniverseConfig::small(2019, 20));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let extras = ExperimentExtras {
             fault_demo: Some(FaultDemo {
                 fault_seed: 7,
@@ -804,7 +805,7 @@ mod tests {
     #[test]
     fn markdown_includes_obs_appendix_when_present() {
         let u = generate(UniverseConfig::small(2019, 20));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let extras = ExperimentExtras {
             obs_demo: Some(ObsDemo {
                 manifest_json: "{\n  \"manifest_version\": 1\n}\n".to_string(),
@@ -832,7 +833,7 @@ mod tests {
     #[test]
     fn markdown_includes_scale_appendix_when_present() {
         let u = generate(UniverseConfig::small(2019, 20));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let extras = ExperimentExtras {
             scale_demo: Some(ScaleDemo {
                 factor: 20,
@@ -872,7 +873,7 @@ mod tests {
     #[test]
     fn markdown_includes_serve_appendix_when_present() {
         let u = generate(UniverseConfig::small(2019, 20));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let extras = ExperimentExtras {
             serve_demo: Some(ServeDemo {
                 clients: 4,
@@ -900,7 +901,7 @@ mod tests {
     #[test]
     fn markdown_includes_resume_appendix_when_present() {
         let u = generate(UniverseConfig::small(2019, 20));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let extras = ExperimentExtras {
             resume_demo: Some(ResumeDemo {
                 candidates: 12,

@@ -513,11 +513,11 @@ mod tests {
     use super::*;
     use schevo_corpus::exemplar::{build, FigureTag};
     use schevo_corpus::universe::{generate, UniverseConfig};
-    use schevo_pipeline::study::{run_study, StudyOptions};
+    use schevo_pipeline::study::{try_run_study_source, StudyOptions};
 
     fn study() -> StudyResult {
         let u = generate(UniverseConfig::small(2019, 12));
-        run_study(&u, StudyOptions::default())
+        try_run_study_source(&u, StudyOptions::default()).expect("clean corpus")
     }
 
     #[test]

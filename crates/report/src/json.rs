@@ -43,12 +43,12 @@ pub fn study_to_json(study: &StudyResult) -> serde_json::Result<String> {
 mod tests {
     use super::*;
     use schevo_corpus::universe::{generate, UniverseConfig};
-    use schevo_pipeline::study::{run_study, StudyOptions};
+    use schevo_pipeline::study::{try_run_study_source, StudyOptions};
 
     #[test]
     fn exports_valid_json() {
         let u = generate(UniverseConfig::small(2019, 16));
-        let s = run_study(&u, StudyOptions::default());
+        let s = try_run_study_source(&u, StudyOptions::default()).expect("clean corpus");
         let json = study_to_json(&s).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(

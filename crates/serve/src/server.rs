@@ -4,7 +4,7 @@
 //! watchdog deadlines, queryable results, and Prometheus metrics.
 //!
 //! Determinism contract: a served study runs the exact same
-//! `try_run_study_engine` path as the batch CLI over the same store, and
+//! `MiningEngine::study` path as the batch CLI over the same store, and
 //! the warm cache is content-addressed, so the `study_json` bytes in an
 //! `ok` response are identical to the CLI's `study_results.json` for
 //! the same store and options — whatever else the server is doing
@@ -25,7 +25,7 @@ use schevo_obs::validate::REQUEST_LOG_VERSION;
 use schevo_obs::{events, profile, ObsHooks};
 use schevo_pipeline::exec::watchdog;
 use schevo_pipeline::journal::DurabilityOptions;
-use schevo_pipeline::{try_run_study_engine, MiningEngine, StudyOptions, WarmCaches};
+use schevo_pipeline::{MiningEngine, StudyOptions, WarmCaches};
 use schevo_report::{fig04_csv, fig10_csv, study_to_json, write_atomic};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -605,7 +605,7 @@ impl Server {
         // concurrently up to the admission cap.
         let journal_guard = resume.then(|| self.journal_gate.lock());
         let started = Instant::now();
-        let (outcome, overrun) = watchdog(deadline, || try_run_study_engine(&engine, &self.store));
+        let (outcome, overrun) = watchdog(deadline, || engine.study(&self.store));
         drop(journal_guard);
         let study = match outcome {
             Ok(study) => study,

@@ -9,10 +9,10 @@
 use schevo::prelude::*;
 use schevo::report::extensions_table;
 
-fn main() {
+fn main() -> Result<(), SchevoError> {
     let t0 = std::time::Instant::now();
     let universe = generate(UniverseConfig::paper(2019));
-    let study = run_study(&universe, StudyOptions::default());
+    let study = try_run_study_source(&universe, StudyOptions::default())?;
     println!("{}", extensions_table(&study));
     println!(
         "fk: {} of {} projects declare FKs; {} projects end with dangling references",
@@ -25,4 +25,5 @@ fn main() {
         study.electrolysis.dead_median_duration
     );
     eprintln!("total {:?}", t0.elapsed());
+    Ok(())
 }

@@ -56,7 +56,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     registry.set_gauge("study.stage.generate.nanos", t0.elapsed().as_nanos() as u64);
     eprintln!("universe generated in {:?}", t0.elapsed());
     let t1 = std::time::Instant::now();
-    let study = run_study(
+    let study = try_run_study_source(
         &universe,
         StudyOptions {
             workers,
@@ -64,7 +64,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             obs: ObsHooks::with_registry(registry.clone()),
             ..StudyOptions::default()
         },
-    );
+    )?;
     eprintln!(
         "study ran in {:?} ({} workers, cache {}; parse {}/{} hits, diff {}/{} hits)",
         t1.elapsed(),
@@ -88,7 +88,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     eprintln!("running ablations...");
     let mut extras = ExperimentExtras {
-        threshold_points: reed_threshold_sensitivity(&universe, &[10, 14, 20]),
+        threshold_points: reed_threshold_sensitivity(&universe, &[10, 14, 20])?,
         walk: Some(walk_strategy_comparison(&universe)),
         rule_order: Some(rule_order_comparison(&study.profiles)),
         fault_demo: None,
@@ -205,16 +205,16 @@ fn obs_demo(
     // and a registry attached, once bare.
     let small = generate(UniverseConfig::small(2019, 20));
     schevo::obs::trace::set_enabled(true);
-    let traced = run_study(
+    let traced = try_run_study_source(
         &small,
         StudyOptions {
             obs: ObsHooks::with_registry(std::sync::Arc::new(Registry::new())),
             ..StudyOptions::default()
         },
-    );
+    )?;
     schevo::obs::trace::set_enabled(false);
     let events = schevo::obs::trace::drain();
-    let bare = run_study(&small, StudyOptions::default());
+    let bare = try_run_study_source(&small, StudyOptions::default())?;
     let outputs_identical =
         !events.is_empty() && study_to_json(&traced)? == study_to_json(&bare)?;
     Ok(ObsDemo {
@@ -240,7 +240,7 @@ fn resume_demo(
     let golden_path = dir.join(format!("schevo_resume_demo_{}.wal", std::process::id()));
     let cut_path = dir.join(format!("schevo_resume_demo_cut_{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&golden_path);
-    let journaled = try_run_study(
+    let journaled = try_run_study_source(
         universe,
         StudyOptions {
             durability: DurabilityOptions {
@@ -267,7 +267,7 @@ fn resume_demo(
             replay.record_ends[k - 1]
         };
         write_atomic(&cut_path, &bytes[..len as usize])?;
-        let resumed = try_run_study(
+        let resumed = try_run_study_source(
             universe,
             StudyOptions {
                 workers: 1 + (i % 2),
@@ -599,14 +599,15 @@ fn fault_demo(clean: &StudyResult, workers: usize, cache: bool) -> FaultDemo {
     let mut universe = generate(UniverseConfig::paper(2019));
     let plan = FaultPlan::all(FAULT_SEED, RATE);
     let faults = inject(&mut universe, &plan);
-    let faulted = run_study(
+    let faulted = try_run_study_source(
         &universe,
         StudyOptions {
             workers,
             cache,
             ..StudyOptions::default()
         },
-    );
+    )
+    .expect("graceful study without a journal");
     eprintln!(
         "chaos pass: {} fault(s) injected; {}",
         faults.len(),

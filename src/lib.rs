@@ -54,8 +54,8 @@ pub use schevo_vcs as vcs;
 // crates is reachable but considered internal.
 pub use schevo_core::errors::SchevoError;
 pub use schevo_pipeline::{
-    exit_code, run_study, try_run_study, try_run_study_source, CandidateSource, MiningEngine,
-    SliceSource, StudyOptions, StudyResult,
+    exit_code, try_run_study_source, CandidateSource, MiningEngine, SliceSource, StudyOptions,
+    StudyResult,
 };
 
 /// The types most callers need, in one import.
@@ -71,10 +71,8 @@ pub mod prelude {
     pub use schevo_ddl::{parse_schema, parse_schema_recovering, Schema};
     pub use schevo_obs::ObsHooks;
     pub use schevo_pipeline::quarantine::QuarantineReport;
-    pub use schevo_pipeline::study::{
-        run_study, try_run_study, try_run_study_source, StudyOptions, StudyResult,
-    };
-    pub use schevo_pipeline::{CandidateSource, MinePolicy, MiningEngine, SliceSource};
+    pub use schevo_pipeline::study::{try_run_study_source, StudyOptions, StudyResult};
+    pub use schevo_pipeline::{CandidateSource, MiningEngine, SliceSource};
     pub use schevo_report::ProjectSeries;
     pub use schevo_vcs::history::{file_history, WalkStrategy};
     pub use schevo_vcs::repo::{FileChange, Repository};

@@ -15,7 +15,7 @@ fn parse_csv(text: &str) -> Vec<Vec<String>> {
 #[test]
 fn fig_csvs_are_rectangular_and_numeric() {
     let universe = generate(UniverseConfig::small(2019, 16));
-    let study = run_study(&universe, StudyOptions::default());
+    let study = try_run_study_source(&universe, StudyOptions::default()).expect("clean corpus");
 
     let f4 = fig04_csv(&study).render();
     let rows = parse_csv(&f4);

@@ -24,8 +24,9 @@
 //! Each list follows the file order of `new`, then that of `old`. The two
 //! differs are compared on random schema pairs, on consecutive versions of
 //! randomly edited histories parsed by `HistoryParser` (where most tables
-//! are shared), and on the same pairs with every table deep-copied so that
-//! no table is shared.
+//! are shared), on the same pairs with every table deep-copied so that
+//! no table is shared, and on the salvaged versions of fault-injected
+//! histories, which the miner diffs as it diffs clean ones.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,7 +34,8 @@ use rand::{Rng, SeedableRng};
 use schevo::core::diff::{diff, SchemaDelta};
 use schevo::ddl::schema::{Attribute, ForeignKey, Table};
 use schevo::ddl::types::DataType;
-use schevo::ddl::{parse_schema, HistoryParser, Schema};
+use schevo::ddl::{parse_schema, parse_schema_recovering, HistoryParser, Schema};
+use schevo::prelude::{generate, inject, FaultPlan, UniverseConfig, WalkStrategy};
 use std::sync::Arc;
 
 fn find_table<'s>(schema: &'s Schema, name: &str) -> Option<&'s Table> {
@@ -364,4 +366,35 @@ fn pinned_transitions_agree_with_the_reference() {
         assert_differs_agree(&old, &new, a);
         assert_differs_agree(&new, &old, b);
     }
+}
+
+#[test]
+fn salvaged_faultgen_versions_agree_with_the_reference() {
+    // Every evolving project damaged, cycling through the whole fault
+    // catalog; each version is parsed the way the miner salvages it.
+    let mut universe = generate(UniverseConfig::small(2019, 4));
+    assert!(!inject(&mut universe, &FaultPlan::all(7, 100)).is_empty());
+    let funnel = schevo::pipeline::run_funnel(&universe, WalkStrategy::FirstParent);
+    let (mut pairs, mut salvaged) = (0, 0);
+    for candidate in &funnel.analyzed {
+        salvaged += candidate
+            .versions
+            .iter()
+            .filter(|v| parse_schema(&v.content).is_err())
+            .count();
+        let schemas: Vec<Schema> = candidate
+            .versions
+            .iter()
+            .map(|v| parse_schema_recovering(&v.content).schema)
+            .collect();
+        for (i, w) in schemas.windows(2).enumerate() {
+            assert_differs_agree(
+                &w[0],
+                &w[1],
+                &format!("{}, version {}", candidate.name, i + 1),
+            );
+            pairs += 1;
+        }
+    }
+    assert!(pairs > 0 && salvaged > 0, "{pairs} pairs, {salvaged} salvaged versions");
 }

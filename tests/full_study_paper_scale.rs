@@ -29,7 +29,7 @@ fn paper_study() -> &'static (StudyResult, Universe) {
     static STUDY: OnceLock<(StudyResult, Universe)> = OnceLock::new();
     STUDY.get_or_init(|| {
         let universe = generate(UniverseConfig::paper(2019));
-        let study = run_study(&universe, StudyOptions::default());
+        let study = try_run_study_source(&universe, StudyOptions::default()).expect("clean corpus");
         (study, universe)
     })
 }
@@ -63,7 +63,7 @@ fn funnel_reproduces_the_papers_cardinalities() {
     assert_eq!(r.cloned, 327);
     assert_eq!(r.rigid, 132);
     assert_eq!(r.analyzed, 195);
-    assert_eq!(study.parse_failures, 0);
+    assert!(study.quarantine.quarantined.is_empty());
 }
 
 #[test]
@@ -312,7 +312,7 @@ fn extension_studies_have_signal() {
 fn study_is_deterministic_for_a_seed() {
     let (study, _) = paper_study();
     let universe2 = generate(UniverseConfig::paper(2019));
-    let study2 = run_study(&universe2, StudyOptions::default());
+    let study2 = try_run_study_source(&universe2, StudyOptions::default()).expect("clean corpus");
     assert_eq!(study.report, study2.report);
     assert_eq!(study.profiles.len(), study2.profiles.len());
     // Profiles are identical project-by-project (order may differ only if
@@ -336,7 +336,7 @@ fn statistical_shape_is_seed_robust() {
     // here.
     for seed in [7u64, 42, 999] {
         let universe = generate(UniverseConfig::paper(seed));
-        let study = run_study(&universe, StudyOptions::default());
+        let study = try_run_study_source(&universe, StudyOptions::default()).expect("clean corpus");
 
         // Planned invariants hold for every seed.
         assert_eq!(study.report.analyzed, 195, "seed {seed}");

@@ -1,0 +1,98 @@
+//! Metamorphic laws over the mining path: edits to a history whose effect
+//! on the measures the paper defines is known in advance, checked on
+//! every analyzed history of a generated universe.
+//!
+//! - **Duplicate version.** A byte-identical copy of a version, committed
+//!   right after it, is no schema change: the miner drops it, records one
+//!   `DuplicateVersion` recovery, and mines exactly what it mined before.
+//! - **Comment-only commit.** A commit that only appends a comment to the
+//!   DDL file is one more commit with no activity: the profile's commit
+//!   count rises by one and every other measure stays as it was.
+
+use schevo::pipeline::extract::Mined;
+use schevo::pipeline::{run_funnel, CandidateHistory, MiningOutput};
+use schevo::prelude::*;
+use schevo::vcs::sha1::sha1;
+use std::sync::OnceLock;
+
+/// The analyzed histories with at least two versions.
+fn histories() -> &'static [CandidateHistory] {
+    static H: OnceLock<Vec<CandidateHistory>> = OnceLock::new();
+    H.get_or_init(|| {
+        let universe = generate(UniverseConfig::small(2019, 4));
+        let mut analyzed = run_funnel(&universe, WalkStrategy::FirstParent).analyzed;
+        analyzed.retain(|c| c.versions.len() >= 2);
+        assert!(!analyzed.is_empty());
+        analyzed
+    })
+}
+
+fn mine(candidates: &[CandidateHistory]) -> MiningOutput {
+    MiningEngine::new(StudyOptions::default())
+        .mine(&SliceSource::new(candidates))
+        .expect("mining without a journal")
+}
+
+/// The histories as mined unchanged, one record per history.
+fn baseline() -> &'static [Mined] {
+    static B: OnceLock<Vec<Mined>> = OnceLock::new();
+    B.get_or_init(|| {
+        let out = mine(histories());
+        assert!(out.quarantine.is_clean(), "{}", out.quarantine.summary());
+        assert_eq!(out.mined.len(), histories().len());
+        out.mined
+    })
+}
+
+/// Every history with `insert(history)` placed right after its version 0.
+fn with_version_after_v0(
+    insert: impl Fn(&CandidateHistory) -> schevo::vcs::history::FileVersion,
+) -> Vec<CandidateHistory> {
+    histories()
+        .iter()
+        .map(|c| {
+            let mut c = c.clone();
+            let v = insert(&c);
+            c.versions.insert(1, v);
+            c
+        })
+        .collect()
+}
+
+#[test]
+fn duplicate_version_changes_nothing_but_one_recovery() {
+    let edited = with_version_after_v0(|c| c.versions[0].clone());
+    let out = mine(&edited);
+    assert_eq!(out.mined, baseline());
+    assert!(out.quarantine.quarantined.is_empty());
+    let recovered: Vec<_> = out
+        .quarantine
+        .recovered
+        .iter()
+        .map(|r| (r.error.class, r.error.project.as_str(), r.error.version_index))
+        .collect();
+    let expected: Vec<_> = histories()
+        .iter()
+        .map(|c| (ErrorClass::DuplicateVersion, c.name.as_str(), Some(1)))
+        .collect();
+    assert_eq!(recovered, expected);
+}
+
+#[test]
+fn comment_only_commit_adds_one_commit_and_nothing_else() {
+    let edited = with_version_after_v0(|c| {
+        let mut v = c.versions[0].clone();
+        v.commit = sha1(format!("comment-only/{}", c.name).as_bytes());
+        v.message = "comment-only commit".into();
+        v.content.push_str("\n-- comment\n");
+        v
+    });
+    let out = mine(&edited);
+    assert!(out.quarantine.is_clean(), "{}", out.quarantine.summary());
+    assert_eq!(out.mined.len(), baseline().len());
+    for (after, before) in out.mined.iter().zip(baseline()) {
+        let mut expected = before.profile.clone();
+        expected.commits += 1;
+        assert_eq!(after.profile, expected, "{}", before.profile.project);
+    }
+}

@@ -55,16 +55,17 @@ fn pack_size_is_reasonable() {
 
 #[test]
 fn full_dag_study_matches_first_parent_on_linear_corpus() {
-    use schevo::pipeline::study::{run_study, StudyOptions};
+    use schevo::pipeline::study::{try_run_study_source, StudyOptions};
     let universe = generate(UniverseConfig::small(2019, 16));
-    let fp = run_study(&universe, StudyOptions::default());
-    let full = run_study(
+    let fp = try_run_study_source(&universe, StudyOptions::default()).expect("clean corpus");
+    let full = try_run_study_source(
         &universe,
         StudyOptions {
             strategy: WalkStrategy::FullDag,
             ..Default::default()
         },
-    );
+    )
+    .expect("clean corpus");
     assert_eq!(fp.report, full.report);
     assert_eq!(fp.profiles.len(), full.profiles.len());
     for (a, b) in fp.profiles.iter().zip(&full.profiles) {
