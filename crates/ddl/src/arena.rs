@@ -21,7 +21,7 @@
 //! [`crate::HistoryParser`] it counts only the arenas built for statements
 //! that missed the memo. The counter never feeds any study output — the
 //! observability layer's never-perturb invariant covers it — it exists so
-//! the perf lab can report allocator pressure.
+//! metrics exports can report allocator pressure.
 
 use crate::ast::{
     AlterOp, AlterTable, ColumnDef, CreateTable, Script, Statement, TableConstraint,

@@ -22,9 +22,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// Writes `5` to `/proc/self/clear_refs` (Linux ≥ 4.0; needs write
 /// permission on the file, which a process always has on itself unless
 /// hardened out). Returns `false` when the reset is unavailable — the
-/// caller should then label its measurement as cumulative. Used by
-/// `bench_scale_mine` to attribute memory to each backend/scale
-/// configuration inside one bench process.
+/// caller should then label its measurement as cumulative.
 pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", b"5").is_ok()
 }

@@ -116,7 +116,7 @@ impl CandidateSource for Universe {
 // ---------------------------------------------------------------------
 
 /// A source over candidates that already passed a funnel elsewhere, as
-/// the unit-level mining tests and the benchmarks hold them. The funnel ledger only counts the
+/// the unit-level mining tests hold them. The funnel ledger only counts the
 /// candidates through (`analyzed`); no filtering happens.
 #[derive(Debug, Clone, Copy)]
 pub struct SliceSource<'a> {

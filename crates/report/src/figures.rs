@@ -1,6 +1,7 @@
 //! One renderer per table/figure of the paper. Every renderer returns both
 //! a human-readable text block and (where meaningful) a CSV data series, so
-//! the bench harness can print the same rows the paper reports.
+//! `schevo study` and the `full_study` example print the same rows the paper
+//! reports.
 
 use crate::chart::{line_chart, loglog_scatter, signed_bars};
 use crate::csv::Csv;

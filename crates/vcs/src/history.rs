@@ -10,7 +10,8 @@
 //! stated threat to validity in the paper (§III-C): the **first-parent**
 //! walk follows the mainline only (what a release manager sees), while the
 //! **full-DAG** walk visits every commit in topological order, merging
-//! side-branch edits into the timeline. The ablation bench compares the two.
+//! side-branch edits into the timeline. The walk-strategy ablation compares
+//! the two.
 
 use crate::object::Commit;
 use crate::repo::{RepoError, Repository};

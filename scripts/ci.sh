@@ -4,11 +4,13 @@
 # worker count and with the parse/diff cache on or off, the chaos suite
 # (fault injection + graceful degradation), the scale tier (sharded store
 # byte-identity plus a 20x streaming run under a fixed peak-RSS ceiling),
-# the paper-scale study against its committed bytes and an RSS ceiling,
 # a paper-scale differential of incremental parsing, lexing and diffing,
-# a panic-site budget over the mining-path crates, and a serving-mode
-# observability gate (request-log schema, request-id echo, `schevo top`,
-# and an instrumented-vs-bare overhead fence).
+# a same-host paired speed fence against the base revision whose runs
+# also hold the paper-scale study to its committed bytes and an RSS
+# ceiling, a serving-mode observability gate (request-log schema,
+# request-id echo, `schevo top`, and an instrumented-vs-bare overhead
+# fence), and a panic-site budget over the mining-path crates. Timings
+# beyond these fences come from `python3 perfbench/run.py --workload W`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -276,27 +278,6 @@ if [ "$rss_mb" -gt "$RSS_CEILING_MB" ]; then
 fi
 echo "    20x streaming run peaked at ${rss_mb} MB (ceiling ${RSS_CEILING_MB} MB)"
 
-echo "==> paper-scale memory: committed study bytes under a peak-RSS ceiling"
-# The paper-scale study must reproduce the committed study_results.json
-# byte for byte while staying under a fixed peak-RSS ceiling. Parsed
-# versions share unchanged tables (Arc<Table>, reused statement by
-# statement), so the parse results the study holds cost refcounts, not
-# copies. Measured: ~135 MB; ~310 MB when every version owned its tables.
-PAPER_RSS_CEILING_MB=200
-paper_dir="$tmp/paper"
-cargo run -q --release --bin schevo -- study --scale 1 --seed 2019 --workers 1 \
-  --out "$paper_dir" --metrics-out "$tmp/paper-metrics.json" >/dev/null 2>&1
-if ! cmp -s study_results.json "$paper_dir/study_results.json"; then
-  echo "PAPER FAILURE: study_results.json differs from the committed file" >&2
-  exit 1
-fi
-paper_mb=$(peak_rss_mb "$tmp/paper-metrics.json")
-if [ -z "$paper_mb" ] || [ "$paper_mb" -gt "$PAPER_RSS_CEILING_MB" ]; then
-  echo "PAPER FAILURE: paper-scale study peaked at ${paper_mb:-?} MB (ceiling ${PAPER_RSS_CEILING_MB} MB)" >&2
-  exit 1
-fi
-echo "    paper-scale study byte-identical, peaked at ${paper_mb} MB (ceiling ${PAPER_RSS_CEILING_MB} MB)"
-
 echo "==> paper-scale differential: incremental parse, lex and diff"
 # On every candidate history of the paper corpus, HistoryParser must equal
 # parse_schema, lexing each version as an edit must give tokenize's tokens,
@@ -304,52 +285,99 @@ echo "==> paper-scale differential: incremental parse, lex and diff"
 # panics on the first divergence, before it times anything (one round).
 cargo run -q --release --example history_parse -- 1
 
-echo "==> perf lab: bench-smoke gate (schema + regression fence)"
-# The smoke-tier lab must finish fast and self-validate, and its timings
-# must stay within 20% of the checked-in smoke baselines (tests/golden/).
-# The fence compares the *minimum* of the five measured runs: background
-# load only ever inflates a timing, so the minimum approximates quiet-box
-# performance even on a busy runner, while a real hot-path regression
-# slows every run including the fastest. The repo-root BENCH_*.json are
-# paper-tier and are NOT regenerated here — refresh them with
-# `perflab --out .` when the hot path changes on purpose.
-bench_dir="$tmp/bench-smoke"
-mkdir -p "$bench_dir"
-cargo run -q --release -p schevo-bench --bin perflab -- \
-  --bench-smoke --out "$bench_dir" >/dev/null
-for name in mine parse; do
-  fresh="$bench_dir/BENCH_$name.json"
-  base="tests/golden/BENCH_smoke_$name.json"
-  # --check-min schema-validates the report and prints its minimum sample.
-  fresh_min=$(cargo run -q --release -p schevo-bench --bin perflab -- --check-min "$fresh")
-  base_min=$(cargo run -q --release -p schevo-bench --bin perflab -- --check-min "$base")
-  if awk -v f="$fresh_min" -v b="$base_min" 'BEGIN { exit !(f > b * 1.20) }'; then
-    echo "PERF REGRESSION: $name min ${fresh_min}s vs smoke baseline ${base_min}s (fence: +20%)" >&2
-    exit 1
-  fi
-  echo "    $name min ${fresh_min}s vs smoke baseline ${base_min}s (fence: +20%)"
-done
-# Disabled failpoints must stay free: every mine entry carries an A/B of
-# an armed-but-inert schedule against the fully disabled path (min of
-# five interleaved runs each). The latest overhead stays under 1%.
-fp_pct=$(cargo run -q --release -p schevo-bench --bin perflab -- \
-  --check-failpoint-overhead "$bench_dir/BENCH_mine.json")
-if awk -v p="$fp_pct" 'BEGIN { exit !(p >= 1.0) }'; then
-  echo "PERF REGRESSION: disabled-failpoint overhead ${fp_pct}% (fence: <1%)" >&2
+echo "==> paired fence: this tree vs its base revision on the same host"
+# Speed is only ever compared on the running host. The base revision's
+# `schevo` is built from `git archive` and run against this tree's in 10
+# interleaved pairs, alternating which side goes first, so drift on the
+# host lands on both sides. The base is HEAD when tracked files differ
+# from it, else HEAD~1. The fence fails when the median per-pair
+# change/base ratio exceeds 1.10 for the process wall time, the mine
+# stage or the summed per-task parse time. On an Intel Xeon with 2
+# shared vCPUs, 10 trials with both sides built from the same source
+# kept those medians within -4.0% to +9.2% (min-of-5 process walls swing
+# -13% to +11% there), and a revision whose parsing is ~2x slower
+# tripped all three in 3 of 3 trials.
+# Each change-side run is also the paper-scale gate: it must reproduce
+# the committed study_results.json byte for byte under a 200 MB peak-RSS
+# ceiling (measured ~136 MB; ~310 MB when every parsed version owned its
+# tables instead of sharing unchanged ones).
+if git diff --quiet HEAD --; then base_rev=HEAD~1; else base_rev=HEAD; fi
+if ! base_sha=$(git rev-parse --verify -q "$base_rev^{commit}"); then
+  echo "PAIRED FENCE FAILURE: cannot resolve base revision $base_rev" >&2
   exit 1
 fi
-echo "    disabled-failpoint overhead ${fp_pct}% (fence: <1%)"
-# The committed paper-tier histories must render as per-revision trend
-# tables and stay inside the 20% revision-over-revision median fence.
-for name in mine parse; do
-  if ! cargo run -q --release -p schevo-bench --bin perflab -- \
-    --history "BENCH_$name.json" > "$tmp/history-$name.txt"; then
-    echo "PERF REGRESSION: BENCH_$name.json history fence tripped:" >&2
-    cat "$tmp/history-$name.txt" >&2
+mkdir -p "$tmp/base-src"
+git archive "$base_sha" | tar -x -C "$tmp/base-src"
+(cd "$tmp/base-src" && CARGO_TARGET_DIR="$tmp/base-target" \
+  cargo build -q --release --bin schevo)
+base_bin="$tmp/base-target/release/schevo"
+change_bin="${CARGO_TARGET_DIR:-target}/release/schevo"
+echo "    base $base_rev ($(git rev-parse --short "$base_sha")) built"
+PAIRS=10
+PAIRED_BOUND=1.10
+PAPER_RSS_CEILING_MB=200
+paired_run() {
+  # $1 = side, $2 = binary, $3 = pair index. Writes the run's wall time
+  # in nanoseconds next to its metrics export.
+  local run="$tmp/paired-$1-$3"
+  local t0
+  t0=$(date +%s%N)
+  if ! "$2" study --scale 1 --seed 2019 --workers 1 --out "$run" \
+    --metrics-out "$run.metrics.json" >/dev/null 2>&1; then
+    echo "PAIRED FENCE FAILURE: $1 study run $3 failed" >&2
     exit 1
   fi
-  tail -1 "$tmp/history-$name.txt" | sed 's/^/    /'
+  echo $(( $(date +%s%N) - t0 )) > "$run.wall"
+}
+for pair in $(seq 1 "$PAIRS"); do
+  if [ $((pair % 2)) -eq 1 ]; then
+    paired_run base "$base_bin" "$pair"
+    paired_run change "$change_bin" "$pair"
+  else
+    paired_run change "$change_bin" "$pair"
+    paired_run base "$base_bin" "$pair"
+  fi
+  if ! cmp -s study_results.json "$tmp/paired-change-$pair/study_results.json"; then
+    echo "PAPER FAILURE: study_results.json differs from the committed file (pair $pair)" >&2
+    exit 1
+  fi
+  paper_mb=$(peak_rss_mb "$tmp/paired-change-$pair.metrics.json")
+  if [ -z "$paper_mb" ] || [ "$paper_mb" -gt "$PAPER_RSS_CEILING_MB" ]; then
+    echo "PAPER FAILURE: paper-scale study peaked at ${paper_mb:-?} MB (ceiling ${PAPER_RSS_CEILING_MB} MB)" >&2
+    exit 1
+  fi
 done
+echo "    paper-scale study byte-identical in $PAIRS of $PAIRS runs, last peak ${paper_mb} MB (ceiling ${PAPER_RSS_CEILING_MB} MB)"
+python3 - "$tmp" "$PAIRS" "$PAIRED_BOUND" <<'PY'
+import json, statistics, sys
+
+tmp, pairs, bound = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+
+def values(side, pair):
+    run = f"{tmp}/paired-{side}-{pair}"
+    metrics = json.load(open(f"{run}.metrics.json"))
+    gauges = dict(metrics["gauges"])
+    histograms = dict(metrics["histograms"])
+    return {
+        "process wall": int(open(f"{run}.wall").read()),
+        "study.stage.mine.nanos": gauges.get("study.stage.mine.nanos"),
+        "mine.task.parse_nanos sum": histograms.get("mine.task.parse_nanos", {}).get("sum"),
+    }
+
+runs = [(values("base", p), values("change", p)) for p in range(1, pairs + 1)]
+failed = False
+for name in runs[0][0]:
+    if any(not b[name] or c[name] is None for b, c in runs):
+        print(f"PAIRED FENCE FAILURE: {name} missing from a run", file=sys.stderr)
+        sys.exit(1)
+    ratio = statistics.median(c[name] / b[name] for b, c in runs)
+    verdict = "ok" if ratio <= bound else "REGRESSION"
+    failed |= ratio > bound
+    print(f"    {name}: median change/base {ratio:.3f} (fence: {bound:.2f}) {verdict}")
+if failed:
+    print(f"PERF REGRESSION: a median change/base ratio exceeds {bound:.2f}", file=sys.stderr)
+    sys.exit(1)
+PY
 
 echo "==> serve: daemon smoke gate (2-client differential + metrics)"
 # The resident server must hand concurrent clients the exact bytes the
