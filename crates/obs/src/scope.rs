@@ -10,12 +10,22 @@
 //! attributable to the owning request and can be exported as that
 //! request's own Chrome-trace JSONL.
 //!
+//! A scope is reached through [`install`]: while the returned guard
+//! lives, every [`stage!`](crate::stage) guard that closes on this
+//! thread records into the scope, on the install's display lane. The
+//! engine installs the scope from [`crate::ObsHooks::trace`] on the
+//! caller thread (lane 0) and around each worker task (one lane per
+//! worker slot), so spans land where the work ran and concurrent
+//! requests on other threads never mix.
+//!
 //! Scopes reuse the [`TraceEvent`] record and the deterministic
 //! `(ts_us, seq)` merge order from [`crate::trace`], so the same
 //! validators and viewers work on both whole-process and per-request
 //! trace files.
 
-use crate::trace::{merge_shards, to_chrome_jsonl, TraceEvent};
+use crate::trace::{category, merge_shards, to_chrome_jsonl, TraceEvent};
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -45,17 +55,6 @@ impl TraceScope {
         }
     }
 
-    /// Microseconds elapsed since this scope's epoch.
-    pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// An `Instant` translated into this scope's timeline, for callers
-    /// that synthesize child spans at explicit offsets.
-    pub fn ts_of(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_micros() as u64
-    }
-
     /// Record one finished span with explicit timing. `tid` is a display
     /// lane, not a real thread id — callers pick stable lanes (the server
     /// uses `0`, the engine uses the worker slot) so per-request traces
@@ -68,10 +67,9 @@ impl TraceScope {
         tid: u64,
         args: Vec<(String, String)>,
     ) {
-        let cat = name.split('.').next().unwrap_or_default().to_string();
         let event = TraceEvent {
             name: name.to_string(),
-            cat,
+            cat: category(name),
             ts_us,
             dur_us,
             tid,
@@ -81,23 +79,6 @@ impl TraceScope {
         match self.events.lock() {
             Ok(mut buf) => buf.push(event),
             Err(poisoned) => poisoned.into_inner().push(event),
-        }
-    }
-
-    /// Record a span that started at `start` (an `Instant` taken inside
-    /// this scope's lifetime) and just finished.
-    pub fn record_since(&self, name: &str, start: Instant, tid: u64, args: Vec<(String, String)>) {
-        let ts_us = start.saturating_duration_since(self.epoch).as_micros() as u64;
-        let dur_us = start.elapsed().as_micros() as u64;
-        self.record(name, ts_us, dur_us, tid, args);
-    }
-
-    /// Open a guard that records `name` on drop (lane `0`, no args).
-    pub fn span(self: &Arc<Self>, name: &str) -> ScopeSpan {
-        ScopeSpan {
-            scope: Arc::clone(self),
-            name: name.to_string(),
-            start: Instant::now(),
         }
     }
 
@@ -131,19 +112,49 @@ impl TraceScope {
     }
 }
 
-/// Guard returned by [`TraceScope::span`]; records its span on drop.
-#[derive(Debug)]
-pub struct ScopeSpan {
-    scope: Arc<TraceScope>,
-    name: String,
-    start: Instant,
+thread_local! {
+    static INSTALLED: RefCell<Option<(Arc<TraceScope>, u64)>> = const { RefCell::new(None) };
 }
 
-impl Drop for ScopeSpan {
-    fn drop(&mut self) {
-        self.scope
-            .record_since(&self.name, self.start, 0, Vec::new());
+/// Make `scope` this thread's request scope, on display lane `lane`,
+/// until the returned guard drops; the previous install (if any) is then
+/// restored, so installs nest.
+pub fn install(scope: &Arc<TraceScope>, lane: u64) -> Installed {
+    let previous = INSTALLED.with(|cell| cell.replace(Some((Arc::clone(scope), lane))));
+    Installed {
+        previous,
+        _thread_bound: PhantomData,
     }
+}
+
+/// Guard returned by [`install`]. Bound to the installing thread.
+#[derive(Debug)]
+pub struct Installed {
+    previous: Option<(Arc<TraceScope>, u64)>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        INSTALLED.with(|cell| *cell.borrow_mut() = previous);
+    }
+}
+
+/// Whether a request scope is installed on this thread.
+pub(crate) fn installed() -> bool {
+    INSTALLED.with(|cell| cell.borrow().is_some())
+}
+
+/// Record a finished stage span into this thread's installed scope, if
+/// any, placing `start` on the scope's timeline.
+pub(crate) fn record_installed(name: &str, start: Instant, dur_us: u64, args: &[(String, String)]) {
+    INSTALLED.with(|cell| {
+        if let Some((scope, lane)) = cell.borrow().as_ref() {
+            let ts_us = start.saturating_duration_since(scope.epoch).as_micros() as u64;
+            scope.record(name, ts_us, dur_us, *lane, args.to_vec());
+        }
+    });
 }
 
 #[cfg(test)]
@@ -164,15 +175,57 @@ mod tests {
     }
 
     #[test]
-    fn scope_guard_records_on_drop_and_renders_valid_jsonl() {
+    fn stage_guards_record_into_the_installed_scope_on_its_lane() {
         let scope = Arc::new(TraceScope::new());
+        let (outer_nanos, inner_nanos);
         {
-            let _g = scope.span("serve.request");
+            let _caller = install(&scope, 0);
+            let outer = crate::stage!("serve.request", id = "r-1");
+            {
+                let _worker = install(&scope, 3);
+                let inner = crate::stage!("mine.task");
+                inner_nanos = inner.close();
+            }
+            // The lane-3 install is gone; the caller lane is back.
+            outer_nanos = outer.close();
         }
-        scope.record("mine.task", 1, 2, 3, Vec::new());
-        let jsonl = scope.to_chrome_jsonl();
+        assert!(!installed(), "installs restore what they replaced");
+        // Closing with no scope installed records into none.
+        drop(crate::stage!("mine.task"));
+        let events = scope.drain();
+        let mut summary: Vec<(&str, u64, u64)> = events
+            .iter()
+            .map(|e| (e.name.as_str(), e.tid, e.dur_us))
+            .collect();
+        summary.sort();
+        assert_eq!(
+            summary,
+            [
+                ("mine.task", 3, inner_nanos / 1_000),
+                ("serve.request", 0, outer_nanos / 1_000)
+            ]
+        );
+        let outer = events
+            .iter()
+            .find(|e| e.name == "serve.request")
+            .expect("outer");
+        assert_eq!(outer.args, [("id".to_string(), "r-1".to_string())]);
+        let jsonl = to_chrome_jsonl(&events);
         assert_eq!(crate::validate::validate_trace_jsonl(&jsonl), Ok(2));
-        assert!(jsonl.contains("serve.request"));
+    }
+
+    #[test]
+    fn gated_and_silent_guards_never_reach_the_scope() {
+        let scope = Arc::new(TraceScope::new());
+        let _caller = install(&scope, 0);
+        drop(crate::trace::SpanGuard::enter("ddl.parse", Vec::new()));
+        let pass = crate::stage!("mine.pass");
+        let slice = crate::trace::SpanGuard::slice();
+        let nanos = slice.close();
+        pass.rollup("source.read", nanos, Vec::new());
+        drop(pass);
+        let names: Vec<String> = scope.drain().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["source.read", "mine.pass"]);
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! so the instrumented hot paths cost nothing measurable until
 //! `--trace-out` turns collection on.
 //!
+//! [`SpanGuard`] is also the pipeline's one stage clock: a
+//! [`stage!`](crate::stage) guard always times its stage, returns the
+//! nanoseconds on [`SpanGuard::close`], and records that same start and
+//! duration here and in the request scope installed on its thread
+//! ([`crate::scope`]).
+//!
 //! Enabled, each thread appends finished spans to its own shard (an
 //! uncontended mutex registered in a global list on first use), and
 //! [`drain`] merges all shards **deterministically**: events are sorted
@@ -98,87 +104,208 @@ fn record(event: TraceEvent) {
     };
 }
 
-/// A live span. Created by the [`span!`](crate::span) macro; records one
-/// [`TraceEvent`] on drop when the tracer was enabled at entry.
+/// A live span, and the one stage clock of the pipeline.
+///
+/// A guard reads the clock when it opens and once more when it closes;
+/// [`SpanGuard::close`] returns the nanoseconds between the two readings
+/// and records that same start and duration to every sink the guard
+/// reaches. Every reported stage time is a sum of guard durations, so the
+/// trace, the metrics gauges, the manifest, the request log and
+/// `ExecStats` read one clock and cannot disagree.
+///
+/// Three kinds:
+/// - [`span!`](crate::span) opens a *gated* guard: inert (no clock read,
+///   no record) unless tracing or profiling is on, and recorded to the
+///   process tracer only. The deep layers (`ddl.parse`, `core.diff`,
+///   `vcs.file_history`, `store.*`) use it.
+/// - [`stage!`](crate::stage) opens a *stage* guard: it always reads the
+///   clock, since its duration feeds the reported stage times, and on
+///   close records to the process tracer when it is on and to the request
+///   [`TraceScope`](crate::scope::TraceScope) installed on this thread
+///   ([`crate::scope::install`]), on that install's lane.
+/// - [`SpanGuard::slice`] opens a *silent* guard that only measures: the
+///   caller sums many short slices and records the total once with
+///   [`SpanGuard::rollup`].
 #[derive(Debug)]
 pub struct SpanGuard(Option<SpanInner>);
 
 #[derive(Debug)]
 struct SpanInner {
-    name: String,
+    name: &'static str,
     args: Vec<(&'static str, String)>,
     start: Instant,
+    reach: Reach,
     /// Whether this guard pushed onto the profiler's logical stack — the
     /// guard remembers so an enable/disable race can never unbalance it.
     pushed: bool,
 }
 
+/// The sinks a closing guard records to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    /// The process tracer, when it is on.
+    Process,
+    /// The process tracer and the request scope installed on this thread.
+    Everywhere,
+    /// None: the caller sums the durations itself.
+    Nowhere,
+}
+
 impl SpanGuard {
-    /// Open a span. Call sites should go through [`span!`](crate::span),
-    /// which checks [`enabled`] *before* evaluating any argument.
-    pub fn enter(name: &str, args: Vec<(&'static str, String)>) -> SpanGuard {
-        let pushed = crate::profile::enabled();
+    fn open(
+        name: &'static str,
+        args: Vec<(&'static str, String)>,
+        reach: Reach,
+        start: Instant,
+    ) -> SpanGuard {
+        let pushed = reach != Reach::Nowhere && crate::profile::enabled();
         if pushed {
             crate::profile::push(name);
         }
         SpanGuard(Some(SpanInner {
-            name: name.to_string(),
+            name,
             args,
-            start: Instant::now(),
+            start,
+            reach,
             pushed,
         }))
+    }
+
+    /// Open a gated span. Call sites should go through
+    /// [`span!`](crate::span), which checks [`enabled`] *before*
+    /// evaluating any argument.
+    pub fn enter(name: &'static str, args: Vec<(&'static str, String)>) -> SpanGuard {
+        SpanGuard::open(name, args, Reach::Process, Instant::now())
+    }
+
+    /// Open a stage guard. Call sites should go through
+    /// [`stage!`](crate::stage), which builds the arguments only when a
+    /// sink will record them.
+    pub fn stage(name: &'static str, args: Vec<(&'static str, String)>) -> SpanGuard {
+        SpanGuard::open(name, args, Reach::Everywhere, Instant::now())
+    }
+
+    /// Open a silent guard: it measures one slice of a rolled-up stage
+    /// and records nothing.
+    pub fn slice() -> SpanGuard {
+        SpanGuard::open("", Vec::new(), Reach::Nowhere, Instant::now())
     }
 
     /// The no-op guard handed out while tracing is off.
     pub fn inert() -> SpanGuard {
         SpanGuard(None)
     }
+
+    /// Attach one more argument, known only as the span ends. Built only
+    /// when a sink may record it.
+    pub fn arg(&mut self, key: &'static str, value: impl std::fmt::Display) {
+        if let Some(inner) = self.0.as_mut().filter(|i| i.reach != Reach::Nowhere) {
+            if recording() {
+                inner.args.push((key, value.to_string()));
+            }
+        }
+    }
+
+    /// Close the span: read the clock, record to this guard's sinks, and
+    /// return the nanoseconds since it opened (0 for an inert guard).
+    pub fn close(mut self) -> u64 {
+        self.0
+            .take()
+            .map_or(0, |inner| inner.finish(Instant::now()))
+    }
+
+    /// Close this span and open the next stage `name` in its place, both
+    /// on one clock reading, so back-to-back stages leave no gap between
+    /// them. Returns the closed span's nanoseconds.
+    pub fn next_stage(&mut self, name: &'static str) -> u64 {
+        let Some(inner) = self.0.take() else { return 0 };
+        let (reach, now) = (inner.reach, Instant::now());
+        let nanos = inner.finish(now);
+        *self = SpanGuard::open(name, Vec::new(), reach, now);
+        nanos
+    }
+
+    /// Record one rolled-up event `name`, lasting `nanos` (a sum of
+    /// [`SpanGuard::slice`] durations), placed at this guard's start and
+    /// sent to this guard's sinks.
+    pub fn rollup(&self, name: &'static str, nanos: u64, args: Vec<(&'static str, String)>) {
+        if let Some(inner) = &self.0 {
+            emit(name, inner.start, nanos, args, inner.reach);
+        }
+    }
+}
+
+impl SpanInner {
+    fn finish(self, end: Instant) -> u64 {
+        if self.pushed {
+            crate::profile::pop();
+        }
+        let nanos = end.saturating_duration_since(self.start).as_nanos() as u64;
+        emit(self.name, self.start, nanos, self.args, self.reach);
+        nanos
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(inner) = self.0.take() else { return };
-        if inner.pushed {
-            crate::profile::pop();
+        if let Some(inner) = self.0.take() {
+            inner.finish(Instant::now());
         }
-        if !enabled() {
-            return;
-        }
-        let ts_us = inner
-            .start
-            .saturating_duration_since(epoch())
-            .as_micros() as u64;
-        let dur_us = inner.start.elapsed().as_micros() as u64;
-        let cat = inner
-            .name
-            .split('.')
-            .next()
-            .unwrap_or_default()
-            .to_string();
-        record(TraceEvent {
-            name: inner.name,
-            cat,
-            ts_us,
-            dur_us,
-            tid: 0, // assigned by `record`
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            args: inner
-                .args
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
     }
 }
 
-/// Open a span guard: `span!("mine.task", project = name)`.
+/// Whether a stage guard closing on this thread would record anywhere:
+/// the process tracer is on or a request scope is installed.
+#[inline]
+pub fn recording() -> bool {
+    enabled() || crate::scope::installed()
+}
+
+/// Send one finished span to the sinks `reach` names. Every sink gets the
+/// same start and `nanos / 1000` as its duration.
+fn emit(
+    name: &'static str,
+    start: Instant,
+    nanos: u64,
+    args: Vec<(&'static str, String)>,
+    reach: Reach,
+) {
+    if reach == Reach::Nowhere {
+        return;
+    }
+    let dur_us = nanos / 1_000;
+    let args: Vec<(String, String)> = args.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+    if reach == Reach::Everywhere {
+        crate::scope::record_installed(name, start, dur_us, &args);
+    }
+    if !enabled() {
+        return;
+    }
+    record(TraceEvent {
+        name: name.to_string(),
+        cat: category(name),
+        ts_us: start.saturating_duration_since(epoch()).as_micros() as u64,
+        dur_us,
+        tid: 0, // assigned by `record`
+        seq: SEQ.fetch_add(1, Ordering::Relaxed),
+        args,
+    });
+}
+
+/// The category of a span name: its first dot-segment.
+pub(crate) fn category(name: &str) -> String {
+    name.split('.').next().unwrap_or_default().to_string()
+}
+
+/// Open a gated span guard: `span!("ddl.parse", bytes = sql.len())`.
 ///
 /// Arguments are only evaluated (and only allocate) when tracing or
 /// profiling is enabled; otherwise the macro is two relaxed atomic loads
-/// returning an inert guard. Bind the result (`let _span = span!(...)`) —
-/// the span closes when the guard drops. While the sampling profiler is
-/// on, the guard also publishes the span name on this thread's logical
-/// stack ([`crate::profile`]) so wall-clock samples carry real frames.
+/// returning an inert guard that reads no clock. Bind the result
+/// (`let _span = span!(...)`) — the span closes when the guard drops.
+/// While the sampling profiler is on, the guard also publishes the span
+/// name on this thread's logical stack ([`crate::profile`]) so
+/// wall-clock samples carry real frames.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
@@ -190,6 +317,25 @@ macro_rules! span {
         } else {
             $crate::trace::SpanGuard::inert()
         }
+    };
+}
+
+/// Open a stage guard: `let task = stage!("mine.task", project = name);`
+/// then `task.close()` for its nanoseconds.
+///
+/// The guard always reads the clock; its arguments are only evaluated
+/// when a sink will record them ([`recording`]).
+#[macro_export]
+macro_rules! stage {
+    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
+        $crate::trace::SpanGuard::stage(
+            $name,
+            if $crate::trace::recording() {
+                vec![$((stringify!($key), format!("{}", $val))),*]
+            } else {
+                Vec::new()
+            },
+        )
     };
 }
 
@@ -318,6 +464,24 @@ mod tests {
             .expect("outer span recorded");
         assert_eq!(outer.cat, "test");
         assert_eq!(outer.args, vec![("item".to_string(), "7".to_string())]);
+        // A stage guard records exactly the duration it returns, and
+        // `next_stage` starts the next span where the last one ended.
+        set_enabled(true);
+        let mut stage = crate::stage!("test.first");
+        let first = stage.next_stage("test.second");
+        let second = stage.close();
+        set_enabled(false);
+        let events = drain();
+        let find = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.name == name)
+                .cloned()
+                .expect("stage recorded")
+        };
+        let (a, b) = (find("test.first"), find("test.second"));
+        assert_eq!((a.dur_us, b.dur_us), (first / 1_000, second / 1_000));
+        assert!(b.ts_us >= a.ts_us && b.ts_us <= a.ts_us + a.dur_us + 1);
         // Disabled spans are free and record nothing.
         let _g = crate::span!("test.disabled");
         drop(_g);

@@ -6,6 +6,7 @@
 //! engine. Each returns a human-readable error naming the first
 //! violation, or a count of validated records on success.
 
+use crate::manifest::StageWall;
 use serde_json::Value;
 
 fn field<'v>(v: &'v Value, key: &str, ctx: &str) -> Result<&'v Value, String> {
@@ -68,6 +69,75 @@ pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
         count += 1;
     }
     Ok(count)
+}
+
+/// How each manifest stage derives from trace spans: the sum of the
+/// `plus` spans' durations less the sum of the `minus` spans'.
+const STAGE_SPANS: [(&str, &[&str], &[&str]); 4] = [
+    ("generate", &["study.generate"], &[]),
+    ("funnel", &["source.read"], &[]),
+    ("mine", &["study.mine"], &["source.read"]),
+    ("stats", &["study.stats"], &[]),
+];
+
+/// The stage walls a Chrome-trace JSONL implies, in pipeline order:
+/// generate = `study.generate`, funnel = `source.read`, mine =
+/// `study.mine` − `source.read`, stats = `study.stats`, each span summed
+/// over the trace. A stage is omitted when the trace has none of its
+/// `study.*` span. Each wall comes with the number of spans it sums.
+pub fn stage_walls_from_trace(text: &str) -> Result<Vec<(StageWall, u64)>, String> {
+    validate_trace_jsonl(text)?;
+    let mut durations: Vec<(String, u64)> = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        let name = expect_str(&v, "name", "trace")?.to_string();
+        durations.push((name, expect_u64(&v, "dur", "trace")?));
+    }
+    let total = |names: &[&str]| -> (u64, u64) {
+        durations
+            .iter()
+            .filter(|(n, _)| names.contains(&n.as_str()))
+            .fold((0, 0), |(sum, spans), (_, d)| (sum + d, spans + 1))
+    };
+    let mut walls = Vec::new();
+    for (stage, plus, minus) in STAGE_SPANS {
+        let (added, added_spans) = total(plus);
+        if added_spans == 0 {
+            continue;
+        }
+        let (taken, taken_spans) = total(minus);
+        let wall = StageWall {
+            name: stage.to_string(),
+            wall_us: added.saturating_sub(taken),
+        };
+        walls.push((wall, added_spans + taken_spans));
+    }
+    Ok(walls)
+}
+
+/// Check reported stage walls (a manifest's or a request-log line's
+/// `stages`) against the walls derived from the trace of the same run
+/// ([`stage_walls_from_trace`]): every stage must be derivable and equal
+/// its derived wall within 1 µs per span summed (each span's duration is
+/// rounded down to whole µs on its own). Returns the number of stages
+/// checked.
+pub fn check_stages_against_trace(stages: &[StageWall], trace: &str) -> Result<usize, String> {
+    let derived = stage_walls_from_trace(trace)?;
+    for stage in stages {
+        let Some((wall, spans)) = derived.iter().find(|(w, _)| w.name == stage.name) else {
+            return Err(format!(
+                "stage `{}`: the trace has no span for it",
+                stage.name
+            ));
+        };
+        if stage.wall_us.abs_diff(wall.wall_us) > *spans {
+            return Err(format!(
+                "stage `{}`: reported {} µs, trace gives {} µs over {spans} span(s)",
+                stage.name, stage.wall_us, wall.wall_us
+            ));
+        }
+    }
+    Ok(stages.len())
 }
 
 fn validate_histogram(h: &Value, ctx: &str) -> Result<(), String> {
@@ -282,6 +352,51 @@ pub fn validate_request_log_jsonl(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stage_walls_derive_from_the_trace_and_catch_a_mismatch() {
+        let span = |name: &str, dur: u64| crate::trace::TraceEvent {
+            name: name.to_string(),
+            cat: crate::trace::category(name),
+            ts_us: 0,
+            dur_us: dur,
+            tid: 0,
+            seq: 0,
+            args: Vec::new(),
+        };
+        let trace = crate::trace::to_chrome_jsonl(&[
+            span("study.generate", 40),
+            span("study.mine", 100),
+            span("source.read", 30),
+            span("mine.task", 50),
+            span("study.stats", 7),
+        ]);
+        let walls = stage_walls_from_trace(&trace).expect("valid trace");
+        let summary: Vec<(&str, u64, u64)> = walls
+            .iter()
+            .map(|(w, spans)| (w.name.as_str(), w.wall_us, *spans))
+            .collect();
+        assert_eq!(
+            summary,
+            [
+                ("generate", 40, 1),
+                ("funnel", 30, 1),
+                ("mine", 70, 2),
+                ("stats", 7, 1)
+            ]
+        );
+        let wall = |name: &str, wall_us: u64| StageWall {
+            name: name.to_string(),
+            wall_us,
+        };
+        // Rounding each span down on its own leaves 1 µs per span.
+        let reported = [wall("funnel", 30), wall("mine", 71), wall("stats", 7)];
+        assert_eq!(check_stages_against_trace(&reported, &trace), Ok(3));
+        let err = check_stages_against_trace(&[wall("mine", 73)], &trace).unwrap_err();
+        assert!(err.contains("stage `mine`"), "{err}");
+        let err = check_stages_against_trace(&[wall("report", 1)], &trace).unwrap_err();
+        assert!(err.contains("no span"), "{err}");
+    }
 
     #[test]
     fn trace_validator_accepts_real_output_and_names_violations() {

@@ -13,7 +13,9 @@
 //! ```
 //!
 //! Unset variables skip their check, so the suite stays green in a plain
-//! `cargo test` with no artifacts on disk.
+//! `cargo test` with no artifacts on disk. With both a trace and a
+//! manifest set, every manifest stage must also equal the stage wall the
+//! trace implies (`validate::check_stages_against_trace`).
 
 use schevo_obs::manifest::{
     ClassCount, JournalManifest, QuarantineManifest, RunManifest, StageWall, MANIFEST_VERSION,
@@ -21,8 +23,8 @@ use schevo_obs::manifest::{
 use schevo_obs::metrics::Registry;
 use schevo_obs::trace::{to_chrome_jsonl, TraceEvent};
 use schevo_obs::validate::{
-    validate_manifest_json, validate_metrics_json, validate_request_log_jsonl,
-    validate_trace_jsonl,
+    check_stages_against_trace, validate_manifest_json, validate_metrics_json,
+    validate_request_log_jsonl, validate_trace_jsonl,
 };
 
 #[test]
@@ -146,6 +148,22 @@ fn artifacts_on_disk_validate() {
         match check(&text) {
             Ok(n) => eprintln!("{var}={path}: {n} record(s) valid"),
             Err(e) => panic!("{var}={path}: schema violation: {e}"),
+        }
+    }
+    let artifact = |var: &str| {
+        let path = std::env::var(var).ok().filter(|p| !p.is_empty())?;
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{var}={path}: unreadable: {e}"));
+        Some(text)
+    };
+    if let (Some(trace), Some(manifest)) = (
+        artifact("SCHEVO_TRACE_FILE"),
+        artifact("SCHEVO_MANIFEST_FILE"),
+    ) {
+        let manifest = RunManifest::from_json(&manifest).expect("manifest parses");
+        match check_stages_against_trace(&manifest.stages, &trace) {
+            Ok(n) => eprintln!("{n} manifest stage wall(s) equal the trace's"),
+            Err(e) => panic!("manifest stages disagree with the trace: {e}"),
         }
     }
 }

@@ -4,17 +4,21 @@
 //! observability behind a single API.
 //!
 //! Candidates flow through a bounded in-flight window: the source is
-//! only polled when a worker slot frees up, so a sharded on-disk corpus
-//! never has to be resident in memory. Completed results reassemble in
-//! candidate order; once more than a threshold of them are parked
-//! out-of-order, further ones spill to an unlinked temp file. Output is
-//! bit-identical for every worker count, cache mode, window size, and
-//! spill threshold — and identical between the in-memory and on-disk
-//! backends.
+//! only polled while fewer than [`crate::exec::WINDOW`] candidates are
+//! pulled and not yet emitted, so a sharded on-disk corpus never has to
+//! be resident in memory. Completed results reassemble in candidate
+//! order. Output is bit-identical for every worker count and cache mode
+//! — and identical between the in-memory and on-disk backends.
+//!
+//! Every stage the engine reports is timed once, by a stage guard
+//! ([`schevo_obs::trace::SpanGuard`]): `journal.open`, `journal.replay`,
+//! `mine.pass`, `mine.task` and the task stages. The engine installs the
+//! request scope from [`schevo_obs::ObsHooks::trace`] on the caller
+//! thread (lane 0) and around each task (one lane per worker slot), so
+//! the same guard durations land in `ExecStats`, the metrics, the process
+//! trace and the request trace.
 
-use crate::exec::{
-    execute_stream_with, ExecStats, MineCaches, SpillOptions, StageTally, StreamItem,
-};
+use crate::exec::{execute_stream_with, ExecStats, MineCaches, StageTally, StreamItem, WINDOW};
 use crate::extract::{mine_task_watched, MineOutcome, Mined};
 use crate::funnel::{CandidateHistory, FunnelReport};
 use crate::journal::{candidate_key, replay_file, JournalRecord, JournalSummary, JournalWriter};
@@ -24,38 +28,12 @@ use crate::study::StudyOptions;
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_core::heartbeat::REED_THRESHOLD;
 use schevo_corpus::store::StoreIo;
-use schevo_obs::span;
-use serde::{Deserialize, Serialize};
+use schevo_obs::scope;
+use schevo_obs::stage;
+use schevo_obs::trace::SpanGuard;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Streaming knobs of the engine: how much work may be in flight and
-/// when ordered reassembly spills to disk. The defaults reproduce the
-/// resident pipeline's output exactly; they only bound its memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamOptions {
-    /// Max candidates pulled from the source but not yet emitted. The
-    /// effective window is at least the worker count.
-    pub window: usize,
-    /// Max completed-but-out-of-order results parked in RAM before the
-    /// reassembly buffer spills to disk.
-    pub spill_threshold: usize,
-    /// Directory for the spill file; the system temp dir when `None`.
-    pub spill_dir: Option<PathBuf>,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            window: 256,
-            spill_threshold: 512,
-            spill_dir: None,
-        }
-    }
-}
 
 /// Everything one mining pass produces, over any backend.
 #[derive(Debug)]
@@ -74,20 +52,14 @@ pub struct MiningOutput {
     pub journal: Option<JournalSummary>,
     /// Backend I/O counters (zero for in-memory sources).
     pub io: StoreIo,
-    /// Ordered-reassembly results spilled to disk.
-    pub spill_events: u64,
-    /// Bytes written to the reassembly spill file.
-    pub spill_bytes: u64,
     /// Nanoseconds spent inside the source (funnel assessment and
-    /// backend reads), accumulated across every poll.
+    /// backend reads), summed over every poll; the `source.read` span.
     pub source_nanos: u64,
 }
 
 /// Per-candidate slot flowing through the streaming executor: the
 /// outcome plus its stage tally, with `fresh` marking slots that were
 /// actually computed this pass (replayed and corrupt slots are not).
-/// Serializable because out-of-order slots may spill to disk.
-#[derive(Clone, Serialize, Deserialize)]
 struct MineSlot {
     outcome: MineOutcome,
     tally: StageTally,
@@ -173,12 +145,16 @@ impl MiningEngine {
     /// Mine every candidate the source yields.
     ///
     /// Candidates stream through a bounded in-flight window, so peak
-    /// memory is governed by [`StreamOptions`], not corpus size. Errors
-    /// are journal- or spill-scoped only; store corruption is
-    /// quarantined per record, never fatal.
+    /// memory is governed by [`crate::exec::WINDOW`], not corpus size.
+    /// Errors are journal-scoped only; store corruption is quarantined
+    /// per record, never fatal.
     pub fn mine(&self, source: &dyn CandidateSource) -> Result<MiningOutput, SchevoError> {
         let o = &self.options;
-        let wall = Instant::now();
+        // Request-scoped span sink: when the caller (the serve daemon)
+        // attached a scope, stage spans land with the owning request,
+        // on lane 0 for the caller thread.
+        let scope = o.obs.trace.as_ref();
+        let _caller_lane = scope.map(|s| scope::install(s, 0));
         // Snapshot the process-cumulative arena counter so the registry
         // fold below can attribute to this pass only the bytes its own
         // parses allocated.
@@ -197,38 +173,22 @@ impl MiningEngine {
         let mut summary: Option<JournalSummary> = None;
         let mut replayed: HashMap<String, MineOutcome> = HashMap::new();
         let mut ctx: Option<JournalCtx> = None;
-        // Request-scoped span sink: when the caller (the serve daemon)
-        // attached a scope, per-stage spans land with the owning request
-        // instead of the process-global tracer.
-        let scope = o.obs.trace.clone();
         if let Some(path) = &o.durability.journal {
-            let _span = span!("journal.open", resume = o.durability.resume);
-            let open_start = Instant::now();
+            let _open = stage!("journal.open", resume = o.durability.resume);
             let mut s = JournalSummary::default();
             let writer = if o.durability.resume && path.exists() {
-                let _span = span!("journal.replay");
-                let replay_start = Instant::now();
+                let mut replaying = stage!("journal.replay");
                 let replay = replay_file(path)?;
                 s.corruption = replay.corruption;
-                let records = replay.records.len();
+                replaying.arg("records", replay.records.len());
                 for r in replay.records {
                     replayed.insert(r.key, r.outcome);
                 }
-                if let Some(sc) = &scope {
-                    sc.record_since(
-                        "journal.replay",
-                        replay_start,
-                        0,
-                        vec![("records".to_string(), records.to_string())],
-                    );
-                }
+                drop(replaying);
                 JournalWriter::resume(path, replay.valid_len)?
             } else {
                 JournalWriter::create(path)?
             };
-            if let Some(sc) = &scope {
-                sc.record_since("journal.open", open_start, 0, Vec::new());
-            }
             ctx = Some(JournalCtx {
                 writer,
                 crash_after: o.durability.crash_after,
@@ -238,8 +198,7 @@ impl MiningEngine {
         }
         let journaling = ctx.is_some();
 
-        let _pass = span!("mine.pass", workers = workers);
-        let pass_start = Instant::now();
+        let pass = stage!("mine.pass", workers = workers);
         if let Some(p) = o.obs.progress.as_deref() {
             p.begin_stage("mine", size_hint.unwrap_or(0) as u64);
         }
@@ -248,15 +207,18 @@ impl MiningEngine {
         // stream (funnel assessment happens here), turns replay hits and
         // corruption into ready-made slots, and registers journal keys
         // for fresh candidates. `keys` is shared with the completion
-        // hook, which also runs on the caller thread.
+        // hook, which also runs on the caller thread. Opening the stream
+        // is source time too: the in-memory backend runs its whole funnel
+        // there.
+        let opening = SpanGuard::slice();
         let mut stream = source.stream(o.strategy);
+        let mut source_nanos = opening.close();
         let keys: RefCell<HashMap<usize, String>> = RefCell::new(HashMap::new());
         let mut replayed_count = 0usize;
-        let mut source_nanos = 0u64;
         let src = |seq: usize| -> Option<StreamItem<CandidateHistory, MineSlot>> {
-            let t = Instant::now();
+            let slice = SpanGuard::slice();
             let event = stream.next_event();
-            source_nanos += t.elapsed().as_nanos() as u64;
+            source_nanos += slice.close();
             match event? {
                 SourceEvent::Corrupt(e) => Some(StreamItem::Ready(MineSlot {
                     outcome: MineOutcome::quarantine(Vec::new(), e, false),
@@ -281,38 +243,13 @@ impl MiningEngine {
             }
         };
 
-        let scope_ref = scope.as_deref();
         let work = |seq: usize, c: &CandidateHistory| -> MineSlot {
-            let _span = span!("mine.task", project = c.name);
-            let task_start = Instant::now();
+            // One lane per worker slot keeps per-request traces readable
+            // in Perfetto; lane 0 is the caller thread.
+            let _task_lane = scope.map(|s| scope::install(s, (seq % workers) as u64 + 1));
+            let _task = stage!("mine.task", project = c.name);
             let mut tally = StageTally::default();
             let outcome = mine_task_watched(c, reed, deadline, caches.as_deref(), &mut tally);
-            if let Some(sc) = scope_ref {
-                // One lane per worker slot keeps per-request traces
-                // readable in Perfetto; lane 0 is the caller thread.
-                let lane = (seq % workers) as u64 + 1;
-                sc.record_since(
-                    "mine.task",
-                    task_start,
-                    lane,
-                    vec![("project".to_string(), c.name.clone())],
-                );
-                // Child stage spans are synthesized from the task's stage
-                // tally: laid out sequentially from the task start, with
-                // durations the tally actually measured.
-                let mut at = sc.ts_of(task_start);
-                for (name, nanos) in [
-                    ("mine.parse", tally.parse_nanos),
-                    ("mine.diff", tally.diff_nanos),
-                    ("mine.measures", tally.profile_nanos),
-                ] {
-                    let us = nanos / 1_000;
-                    if us > 0 {
-                        sc.record(name, at, us, lane, Vec::new());
-                        at = at.saturating_add(us);
-                    }
-                }
-            }
             MineSlot {
                 outcome,
                 tally,
@@ -342,9 +279,9 @@ impl MiningEngine {
                 key,
                 outcome: slot.outcome.clone(),
             };
-            let append_start = Instant::now();
+            let slice = SpanGuard::slice();
             let appended = ctx.writer.append(&record);
-            journal_append_nanos += append_start.elapsed().as_nanos() as u64;
+            journal_append_nanos += slice.close();
             match appended {
                 Ok(()) => {
                     if ctx.crash_after == Some(ctx.writer.commits()) {
@@ -381,26 +318,7 @@ impl MiningEngine {
             }
         };
 
-        let spill = SpillOptions {
-            threshold: o.stream.spill_threshold,
-            dir: o.stream.spill_dir.clone(),
-        };
-        let stream_report = execute_stream_with(
-            src,
-            workers,
-            o.stream.window,
-            &spill,
-            work,
-            on_complete,
-            emit,
-        )
-        .map_err(|e| {
-            SchevoError::project(
-                ErrorClass::Journal,
-                "mine-spill",
-                format!("ordered-reassembly spill unusable: {e}"),
-            )
-        })?;
+        let stream_report = execute_stream_with(src, workers, WINDOW, work, on_complete, emit);
         if let Some(p) = progress {
             p.end_stage();
         }
@@ -416,42 +334,21 @@ impl MiningEngine {
         }
         let sources = stream.finish();
 
-        // Scoped aggregates: source/store reads and journal appends are
-        // many tiny interleaved slices, so they export as one rolled-up
-        // span each on the caller lane, plus the pass envelope itself.
-        if let Some(sc) = &scope {
-            let pass_ts = sc.ts_of(pass_start);
-            if source_nanos > 0 {
-                sc.record(
-                    "source.read",
-                    pass_ts,
-                    source_nanos / 1_000,
-                    0,
-                    vec![(
-                        "records_read".to_string(),
-                        sources.io.records_read.to_string(),
-                    )],
-                );
-            }
-            if journal_append_nanos > 0 {
-                sc.record(
-                    "journal.append",
-                    pass_ts,
-                    journal_append_nanos / 1_000,
-                    0,
-                    Vec::new(),
-                );
-            }
-            sc.record_since(
-                "mine.pass",
-                pass_start,
-                0,
-                vec![("workers".to_string(), workers.to_string())],
-            );
+        // Source/store reads and journal appends are many tiny slices
+        // interleaved with the pass, so each is one rolled-up span placed
+        // at the pass start, plus the pass envelope itself.
+        pass.rollup(
+            "source.read",
+            source_nanos,
+            vec![("records_read", sources.io.records_read.to_string())],
+        );
+        if journaling {
+            pass.rollup("journal.append", journal_append_nanos, Vec::new());
         }
+        let wall_nanos = pass.close();
 
         // Registry fold: counters, quarantine classes, journal and
-        // store/spill accounting — all deterministic (exports sort by
+        // store accounting — all deterministic (exports sort by
         // metric name).
         if let Some(reg) = registry {
             reg.add("mine.parse.hits", total.parse_hits);
@@ -486,10 +383,6 @@ impl MiningEngine {
                 reg.add("store.records_read", sources.io.records_read);
                 reg.add("store.bytes_read", sources.io.bytes_read);
             }
-            if stream_report.spill_events > 0 {
-                reg.add("mine.spill.events", stream_report.spill_events);
-                reg.add("mine.spill.bytes", stream_report.spill_bytes);
-            }
             // Hot-path telemetry: AST-arena bytes allocated by this pass's
             // parses (delta over a process-cumulative counter; statements
             // reused from the previous version build no arena) and the
@@ -501,7 +394,7 @@ impl MiningEngine {
             reg.set_gauge("intern.symbols", schevo_core::symbol_count() as u64);
         }
 
-        let exec = ExecStats::from_tally(&total, workers, stream_report.total, o.cache, wall);
+        let exec = ExecStats::from_tally(&total, workers, stream_report.total, o.cache, wall_nanos);
         Ok(MiningOutput {
             funnel: sources.funnel,
             mined,
@@ -509,8 +402,6 @@ impl MiningEngine {
             exec,
             journal: summary,
             io: sources.io,
-            spill_events: stream_report.spill_events,
-            spill_bytes: stream_report.spill_bytes,
             source_nanos,
         })
     }
@@ -562,24 +453,24 @@ mod tests {
     }
 
     #[test]
-    fn tiny_window_and_spill_threshold_do_not_change_output() {
+    fn eight_workers_do_not_change_output() {
+        // Windows down to one item are covered on the executor itself
+        // (`exec::tests::ordered_output_for_any_worker_count_and_window`).
         let u = generate(UniverseConfig::small(2019, 10));
-        let baseline = MiningEngine::new(StudyOptions::default())
-            .mine(&u)
-            .expect("baseline");
-        let squeezed = MiningEngine::new(StudyOptions {
-            workers: 8,
-            stream: StreamOptions {
-                window: 1,
-                spill_threshold: 1,
-                spill_dir: None,
-            },
+        let serial = MiningEngine::new(StudyOptions {
+            workers: 1,
             ..StudyOptions::default()
         })
         .mine(&u)
-        .expect("squeezed");
-        assert_eq!(baseline.mined, squeezed.mined);
-        assert_eq!(baseline.quarantine, squeezed.quarantine);
+        .expect("serial");
+        let parallel = MiningEngine::new(StudyOptions {
+            workers: 8,
+            ..StudyOptions::default()
+        })
+        .mine(&u)
+        .expect("parallel");
+        assert_eq!(serial.mined, parallel.mined);
+        assert_eq!(serial.quarantine, parallel.quarantine);
     }
 
     #[test]
@@ -605,7 +496,18 @@ mod tests {
             u.expected.analyzed,
             "one task span per analyzed candidate"
         );
-        assert!(names.contains(&"mine.parse"), "{names:?}");
+        for stage in ["mine.parse", "mine.diff", "mine.measures", "source.read"] {
+            assert!(names.contains(&stage), "{stage} missing: {names:?}");
+        }
+        // Task spans run on worker lanes 1..=4, the pass on the caller's.
+        for e in &events {
+            let lanes = if e.name.starts_with("mine.") && e.name != "mine.pass" {
+                1..=4
+            } else {
+                0..=0
+            };
+            assert!(lanes.contains(&e.tid), "{} on lane {}", e.name, e.tid);
+        }
         // Every span fits the request timeline and renders as valid
         // Chrome-trace JSONL.
         let jsonl = schevo_obs::trace::to_chrome_jsonl(&events);

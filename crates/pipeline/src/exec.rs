@@ -7,9 +7,10 @@
 //! a source on the caller thread into a bounded window; workers take
 //! them one at a time, and results flow back over a channel tagged with
 //! their sequence number. The caller reassembles them into sequence
-//! order, spilling out-of-order results to disk past a threshold, so the
-//! output is **deterministic regardless of worker count or scheduling**
-//! and memory is bounded by the window, not by the corpus.
+//! order, so the output is **deterministic regardless of worker count or
+//! scheduling**. Every item pulled and not yet emitted counts against
+//! the window, so at most [`WINDOW`] tasks and results are held at once,
+//! however slow the task at the head of the sequence is.
 //!
 //! ## Cache
 //!
@@ -24,7 +25,10 @@
 //! (`tests/differential_parallel.rs`) enforces this.
 //!
 //! [`ExecStats`] reports hit/miss counters and per-stage timings so the
-//! cache's payoff is observable from `StudyResult`.
+//! cache's payoff is observable from `StudyResult`. The timings are sums
+//! of `mine.parse`, `mine.diff` and `mine.measures` stage-guard
+//! durations ([`schevo_obs::trace::SpanGuard`]), the same durations the
+//! traces record.
 
 use parking_lot::RwLock;
 use schevo_core::diff::{diff, SchemaDelta};
@@ -32,8 +36,6 @@ use schevo_ddl::{HistoryParser, Schema};
 use schevo_vcs::sha1::Digest;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
-use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -50,10 +52,11 @@ pub fn default_workers() -> usize {
 
 /// Observability counters of one mining pass: a thin view over the
 /// per-task [`StageTally`] records merged **in candidate order**, so the
-/// hit/miss counters and stage timings are identical for every worker
-/// count and scheduling (timings are summed task CPU time, not wall
-/// time). Only `wall_nanos` is wall-clock-dependent, which is why
-/// `ExecStats` stays *excluded* from the differential equality contract.
+/// hit/miss counters are identical for every worker count and
+/// scheduling. The stage timings are sums of per-task stage-guard
+/// durations (summed across workers, not wall time) and `wall_nanos` is
+/// the `mine.pass` guard's duration; timings are why `ExecStats` stays
+/// *excluded* from the differential equality contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecStats {
     /// Worker threads actually used.
@@ -77,7 +80,7 @@ pub struct ExecStats {
     /// Nanoseconds spent building profiles/extensions (summed across
     /// workers).
     pub profile_nanos: u64,
-    /// Wall-clock nanoseconds of the whole pass.
+    /// Wall-clock nanoseconds of the whole pass (the `mine.pass` span).
     pub wall_nanos: u64,
     /// Whether the cache was enabled for the pass.
     pub cache_enabled: bool,
@@ -90,7 +93,7 @@ pub struct ExecStats {
 /// unlike the shared-atomic accumulation they replaced. The tally is
 /// also what the metrics registry ingests per task, so latency
 /// histograms see the same values in the same order on every run shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct StageTally {
     pub(crate) parse_hits: u64,
     pub(crate) parse_misses: u64,
@@ -102,18 +105,6 @@ pub(crate) struct StageTally {
 }
 
 impl StageTally {
-    pub(crate) fn add_parse_nanos(&mut self, start: Instant) {
-        self.parse_nanos += start.elapsed().as_nanos() as u64;
-    }
-
-    pub(crate) fn add_diff_nanos(&mut self, start: Instant) {
-        self.diff_nanos += start.elapsed().as_nanos() as u64;
-    }
-
-    pub(crate) fn add_profile_nanos(&mut self, start: Instant) {
-        self.profile_nanos += start.elapsed().as_nanos() as u64;
-    }
-
     pub(crate) fn count_parse(&mut self, hit: bool) {
         if hit {
             self.parse_hits += 1;
@@ -145,13 +136,14 @@ impl StageTally {
 }
 
 impl ExecStats {
-    /// Build the public stats view from a merged tally.
+    /// Build the public stats view from a merged tally and the pass's
+    /// wall nanoseconds.
     pub(crate) fn from_tally(
         tally: &StageTally,
         workers: usize,
         tasks: usize,
         cache_enabled: bool,
-        wall: Instant,
+        wall_nanos: u64,
     ) -> ExecStats {
         ExecStats {
             workers,
@@ -163,7 +155,7 @@ impl ExecStats {
             parse_nanos: tally.parse_nanos,
             diff_nanos: tally.diff_nanos,
             profile_nanos: tally.profile_nanos,
-            wall_nanos: wall.elapsed().as_nanos() as u64,
+            wall_nanos,
             cache_enabled,
         }
     }
@@ -232,17 +224,10 @@ pub(crate) enum StreamItem<T, R> {
     Ready(R),
 }
 
-/// Configuration of the ordered-reassembly spill: once more than
-/// `threshold` completed-but-out-of-order results are parked in RAM,
-/// further ones are serialized to an anonymous temp file and reloaded
-/// when their turn comes.
-#[derive(Debug, Clone)]
-pub(crate) struct SpillOptions {
-    /// Max parked results held in RAM before spilling kicks in.
-    pub(crate) threshold: usize,
-    /// Directory for the spill file; the system temp dir when `None`.
-    pub(crate) dir: Option<PathBuf>,
-}
+/// The in-flight window of a mining pass: items pulled from the source
+/// and not yet emitted, computed or waiting in reassembly. A constant:
+/// output is identical for every window, which only bounds memory.
+pub(crate) const WINDOW: usize = 256;
 
 /// Accounting of one streaming pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -251,10 +236,6 @@ pub(crate) struct StreamReport {
     pub(crate) total: usize,
     /// Items dispatched to workers.
     pub(crate) fresh: usize,
-    /// Results spilled to disk during reassembly.
-    pub(crate) spill_events: u64,
-    /// Bytes written to the spill file.
-    pub(crate) spill_bytes: u64,
 }
 
 /// Lock a std mutex, shrugging off poisoning: the data is plain counters
@@ -263,180 +244,26 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The spill file: append-only writes, random-access reads, unlinked at
-/// creation so it can never outlive the pass. On any write failure the
-/// spill disables itself and the pass falls back to RAM parking.
-struct SpillFile {
-    dir: Option<PathBuf>,
-    file: Option<std::fs::File>,
-    write_offset: u64,
-    broken: bool,
-}
-
-impl SpillFile {
-    fn new(dir: Option<PathBuf>) -> SpillFile {
-        SpillFile {
-            dir,
-            file: None,
-            write_offset: 0,
-            broken: false,
-        }
-    }
-
-    fn store<R: Serialize>(&mut self, value: &R) -> Option<(u64, u32)> {
-        if self.broken {
-            return None;
-        }
-        let attempt = (|| -> std::io::Result<(u64, u32)> {
-            if self.file.is_none() {
-                static SPILL_SEQ: std::sync::atomic::AtomicU64 =
-                    std::sync::atomic::AtomicU64::new(0);
-                let dir = self.dir.clone().unwrap_or_else(std::env::temp_dir);
-                let path = dir.join(format!(
-                    "schevo-spill-{}-{}.tmp",
-                    std::process::id(),
-                    SPILL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                ));
-                let f = std::fs::OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .read(true)
-                    .write(true)
-                    .open(&path)?;
-                // Unlink immediately: the open handle keeps the storage
-                // alive, the name never lingers after a crash.
-                let _ = std::fs::remove_file(&path);
-                self.file = Some(f);
-            }
-            let json = serde_json::to_string(value).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            })?;
-            let bytes = json.as_bytes();
-            let offset = self.write_offset;
-            let Some(f) = self.file.as_mut() else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    "spill file closed",
-                ));
-            };
-            f.seek(SeekFrom::Start(offset))?;
-            f.write_all(bytes)?;
-            self.write_offset += bytes.len() as u64;
-            Ok((offset, bytes.len() as u32))
-        })();
-        match attempt {
-            Ok(slot) => Some(slot),
-            Err(_) => {
-                // Spilling is an optimization; losing it costs memory,
-                // never correctness.
-                self.broken = true;
-                None
-            }
-        }
-    }
-
-    fn load<R: serde::Deserialize>(&mut self, offset: u64, len: u32) -> std::io::Result<R> {
-        let Some(f) = self.file.as_mut() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                "spill file closed",
-            ));
-        };
-        f.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf)?;
-        let json = String::from_utf8(buf).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-        })?;
-        serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-}
-
-/// A parked completed-but-out-of-order result.
-enum Parked<R> {
-    Ram(R),
-    Spilled { offset: u64, len: u32 },
-}
-
-/// Ordered reassembly with bounded RAM: results arrive tagged with their
-/// sequence number in any order and leave strictly in sequence order.
-/// Up to `threshold` results park in RAM; past that they serialize to
-/// the spill file and reload when their turn comes. The spill encoding
-/// is the journal's JSON payload encoding, which the resume differential
-/// suite already proves lossless.
-struct Reorder<R> {
-    next: usize,
-    parked: BTreeMap<usize, Parked<R>>,
-    ram_count: usize,
-    spill: SpillFile,
-    threshold: usize,
-    spill_events: u64,
-    spill_bytes: u64,
-}
-
-impl<R: Serialize + serde::Deserialize> Reorder<R> {
-    fn new(options: &SpillOptions) -> Reorder<R> {
-        Reorder {
-            next: 0,
-            parked: BTreeMap::new(),
-            ram_count: 0,
-            spill: SpillFile::new(options.dir.clone()),
-            threshold: options.threshold.max(1),
-            spill_events: 0,
-            spill_bytes: 0,
-        }
-    }
-
-    fn push(&mut self, seq: usize, value: R) {
-        if seq != self.next && self.ram_count >= self.threshold {
-            if let Some((offset, len)) = self.spill.store(&value) {
-                self.spill_events += 1;
-                self.spill_bytes += len as u64;
-                self.parked.insert(seq, Parked::Spilled { offset, len });
-                return;
-            }
-        }
-        self.ram_count += 1;
-        self.parked.insert(seq, Parked::Ram(value));
-    }
-
-    /// Emit every result that is next in sequence.
-    fn drain(&mut self, emit: &mut impl FnMut(usize, R)) -> std::io::Result<()> {
-        while let Some(slot) = self.parked.remove(&self.next) {
-            let seq = self.next;
-            self.next += 1;
-            let value = match slot {
-                Parked::Ram(r) => {
-                    self.ram_count -= 1;
-                    r
-                }
-                Parked::Spilled { offset, len } => self.spill.load(offset, len)?,
-            };
-            emit(seq, value);
-        }
-        Ok(())
-    }
-}
-
 enum WorkerMsg<R> {
     Done(usize, R),
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// Streaming parallel map with bounded in-flight work and ordered,
-/// spill-backed reassembly.
+/// Streaming parallel map with bounded in-flight work and ordered
+/// reassembly.
 ///
 /// `source(seq)` is pulled lazily from the caller thread; `seq` is the
-/// sequence number the returned item will occupy. [`StreamItem::Work`]
-/// items are dispatched to `workers` threads through a bounded window of
-/// at most `window` undelivered tasks — the source is simply not polled
-/// while the window is full, which is what bounds peak memory.
-/// [`StreamItem::Ready`] items skip the workers. `on_complete(seq, &r)`
-/// runs on the caller thread in completion order for computed results
-/// only (the durability hook: the caller thread owns the journal file
-/// and workers only compute, so a worker panic can never tear a
-/// half-written record); `emit(seq, r)` runs on the caller thread strictly in sequence order
+/// sequence number the returned item will occupy. At most `window`
+/// items (at least `workers`) are pulled and not yet emitted at any
+/// time — the source is simply not polled while the window is full, so a
+/// slow task at the head of the sequence stalls intake instead of
+/// letting finished results pile up behind it. [`StreamItem::Work`]
+/// items are dispatched to `workers` threads; [`StreamItem::Ready`]
+/// items skip the workers. `on_complete(seq, &r)` runs on the caller
+/// thread in completion order for computed results only (the durability
+/// hook: the caller thread owns the journal file and workers only
+/// compute, so a worker panic can never tear a half-written record);
+/// `emit(seq, r)` runs on the caller thread strictly in sequence order
 /// for every item. Worker panics propagate their original payload after
 /// the remaining workers drain. With `workers <= 1` no threads are
 /// spawned and items flow through serially.
@@ -444,14 +271,13 @@ pub(crate) fn execute_stream_with<T, R, S, F, C, E>(
     mut source: S,
     workers: usize,
     window: usize,
-    spill: &SpillOptions,
     work: F,
     mut on_complete: C,
     mut emit: E,
-) -> std::io::Result<StreamReport>
+) -> StreamReport
 where
     T: Send,
-    R: Send + Serialize + serde::Deserialize,
+    R: Send,
     S: FnMut(usize) -> Option<StreamItem<T, R>>,
     F: Fn(usize, &T) -> R + Sync,
     C: FnMut(usize, &R),
@@ -474,7 +300,7 @@ where
             seq += 1;
         }
         report.total = seq;
-        return Ok(report);
+        return report;
     }
 
     let window = window.max(workers);
@@ -488,10 +314,22 @@ where
     });
     let available = Condvar::new();
     let (tx, rx) = mpsc::channel::<WorkerMsg<R>>();
-    let mut reorder: Reorder<R> = Reorder::new(spill);
-    let emit = &mut emit;
+    // Completed results waiting for an earlier sequence number.
+    let mut parked: BTreeMap<usize, R> = BTreeMap::new();
+    let mut next = 0usize;
+    // Park `r`, emit every result that is next in sequence, and return
+    // how many were emitted.
+    let mut release = |seq: usize, r: R| -> usize {
+        parked.insert(seq, r);
+        let first = next;
+        while let Some(r) = parked.remove(&next) {
+            emit(next, r);
+            next += 1;
+        }
+        next - first
+    };
 
-    let scope_result = crossbeam::thread::scope(|scope| -> std::io::Result<()> {
+    let scope_result = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let tx = tx.clone();
@@ -527,14 +365,14 @@ where
         drop(tx);
 
         let mut seq = 0usize;
+        // Items pulled and not yet emitted.
         let mut in_flight = 0usize;
         let mut source_done = false;
         let mut failure: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut io_error: Option<std::io::Error> = None;
 
         'pass: loop {
             // Fill the window from the source.
-            while !source_done && in_flight < window && io_error.is_none() {
+            while !source_done && in_flight < window {
                 match source(seq) {
                     None => {
                         source_done = true;
@@ -549,27 +387,22 @@ where
                         seq += 1;
                     }
                     Some(StreamItem::Ready(r)) => {
-                        reorder.push(seq, r);
-                        if let Err(e) = reorder.drain(emit) {
-                            io_error = Some(e);
-                        }
+                        in_flight += 1;
+                        in_flight -= release(seq, r);
                         seq += 1;
                     }
                 }
             }
-            if (in_flight == 0 && source_done) || io_error.is_some() {
+            // Whatever is still in flight waits behind the head of the
+            // sequence, which is a task on a worker: a completion comes.
+            if in_flight == 0 && source_done {
                 break 'pass;
             }
             // Wait for one completion.
             match rx.recv() {
                 Ok(WorkerMsg::Done(i, r)) => {
                     on_complete(i, &r);
-                    in_flight -= 1;
-                    reorder.push(i, r);
-                    if let Err(e) = reorder.drain(emit) {
-                        io_error = Some(e);
-                        break 'pass;
-                    }
+                    in_flight -= release(i, r);
                 }
                 Ok(WorkerMsg::Panicked(p)) => {
                     failure = Some(p);
@@ -597,19 +430,12 @@ where
         if let Some(p) = failure {
             std::panic::resume_unwind(p);
         }
-        if let Some(e) = io_error {
-            return Err(e);
-        }
         report.total = seq;
-        Ok(())
     });
-    match scope_result {
-        Ok(inner) => inner?,
-        Err(payload) => std::panic::resume_unwind(payload),
+    if let Err(payload) = scope_result {
+        std::panic::resume_unwind(payload);
     }
-    report.spill_events = reorder.spill_events;
-    report.spill_bytes = reorder.spill_bytes;
-    Ok(report)
+    report
 }
 
 /// Run one task under a soft watchdog deadline.
@@ -638,69 +464,127 @@ pub fn watchdog<R>(deadline: Option<Duration>, task: impl FnOnce() -> R) -> (R, 
 mod tests {
     use super::*;
 
-    /// Stream `0..n` through the executor with a window of 4 and a spill
-    /// threshold of 2, so out-of-order results also spill to disk.
+    /// Stream `0..n` through the executor with a window of `window`.
     /// Returns the emitted results (asserted to arrive in sequence) and
     /// the pass report.
-    fn stream<R>(
+    fn stream_in<R: Send>(
         n: usize,
         workers: usize,
+        window: usize,
         work: impl Fn(usize, &usize) -> R + Sync,
         on_complete: impl FnMut(usize, &R),
-    ) -> (Vec<R>, StreamReport)
-    where
-        R: Send + Serialize + serde::Deserialize,
-    {
-        let spill = SpillOptions {
-            threshold: 2,
-            dir: None,
-        };
+    ) -> (Vec<R>, StreamReport) {
         let mut out = Vec::new();
         let report = execute_stream_with(
             |seq| (seq < n).then_some(StreamItem::Work(seq)),
             workers,
-            4,
-            &spill,
+            window,
             work,
             on_complete,
             |seq, r| {
                 assert_eq!(seq, out.len(), "emitted out of sequence");
                 out.push(r);
             },
-        )
-        .expect("spill file usable");
+        );
         (out, report)
     }
 
+    /// [`stream_in`] with a window of 4.
+    fn stream<R: Send>(
+        n: usize,
+        workers: usize,
+        work: impl Fn(usize, &usize) -> R + Sync,
+        on_complete: impl FnMut(usize, &R),
+    ) -> (Vec<R>, StreamReport) {
+        stream_in(n, workers, 4, work, on_complete)
+    }
+
     #[test]
-    fn ordered_output_for_any_worker_count() {
+    fn ordered_output_for_any_worker_count_and_window() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        for workers in [1, 2, 3, 8, 33, usize::MAX] {
-            // With more than one worker, task 0 waits for three others to
-            // finish, so at least three results park out of order and the
-            // third spills past the threshold of 2.
-            let finished = AtomicUsize::new(0);
-            let (out, report) = stream(
-                100,
-                workers,
-                |i, &x| {
-                    assert_eq!(i, x);
-                    if x == 0 && workers > 1 {
-                        while finished.load(Ordering::SeqCst) < 3 {
-                            std::thread::yield_now();
+        for window in [1, 4, WINDOW] {
+            for workers in [1, 2, 3, 8, 33, usize::MAX] {
+                // With more than one worker, task 0 waits for the other
+                // tasks in the window to finish (as many as the window,
+                // at least as large as the worker count, lets run), so
+                // results complete out of order.
+                let window_len = window.max(workers.clamp(1, 32));
+                let wait_for = (window_len - 1).min(3);
+                let finished = AtomicUsize::new(0);
+                let (out, report) = stream_in(
+                    100,
+                    workers,
+                    window,
+                    |i, &x| {
+                        assert_eq!(i, x);
+                        if x == 0 && workers > 1 {
+                            while finished.load(Ordering::SeqCst) < wait_for {
+                                std::thread::yield_now();
+                            }
                         }
-                    }
-                    finished.fetch_add(1, Ordering::SeqCst);
-                    x * 2
-                },
-                |_, _| {},
-            );
-            assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-            assert_eq!((report.total, report.fresh), (100, 100));
-            if workers > 1 {
-                assert!(report.spill_events > 0, "workers={workers}: nothing spilled");
+                        finished.fetch_add(1, Ordering::SeqCst);
+                        x * 2
+                    },
+                    |_, _| {},
+                );
+                assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+                assert_eq!((report.total, report.fresh), (100, 100));
             }
         }
+    }
+
+    #[test]
+    fn a_slow_head_task_stalls_intake_within_the_window() {
+        // Task 0 holds for a fixed time while three more workers run
+        // ahead. Every item pulled and not yet emitted counts against the
+        // window, so the finished results parked behind task 0 never
+        // exceed it, and the source is not polled past it.
+        use std::cell::Cell;
+        const WORKERS: usize = 4;
+        const SMALL_WINDOW: usize = 6;
+        let pulled = Cell::new(0usize);
+        let emitted = Cell::new(0usize);
+        let peak = Cell::new(0usize);
+        let report = execute_stream_with(
+            |seq| {
+                if seq >= 64 {
+                    return None;
+                }
+                pulled.set(pulled.get() + 1);
+                peak.set(peak.get().max(pulled.get() - emitted.get()));
+                // Every third item needs no computation, like a journal
+                // replay hit: it too waits in the window until emitted.
+                Some(if seq % 3 == 2 {
+                    StreamItem::Ready(seq)
+                } else {
+                    StreamItem::Work(seq)
+                })
+            },
+            WORKERS,
+            SMALL_WINDOW,
+            |_, &x| {
+                if x == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(200));
+                }
+                x
+            },
+            |_, _| {},
+            |seq, r| {
+                assert_eq!((seq, r), (emitted.get(), emitted.get()));
+                emitted.set(emitted.get() + 1);
+            },
+        );
+        assert_eq!((report.total, emitted.get()), (64, 64));
+        assert!(
+            peak.get() <= SMALL_WINDOW,
+            "{} items pulled and not emitted, window {SMALL_WINDOW}",
+            peak.get()
+        );
+        assert_eq!(
+            peak.get(),
+            SMALL_WINDOW,
+            "the window fills behind the slow head"
+        );
     }
 
     #[test]
@@ -827,7 +711,7 @@ mod tests {
         let bd = sha1(bad.as_bytes());
         assert!(caches.parse(bd, bad, &mut parser, &mut tally).is_none());
         assert!(caches.parse(bd, bad, &mut parser, &mut tally).is_none());
-        let stats = ExecStats::from_tally(&tally, 1, 0, true, Instant::now());
+        let stats = ExecStats::from_tally(&tally, 1, 0, true, 0);
         assert_eq!(stats.parse_hits, 2);
         assert_eq!(stats.parse_misses, 2);
     }
@@ -844,7 +728,7 @@ mod tests {
         let hit = caches.diff(key, &a, &b, &mut tally);
         assert_eq!(miss, hit);
         assert_eq!(miss, diff(&a, &b));
-        let stats = ExecStats::from_tally(&tally, 1, 0, true, Instant::now());
+        let stats = ExecStats::from_tally(&tally, 1, 0, true, 0);
         assert_eq!((stats.diff_hits, stats.diff_misses), (1, 1));
     }
 

@@ -19,9 +19,11 @@ use schevo_core::model::{CommitMeta, SchemaHistory, SchemaVersion};
 use schevo_core::profile::{EvolutionProfile, ProjectContext};
 use schevo_core::tables::{table_lives, table_lives_with, TableLife};
 use schevo_ddl::HistoryParser;
+use schevo_obs::stage;
+use schevo_obs::trace::SpanGuard;
 use schevo_vcs::sha1::{sha1, Digest};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything one mining pass produces for a project: the paper's profile
 /// plus the two extension studies (foreign keys, table lives).
@@ -78,7 +80,8 @@ pub fn mine_extended(candidate: &CandidateHistory, reed_threshold: u64) -> Optio
 
 /// Diff and profile a parsed history: every transition diffed exactly
 /// once, then fanned out to the measurement pass and both extension
-/// studies.
+/// studies. `clock` is the task's stage guard, open on `mine.parse`; it
+/// moves on to `mine.diff` and `mine.measures` and closes here.
 fn diff_and_profile(
     candidate: &CandidateHistory,
     history: SchemaHistory,
@@ -86,8 +89,9 @@ fn diff_and_profile(
     reed_threshold: u64,
     caches: Option<&MineCaches>,
     tally: &mut StageTally,
+    mut clock: SpanGuard,
 ) -> Mined {
-    let t_diff = Instant::now();
+    tally.parse_nanos += clock.next_stage("mine.diff");
     let deltas: Vec<SchemaDelta> = match caches {
         Some(c) => history
             .transitions()
@@ -104,10 +108,8 @@ fn diff_and_profile(
             })
             .collect(),
     };
-    tally.add_diff_nanos(t_diff);
+    tally.diff_nanos += clock.next_stage("mine.measures");
 
-    // Profile stage.
-    let t_profile = Instant::now();
     let fk = fk_profile_with(&history, &deltas);
     let lives = table_lives_with(&history, &deltas);
     let measures = measure_history_with(&history, deltas);
@@ -116,7 +118,7 @@ fn diff_and_profile(
             pup_months: candidate.pup_months,
             total_commits: candidate.total_commits,
         });
-    tally.add_profile_nanos(t_profile);
+    tally.profile_nanos += clock.close();
     Mined {
         profile,
         fk,
@@ -231,7 +233,7 @@ fn mine_task_graceful(
     }
 
     // Parse stage, with statement-level recovery on strict failure.
-    let t_parse = Instant::now();
+    let clock = stage!("mine.parse");
     let mut versions = Vec::with_capacity(keep.len());
     let mut digests = Vec::with_capacity(keep.len());
     let mut parser = HistoryParser::new();
@@ -268,7 +270,7 @@ fn mine_task_graceful(
                 };
                 let salvage = schevo_ddl::parse_schema_recovering(&v.content);
                 if salvage.schema.is_empty() {
-                    tally.add_parse_nanos(t_parse);
+                    tally.parse_nanos += clock.close();
                     return MineOutcome::quarantine(recovered, error, true);
                 }
                 recovered.push(RecoveryRecord {
@@ -289,13 +291,20 @@ fn mine_task_graceful(
             source_len: v.content.len(),
         });
     }
-    tally.add_parse_nanos(t_parse);
 
     let history = SchemaHistory {
         project: candidate.name.clone(),
         versions,
     };
-    let mined = diff_and_profile(candidate, history, &digests, reed_threshold, caches, tally);
+    let mined = diff_and_profile(
+        candidate,
+        history,
+        &digests,
+        reed_threshold,
+        caches,
+        tally,
+        clock,
+    );
     MineOutcome {
         mined: Some(mined),
         recovered,

@@ -28,7 +28,7 @@ pub mod quarantine;
 pub mod source;
 pub mod study;
 
-pub use engine::{MiningEngine, MiningOutput, StreamOptions, WarmCaches};
+pub use engine::{MiningEngine, MiningOutput, WarmCaches};
 pub use exec::{default_workers, ExecStats};
 pub use extract::MineOutcome;
 pub use journal::{candidate_key, DurabilityOptions, JournalRecord, JournalSummary, JournalWriter};

@@ -15,7 +15,8 @@ use schevo_core::tables::{electrolysis, fate_activity_table, ElectrolysisStats};
 use schevo_core::profile::EvolutionProfile;
 use schevo_core::shape::ShapeClass;
 use schevo_core::taxa::{ProjectClass, Taxon};
-use schevo_obs::{span, ObsHooks};
+use schevo_obs::scope;
+use schevo_obs::{stage, ObsHooks};
 use schevo_stats::describe::{percent_where, Summary};
 use schevo_stats::kruskal::{kruskal_wallis, pairwise_kruskal, KruskalWallis, PairwiseMatrix};
 use schevo_stats::quantile::Quartiles;
@@ -23,7 +24,6 @@ use schevo_stats::correlation::{spearman, Spearman};
 use schevo_stats::shapiro::{shapiro_wilk, ShapiroWilk};
 use schevo_vcs::history::WalkStrategy;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Options of a study run.
 #[derive(Debug, Clone)]
@@ -53,9 +53,6 @@ pub struct StudyOptions {
     /// The default is fully off; hooks only read what the run already
     /// computes, so results are bit-identical either way.
     pub obs: ObsHooks,
-    /// Streaming knobs: in-flight window and reassembly spill. Results
-    /// are bit-identical for every setting; these only bound memory.
-    pub stream: crate::engine::StreamOptions,
 }
 
 impl Default for StudyOptions {
@@ -68,7 +65,6 @@ impl Default for StudyOptions {
             strict: false,
             durability: DurabilityOptions::default(),
             obs: ObsHooks::default(),
-            stream: crate::engine::StreamOptions::default(),
         }
     }
 }
@@ -318,8 +314,12 @@ impl MiningEngine {
     /// mined population. Output is byte-identical across backends and
     /// however the engine was configured to reuse caches.
     ///
-    /// Errors come from [`MiningEngine::mine`] (an unusable journal or
-    /// spill file) or, with [`StudyOptions::strict`] set, are the first
+    /// The `study.stage.{funnel,mine,stats}.nanos` gauges are stage-guard
+    /// durations: funnel is the `source.read` span, mine is the
+    /// `study.mine` span less `source.read`, stats is the `study.stats`
+    /// span.
+    ///
+    /// Errors come from [`MiningEngine::mine`] (an unusable journal) or, with [`StudyOptions::strict`] set, are the first
     /// degradation event the pass recorded.
     pub fn study(&self, source: &dyn CandidateSource) -> Result<StudyResult, SchevoError> {
         let options = self.options();
@@ -328,19 +328,18 @@ impl MiningEngine {
         let strict = options.strict;
         let used_reed_threshold = options.reed_threshold.unwrap_or(REED_THRESHOLD);
 
-        let t_run = Instant::now();
-        let output = {
-            let _span = span!("study.mine", candidates = source.size_hint().unwrap_or(0));
-            self.mine(source)?
-        };
+        let _caller_lane = options.obs.trace.as_ref().map(|s| scope::install(s, 0));
+        let mining = stage!("study.mine", candidates = source.size_hint().unwrap_or(0));
+        let output = self.mine(source)?;
+        let mine_nanos = mining.close();
         if let Some(reg) = registry {
             // The funnel runs inside the source (eagerly for the in-memory
             // backend, interleaved with reads for the sharded one); its
-            // stage wall time is the accumulated source time either way.
+            // stage wall time is the `source.read` span either way.
             reg.set_gauge("study.stage.funnel.nanos", output.source_nanos);
             reg.set_gauge(
                 "study.stage.mine.nanos",
-                (t_run.elapsed().as_nanos() as u64).saturating_sub(output.source_nanos),
+                mine_nanos.saturating_sub(output.source_nanos),
             );
             record_funnel_rejects(reg, &output.funnel);
         }
@@ -355,8 +354,7 @@ impl MiningEngine {
         let exec = output.exec;
         let journal = output.journal;
 
-        let t_stats = Instant::now();
-        let _stats_span = span!("study.stats");
+        let stats_clock = stage!("study.stats");
         let fk_profiles: Vec<schevo_core::fk::FkProfile> = mined.iter().map(|m| m.fk).collect();
         let pooled_lives: Vec<schevo_core::tables::TableLife> = mined
             .iter()
@@ -468,8 +466,16 @@ impl MiningEngine {
             moderate_flat_pct: percent_where(&moderate, |p| p.shape == ShapeClass::Flat),
         };
 
+        let fk = fk_corpus_stats(&fk_profiles);
+        let electrolysis = electrolysis(&pooled_lives);
+        let fate_activity_chi2 = {
+            let ct = fate_activity_table(&pooled_lives);
+            let rows: Vec<Vec<u64>> = ct.iter().map(|r| r.to_vec()).collect();
+            schevo_stats::chi2_independence(&rows).ok()
+        };
+        let stats_nanos = stats_clock.close();
         if let Some(reg) = registry {
-            reg.set_gauge("study.stage.stats.nanos", t_stats.elapsed().as_nanos() as u64);
+            reg.set_gauge("study.stage.stats.nanos", stats_nanos);
         }
 
         Ok(StudyResult {
@@ -489,13 +495,9 @@ impl MiningEngine {
             used_reed_threshold,
             narrative,
             quarantine,
-            fk: fk_corpus_stats(&fk_profiles),
-            electrolysis: electrolysis(&pooled_lives),
-            fate_activity_chi2: {
-                let ct = fate_activity_table(&pooled_lives);
-                let rows: Vec<Vec<u64>> = ct.iter().map(|r| r.to_vec()).collect();
-                schevo_stats::chi2_independence(&rows).ok()
-            },
+            fk,
+            electrolysis,
+            fate_activity_chi2,
             exec,
             journal,
         })

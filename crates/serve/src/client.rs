@@ -146,6 +146,8 @@ pub fn connect_timeout(addr: &str, timeout: Option<Duration>) -> Result<Conn, Cl
         }
         None => {
             let s = TcpStream::connect(addr)?;
+            // Requests are single small frames; never hold one back.
+            s.set_nodelay(true)?;
             s.set_read_timeout(timeout)?;
             s.set_write_timeout(timeout)?;
             Stream::Tcp(s)

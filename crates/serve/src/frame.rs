@@ -14,8 +14,15 @@ use std::io::{Read, Write};
 pub use schevo_vcs::frame::{frame_len, FrameError};
 
 /// Write one framed payload and flush the transport.
+///
+/// Header and payload leave in one write: with a separate header write,
+/// a TCP peer's delayed ACK held the payload back behind Nagle's
+/// algorithm on every request.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
     let header = frame::header(payload)?;
+    let mut bytes = Vec::with_capacity(header.len() + payload.len());
+    bytes.extend_from_slice(&header);
+    bytes.extend_from_slice(payload);
     // The failpoint fires before any bytes hit the transport, so an
     // absorbed transient fault cannot interleave a torn frame. Real
     // mid-write socket errors are not retried here — the peer's read
@@ -23,8 +30,7 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> Result<(), F
     failpoint::retry_io(failpoint::RetryPolicy::default(), || {
         failpoint::check("serve.write")
     })?;
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    w.write_all(&bytes)?;
     w.flush()?;
     Ok(())
 }

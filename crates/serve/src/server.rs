@@ -20,6 +20,7 @@ use schevo_obs::manifest::{
 };
 use schevo_obs::metrics::{RedRing, Registry};
 use schevo_obs::scope::TraceScope;
+use schevo_obs::stage;
 use schevo_obs::trace::to_chrome_jsonl;
 use schevo_obs::validate::REQUEST_LOG_VERSION;
 use schevo_obs::{events, profile, ObsHooks};
@@ -604,7 +605,10 @@ impl Server {
         // one append-only file with one writer. Non-durable studies run
         // concurrently up to the admission cap.
         let journal_guard = resume.then(|| self.journal_gate.lock());
-        let started = Instant::now();
+        // One clock for the request: the `serve.request` span, the
+        // manifest's `wall_us` and the slow-log entry all read this guard.
+        let _caller_lane = scope.as_ref().map(|s| schevo_obs::scope::install(s, 0));
+        let request_clock = stage!("serve.request", id = id, workers = workers);
         let (outcome, overrun) = watchdog(deadline, || engine.study(&self.store));
         drop(journal_guard);
         let study = match outcome {
@@ -639,6 +643,7 @@ impl Server {
             }
         }
         let snapshot = request_registry.snapshot();
+        let wall_us = request_clock.close() / 1_000;
         let store_manifest = self.store.manifest();
         let manifest = RunManifest {
             manifest_version: MANIFEST_VERSION,
@@ -654,7 +659,7 @@ impl Server {
             trace_out: None,
             metrics_out: None,
             corpus_digest: store_manifest.corpus_digest.clone(),
-            wall_us: started.elapsed().as_micros() as u64,
+            wall_us,
             stages: stages_from_snapshot(&snapshot),
             quarantine: QuarantineManifest {
                 recovered: study.quarantine.recovered.len() as u64,
@@ -685,15 +690,6 @@ impl Server {
             }),
         };
         if let Some(scope) = &scope {
-            scope.record_since(
-                "serve.request",
-                started,
-                0,
-                vec![
-                    ("id".to_string(), id.clone()),
-                    ("workers".to_string(), workers.to_string()),
-                ],
-            );
             let events = scope.drain();
             if let Some(dir) = &self.config.trace_dir {
                 let path = dir.join(format!("{}.trace.jsonl", sanitize_id(&id)));
@@ -711,12 +707,11 @@ impl Server {
                 // Compared in microseconds so a threshold of 0 means
                 // "every study is slow" — the deterministic log-everything
                 // mode tests and drills use.
-                let wall_us = started.elapsed().as_micros() as u64;
                 if wall_us > slow_ms.saturating_mul(1000) {
                     self.registry.add("serve.slow_studies", 1);
                     let entry = SlowLogEntry {
                         id: id.clone(),
-                        wall_us: started.elapsed().as_micros() as u64,
+                        wall_us,
                         threshold_ms: slow_ms,
                         spans: events
                             .iter()
@@ -855,6 +850,8 @@ impl Listener {
             Listener::Tcp(l) => match l.accept() {
                 Ok((s, _)) => {
                     s.set_nonblocking(false)?;
+                    // Responses are single frames; send each at once.
+                    s.set_nodelay(true)?;
                     Ok(Some(Box::new(s)))
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),

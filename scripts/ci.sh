@@ -68,11 +68,19 @@ if ! diff -q "$baseline" "$obs_out" >/dev/null; then
   exit 1
 fi
 echo "    instrumented stdout identical to baseline"
-SCHEVO_TRACE_FILE="$tmp/obs-trace.jsonl" \
-SCHEVO_METRICS_FILE="$tmp/obs-metrics.json" \
-SCHEVO_MANIFEST_FILE="$tmp/obs-manifest.json" \
-  cargo test -q --release -p schevo-obs --test schema_validation
+# With both a trace and a manifest set, the replay also derives each
+# stage wall from the trace (generate = study.generate, funnel =
+# source.read, mine = study.mine - source.read, stats = study.stats) and
+# requires every manifest stage to equal it.
+if ! SCHEVO_TRACE_FILE="$tmp/obs-trace.jsonl" \
+  SCHEVO_METRICS_FILE="$tmp/obs-metrics.json" \
+  SCHEVO_MANIFEST_FILE="$tmp/obs-manifest.json" \
+  cargo test -q --release -p schevo-obs --test schema_validation; then
+  echo "OBSERVABILITY FAILURE: an artifact breaks its schema or a manifest stage disagrees with the trace" >&2
+  exit 1
+fi
 echo "    trace/metrics/manifest validate against their schemas"
+echo "    every manifest stage wall equals its trace-derived wall"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
   --workers 1 --no-cache --metrics-out "$tmp/obs-metrics.prom" \
   --metrics-format prom >/dev/null 2>&1

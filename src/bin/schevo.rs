@@ -143,9 +143,8 @@ enum MetricsFormat {
 }
 
 fn cmd_study(args: &[String]) -> i32 {
-    use schevo::obs::{events, manifest, metrics, progress, trace};
+    use schevo::obs::{events, manifest, metrics, progress, stage, trace};
     use std::sync::Arc;
-    let run_start = std::time::Instant::now();
     let seed: u64 = flag_value(args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2019);
@@ -230,6 +229,8 @@ fn cmd_study(args: &[String]) -> i32 {
         return 2;
     }
     trace::set_enabled(trace_out.is_some() && !no_trace);
+    // The run's wall clock: the manifest's `wall_us` is this span.
+    let run = stage!("study.run", seed = seed, scale = scale);
     // The registry feeds both the metrics export and the manifest's
     // per-stage wall times, so either flag brings it up.
     let registry = if metrics_out.is_some() || manifest_out.is_some() {
@@ -261,7 +262,7 @@ fn cmd_study(args: &[String]) -> i32 {
         UniverseConfig::small(seed, scale)
     }
     .with_multiplier(scale_factor);
-    let t_generate = std::time::Instant::now();
+    let generating = stage!("study.generate");
     let mut universe: Option<Universe> = None;
     let store: Option<schevo::corpus::store::ShardStore> = if let Some(dir) = &store_dir {
         use schevo::corpus::store::{generate_into_store, ShardStore};
@@ -362,8 +363,9 @@ fn cmd_study(args: &[String]) -> i32 {
         universe = Some(u);
         None
     };
+    let generate_nanos = generating.close();
     if let Some(reg) = &registry {
-        reg.set_gauge("study.stage.generate.nanos", t_generate.elapsed().as_nanos() as u64);
+        reg.set_gauge("study.stage.generate.nanos", generate_nanos);
     }
     let source: &dyn CandidateSource = match (&store, &universe) {
         (Some(s), _) => s,
@@ -458,6 +460,9 @@ fn cmd_study(args: &[String]) -> i32 {
     }
 
     // --- observability artifacts (stdout is already fully written) ---
+    // The run span closes before the trace drains, so the trace carries
+    // the same wall the manifest reports.
+    let wall_nanos = run.close();
     if let Some(reg) = &registry {
         // Sampled after mining so the gauge carries the run's high-water
         // mark; the scale-tier gate in scripts/ci.sh reads it.
@@ -509,7 +514,7 @@ fn cmd_study(args: &[String]) -> i32 {
                 (_, Some(u)) => schevo::corpus::universe::corpus_digest(u),
                 _ => String::new(),
             },
-            wall_us: run_start.elapsed().as_micros() as u64,
+            wall_us: wall_nanos / 1_000,
             stages: manifest::stages_from_snapshot(snap),
             quarantine: manifest::QuarantineManifest {
                 recovered: study.quarantine.recovered.len() as u64,

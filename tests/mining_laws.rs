@@ -8,7 +8,15 @@
 //! - **Comment-only commit.** A commit that only appends a comment to the
 //!   DDL file is one more commit with no activity: the profile's commit
 //!   count rises by one and every other measure stays as it was.
+//! - **Consistent table renaming.** Prefixing every table name, and every
+//!   foreign-key target, with one common prefix in every version (parsed,
+//!   renamed in the logical schema, rendered back to DDL) keeps the names
+//!   in the same order and changes no measure: against the same versions
+//!   rendered without renaming, every profile and foreign-key profile is
+//!   unchanged, and the table lives are unchanged apart from their names.
 
+use schevo::ddl::render::render_schema;
+use schevo::ddl::schema::ForeignKey;
 use schevo::pipeline::extract::Mined;
 use schevo::pipeline::{run_funnel, CandidateHistory, MiningOutput};
 use schevo::prelude::*;
@@ -95,4 +103,71 @@ fn comment_only_commit_adds_one_commit_and_nothing_else() {
         expected.commits += 1;
         assert_eq!(after.profile, expected, "{}", before.profile.project);
     }
+}
+
+/// Every version of every history parsed and rendered back to DDL, with
+/// `rename` applied to each table name and foreign-key target.
+fn rendered(rename: impl Fn(&str) -> String) -> Vec<CandidateHistory> {
+    histories()
+        .iter()
+        .map(|c| {
+            let mut c = c.clone();
+            for v in &mut c.versions {
+                let parsed = parse_schema(&v.content).expect("clean corpus parses");
+                let mut renamed = Schema::new();
+                for table in parsed.tables() {
+                    let mut copy = (**table).clone();
+                    copy.name = rename(&table.name);
+                    while copy.remove_foreign_key(0).is_some() {}
+                    for fk in table.foreign_keys() {
+                        copy.push_foreign_key(ForeignKey {
+                            foreign_table: rename(&fk.foreign_table),
+                            ..fk.clone()
+                        });
+                    }
+                    renamed.upsert_table(copy);
+                }
+                v.content = render_schema(&renamed);
+            }
+            c
+        })
+        .collect()
+}
+
+#[test]
+fn renaming_every_table_consistently_changes_no_measure() {
+    const PREFIX: &str = "renamed_";
+    // Both sides go through the renderer, which drops comments: commits
+    // that only touched comments become duplicate versions on both.
+    let plain = mine(&rendered(|n| n.to_string()));
+    let renamed = mine(&rendered(|n| format!("{PREFIX}{n}")));
+    assert!(
+        plain.quarantine.quarantined.is_empty(),
+        "{}",
+        plain.quarantine.summary()
+    );
+    assert_eq!(renamed.quarantine, plain.quarantine);
+    assert_eq!(renamed.mined.len(), histories().len());
+    let mut renamed_any = false;
+    for (after, before) in renamed.mined.iter().zip(&plain.mined) {
+        let project = &before.profile.project;
+        assert_eq!(after.profile, before.profile, "{project}");
+        assert_eq!(after.fk, before.fk, "{project}");
+        let unprefixed: Vec<_> = after
+            .table_lives
+            .iter()
+            .map(|life| {
+                let mut life = life.clone();
+                life.name = life
+                    .name
+                    .strip_prefix(PREFIX)
+                    .unwrap_or_else(|| panic!("{project}: `{}` kept its name", life.name))
+                    .to_string();
+                life
+            })
+            .collect();
+        assert_eq!(unprefixed, before.table_lives, "{project}");
+        renamed_any |= !after.table_lives.is_empty();
+    }
+    assert!(renamed_any, "the law renamed no table");
 }

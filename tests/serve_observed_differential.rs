@@ -4,6 +4,11 @@
 //! serve byte-identical study results to a bare daemon and to the batch
 //! CLI's `study_results.json`, while the request log accounts for every
 //! request with a schema-valid, monotonically stamped line.
+//!
+//! Every served study reports one wall, read once: the manifest's
+//! `wall_us`, the slow-log `wall_us` and the `serve.request` span of the
+//! request trace are equal, and the request log's `stages` are the walls
+//! derived from that request's trace.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -160,8 +165,15 @@ fn fully_instrumented_daemon_serves_bare_daemon_bytes() {
         })
         .collect();
     let mut served = 0u64;
+    let mut manifest_walls = Vec::new();
     for (k, h) in handles.into_iter().enumerate() {
         let r = h.join().expect("client thread");
+        let manifest = r
+            .manifest_json
+            .as_deref()
+            .expect("manifest in the response");
+        let manifest = schevo::obs::manifest::RunManifest::from_json(manifest).expect("manifest");
+        manifest_walls.push(manifest.wall_us);
         assert_eq!(r.status, "ok", "client {k}: {:?}", r.error);
         served += 1;
         assert_eq!(
@@ -222,6 +234,56 @@ fn fully_instrumented_daemon_serves_bare_daemon_bytes() {
     // Threshold 0: every served study landed a span tree in the slow log.
     let slow_text = std::fs::read_to_string(&slow_log).expect("slow log written");
     assert_eq!(slow_text.lines().count() as u64, served);
+
+    // One wall per served study, and request-log stages from its trace.
+    let line_of = |text: &str, id: &str| -> serde_json::Value {
+        let line = text
+            .lines()
+            .find(|l| l.contains(&format!("\"{id}\"")))
+            .unwrap_or_else(|| panic!("no line for {id}"));
+        serde_json::from_str(line).expect("line parses")
+    };
+    for (k, manifest_wall) in manifest_walls.iter().enumerate() {
+        let id = format!("obs-{k}");
+        let trace = std::fs::read_to_string(trace_dir.join(format!("{id}.trace.jsonl")))
+            .expect("per-request trace exported");
+        let request_span: Vec<u64> = trace
+            .lines()
+            .map(|l| serde_json::from_str::<serde_json::Value>(l).expect("trace line"))
+            .filter(|v| v.get("name").and_then(|n| n.as_str()) == Some("serve.request"))
+            .filter_map(|v| v.get("dur").and_then(|d| d.as_u64()))
+            .collect();
+        let slow_wall = line_of(&slow_text, &id)
+            .get("wall_us")
+            .and_then(|w| w.as_u64())
+            .expect("slow-log wall_us");
+        assert_eq!(request_span.len(), 1, "{id}: one serve.request span");
+        assert_eq!(
+            (slow_wall, *manifest_wall),
+            (request_span[0], request_span[0]),
+            "{id}: slow log, manifest and serve.request span read one clock"
+        );
+        let stages: Vec<schevo::obs::manifest::StageWall> = line_of(&log_text, &id)
+            .get("stages")
+            .and_then(|s| s.as_seq())
+            .expect("request-log stages")
+            .iter()
+            .map(|pair| {
+                let pair = pair.as_seq().expect("[name, wall_us] pair");
+                schevo::obs::manifest::StageWall {
+                    name: pair[0].as_str().expect("stage name").to_string(),
+                    wall_us: pair[1].as_u64().expect("stage wall"),
+                }
+            })
+            .collect();
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["funnel", "mine", "stats"], "{id}");
+        assert_eq!(
+            schevo::obs::validate::check_stages_against_trace(&stages, &trace),
+            Ok(3),
+            "{id}: request-log stages disagree with the request trace"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
