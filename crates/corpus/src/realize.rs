@@ -10,12 +10,12 @@
 use crate::names::{author_name, column_name, project_domain, table_name};
 use crate::plan::{ProjectPlan, SchemaOp};
 use rand::Rng;
-use schevo_ddl::render::{render_schema_with, RenderOptions};
+use schevo_ddl::render::{render_schema_into, render_table, RenderOptions};
 use schevo_ddl::schema::{Attribute, Schema, Table};
 use schevo_ddl::types::DataType;
 use schevo_vcs::repo::{FileChange, Repository};
 use schevo_vcs::timestamp::Timestamp;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A materialized project: the repository plus the metadata that GitHub /
 /// Libraries.io would report about it.
@@ -60,6 +60,10 @@ fn next_type(current: &DataType, ring: &[DataType]) -> DataType {
 /// Live schema state during realization.
 struct LiveSchema {
     schema: Schema,
+    /// table name → its rendered `CREATE TABLE` text, kept until an op
+    /// changes the table. Keyed by name, not by holding the table's `Arc`:
+    /// a second owner would make every later `table_mut` copy the table.
+    texts: HashMap<String, String>,
     /// plan table id → table name.
     names: BTreeMap<u64, String>,
     /// table name → next column counter.
@@ -72,6 +76,7 @@ impl LiveSchema {
     fn new() -> Self {
         LiveSchema {
             schema: Schema::new(),
+            texts: HashMap::new(),
             names: BTreeMap::new(),
             col_counters: BTreeMap::new(),
             table_counter: 0,
@@ -110,27 +115,48 @@ impl LiveSchema {
         self.col_counters.insert(name, arity as usize);
     }
 
+    /// Render the live schema with `opts`, reusing each unchanged table's
+    /// text. `opts` must quote and close tables the same way for the whole
+    /// realization; only the header and trailers may change.
+    fn render(&mut self, opts: &RenderOptions, capacity: usize) -> String {
+        let mut out = String::with_capacity(capacity);
+        let texts = &mut self.texts;
+        render_schema_into(&mut out, &self.schema, opts, |out, table| {
+            match texts.get(&table.name) {
+                Some(text) => out.push_str(text),
+                None => {
+                    let start = out.len();
+                    render_table(out, table, opts);
+                    texts.insert(table.name.clone(), out[start..].to_string());
+                }
+            }
+        });
+        out
+    }
+
     fn apply(&mut self, op: &SchemaOp) {
         match *op {
             SchemaOp::CreateTable { id, arity } => self.create_table(id, arity),
             SchemaOp::InjectColumns { table, count } => {
                 let name = self.names[&table].clone();
+                self.texts.remove(&name);
                 let counter = self.col_counters.get_mut(&name).expect("known table");
                 let t = self.schema.table_mut(&name).expect("live table");
                 for _ in 0..count {
-                    let ty_idx = *counter % 6;
-                    let ty = type_ring()[ty_idx].clone();
+                    let ty = self.ring[*counter % self.ring.len()].clone();
                     t.push_attribute(Attribute::new(column_name(*counter), ty));
                     *counter += 1;
                 }
             }
             SchemaOp::DropTable { table } => {
                 let name = self.names.remove(&table).expect("known table");
+                self.texts.remove(&name);
                 self.schema.remove_table(&name);
                 self.col_counters.remove(&name);
             }
             SchemaOp::EjectColumns { table, count } => {
                 let name = self.names[&table].clone();
+                self.texts.remove(&name);
                 let t = self.schema.table_mut(&name).expect("live table");
                 for _ in 0..count {
                     let last = t
@@ -144,6 +170,7 @@ impl LiveSchema {
             }
             SchemaOp::ChangeTypes { table, count } => {
                 let name = self.names[&table].clone();
+                self.texts.remove(&name);
                 let t = self.schema.table_mut(&name).expect("live table");
                 let targets: Vec<String> = t
                     .attributes()
@@ -151,14 +178,14 @@ impl LiveSchema {
                     .take(count as usize)
                     .map(|a| a.name.clone())
                     .collect();
-                let ring = self.ring.clone();
                 for col in targets {
                     let attr = t.attribute_mut(&col).expect("existing column");
-                    attr.data_type = next_type(&attr.data_type, &ring);
+                    attr.data_type = next_type(&attr.data_type, &self.ring);
                 }
             }
             SchemaOp::TogglePk { table, count } => {
                 let name = self.names[&table].clone();
+                self.texts.remove(&name);
                 let t = self.schema.table_mut(&name).expect("live table");
                 let targets: Vec<String> = t
                     .attributes()
@@ -239,8 +266,11 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
         header_comment: Some(format!("{} database schema\nrevision 0", plan.name)),
         ..Default::default()
     };
+    let ddl = live.render(&render_opts, 0);
+    // Each version is sized from the one before it, with room to grow.
+    let mut ddl_len = ddl.len();
     repo.commit(
-        &[FileChange::write(&ddl_path, render_schema_with(&live.schema, &render_opts))],
+        &[FileChange::write(&ddl_path, ddl)],
         &author_name(plan.index, 0),
         at(0, &mut seq),
         "add database schema",
@@ -249,7 +279,6 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
 
     // Post-V0 schedule.
     let mut revision = 0usize;
-    let mut noise_inserts: Vec<String> = Vec::new();
     for (i, commit) in plan.schedule.iter().enumerate() {
         let author = author_name(plan.index, i % plan.contributors.max(1) as usize);
         // Occasionally interleave an unrelated commit just before.
@@ -278,13 +307,13 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
                     message = format!("docs: update schema header (rev {revision})");
                 }
                 1 => {
-                    noise_inserts.push(format!(
+                    render_opts.trailer_statements.push(format!(
                         "INSERT INTO settings VALUES ({revision}, 'seed-{revision}');"
                     ));
                     message = "chore: refresh seed data".to_string();
                 }
                 _ => {
-                    noise_inserts.push(format!(
+                    render_opts.trailer_statements.push(format!(
                         "CREATE INDEX idx_auto_{revision} ON settings (id);"
                     ));
                     message = "perf: add index".to_string();
@@ -299,9 +328,10 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
                 commit.expansion, commit.maintenance
             );
         }
-        render_opts.trailer_statements = noise_inserts.clone();
+        let ddl = live.render(&render_opts, ddl_len + ddl_len / 8);
+        ddl_len = ddl.len();
         repo.commit(
-            &[FileChange::write(&ddl_path, render_schema_with(&live.schema, &render_opts))],
+            &[FileChange::write(&ddl_path, ddl)],
             &author,
             at(commit.day, &mut seq),
             &message,

@@ -269,13 +269,12 @@ fn noise_record(noise: NoiseProject, rng: &mut StdRng) -> CorpusRecord {
     }
 }
 
-/// Wrap one lightweight excluded record.
-fn light_record(i: usize, paths: Vec<String>, meta: Option<LibioRecord>) -> CorpusRecord {
+/// Wrap one lightweight excluded record; `meta` is its Libraries.io
+/// `(is_fork, stars, contributors)`, absent for unmonitored repositories.
+fn light_record(i: usize, paths: Vec<String>, meta: Option<(bool, u32, u32)>) -> CorpusRecord {
     let name = crate::names::project_name(i);
-    let libio = meta.map(|mut m| {
-        m.repo_name = name.clone();
-        m.url = format!("https://github.example/{name}");
-        m
+    let libio = meta.map(|(is_fork, stars, contributors)| {
+        LibioRecord::new(name.clone(), is_fork, stars, contributors)
     });
     CorpusRecord {
         name,
@@ -364,22 +363,22 @@ pub fn generate_records(config: UniverseConfig, emit: &mut dyn FnMut(CorpusRecor
     let scale = |n: usize| (n.saturating_mul(m) / d).max(1);
     for _ in 0..scale(FORK_COUNT) {
         let i = next_index!();
-        let meta = LibioRecord::new("x", true, rng.gen_range(1..500), rng.gen_range(2..30));
+        let meta = (true, rng.gen_range(1..500), rng.gen_range(2..30));
         send!(light_record(i, vec!["db/schema.sql".into()], Some(meta)));
     }
     for _ in 0..scale(ZERO_STAR_COUNT) {
         let i = next_index!();
-        let meta = LibioRecord::new("x", false, 0, rng.gen_range(2..30));
+        let meta = (false, 0, rng.gen_range(2..30));
         send!(light_record(i, vec!["db/schema.sql".into()], Some(meta)));
     }
     for _ in 0..scale(ONE_CONTRIB_COUNT) {
         let i = next_index!();
-        let meta = LibioRecord::new("x", false, rng.gen_range(1..500), 1);
+        let meta = (false, rng.gen_range(1..500), 1);
         send!(light_record(i, vec!["db/schema.sql".into()], Some(meta)));
     }
     for k in 0..scale(EXCLUDED_PATH_COUNT) {
         let i = next_index!();
-        let meta = LibioRecord::new("x", false, rng.gen_range(1..500), rng.gen_range(2..30));
+        let meta = (false, rng.gen_range(1..500), rng.gen_range(2..30));
         let path = match k % 3 {
             0 => "test/fixtures/schema.sql",
             1 => "demo/demo_data.sql",
@@ -389,7 +388,7 @@ pub fn generate_records(config: UniverseConfig, emit: &mut dyn FnMut(CorpusRecor
     }
     for k in 0..scale(MULTI_FILE_COUNT) {
         let i = next_index!();
-        let meta = LibioRecord::new("x", false, rng.gen_range(1..500), rng.gen_range(2..30));
+        let meta = (false, rng.gen_range(1..500), rng.gen_range(2..30));
         let paths: Vec<String> = match k % 3 {
             // File-per-table layouts.
             0 => (0..4).map(|t| format!("sql/tables/table_{t}.sql")).collect(),

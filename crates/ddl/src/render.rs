@@ -43,20 +43,34 @@ pub fn render_schema(schema: &Schema) -> String {
 /// Render a schema to DDL text with explicit [`RenderOptions`].
 pub fn render_schema_with(schema: &Schema, opts: &RenderOptions) -> String {
     let mut out = String::new();
+    render_schema_into(&mut out, schema, opts, |out, table| render_table(out, table, opts));
+    out
+}
+
+/// Append the file layout of `schema` to `out`: the header comment, each
+/// table's text in file order, then the trailer statements. `table`
+/// appends one table's text; [`render_schema_with`] passes
+/// [`render_table`], and a caller that kept a table's text from an
+/// earlier version (rendered with the same options) may append that
+/// instead.
+pub fn render_schema_into(
+    out: &mut String,
+    schema: &Schema,
+    opts: &RenderOptions,
+    mut table: impl FnMut(&mut String, &Table),
+) {
     if let Some(header) = &opts.header_comment {
         for line in header.lines() {
             let _ = writeln!(out, "-- {line}");
         }
         out.push('\n');
     }
-    for table in schema.tables() {
-        render_table(&mut out, table, opts);
-        out.push('\n');
+    for t in schema.tables() {
+        table(out, t);
     }
     for stmt in &opts.trailer_statements {
         let _ = writeln!(out, "{stmt}");
     }
-    out
 }
 
 /// Append `name` to `out`, backquoted with any inner backquote doubled
@@ -86,7 +100,10 @@ fn push_ident_list(out: &mut String, names: &[String], opts: &RenderOptions) {
     }
 }
 
-fn render_table(out: &mut String, table: &Table, opts: &RenderOptions) {
+/// Append one table's `CREATE TABLE` statement to `out`, followed by the
+/// blank line that separates it from the next table. The text depends on
+/// the table and on `opts`' quoting and engine clause only.
+pub fn render_table(out: &mut String, table: &Table, opts: &RenderOptions) {
     out.push_str("CREATE TABLE ");
     push_ident(out, &table.name, opts);
     out.push_str(" (\n");
@@ -124,9 +141,9 @@ fn render_table(out: &mut String, table: &Table, opts: &RenderOptions) {
         out.push_str(if k + 1 < fk_count { ",\n" } else { "\n" });
     }
     if opts.engine_clause {
-        out.push_str(") ENGINE=InnoDB DEFAULT CHARSET=utf8;\n");
+        out.push_str(") ENGINE=InnoDB DEFAULT CHARSET=utf8;\n\n");
     } else {
-        out.push_str(");\n");
+        out.push_str(");\n\n");
     }
 }
 

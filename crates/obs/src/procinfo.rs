@@ -63,20 +63,4 @@ mod tests {
             assert!(rss > 0);
         }
     }
-
-    #[test]
-    fn reset_shrinks_or_keeps_the_watermark() {
-        if !std::path::Path::new("/proc/self/status").exists() {
-            return;
-        }
-        // Push the watermark up, then reset: the new reading must not
-        // exceed the old one (it tracks only post-reset usage).
-        let ballast = vec![0u8; 8 << 20];
-        let before = peak_rss_bytes().expect("VmHWM readable");
-        drop(ballast);
-        if reset_peak_rss() {
-            let after = peak_rss_bytes().expect("VmHWM readable after reset");
-            assert!(after <= before, "reset raised the watermark: {before} -> {after}");
-        }
-    }
 }

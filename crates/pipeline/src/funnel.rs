@@ -215,15 +215,13 @@ pub fn extract_versions_from(
     strategy: WalkStrategy,
 ) -> Result<Vec<FileVersion>, Exclusion> {
     let raw = file_history(r, path, strategy).map_err(|_| Exclusion::ZeroVersions)?;
+    // Distinguish "no file at all" from "only blank versions".
+    let had_any = !raw.is_empty();
     let versions: Vec<FileVersion> = raw
         .into_iter()
         .filter(|v| !v.content.trim().is_empty())
         .collect();
     if versions.is_empty() {
-        // Distinguish "no file at all" from "only blank versions".
-        let had_any = file_history(r, path, strategy)
-            .map(|v| !v.is_empty())
-            .unwrap_or(false);
         return Err(if had_any {
             Exclusion::EmptyOrNoCreateTable
         } else {

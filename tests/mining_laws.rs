@@ -14,9 +14,17 @@
 //!   in the same order and changes no measure: against the same versions
 //!   rendered without renaming, every profile and foreign-key profile is
 //!   unchanged, and the table lives are unchanged apart from their names.
+//! - **Reversed transition.** Diffing a pair of consecutive versions the
+//!   other way round swaps what the transition added with what it
+//!   removed: inserted with deleted tables, born with deleted
+//!   attributes, injected with ejected attributes, added with removed
+//!   foreign keys. Type and primary-key changes touch the same
+//!   attributes in both directions.
 
+use schevo::core::diff::diff;
 use schevo::ddl::render::render_schema;
 use schevo::ddl::schema::ForeignKey;
+use schevo::ddl::HistoryParser;
 use schevo::pipeline::extract::Mined;
 use schevo::pipeline::{run_funnel, CandidateHistory, MiningOutput};
 use schevo::prelude::*;
@@ -170,4 +178,49 @@ fn renaming_every_table_consistently_changes_no_measure() {
         renamed_any |= !after.table_lives.is_empty();
     }
     assert!(renamed_any, "the law renamed no table");
+}
+
+/// `items` as a sorted list, so two lists compare as multisets.
+fn elements<T: std::fmt::Debug>(items: &[T]) -> Vec<String> {
+    let mut out: Vec<String> = items.iter().map(|x| format!("{x:?}")).collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn reversing_a_transition_swaps_additions_with_removals() {
+    let mut pairs = 0;
+    let mut removals = 0;
+    for c in histories() {
+        let mut parser = HistoryParser::new();
+        let schemas: Vec<Schema> = c
+            .versions
+            .iter()
+            .map(|v| parser.parse(&v.content).expect("clean corpus parses"))
+            .collect();
+        for (i, w) in schemas.windows(2).enumerate() {
+            let at = format!("{}, version {}", c.name, i + 1);
+            let (forward, back) = (diff(&w[0], &w[1]), diff(&w[1], &w[0]));
+            let swapped = [
+                (elements(&forward.tables_inserted), elements(&back.tables_deleted), "tables in"),
+                (elements(&forward.tables_deleted), elements(&back.tables_inserted), "tables out"),
+                (elements(&forward.born), elements(&back.deleted), "born"),
+                (elements(&forward.deleted), elements(&back.born), "deleted"),
+                (elements(&forward.injected), elements(&back.ejected), "injected"),
+                (elements(&forward.ejected), elements(&back.injected), "ejected"),
+                (elements(&forward.type_changed), elements(&back.type_changed), "type"),
+                (elements(&forward.pk_changed), elements(&back.pk_changed), "pk"),
+                (elements(&forward.fk_added), elements(&back.fk_removed), "fk added"),
+                (elements(&forward.fk_removed), elements(&back.fk_added), "fk removed"),
+            ];
+            for (f, b, what) in swapped {
+                assert_eq!(f, b, "{at}: {what}");
+            }
+            pairs += 1;
+            removals += forward.deleted.len() + forward.ejected.len();
+        }
+    }
+    // The law must see transitions that remove something, or the swap
+    // would only ever compare empty lists with empty lists.
+    assert!(pairs > 100 && removals > 0, "{pairs} pairs, {removals} removals");
 }
