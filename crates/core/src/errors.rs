@@ -7,8 +7,6 @@
 //! of aborting the run.
 
 use schevo_ddl::error::{ParseError, ParseErrorKind};
-use schevo_vcs::pack::PackError;
-use schevo_vcs::repo::RepoError;
 use serde::{Deserialize, Serialize};
 
 /// Coarse classification of a mining failure. Each variant corresponds
@@ -125,28 +123,6 @@ impl SchevoError {
         }
     }
 
-    /// Build from a pack decoding failure.
-    pub fn from_pack(project: impl Into<String>, e: &PackError) -> Self {
-        SchevoError {
-            class: ErrorClass::PackCorrupt,
-            project: project.into(),
-            version_index: None,
-            message: e.to_string(),
-            byte_offset: None,
-        }
-    }
-
-    /// Build from a repository/history failure.
-    pub fn from_repo(project: impl Into<String>, e: &RepoError) -> Self {
-        SchevoError {
-            class: ErrorClass::HistoryWalk,
-            project: project.into(),
-            version_index: None,
-            message: e.to_string(),
-            byte_offset: None,
-        }
-    }
-
     /// Build a version-scoped sanitation error (timestamps, duplicates,
     /// empty versions, unrecoverable schemas).
     pub fn version(
@@ -164,20 +140,6 @@ impl SchevoError {
         }
     }
 
-    /// Build from an exhausted I/O failure at a named failpoint site.
-    /// `scope` names the artifact or store being operated on (it fills
-    /// the `project` provenance slot); the site and os-error detail go
-    /// into the message so operators can map the failure back to the
-    /// exact syscall.
-    pub fn from_io(site: &str, scope: impl Into<String>, e: &std::io::Error) -> Self {
-        SchevoError {
-            class: ErrorClass::Io,
-            project: scope.into(),
-            version_index: None,
-            message: format!("{site}: {e}"),
-            byte_offset: None,
-        }
-    }
 
     /// Build a project-scoped error without a version index.
     pub fn project(class: ErrorClass, project: impl Into<String>, message: impl Into<String>) -> Self {
@@ -265,13 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn io_errors_carry_site_and_are_transient_at_operation_level() {
-        let ioe = std::io::Error::from_raw_os_error(28);
-        let e = SchevoError::from_io("journal.fsync", "out/study.journal", &ioe);
-        assert_eq!(e.class, ErrorClass::Io);
-        assert!(e.class.transient());
-        assert!(e.message.starts_with("journal.fsync: "), "{}", e.message);
-        assert!(e.to_string().contains("[io] out/study.journal"));
+    fn io_and_deadline_classes_are_transient_at_operation_level() {
+        assert!(ErrorClass::Io.transient());
         assert!(!ErrorClass::Syntax.transient());
         assert!(ErrorClass::DeadlineExceeded.transient());
     }

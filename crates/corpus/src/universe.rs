@@ -9,7 +9,7 @@
 use crate::libio::LibioRecord;
 use crate::noise::{
     add_postgres_sibling, empty_file_project, funnel_counts, no_create_table_project,
-    rigid_project, zero_version_project, NoiseKind, NoiseProject, TAXON_COUNTS,
+    rigid_project, zero_version_project, NoiseProject, TAXON_COUNTS,
 };
 use crate::plan::plan_project;
 use crate::realize::{realize, GeneratedProject};
@@ -74,22 +74,6 @@ impl MaterializedRepo {
         match &self.body {
             MaterializedBody::Evo(p) => &p.plan.name,
             MaterializedBody::Noise(n) => &n.repo.name,
-        }
-    }
-
-    /// The intended taxon, if this is an evolution project.
-    pub fn intended_taxon(&self) -> Option<Taxon> {
-        match &self.body {
-            MaterializedBody::Evo(p) => Some(p.plan.taxon),
-            MaterializedBody::Noise(_) => None,
-        }
-    }
-
-    /// The noise kind, if this is a noise project.
-    pub fn noise_kind(&self) -> Option<NoiseKind> {
-        match &self.body {
-            MaterializedBody::Evo(_) => None,
-            MaterializedBody::Noise(n) => Some(n.kind),
         }
     }
 
@@ -596,6 +580,7 @@ fn last_timestamp_plus(project: &GeneratedProject, secs: i64) -> schevo_vcs::tim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::NoiseKind;
 
     #[test]
     fn small_universe_counts_are_consistent() {
@@ -630,14 +615,14 @@ mod tests {
             let n = u
                 .materialized
                 .values()
-                .filter(|m| m.intended_taxon() == Some(*taxon))
+                .filter(|m| matches!(&m.body, MaterializedBody::Evo(p) if p.plan.taxon == *taxon))
                 .count();
             assert_eq!(n, u.expected.taxa[slot], "{taxon:?}");
         }
         let rigid = u
             .materialized
             .values()
-            .filter(|m| m.noise_kind() == Some(NoiseKind::Rigid))
+            .filter(|m| matches!(&m.body, MaterializedBody::Noise(n) if n.kind == NoiseKind::Rigid))
             .count();
         assert_eq!(rigid, u.expected.rigid);
     }

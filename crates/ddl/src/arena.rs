@@ -1,13 +1,12 @@
 //! Index-based arena storage for parsed scripts.
 //!
-//! The tolerant parser used to build a [`Script`] with one heap-allocated
-//! `Vec` per statement (columns, constraints, alter-ops, options), which
-//! meant a dump with hundreds of `CREATE TABLE` statements paid thousands
-//! of small allocations per parse — on the hottest path of the whole
-//! pipeline. A [`ScriptArena`] replaces that shape with flat, shared pools:
-//! every column of every statement lives in one `Vec<ColumnDef>`, and a
-//! statement holds a [`PoolRange`] (a `u32` start/len pair) into the pool
-//! instead of owning a vector.
+//! One heap-allocated `Vec` per statement (columns, constraints,
+//! alter-ops, options) would make a dump with hundreds of `CREATE TABLE`
+//! statements pay thousands of small allocations per parse — on the
+//! hottest path of the whole pipeline. A [`ScriptArena`] stores them in
+//! flat, shared pools instead: every column of every statement lives in
+//! one `Vec<ColumnDef>`, and a statement holds a [`PoolRange`] (a `u32`
+//! start/len pair) into the pool instead of owning a vector.
 //!
 //! Indices are used instead of references deliberately: the arena is built
 //! incrementally while the parser backtracks (`CREATE TABLE` degradation
@@ -23,9 +22,7 @@
 //! observability layer's never-perturb invariant covers it — it exists so
 //! metrics exports can report allocator pressure.
 
-use crate::ast::{
-    AlterOp, AlterTable, ColumnDef, CreateTable, Script, Statement, TableConstraint,
-};
+use crate::ast::{AlterOp, ColumnDef, TableConstraint};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative arena heap bytes since process start (all parses, all threads).
@@ -78,7 +75,7 @@ impl PoolRange {
 }
 
 /// One top-level statement, with its variable-length parts stored as pool
-/// ranges rather than owned vectors. The arena-side mirror of [`Statement`].
+/// ranges rather than owned vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArenaStatement {
     /// A fully parsed `CREATE TABLE`.
@@ -103,7 +100,7 @@ pub enum ArenaStatement {
 }
 
 /// A `CREATE TABLE` whose columns, constraints and options live in the
-/// arena pools. The arena-side mirror of [`CreateTable`].
+/// arena pools.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArenaCreateTable {
     /// Table name, unqualified (a `db.` qualifier is stripped but recorded).
@@ -112,7 +109,8 @@ pub struct ArenaCreateTable {
     pub qualifier: Option<String>,
     /// Whether `IF NOT EXISTS` was present.
     pub if_not_exists: bool,
-    /// Whether `TEMPORARY` was present.
+    /// Whether `TEMPORARY` was present. Temporary tables are excluded from
+    /// the logical schema.
     pub temporary: bool,
     /// Column definitions in declaration order, in the column pool.
     pub columns: PoolRange,
@@ -171,7 +169,6 @@ impl ScriptArena {
 
     /// The primary-key columns of a pooled `CREATE TABLE`: a table-level
     /// `PRIMARY KEY` constraint wins, else the inline-marked columns.
-    /// Mirrors [`CreateTable::primary_key_columns`].
     pub fn primary_key_columns(&self, ct: &ArenaCreateTable) -> Vec<String> {
         for c in self.constraints(ct.constraints) {
             if let TableConstraint::PrimaryKey { columns, .. } = c {
@@ -275,40 +272,6 @@ impl ScriptArena {
             + self.ops.capacity() * std::mem::size_of::<AlterOp>()
             + self.strings.capacity() * std::mem::size_of::<String>()
     }
-
-    /// Convert to the boxed-AST [`Script`] representation.
-    ///
-    /// Compatibility path for the pretty-printer round-trip tests and any
-    /// caller that wants self-contained statements; the mining pipeline
-    /// lowers the arena straight to a schema and never takes this copy.
-    pub fn to_script(&self) -> Script {
-        let statements = self
-            .statements
-            .iter()
-            .map(|s| match s {
-                ArenaStatement::CreateTable(ct) => Statement::CreateTable(CreateTable {
-                    name: ct.name.clone(),
-                    qualifier: ct.qualifier.clone(),
-                    if_not_exists: ct.if_not_exists,
-                    temporary: ct.temporary,
-                    columns: self.columns(ct.columns).to_vec(),
-                    constraints: self.constraints(ct.constraints).to_vec(),
-                    options: self.strings(ct.options).to_vec(),
-                }),
-                ArenaStatement::AlterTable { name, ops } => Statement::AlterTable(AlterTable {
-                    name: name.clone(),
-                    ops: self.ops(*ops).to_vec(),
-                }),
-                ArenaStatement::DropTable { names } => Statement::DropTable {
-                    names: self.strings(*names).to_vec(),
-                },
-                ArenaStatement::Other { keyword } => Statement::Other {
-                    keyword: keyword.clone(),
-                },
-            })
-            .collect();
-        Script { statements }
-    }
 }
 
 #[cfg(test)]
@@ -333,27 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn to_script_round_trips_every_statement_kind() {
-        let sql = "CREATE TABLE t (a INT, PRIMARY KEY (a)) ENGINE=InnoDB;\
-                   ALTER TABLE t ADD COLUMN b INT;\
-                   DROP TABLE u, v;\
-                   INSERT INTO t VALUES (1);";
-        let arena = parse_script_arena(sql).unwrap();
-        let script = arena.to_script();
-        assert_eq!(script.statements.len(), 4);
-        assert_eq!(script.create_tables().count(), 1);
-        let ct = script.create_tables().next().unwrap();
-        assert_eq!(ct.columns.len(), 1);
-        assert_eq!(ct.constraints.len(), 1);
-        assert_eq!(ct.options, vec!["ENGINE=InnoDB".to_string()]);
-        assert!(script
-            .statements
-            .iter()
-            .any(|s| matches!(s, crate::ast::Statement::DropTable { names }
-                if names == &["u".to_string(), "v".to_string()])));
-    }
-
-    #[test]
     fn truncate_rolls_back_all_pools() {
         let mut arena = ScriptArena::default();
         arena.push_string("keep".into());
@@ -375,6 +317,13 @@ mod tests {
         .unwrap();
         let ct = arena.create_tables().next().unwrap();
         assert_eq!(arena.primary_key_columns(ct), vec!["b".to_string()]);
+    }
+
+    #[test]
+    fn inline_pk_used_when_no_table_constraint() {
+        let arena = parse_script_arena("CREATE TABLE t (a INT PRIMARY KEY, b INT);").unwrap();
+        let ct = arena.create_tables().next().unwrap();
+        assert_eq!(arena.primary_key_columns(ct), vec!["a".to_string()]);
     }
 
     #[test]

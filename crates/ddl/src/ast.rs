@@ -1,77 +1,14 @@
-//! Abstract syntax for the subset of SQL the miner cares about.
+//! Abstract syntax for the subset of SQL the miner cares about: column
+//! definitions, table constraints and `ALTER TABLE` operations.
 //!
-//! Only `CREATE TABLE` is represented structurally. Every other statement is
-//! recorded as [`Statement::Other`] with the keyword that introduced it, so
-//! callers can still count `INSERT`s, `CREATE INDEX`es and directives — those
-//! are the study's *non-active* change classes.
+//! Statements themselves live in a [`crate::arena::ScriptArena`], which
+//! pools these parts. Only `CREATE TABLE`, `ALTER TABLE` and `DROP TABLE`
+//! are represented structurally; every other statement is recorded as
+//! [`crate::arena::ArenaStatement::Other`] with the keyword that introduced
+//! it, so callers can still count `INSERT`s, `CREATE INDEX`es and
+//! directives — those are the study's *non-active* change classes.
 
 use crate::types::DataType;
-
-/// A whole parsed script: the ordered list of statements of one version of a
-/// DDL file.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Script {
-    /// Statements in file order.
-    pub statements: Vec<Statement>,
-}
-
-impl Script {
-    /// Iterate over the `CREATE TABLE` statements only, in file order.
-    pub fn create_tables(&self) -> impl Iterator<Item = &CreateTable> {
-        self.statements.iter().filter_map(|s| match s {
-            Statement::CreateTable(ct) => Some(ct),
-            _ => None,
-        })
-    }
-
-    /// Count the unmodelled statements (the non-logical noise: `INSERT`,
-    /// `SET`, index creation, directives, ...).
-    pub fn other_count(&self) -> usize {
-        self.statements
-            .iter()
-            .filter(|s| matches!(s, Statement::Other { .. }))
-            .count()
-    }
-
-    /// Iterate over the `ALTER TABLE` statements, in file order.
-    pub fn alter_tables(&self) -> impl Iterator<Item = &AlterTable> {
-        self.statements.iter().filter_map(|s| match s {
-            Statement::AlterTable(at) => Some(at),
-            _ => None,
-        })
-    }
-}
-
-/// One top-level statement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
-    /// A fully parsed `CREATE TABLE`.
-    CreateTable(CreateTable),
-    /// A parsed `ALTER TABLE` (schema files occasionally carry trailing
-    /// ALTERs instead of rewriting the CREATE statements).
-    AlterTable(AlterTable),
-    /// A parsed `DROP TABLE`.
-    DropTable {
-        /// Names of the dropped tables.
-        names: Vec<String>,
-    },
-    /// Any other statement, skipped by the tolerant parser.
-    Other {
-        /// The leading keyword(s) identifying the statement, uppercased
-        /// (e.g. `"INSERT"`, `"SET"`, `"CREATE INDEX"`, `"DROP"`).
-        keyword: String,
-    },
-}
-
-/// A parsed `ALTER TABLE` statement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlterTable {
-    /// Target table name (unqualified).
-    pub name: String,
-    /// Alterations in order. Operations the parser does not model are
-    /// dropped (tolerance over completeness, as everywhere in this crate).
-    pub ops: Vec<AlterOp>,
-}
 
 /// One alteration within `ALTER TABLE`.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,45 +32,6 @@ pub enum AlterOp {
     DropPrimaryKey,
     /// `RENAME [TO] new_name`.
     RenameTable(String),
-}
-
-/// A parsed `CREATE TABLE` statement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CreateTable {
-    /// Table name, unqualified (a `db.` qualifier is stripped but recorded).
-    pub name: String,
-    /// Optional schema/database qualifier that preceded the name.
-    pub qualifier: Option<String>,
-    /// Whether `IF NOT EXISTS` was present.
-    pub if_not_exists: bool,
-    /// Whether `TEMPORARY` was present. Temporary tables are excluded from
-    /// the logical schema.
-    pub temporary: bool,
-    /// Column definitions in declaration order.
-    pub columns: Vec<ColumnDef>,
-    /// Table-level constraints in declaration order.
-    pub constraints: Vec<TableConstraint>,
-    /// Trailing table options (`ENGINE=InnoDB`, `DEFAULT CHARSET=utf8`, ...),
-    /// kept as raw key/value-ish strings for fidelity.
-    pub options: Vec<String>,
-}
-
-impl CreateTable {
-    /// The columns declared `PRIMARY KEY` either inline or via a table-level
-    /// constraint, in key order. Inline declarations win if both exist
-    /// (MySQL rejects that case; we are tolerant and merge).
-    pub fn primary_key_columns(&self) -> Vec<String> {
-        for c in &self.constraints {
-            if let TableConstraint::PrimaryKey { columns, .. } = c {
-                return columns.clone();
-            }
-        }
-        self.columns
-            .iter()
-            .filter(|c| c.inline_primary_key)
-            .map(|c| c.name.clone())
-            .collect()
-    }
 }
 
 /// One column definition inside `CREATE TABLE`.
@@ -214,74 +112,4 @@ pub enum TableConstraint {
         /// Optional constraint name.
         name: Option<String>,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::types::DataType;
-
-    fn col(name: &str) -> ColumnDef {
-        ColumnDef::new(name, DataType::int())
-    }
-
-    #[test]
-    fn table_level_pk_wins() {
-        let mut a = col("a");
-        a.inline_primary_key = true;
-        let ct = CreateTable {
-            name: "t".into(),
-            qualifier: None,
-            if_not_exists: false,
-            temporary: false,
-            columns: vec![a, col("b")],
-            constraints: vec![TableConstraint::PrimaryKey {
-                name: None,
-                columns: vec!["b".into()],
-            }],
-            options: vec![],
-        };
-        assert_eq!(ct.primary_key_columns(), vec!["b".to_string()]);
-    }
-
-    #[test]
-    fn inline_pk_used_when_no_table_constraint() {
-        let mut a = col("a");
-        a.inline_primary_key = true;
-        let ct = CreateTable {
-            name: "t".into(),
-            qualifier: None,
-            if_not_exists: false,
-            temporary: false,
-            columns: vec![a, col("b")],
-            constraints: vec![],
-            options: vec![],
-        };
-        assert_eq!(ct.primary_key_columns(), vec!["a".to_string()]);
-    }
-
-    #[test]
-    fn script_helpers_filter_statements() {
-        let script = Script {
-            statements: vec![
-                Statement::Other {
-                    keyword: "SET".into(),
-                },
-                Statement::CreateTable(CreateTable {
-                    name: "t".into(),
-                    qualifier: None,
-                    if_not_exists: false,
-                    temporary: false,
-                    columns: vec![col("a")],
-                    constraints: vec![],
-                    options: vec![],
-                }),
-                Statement::Other {
-                    keyword: "INSERT".into(),
-                },
-            ],
-        };
-        assert_eq!(script.create_tables().count(), 1);
-        assert_eq!(script.other_count(), 2);
-    }
 }

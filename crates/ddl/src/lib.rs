@@ -15,7 +15,7 @@
 //! ## Pipeline
 //!
 //! ```text
-//! &str ──lexer──▶ Vec<Token> ──parser──▶ Script(AST) ──schema──▶ Schema
+//! &str ──lexer──▶ Vec<Token> ──parser──▶ ScriptArena ──schema──▶ Schema
 //! ```
 //!
 //! * [`lexer`] tokenizes SQL with full comment/string/quoted-identifier
@@ -24,8 +24,10 @@
 //!   `CREATE TABLE` statements and skips every other statement, so that a
 //!   real-world dump full of `INSERT`s, `SET` directives and vendor noise
 //!   still yields its logical schema.
-//! * [`schema`] lowers the AST to the [`schema::Schema`] model and is the
-//!   input to the diff engine in `schevo-core`.
+//! * [`arena`] holds a parsed script: its statements, with their columns,
+//!   constraints and `ALTER TABLE` operations ([`ast`]) in shared pools.
+//! * [`schema`] lowers the arena to the [`schema::Schema`] model and is
+//!   the input to the diff engine in `schevo-core`.
 //! * [`history`] parses the successive versions of one file, reusing the
 //!   statements a version shares verbatim with the previous one; each
 //!   result equals [`parse_schema`]'s.
@@ -70,7 +72,7 @@ pub use arena::{arena_bytes_total, ScriptArena};
 pub use error::{ParseError, Span};
 pub use history::HistoryParser;
 pub use lexer::tokenize_recovering;
-pub use parser::{parse_script, parse_script_arena, Parser};
+pub use parser::{parse_script_arena, Parser};
 pub use schema::{Attribute, Schema, Table};
 
 /// Parse the text of a DDL file straight into its logical [`Schema`].
@@ -106,13 +108,6 @@ pub struct RecoveredSchema {
     /// `CREATE TABLE` statements that were structurally broken and
     /// degraded to skipped statements (statement-level recovery).
     pub dropped_statements: usize,
-}
-
-impl RecoveredSchema {
-    /// Whether any content was lost relative to a strict parse.
-    pub fn is_degraded(&self) -> bool {
-        self.lex_error.is_some() || self.dropped_statements > 0
-    }
 }
 
 /// Parse as much of a DDL file as possible, never failing.

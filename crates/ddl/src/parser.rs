@@ -8,40 +8,28 @@
 //! resolved by the lexer.
 
 use crate::arena::{ArenaCreateTable, ArenaStatement, PoolRange, ScriptArena};
-use crate::ast::{ColumnDef, Script, TableConstraint};
+use crate::ast::{ColumnDef, TableConstraint};
 use crate::error::{ParseError, Span};
 use crate::lexer::tokenize;
 use crate::token::{Token, TokenKind};
 use crate::types::{DataType, TypeFamily};
 use std::cell::Cell;
 
-/// Parse a whole script into its AST.
+/// Parse a whole script into arena form: statements share flat pools
+/// instead of owning per-statement vectors, and the result lowers
+/// straight to a schema via [`crate::schema::Schema::from_arena`].
 ///
 /// # Errors
 ///
 /// Propagates lexer errors and structural errors inside `CREATE TABLE`
 /// statements. Other malformed statements are skipped silently.
-pub fn parse_script(sql: &str) -> Result<Script, ParseError> {
-    Ok(parse_script_arena(sql)?.to_script())
-}
-
-/// Parse a whole script into arena form.
-///
-/// This is the allocation-lean path the mining pipeline uses: statements
-/// share flat pools instead of owning per-statement vectors, and the
-/// result lowers straight to a schema via
-/// [`crate::schema::Schema::from_arena`].
-///
-/// # Errors
-///
-/// Same contract as [`parse_script`].
 pub fn parse_script_arena(sql: &str) -> Result<ScriptArena, ParseError> {
     let tokens = tokenize(sql)?;
     Parser::new(tokens).script_arena()
 }
 
-/// The parser state machine. Most callers should use [`parse_script`] or
-/// [`crate::parse_schema`]; the type is public for fine-grained testing.
+/// The parser state machine. Most callers should use [`parse_script_arena`]
+/// or [`crate::parse_schema`]; the type is public for fine-grained testing.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -156,20 +144,13 @@ impl Parser {
         }
     }
 
-    /// Top-level: a sequence of statements separated by semicolons.
-    ///
-    /// Compatibility wrapper over [`Self::script_arena`] that copies the
-    /// arena out into self-contained statements.
-    pub fn script(&mut self) -> Result<Script, ParseError> {
-        Ok(self.script_arena()?.to_script())
-    }
-
-    /// Top-level parse into arena form; the fast path.
+    /// Top-level: a sequence of statements separated by semicolons, parsed
+    /// into arena form.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::script`]: statement-level breakage degrades
-    /// to skipped statements, so errors only reflect unrecoverable input.
+    /// Statement-level breakage degrades to skipped statements, so errors
+    /// only reflect unrecoverable input.
     pub fn script_arena(&mut self) -> Result<ScriptArena, ParseError> {
         while self.at_statement() {
             self.statement();
@@ -1033,24 +1014,61 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CreateTable, Statement};
+    use crate::ast::AlterOp;
     use crate::types::TypeFamily;
 
-    fn one_table(sql: &str) -> CreateTable {
-        let script = parse_script(sql).unwrap();
-        let mut it = script.create_tables();
-        let ct = it.next().expect("expected one CREATE TABLE").clone();
-        assert!(it.next().is_none(), "expected exactly one CREATE TABLE");
-        ct
+    /// The script of `sql` and its only `CREATE TABLE`.
+    fn one_table(sql: &str) -> (ScriptArena, ArenaCreateTable) {
+        let arena = parse_script_arena(sql).unwrap();
+        assert_eq!(
+            arena.create_tables().count(),
+            1,
+            "expected one CREATE TABLE"
+        );
+        let ct = arena
+            .create_tables()
+            .next()
+            .cloned()
+            .expect("one CREATE TABLE");
+        (arena, ct)
+    }
+
+    /// The `(name, ops)` of every `ALTER TABLE` in `arena`, in file order.
+    fn alter_tables(arena: &ScriptArena) -> Vec<(&str, &[AlterOp])> {
+        arena
+            .statements()
+            .iter()
+            .filter_map(|s| match s {
+                ArenaStatement::AlterTable { name, ops } => Some((name.as_str(), arena.ops(*ops))),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The names of every `DROP TABLE` in `arena`, one list per statement.
+    fn drop_tables(arena: &ScriptArena) -> Vec<&[String]> {
+        arena
+            .statements()
+            .iter()
+            .filter_map(|s| match s {
+                ArenaStatement::DropTable { names } => Some(arena.strings(*names)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn create_table_names(arena: &ScriptArena) -> Vec<&str> {
+        arena.create_tables().map(|c| c.name.as_str()).collect()
     }
 
     #[test]
     fn parses_minimal_table() {
-        let ct = one_table("CREATE TABLE t (a INT);");
+        let (a, ct) = one_table("CREATE TABLE t (a INT);");
         assert_eq!(ct.name, "t");
-        assert_eq!(ct.columns.len(), 1);
-        assert_eq!(ct.columns[0].name, "a");
-        assert_eq!(ct.columns[0].data_type.family, TypeFamily::Int);
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols.len(), 1);
+        assert_eq!(cols[0].name, "a");
+        assert_eq!(cols[0].data_type.family, TypeFamily::Int);
     }
 
     #[test]
@@ -1066,54 +1084,55 @@ mod tests {
               KEY `idx_created` (`created_at`)
             ) ENGINE=InnoDB DEFAULT CHARSET=utf8;
         "#;
-        let ct = one_table(sql);
+        let (a, ct) = one_table(sql);
         assert_eq!(ct.name, "users");
-        assert_eq!(ct.columns.len(), 4);
-        assert!(ct.columns[0].auto_increment);
-        assert!(ct.columns[0].not_null);
-        assert_eq!(ct.columns[0].data_type.params, vec![11]);
-        assert_eq!(ct.columns[1].default.as_deref(), Some("''"));
-        assert_eq!(ct.primary_key_columns(), vec!["id".to_string()]);
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols.len(), 4);
+        assert!(cols[0].auto_increment);
+        assert!(cols[0].not_null);
+        assert_eq!(cols[0].data_type.params, vec![11]);
+        assert_eq!(cols[1].default.as_deref(), Some("''"));
+        assert_eq!(a.primary_key_columns(&ct), vec!["id".to_string()]);
         assert_eq!(ct.constraints.len(), 3);
         assert!(!ct.options.is_empty());
     }
 
     #[test]
     fn if_not_exists_and_temporary() {
-        let ct = one_table("CREATE TABLE IF NOT EXISTS t (a INT)");
+        let (_, ct) = one_table("CREATE TABLE IF NOT EXISTS t (a INT)");
         assert!(ct.if_not_exists);
-        let ct = one_table("CREATE TEMPORARY TABLE t (a INT)");
+        let (_, ct) = one_table("CREATE TEMPORARY TABLE t (a INT)");
         assert!(ct.temporary);
     }
 
     #[test]
     fn qualified_table_name() {
-        let ct = one_table("CREATE TABLE mydb.t (a INT)");
+        let (_, ct) = one_table("CREATE TABLE mydb.t (a INT)");
         assert_eq!(ct.qualifier.as_deref(), Some("mydb"));
         assert_eq!(ct.name, "t");
     }
 
     #[test]
     fn composite_primary_key() {
-        let ct = one_table("CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b))");
+        let (a, ct) = one_table("CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b))");
         assert_eq!(
-            ct.primary_key_columns(),
+            a.primary_key_columns(&ct),
             vec!["a".to_string(), "b".to_string()]
         );
     }
 
     #[test]
     fn inline_primary_key() {
-        let ct = one_table("CREATE TABLE t (a INT PRIMARY KEY, b INT)");
-        assert_eq!(ct.primary_key_columns(), vec!["a".to_string()]);
+        let (a, ct) = one_table("CREATE TABLE t (a INT PRIMARY KEY, b INT)");
+        assert_eq!(a.primary_key_columns(&ct), vec!["a".to_string()]);
     }
 
     #[test]
     fn foreign_key_with_actions() {
         let sql = "CREATE TABLE t (a INT, CONSTRAINT fk_a FOREIGN KEY (a) \
                    REFERENCES parent (id) ON DELETE CASCADE ON UPDATE NO ACTION)";
-        let ct = one_table(sql);
-        match &ct.constraints[0] {
+        let (a, ct) = one_table(sql);
+        match &a.constraints(ct.constraints)[0] {
             TableConstraint::ForeignKey {
                 name,
                 columns,
@@ -1131,28 +1150,31 @@ mod tests {
 
     #[test]
     fn enum_and_set_types() {
-        let ct = one_table("CREATE TABLE t (s ENUM('on','off') NOT NULL, f SET('a','b'))");
-        assert_eq!(ct.columns[0].data_type.family, TypeFamily::Enum);
+        let (a, ct) = one_table("CREATE TABLE t (s ENUM('on','off') NOT NULL, f SET('a','b'))");
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols[0].data_type.family, TypeFamily::Enum);
         assert_eq!(
-            ct.columns[0].data_type.values,
+            cols[0].data_type.values,
             vec!["on".to_string(), "off".to_string()]
         );
-        assert_eq!(ct.columns[1].data_type.family, TypeFamily::Set);
+        assert_eq!(cols[1].data_type.family, TypeFamily::Set);
     }
 
     #[test]
     fn decimal_params_and_unsigned() {
-        let ct = one_table("CREATE TABLE t (p DECIMAL(10,2) UNSIGNED)");
-        assert_eq!(ct.columns[0].data_type.params, vec![10, 2]);
-        assert!(ct.columns[0].data_type.unsigned);
+        let (a, ct) = one_table("CREATE TABLE t (p DECIMAL(10,2) UNSIGNED)");
+        let p = &a.columns(ct.columns)[0];
+        assert_eq!(p.data_type.params, vec![10, 2]);
+        assert!(p.data_type.unsigned);
     }
 
     #[test]
     fn double_precision_and_character_varying() {
-        let ct = one_table("CREATE TABLE t (a DOUBLE PRECISION, b CHARACTER VARYING(40))");
-        assert_eq!(ct.columns[0].data_type.family, TypeFamily::Double);
-        assert_eq!(ct.columns[1].data_type.family, TypeFamily::Varchar);
-        assert_eq!(ct.columns[1].data_type.params, vec![40]);
+        let (a, ct) = one_table("CREATE TABLE t (a DOUBLE PRECISION, b CHARACTER VARYING(40))");
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols[0].data_type.family, TypeFamily::Double);
+        assert_eq!(cols[1].data_type.family, TypeFamily::Varchar);
+        assert_eq!(cols[1].data_type.params, vec![40]);
     }
 
     #[test]
@@ -1165,13 +1187,13 @@ mod tests {
             CREATE INDEX idx ON t (a);
             LOCK TABLES t WRITE;
         "#;
-        let script = parse_script(sql).unwrap();
-        assert_eq!(script.create_tables().count(), 1);
-        let keywords: Vec<_> = script
-            .statements
+        let arena = parse_script_arena(sql).unwrap();
+        assert_eq!(arena.create_tables().count(), 1);
+        let keywords: Vec<_> = arena
+            .statements()
             .iter()
             .filter_map(|s| match s {
-                Statement::Other { keyword } => Some(keyword.as_str()),
+                ArenaStatement::Other { keyword } => Some(keyword.as_str()),
                 _ => None,
             })
             .collect();
@@ -1179,16 +1201,12 @@ mod tests {
         assert!(keywords.contains(&"INSERT"));
         assert!(keywords.contains(&"CREATE INDEX"));
         assert!(keywords.contains(&"LOCK TABLES"));
-        // DROP TABLE is now a modelled statement, not noise.
-        assert!(script
-            .statements
-            .iter()
-            .any(|s| matches!(s, Statement::DropTable { names } if names == &["t".to_string()])));
+        // DROP TABLE is a modelled statement, not noise.
+        assert_eq!(drop_tables(&arena), [["t".to_string()]]);
     }
 
     #[test]
     fn parses_alter_table_ops() {
-        use crate::ast::AlterOp;
         let sql = r#"
             ALTER TABLE t
               ADD COLUMN extra VARCHAR(40) NOT NULL,
@@ -1199,47 +1217,48 @@ mod tests {
               ADD INDEX idx_extra (extra),
               DROP INDEX idx_old;
         "#;
-        let script = parse_script(sql).unwrap();
-        let at = script.alter_tables().next().expect("one alter");
-        assert_eq!(at.name, "t");
-        assert_eq!(at.ops.len(), 5, "index ops are skipped: {:?}", at.ops);
-        assert!(matches!(&at.ops[0], AlterOp::AddColumn(c) if c.name == "extra" && c.not_null));
-        assert!(matches!(&at.ops[1], AlterOp::DropColumn(n) if n == "old_one"));
-        assert!(matches!(&at.ops[2], AlterOp::ModifyColumn(c) if c.name == "amount"));
+        let arena = parse_script_arena(sql).unwrap();
+        let alters = alter_tables(&arena);
+        let (name, ops) = alters[0];
+        assert_eq!(name, "t");
+        assert_eq!(ops.len(), 5, "index ops are skipped: {ops:?}");
+        assert!(matches!(&ops[0], AlterOp::AddColumn(c) if c.name == "extra" && c.not_null));
+        assert!(matches!(&ops[1], AlterOp::DropColumn(n) if n == "old_one"));
+        assert!(matches!(&ops[2], AlterOp::ModifyColumn(c) if c.name == "amount"));
         assert!(
-            matches!(&at.ops[3], AlterOp::ChangeColumn { old_name, def } if old_name == "kind" && def.name == "category")
+            matches!(&ops[3], AlterOp::ChangeColumn { old_name, def } if old_name == "kind" && def.name == "category")
         );
-        assert!(matches!(&at.ops[4], AlterOp::AddPrimaryKey(cols) if cols == &["id".to_string()]));
+        assert!(matches!(&ops[4], AlterOp::AddPrimaryKey(cols) if cols == &["id".to_string()]));
     }
 
     #[test]
     fn alter_rename_and_drop_pk() {
-        use crate::ast::AlterOp;
-        let script =
-            parse_script("ALTER TABLE old_name RENAME TO new_name; ALTER TABLE x DROP PRIMARY KEY;")
-                .unwrap();
-        let alters: Vec<_> = script.alter_tables().collect();
+        let arena = parse_script_arena(
+            "ALTER TABLE old_name RENAME TO new_name; ALTER TABLE x DROP PRIMARY KEY;",
+        )
+        .unwrap();
+        let alters = alter_tables(&arena);
         assert_eq!(alters.len(), 2);
-        assert!(matches!(&alters[0].ops[0], AlterOp::RenameTable(n) if n == "new_name"));
-        assert!(matches!(&alters[1].ops[0], AlterOp::DropPrimaryKey));
+        assert!(matches!(&alters[0].1[0], AlterOp::RenameTable(n) if n == "new_name"));
+        assert!(matches!(&alters[1].1[0], AlterOp::DropPrimaryKey));
     }
 
     #[test]
     fn drop_table_multiple_names() {
-        let script = parse_script("DROP TABLE IF EXISTS a, b, db.c CASCADE;").unwrap();
-        assert!(script.statements.iter().any(|s| matches!(
-            s,
-            Statement::DropTable { names } if names == &["a".to_string(), "b".to_string(), "c".to_string()]
-        )));
+        let arena = parse_script_arena("DROP TABLE IF EXISTS a, b, db.c CASCADE;").unwrap();
+        assert_eq!(
+            drop_tables(&arena),
+            [["a".to_string(), "b".to_string(), "c".to_string()]]
+        );
     }
 
     #[test]
     fn alter_statement_does_not_swallow_next() {
-        let script = parse_script(
+        let arena = parse_script_arena(
             "ALTER TABLE t ADD weird_option ROW_FORMAT=DYNAMIC; CREATE TABLE u (a INT);",
         )
         .unwrap();
-        assert_eq!(script.create_tables().count(), 1);
+        assert_eq!(arena.create_tables().count(), 1);
     }
 
     #[test]
@@ -1248,22 +1267,22 @@ mod tests {
             INSERT INTO msg VALUES ('a); CREATE TABLE fake (x INT);');
             CREATE TABLE real_one (a INT);
         "#;
-        let script = parse_script(sql).unwrap();
-        let names: Vec<_> = script.create_tables().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["real_one"]);
+        let arena = parse_script_arena(sql).unwrap();
+        assert_eq!(create_table_names(&arena), vec!["real_one"]);
     }
 
     #[test]
     fn a_column_named_key() {
-        let ct = one_table("CREATE TABLE t (`key` VARCHAR(64), value TEXT)");
-        assert_eq!(ct.columns.len(), 2);
-        assert_eq!(ct.columns[0].name, "key");
+        let (a, ct) = one_table("CREATE TABLE t (`key` VARCHAR(64), value TEXT)");
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols.len(), 2);
+        assert_eq!(cols[0].name, "key");
     }
 
     #[test]
     fn index_with_prefix_lengths() {
-        let ct = one_table("CREATE TABLE t (a VARCHAR(255), KEY idx_a (a(10) DESC))");
-        match &ct.constraints[0] {
+        let (a, ct) = one_table("CREATE TABLE t (a VARCHAR(255), KEY idx_a (a(10) DESC))");
+        match &a.constraints(ct.constraints)[0] {
             TableConstraint::Index { name, columns } => {
                 assert_eq!(name.as_deref(), Some("idx_a"));
                 assert_eq!(columns, &vec!["a".to_string()]);
@@ -1274,9 +1293,9 @@ mod tests {
 
     #[test]
     fn check_constraint_is_recorded() {
-        let ct = one_table("CREATE TABLE t (a INT, CONSTRAINT positive CHECK (a > 0))");
+        let (a, ct) = one_table("CREATE TABLE t (a INT, CONSTRAINT positive CHECK (a > 0))");
         assert!(matches!(
-            &ct.constraints[0],
+            &a.constraints(ct.constraints)[0],
             TableConstraint::Check { name: Some(n) } if n == "positive"
         ));
     }
@@ -1284,82 +1303,89 @@ mod tests {
     #[test]
     fn multiple_tables_in_order() {
         let sql = "CREATE TABLE a (x INT); CREATE TABLE b (y INT); CREATE TABLE c (z INT);";
-        let script = parse_script(sql).unwrap();
-        let names: Vec<_> = script.create_tables().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
+        let arena = parse_script_arena(sql).unwrap();
+        assert_eq!(create_table_names(&arena), vec!["a", "b", "c"]);
     }
 
     #[test]
     fn trailing_comma_tolerated() {
         // Some hand-written dumps have a trailing comma before `)`.
-        let ct = one_table("CREATE TABLE t (a INT, b INT,)");
+        let (_, ct) = one_table("CREATE TABLE t (a INT, b INT,)");
         assert_eq!(ct.columns.len(), 2);
     }
 
     #[test]
     fn on_update_current_timestamp() {
-        let ct = one_table(
+        let (a, ct) = one_table(
             "CREATE TABLE t (ts TIMESTAMP NOT NULL DEFAULT CURRENT_TIMESTAMP \
              ON UPDATE CURRENT_TIMESTAMP)",
         );
-        assert_eq!(ct.columns.len(), 1);
-        assert!(ct.columns[0].not_null);
-        assert_eq!(ct.columns[0].default.as_deref(), Some("CURRENT_TIMESTAMP"));
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols.len(), 1);
+        assert!(cols[0].not_null);
+        assert_eq!(cols[0].default.as_deref(), Some("CURRENT_TIMESTAMP"));
     }
 
     #[test]
     fn column_comments() {
-        let ct = one_table("CREATE TABLE t (a INT COMMENT 'the answer')");
-        assert_eq!(ct.columns[0].comment.as_deref(), Some("the answer"));
+        let (a, ct) = one_table("CREATE TABLE t (a INT COMMENT 'the answer')");
+        assert_eq!(
+            a.columns(ct.columns)[0].comment.as_deref(),
+            Some("the answer")
+        );
     }
 
     #[test]
     fn serial_and_json_types() {
-        let ct = one_table("CREATE TABLE t (id SERIAL, data JSON)");
-        assert_eq!(ct.columns[0].data_type.family, TypeFamily::Serial);
-        assert_eq!(ct.columns[1].data_type.family, TypeFamily::Json);
+        let (a, ct) = one_table("CREATE TABLE t (id SERIAL, data JSON)");
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols[0].data_type.family, TypeFamily::Serial);
+        assert_eq!(cols[1].data_type.family, TypeFamily::Json);
     }
 
     #[test]
     fn varchar_max_sentinel() {
-        let ct = one_table("CREATE TABLE t (a VARCHAR(MAX))");
-        assert_eq!(ct.columns[0].data_type.params, vec![0]);
+        let (a, ct) = one_table("CREATE TABLE t (a VARCHAR(MAX))");
+        assert_eq!(a.columns(ct.columns)[0].data_type.params, vec![0]);
     }
 
     #[test]
     fn negative_default() {
-        let ct = one_table("CREATE TABLE t (a INT DEFAULT -1)");
-        assert_eq!(ct.columns[0].default.as_deref(), Some("-1"));
+        let (a, ct) = one_table("CREATE TABLE t (a INT DEFAULT -1)");
+        assert_eq!(a.columns(ct.columns)[0].default.as_deref(), Some("-1"));
     }
 
     #[test]
     fn empty_script_ok() {
-        let script = parse_script("").unwrap();
-        assert!(script.statements.is_empty());
-        let script = parse_script("-- just a comment\n").unwrap();
-        assert!(script.statements.is_empty());
+        assert!(parse_script_arena("").unwrap().statements().is_empty());
+        assert!(parse_script_arena("-- just a comment\n")
+            .unwrap()
+            .statements()
+            .is_empty());
     }
 
     #[test]
     fn broken_create_table_degrades_to_skip() {
         // Structurally hopeless CREATE TABLE should not fail the whole file.
         let sql = "CREATE TABLE (no name here; CREATE TABLE ok_t (a INT);";
-        let script = parse_script(sql).unwrap();
-        let names: Vec<_> = script.create_tables().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["ok_t"]);
+        let arena = parse_script_arena(sql).unwrap();
+        assert_eq!(create_table_names(&arena), vec!["ok_t"]);
     }
 
     #[test]
     fn fulltext_key_parsed_as_index() {
-        let ct = one_table("CREATE TABLE t (body TEXT, FULLTEXT KEY ft_body (body))");
-        assert!(matches!(&ct.constraints[0], TableConstraint::Index { .. }));
+        let (a, ct) = one_table("CREATE TABLE t (body TEXT, FULLTEXT KEY ft_body (body))");
+        assert!(matches!(
+            &a.constraints(ct.constraints)[0],
+            TableConstraint::Index { .. }
+        ));
     }
 
     #[test]
     fn generated_column_skipped_gracefully() {
-        let ct =
-            one_table("CREATE TABLE t (a INT, b INT GENERATED ALWAYS AS (a + 1) STORED)");
-        assert_eq!(ct.columns.len(), 2);
-        assert_eq!(ct.columns[1].name, "b");
+        let (a, ct) = one_table("CREATE TABLE t (a INT, b INT GENERATED ALWAYS AS (a + 1) STORED)");
+        let cols = a.columns(ct.columns);
+        assert_eq!(cols.len(), 2);
+        assert_eq!(cols[1].name, "b");
     }
 }

@@ -15,7 +15,7 @@ use crate::metrics::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 
 /// Current manifest schema version.
-pub const MANIFEST_VERSION: u64 = 1;
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// Wall time of one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,8 +81,6 @@ pub struct RunManifest {
     pub scale_divisor: u64,
     /// Worker thread count.
     pub workers: u64,
-    /// Whether the parse/diff cache was enabled.
-    pub cache: bool,
     /// Whether strict mode (abort on first degradation) was on.
     pub strict: bool,
     /// Fault injection percentage, when `--inject-faults` was given.
@@ -173,7 +171,6 @@ mod tests {
             seed: 2019,
             scale_divisor: 20,
             workers: 2,
-            cache: true,
             strict: false,
             inject_faults_pct: None,
             fault_seed: None,

@@ -9,7 +9,6 @@
 //! lexicographically in both the JSON and Prometheus renderings.
 
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -287,11 +286,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -374,23 +368,6 @@ impl Registry {
         match handle.lock() {
             Ok(mut h) => h.observe(value),
             Err(poisoned) => poisoned.into_inner().observe(value),
-        };
-    }
-
-    /// Fold a whole histogram into the one named `name`.
-    pub fn merge_histogram(&self, name: &str, other: &Histogram) {
-        let handle = {
-            let mut map = match self.histograms.lock() {
-                Ok(m) => m,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            Arc::clone(map.entry(name.to_string()).or_insert_with(|| {
-                Arc::new(Mutex::new(Histogram::new()))
-            }))
-        };
-        match handle.lock() {
-            Ok(mut h) => h.merge(other),
-            Err(poisoned) => poisoned.into_inner().merge(other),
         };
     }
 
@@ -525,12 +502,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Rebuild a [`MetricsSnapshot`] from its JSON rendering.
-pub fn snapshot_from_json(json: &str) -> Result<MetricsSnapshot, String> {
-    let value: Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    serde_json::from_value(&value).map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,23 +537,24 @@ mod tests {
     #[test]
     fn registry_roundtrip() {
         let r = Registry::new();
-        r.add("cache.hits", 3);
-        r.counter("cache.hits").inc();
+        r.add("journal.commits", 3);
+        r.counter("journal.commits").add(1);
         r.set_gauge("workers", 4);
         r.observe("latency", 7);
         r.observe("latency", 900);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("cache.hits"), Some(4));
+        assert_eq!(snap.counter("journal.commits"), Some(4));
         assert_eq!(snap.gauge("workers"), Some(4));
         let h = snap.histogram("latency").expect("histogram registered");
         assert_eq!(h.count, 2);
         let json = snap.to_json();
-        let back = snapshot_from_json(&json).expect("snapshot JSON round-trips");
-        assert_eq!(back.counter("cache.hits"), Some(4));
+        let back: MetricsSnapshot =
+            serde_json::from_str(&json).expect("snapshot JSON round-trips");
+        assert_eq!(back.counter("journal.commits"), Some(4));
         assert_eq!(back.histogram("latency").map(|h| h.count), Some(2));
         let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE cache_hits counter"));
-        assert!(prom.contains("cache_hits 4"));
+        assert!(prom.contains("# TYPE journal_commits counter"));
+        assert!(prom.contains("journal_commits 4"));
         assert!(prom.contains("latency_bucket{le=\"+Inf\"} 2"));
         assert!(prom.contains("latency_count 2"));
     }
@@ -653,11 +625,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zero_min() {
-        let r = Registry::new();
-        r.merge_histogram("empty", &Histogram::new());
-        let json = r.snapshot().to_json();
-        let back = snapshot_from_json(&json).expect("parses");
-        let h = back.histogram("empty").expect("present");
-        assert_eq!((h.count, h.min, h.max), (0, 0, 0));
+        let h = Histogram::new();
+        assert_eq!((h.count, h.reported_min(), h.max), (0, 0, 0));
     }
 }

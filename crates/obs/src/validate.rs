@@ -237,7 +237,6 @@ pub fn validate_manifest_json(text: &str) -> Result<usize, String> {
     expect_u64(&v, "seed", ctx)?;
     expect_u64(&v, "scale_divisor", ctx)?;
     expect_u64(&v, "workers", ctx)?;
-    expect_bool(&v, "cache", ctx)?;
     expect_bool(&v, "strict", ctx)?;
     let digest = expect_str(&v, "corpus_digest", ctx)?;
     if digest.len() != 40 || !digest.chars().all(|c| c.is_ascii_hexdigit()) {

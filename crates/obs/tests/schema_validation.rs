@@ -79,7 +79,6 @@ fn emitted_manifest_validates() {
         seed: 2019,
         scale_divisor: 1,
         workers: 8,
-        cache: true,
         strict: false,
         inject_faults_pct: Some(10),
         fault_seed: Some(7),

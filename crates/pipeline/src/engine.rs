@@ -7,8 +7,9 @@
 //! only polled while fewer than [`crate::exec::WINDOW`] candidates are
 //! pulled and not yet emitted, so a sharded on-disk corpus never has to
 //! be resident in memory. Completed results reassemble in candidate
-//! order. Output is bit-identical for every worker count and cache mode
-//! — and identical between the in-memory and on-disk backends.
+//! order. Output is bit-identical for every worker count, with or
+//! without a warm outcome memo ([`WarmCaches`]) — and identical between
+//! the in-memory and on-disk backends.
 //!
 //! Every stage the engine reports is timed once, by a stage guard
 //! ([`schevo_obs::trace::SpanGuard`]): `journal.open`, `journal.replay`,
@@ -18,7 +19,7 @@
 //! the same guard durations land in `ExecStats`, the metrics, the process
 //! trace and the request trace.
 
-use crate::exec::{execute_stream_with, ExecStats, MineCaches, StageTally, StreamItem, WINDOW};
+use crate::exec::{execute_stream_with, lock, ExecStats, StageTally, StreamItem, WINDOW};
 use crate::extract::{mine_task_watched, MineOutcome, Mined};
 use crate::funnel::{CandidateHistory, FunnelReport};
 use crate::journal::{candidate_key, replay_file, JournalRecord, JournalSummary, JournalWriter};
@@ -33,7 +34,7 @@ use schevo_obs::stage;
 use schevo_obs::trace::SpanGuard;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Everything one mining pass produces, over any backend.
 #[derive(Debug)]
@@ -59,26 +60,31 @@ pub struct MiningOutput {
 
 /// Per-candidate slot flowing through the streaming executor: the
 /// outcome plus its stage tally, with `fresh` marking slots that were
-/// actually computed this pass (replayed and corrupt slots are not).
+/// actually computed this pass (replayed, memo-served and corrupt slots
+/// are not).
 struct MineSlot {
     outcome: MineOutcome,
     tally: StageTally,
     fresh: bool,
 }
 
-/// A parse/diff cache that outlives one mining pass, for resident
+/// A memo of mined outcomes that outlives one mining pass, for resident
 /// callers (the serve daemon) that mine the same store over and over.
-/// The caches are content-addressed — parse results are keyed by blob
-/// SHA-1 and diff results by digest pairs — so sharing them across
-/// passes, or across concurrent requests, cannot change any output bit:
-/// a hit returns exactly what a fresh computation would.
+///
+/// Outcomes are keyed by [`candidate_key`], the journal's key: a digest
+/// of every input the outcome depends on (the candidate's versions and
+/// metadata plus the reed threshold). A hit therefore returns exactly
+/// what mining the candidate again would, so sharing the memo across
+/// passes, or across concurrent requests, cannot change any output bit.
+/// Only passes without a journal read or fill it, and an outcome the
+/// wall-clock watchdog flagged is never kept.
 #[derive(Debug, Clone, Default)]
 pub struct WarmCaches {
-    inner: Arc<MineCaches>,
+    outcomes: Arc<Mutex<HashMap<String, MineOutcome>>>,
 }
 
 impl WarmCaches {
-    /// An empty warm cache.
+    /// An empty memo.
     pub fn new() -> WarmCaches {
         WarmCaches::default()
     }
@@ -118,11 +124,11 @@ struct JournalCtx {
 #[derive(Debug, Clone)]
 pub struct MiningEngine {
     options: StudyOptions,
-    warm: Option<Arc<MineCaches>>,
+    warm: Option<WarmCaches>,
 }
 
 impl MiningEngine {
-    /// An engine over `options`, with a fresh parse/diff cache per pass.
+    /// An engine over `options` that mines every candidate afresh.
     pub fn new(options: StudyOptions) -> MiningEngine {
         MiningEngine {
             options,
@@ -130,10 +136,10 @@ impl MiningEngine {
         }
     }
 
-    /// Mine with a shared long-lived parse/diff cache instead of a
-    /// fresh per-pass one. Only consulted when `options.cache` is on.
+    /// Serve candidates from `warm`, and keep each fresh outcome there.
+    /// Ignored by journaled passes, which replay or mine as without it.
     pub fn with_warm(mut self, warm: &WarmCaches) -> MiningEngine {
-        self.warm = Some(warm.inner.clone());
+        self.warm = Some(warm.clone());
         self
     }
 
@@ -160,7 +166,6 @@ impl MiningEngine {
         // parses allocated.
         let arena_bytes_at_start = schevo_ddl::arena_bytes_total();
         let reed = o.reed_threshold.unwrap_or(REED_THRESHOLD);
-        let caches = o.cache.then(|| self.warm.clone().unwrap_or_default());
         let deadline = o.durability.deadline;
         let size_hint = source.size_hint();
         let workers = o
@@ -197,6 +202,10 @@ impl MiningEngine {
             summary = Some(s);
         }
         let journaling = ctx.is_some();
+        let memo = match &self.warm {
+            Some(w) if !journaling => Some(&*w.outcomes),
+            _ => None,
+        };
 
         let pass = stage!("mine.pass", workers = workers);
         if let Some(p) = o.obs.progress.as_deref() {
@@ -204,9 +213,9 @@ impl MiningEngine {
         }
 
         // The source closure runs on the caller thread: it polls the
-        // stream (funnel assessment happens here), turns replay hits and
-        // corruption into ready-made slots, and registers journal keys
-        // for fresh candidates. `keys` is shared with the completion
+        // stream (funnel assessment happens here), turns replay hits, memo
+        // hits and corruption into ready-made slots, and registers the
+        // keys of fresh candidates. `keys` is shared with the completion
         // hook, which also runs on the caller thread. Opening the stream
         // is source time too: the in-memory backend runs its whole funnel
         // there.
@@ -226,18 +235,31 @@ impl MiningEngine {
                     fresh: false,
                 })),
                 SourceEvent::Candidate(c) => {
-                    if journaling {
-                        let key = candidate_key(&c, reed).to_hex();
-                        if let Some(outcome) = replayed.remove(&key) {
-                            replayed_count += 1;
-                            return Some(StreamItem::Ready(MineSlot {
-                                outcome,
-                                tally: StageTally::default(),
-                                fresh: false,
-                            }));
-                        }
-                        keys.borrow_mut().insert(seq, key);
+                    if !journaling && memo.is_none() {
+                        return Some(StreamItem::Work(c));
                     }
+                    let key = candidate_key(&c, reed).to_hex();
+                    let reused = match memo {
+                        None => replayed.remove(&key).map(|outcome| {
+                            replayed_count += 1;
+                            (outcome, StageTally::default())
+                        }),
+                        Some(m) => lock(m).get(&key).cloned().map(|outcome| {
+                            let tally = StageTally {
+                                parse_hits: c.versions.len() as u64,
+                                ..StageTally::default()
+                            };
+                            (outcome, tally)
+                        }),
+                    };
+                    if let Some((outcome, tally)) = reused {
+                        return Some(StreamItem::Ready(MineSlot {
+                            outcome,
+                            tally,
+                            fresh: false,
+                        }));
+                    }
+                    keys.borrow_mut().insert(seq, key);
                     Some(StreamItem::Work(c))
                 }
             }
@@ -249,7 +271,7 @@ impl MiningEngine {
             let _task_lane = scope.map(|s| scope::install(s, (seq % workers) as u64 + 1));
             let _task = stage!("mine.task", project = c.name);
             let mut tally = StageTally::default();
-            let outcome = mine_task_watched(c, reed, deadline, caches.as_deref(), &mut tally);
+            let outcome = mine_task_watched(c, reed, deadline, &mut tally);
             MineSlot {
                 outcome,
                 tally,
@@ -260,7 +282,9 @@ impl MiningEngine {
         // Completion hook, caller thread, completion order: each freshly
         // mined outcome is committed to the journal before anything else
         // happens to it, and the crash-after kill switch fires only
-        // after its record is durable.
+        // after its record is durable. Without a journal, the outcome goes
+        // to the warm memo instead, unless the watchdog flagged it: that
+        // flag depends on wall time, not on the candidate.
         let progress = o.obs.progress.as_deref();
         let mut ctx_slot = ctx;
         let mut journal_append_nanos = 0u64;
@@ -268,13 +292,24 @@ impl MiningEngine {
             if let Some(p) = progress {
                 p.advance(1);
             }
+            let Some(key) = keys.borrow_mut().remove(&seq) else {
+                return;
+            };
+            if let Some(m) = memo {
+                let flagged = slot
+                    .outcome
+                    .recovered
+                    .last()
+                    .is_some_and(|r| r.error.class == ErrorClass::DeadlineExceeded);
+                if !flagged {
+                    lock(m).insert(key, slot.outcome.clone());
+                }
+                return;
+            }
             let Some(ctx) = ctx_slot.as_mut() else { return };
             if ctx.error.is_some() {
                 return;
             }
-            let Some(key) = keys.borrow_mut().remove(&seq) else {
-                return;
-            };
             let record = JournalRecord {
                 key,
                 outcome: slot.outcome.clone(),
@@ -353,8 +388,6 @@ impl MiningEngine {
         if let Some(reg) = registry {
             reg.add("mine.parse.hits", total.parse_hits);
             reg.add("mine.parse.misses", total.parse_misses);
-            reg.add("mine.diff.hits", total.diff_hits);
-            reg.add("mine.diff.misses", total.diff_misses);
             for (class, rec, quar) in report.class_counts() {
                 if rec > 0 {
                     reg.add(&format!("quarantine.recovered.{class}"), rec as u64);
@@ -394,7 +427,7 @@ impl MiningEngine {
             reg.set_gauge("intern.symbols", schevo_core::symbol_count() as u64);
         }
 
-        let exec = ExecStats::from_tally(&total, workers, stream_report.total, o.cache, wall_nanos);
+        let exec = ExecStats::from_tally(&total, workers, stream_report.total, wall_nanos);
         Ok(MiningOutput {
             funnel: sources.funnel,
             mined,

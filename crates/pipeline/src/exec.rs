@@ -1,7 +1,5 @@
-//! The mining execution layer: a work-stealing executor plus a
-//! content-addressed parse/diff cache.
-//!
-//! ## Executor
+//! The mining execution layer: a streaming executor with ordered
+//! reassembly, plus the per-task stage tallies it merges.
 //!
 //! `execute_stream_with` pulls tasks (one candidate history each) from
 //! a source on the caller thread into a bounded window; workers take
@@ -12,30 +10,13 @@
 //! the window, so at most [`WINDOW`] tasks and results are held at once,
 //! however slow the task at the head of the sequence is.
 //!
-//! ## Cache
-//!
-//! [`MineCaches`] keys parses by the SHA-1 of the DDL blob and diffs by
-//! the digest *pair* of the two versions. DDL files change rarely
-//! relative to history length, and generated corpora share blobs across
-//! projects, so repeated content parses once and identical version
-//! pairs diff once. A miss parses with the history's [`HistoryParser`],
-//! which returns what `parse_schema` returns. Parse and `diff` are pure
-//! functions of blob content, so cached and uncached runs are
-//! bit-identical — the differential test suite
-//! (`tests/differential_parallel.rs`) enforces this.
-//!
-//! [`ExecStats`] reports hit/miss counters and per-stage timings so the
-//! cache's payoff is observable from `StudyResult`. The timings are sums
-//! of `mine.parse`, `mine.diff` and `mine.measures` stage-guard
-//! durations ([`schevo_obs::trace::SpanGuard`]), the same durations the
-//! traces record.
+//! [`ExecStats`] reports parse counters and per-stage timings of a pass.
+//! The timings are sums of `mine.parse`, `mine.diff` and `mine.measures`
+//! stage-guard durations ([`schevo_obs::trace::SpanGuard`]), the same
+//! durations the traces record.
 
-use parking_lot::RwLock;
-use schevo_core::diff::{diff, SchemaDelta};
-use schevo_ddl::{HistoryParser, Schema};
-use schevo_vcs::sha1::Digest;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -52,7 +33,7 @@ pub fn default_workers() -> usize {
 
 /// Observability counters of one mining pass: a thin view over the
 /// per-task [`StageTally`] records merged **in candidate order**, so the
-/// hit/miss counters are identical for every worker count and
+/// parse counters are identical for every worker count and
 /// scheduling. The stage timings are sums of per-task stage-guard
 /// durations (summed across workers, not wall time) and `wall_nanos` is
 /// the `mine.pass` guard's duration; timings are why `ExecStats` stays
@@ -63,16 +44,12 @@ pub struct ExecStats {
     pub workers: usize,
     /// Tasks submitted (candidates, including ones that failed to parse).
     pub tasks: usize,
-    /// Parse-cache hits (0 when the cache is disabled).
+    /// Versions whose parse was skipped because a warm memo
+    /// ([`crate::engine::WarmCaches`]) served the candidate's whole
+    /// outcome: each served candidate counts all of its versions.
     pub parse_hits: u64,
-    /// Parse-cache misses, i.e. actual version parses under
-    /// caching; equals total version count when the cache is disabled.
+    /// Versions actually parsed this pass.
     pub parse_misses: u64,
-    /// Diff-cache hits (0 when the cache is disabled).
-    pub diff_hits: u64,
-    /// Diff-cache misses, i.e. actual `diff` invocations under caching;
-    /// equals total transition count when the cache is disabled.
-    pub diff_misses: u64,
     /// Nanoseconds spent parsing (summed across workers).
     pub parse_nanos: u64,
     /// Nanoseconds spent diffing (summed across workers).
@@ -82,8 +59,6 @@ pub struct ExecStats {
     pub profile_nanos: u64,
     /// Wall-clock nanoseconds of the whole pass (the `mine.pass` span).
     pub wall_nanos: u64,
-    /// Whether the cache was enabled for the pass.
-    pub cache_enabled: bool,
 }
 
 /// Per-task stage tallies. Each mining task owns one (plain `u64`
@@ -97,38 +72,18 @@ pub struct ExecStats {
 pub(crate) struct StageTally {
     pub(crate) parse_hits: u64,
     pub(crate) parse_misses: u64,
-    pub(crate) diff_hits: u64,
-    pub(crate) diff_misses: u64,
     pub(crate) parse_nanos: u64,
     pub(crate) diff_nanos: u64,
     pub(crate) profile_nanos: u64,
 }
 
 impl StageTally {
-    pub(crate) fn count_parse(&mut self, hit: bool) {
-        if hit {
-            self.parse_hits += 1;
-        } else {
-            self.parse_misses += 1;
-        }
-    }
-
-    pub(crate) fn count_diff(&mut self, hit: bool) {
-        if hit {
-            self.diff_hits += 1;
-        } else {
-            self.diff_misses += 1;
-        }
-    }
-
     /// Fold another task's tally into this one (associative and
     /// commutative; callers still merge in candidate order so any
     /// future order-sensitive aggregate stays deterministic).
     pub(crate) fn merge(&mut self, other: &StageTally) {
         self.parse_hits += other.parse_hits;
         self.parse_misses += other.parse_misses;
-        self.diff_hits += other.diff_hits;
-        self.diff_misses += other.diff_misses;
         self.parse_nanos += other.parse_nanos;
         self.diff_nanos += other.diff_nanos;
         self.profile_nanos += other.profile_nanos;
@@ -142,7 +97,6 @@ impl ExecStats {
         tally: &StageTally,
         workers: usize,
         tasks: usize,
-        cache_enabled: bool,
         wall_nanos: u64,
     ) -> ExecStats {
         ExecStats {
@@ -150,67 +104,11 @@ impl ExecStats {
             tasks,
             parse_hits: tally.parse_hits,
             parse_misses: tally.parse_misses,
-            diff_hits: tally.diff_hits,
-            diff_misses: tally.diff_misses,
             parse_nanos: tally.parse_nanos,
             diff_nanos: tally.diff_nanos,
             profile_nanos: tally.profile_nanos,
             wall_nanos,
-            cache_enabled,
         }
-    }
-}
-
-/// Content-addressed caches shared by all workers of one mining pass.
-///
-/// Parses are keyed by the SHA-1 of the blob; a `None` value records
-/// that the blob does not parse (failure is as deterministic as
-/// success, so it is cached too). Diffs are keyed by the `(old, new)`
-/// digest pair. Lookups take the read lock; a miss recomputes outside
-/// any lock and inserts under the write lock, so a racing duplicate
-/// computation is possible but harmless — both compute the same value.
-#[derive(Debug, Default)]
-pub(crate) struct MineCaches {
-    parse: RwLock<HashMap<Digest, Option<Schema>>>,
-    diff: RwLock<HashMap<(Digest, Digest), SchemaDelta>>,
-}
-
-impl MineCaches {
-    /// Parse `content` through the cache, with the history's `parser` on
-    /// a miss. Returns `None` when the blob is unparseable.
-    pub(crate) fn parse<'a>(
-        &self,
-        digest: Digest,
-        content: &'a str,
-        parser: &mut HistoryParser<'a>,
-        tally: &mut StageTally,
-    ) -> Option<Schema> {
-        if let Some(cached) = self.parse.read().get(&digest) {
-            tally.count_parse(true);
-            return cached.clone();
-        }
-        tally.count_parse(false);
-        let parsed = parser.parse(content).ok();
-        self.parse.write().insert(digest, parsed.clone());
-        parsed
-    }
-
-    /// Diff two schemas through the cache, keyed by their blob digests.
-    pub(crate) fn diff(
-        &self,
-        key: (Digest, Digest),
-        old: &Schema,
-        new: &Schema,
-        tally: &mut StageTally,
-    ) -> SchemaDelta {
-        if let Some(cached) = self.diff.read().get(&key) {
-            tally.count_diff(true);
-            return cached.clone();
-        }
-        tally.count_diff(false);
-        let delta = diff(old, new);
-        self.diff.write().insert(key, delta.clone());
-        delta
     }
 }
 
@@ -218,9 +116,9 @@ impl MineCaches {
 pub(crate) enum StreamItem<T, R> {
     /// A task for the workers.
     Work(T),
-    /// A result that needs no computation (journal replay, corruption
-    /// events): it bypasses the workers and goes straight to ordered
-    /// reassembly.
+    /// A result that needs no computation (journal replay, warm-memo
+    /// hits, corruption events): it bypasses the workers and goes
+    /// straight to ordered reassembly.
     Ready(R),
 }
 
@@ -238,9 +136,10 @@ pub(crate) struct StreamReport {
     pub(crate) fresh: usize,
 }
 
-/// Lock a std mutex, shrugging off poisoning: the data is plain counters
-/// and queued tasks, and a worker panic is separately propagated.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Lock a std mutex, shrugging off poisoning: every guarded value (plain
+/// counters, queued tasks, whole memoized outcomes) is valid between any
+/// two updates, and a worker panic is separately propagated.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -441,10 +340,10 @@ where
 /// Run one task under a soft watchdog deadline.
 ///
 /// The task always runs to completion — this is a *flagging* watchdog,
-/// not a killer: aborting a worker mid-task would tear shared caches and
-/// cost the mined result. Returns the task's result plus the amount by
-/// which it overran `deadline` (`None` when no deadline was set or the
-/// task finished in time). Callers turn an overrun into a
+/// not a killer: aborting a worker mid-task would cost the mined result.
+/// Returns the task's result plus the amount by which it overran
+/// `deadline` (`None` when no deadline was set or the task finished in
+/// time). Callers turn an overrun into a
 /// [`schevo_core::errors::ErrorClass::DeadlineExceeded`] quarantine
 /// event so a pathological history is visible instead of wedging the
 /// run silently.
@@ -695,50 +594,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_cache_hits_on_repeat_content() {
-        use schevo_vcs::sha1::sha1;
-        let caches = MineCaches::default();
-        let mut tally = StageTally::default();
-        let mut parser = HistoryParser::new();
-        let sql = "CREATE TABLE t (a INT);";
-        let d = sha1(sql.as_bytes());
-        let first = caches.parse(d, sql, &mut parser, &mut tally);
-        let second = caches.parse(d, sql, &mut parser, &mut tally);
-        assert_eq!(first, second);
-        assert!(first.is_some());
-        // Unparseable content is cached as a failure.
-        let bad = "CREATE TABLE t (a INT); '";
-        let bd = sha1(bad.as_bytes());
-        assert!(caches.parse(bd, bad, &mut parser, &mut tally).is_none());
-        assert!(caches.parse(bd, bad, &mut parser, &mut tally).is_none());
-        let stats = ExecStats::from_tally(&tally, 1, 0, true, 0);
-        assert_eq!(stats.parse_hits, 2);
-        assert_eq!(stats.parse_misses, 2);
-    }
-
-    #[test]
-    fn diff_cache_returns_identical_delta() {
-        use schevo_vcs::sha1::sha1;
-        let caches = MineCaches::default();
-        let mut tally = StageTally::default();
-        let a = schevo_ddl::parse_schema("CREATE TABLE t (a INT);").unwrap();
-        let b = schevo_ddl::parse_schema("CREATE TABLE t (a INT, b INT);").unwrap();
-        let key = (sha1(b"a"), sha1(b"b"));
-        let miss = caches.diff(key, &a, &b, &mut tally);
-        let hit = caches.diff(key, &a, &b, &mut tally);
-        assert_eq!(miss, hit);
-        assert_eq!(miss, diff(&a, &b));
-        let stats = ExecStats::from_tally(&tally, 1, 0, true, 0);
-        assert_eq!((stats.diff_hits, stats.diff_misses), (1, 1));
-    }
-
-    #[test]
     fn tally_merge_is_field_wise_addition() {
         let mut a = StageTally {
             parse_hits: 1,
             parse_misses: 2,
-            diff_hits: 3,
-            diff_misses: 4,
             parse_nanos: 10,
             diff_nanos: 20,
             profile_nanos: 30,
@@ -750,8 +609,6 @@ mod tests {
             StageTally {
                 parse_hits: 2,
                 parse_misses: 4,
-                diff_hits: 6,
-                diff_misses: 8,
                 parse_nanos: 20,
                 diff_nanos: 40,
                 profile_nanos: 60,

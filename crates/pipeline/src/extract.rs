@@ -4,11 +4,9 @@
 //! The mining tasks here run under [`crate::engine::MiningEngine`] on the
 //! work-stealing executor of [`crate::exec`]: one task per candidate
 //! history, stolen from a shared injector, with results reassembled in
-//! candidate order so the output is identical for every worker count. With caching enabled, blob
-//! parses and version-pair diffs are shared across candidates through
-//! the content-addressed [`crate::exec::MineCaches`].
+//! candidate order so the output is identical for every worker count.
 
-use crate::exec::{watchdog, MineCaches, StageTally};
+use crate::exec::{watchdog, StageTally};
 use crate::funnel::CandidateHistory;
 use crate::quarantine::{QuarantineRecord, RecoveryRecord};
 use schevo_core::diff::{diff, SchemaDelta};
@@ -21,7 +19,6 @@ use schevo_core::tables::{table_lives, table_lives_with, TableLife};
 use schevo_ddl::HistoryParser;
 use schevo_obs::stage;
 use schevo_obs::trace::SpanGuard;
-use schevo_vcs::sha1::{sha1, Digest};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -85,29 +82,15 @@ pub fn mine_extended(candidate: &CandidateHistory, reed_threshold: u64) -> Optio
 fn diff_and_profile(
     candidate: &CandidateHistory,
     history: SchemaHistory,
-    digests: &[Digest],
     reed_threshold: u64,
-    caches: Option<&MineCaches>,
     tally: &mut StageTally,
     mut clock: SpanGuard,
 ) -> Mined {
     tally.parse_nanos += clock.next_stage("mine.diff");
-    let deltas: Vec<SchemaDelta> = match caches {
-        Some(c) => history
-            .transitions()
-            .zip(digests.windows(2))
-            .map(|((_, old, new), pair)| {
-                c.diff((pair[0], pair[1]), &old.schema, &new.schema, tally)
-            })
-            .collect(),
-        None => history
-            .transitions()
-            .map(|(_, old, new)| {
-                tally.count_diff(false);
-                diff(&old.schema, &new.schema)
-            })
-            .collect(),
-    };
+    let deltas: Vec<SchemaDelta> = history
+        .transitions()
+        .map(|(_, old, new)| diff(&old.schema, &new.schema))
+        .collect();
     tally.diff_nanos += clock.next_stage("mine.measures");
 
     let fk = fk_profile_with(&history, &deltas);
@@ -171,7 +154,6 @@ impl MineOutcome {
 fn mine_task_graceful(
     candidate: &CandidateHistory,
     reed_threshold: u64,
-    caches: Option<&MineCaches>,
     tally: &mut StageTally,
 ) -> MineOutcome {
     let name = candidate.name.as_str();
@@ -235,39 +217,14 @@ fn mine_task_graceful(
     // Parse stage, with statement-level recovery on strict failure.
     let clock = stage!("mine.parse");
     let mut versions = Vec::with_capacity(keep.len());
-    let mut digests = Vec::with_capacity(keep.len());
     let mut parser = HistoryParser::new();
     for &i in &keep {
         let v = &vs[i];
-        let (strict, strict_err) = match caches {
-            Some(c) => {
-                let digest = sha1(v.content.as_bytes());
-                digests.push(digest);
-                (c.parse(digest, &v.content, &mut parser, tally), None)
-            }
-            None => {
-                tally.count_parse(false);
-                match parser.parse(&v.content) {
-                    Ok(s) => (Some(s), None),
-                    Err(e) => (None, Some(e)),
-                }
-            }
-        };
-        let schema = match strict {
-            Some(s) => s,
-            None => {
-                // The cache stores failures as bare `None`; re-derive the
-                // error for provenance (failure path only, uncounted).
-                let error = match strict_err.or_else(|| schevo_ddl::parse_schema(&v.content).err())
-                {
-                    Some(e) => SchevoError::from_parse(name, i, &e),
-                    None => SchevoError::version(
-                        ErrorClass::Syntax,
-                        name,
-                        i,
-                        "strict parse failed",
-                    ),
-                };
+        tally.parse_misses += 1;
+        let schema = match parser.parse(&v.content) {
+            Ok(s) => s,
+            Err(e) => {
+                let error = SchevoError::from_parse(name, i, &e);
                 let salvage = schevo_ddl::parse_schema_recovering(&v.content);
                 if salvage.schema.is_empty() {
                     tally.parse_nanos += clock.close();
@@ -296,15 +253,7 @@ fn mine_task_graceful(
         project: candidate.name.clone(),
         versions,
     };
-    let mined = diff_and_profile(
-        candidate,
-        history,
-        &digests,
-        reed_threshold,
-        caches,
-        tally,
-        clock,
-    );
+    let mined = diff_and_profile(candidate, history, reed_threshold, tally, clock);
     MineOutcome {
         mined: Some(mined),
         recovered,
@@ -321,12 +270,10 @@ pub(crate) fn mine_task_watched(
     candidate: &CandidateHistory,
     reed_threshold: u64,
     deadline: Option<Duration>,
-    caches: Option<&MineCaches>,
     tally: &mut StageTally,
 ) -> MineOutcome {
-    let (mut outcome, overrun) = watchdog(deadline, || {
-        mine_task_graceful(candidate, reed_threshold, caches, tally)
-    });
+    let (mut outcome, overrun) =
+        watchdog(deadline, || mine_task_graceful(candidate, reed_threshold, tally));
     if overrun.is_some() {
         let limit_ms = deadline.map(|d| d.as_millis()).unwrap_or(0);
         outcome.recovered.push(RecoveryRecord {
@@ -357,10 +304,9 @@ mod tests {
         run_funnel(&u, WalkStrategy::FirstParent)
     }
 
-    fn mine(candidates: &[CandidateHistory], workers: usize, cache: bool) -> MiningOutput {
+    fn mine(candidates: &[CandidateHistory], workers: usize) -> MiningOutput {
         MiningEngine::new(StudyOptions {
             workers,
-            cache,
             ..StudyOptions::default()
         })
         .mine(&SliceSource::new(candidates))
@@ -370,7 +316,7 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         let o = outcome();
-        let out = mine(&o.analyzed, 8, true);
+        let out = mine(&o.analyzed, 8);
         assert!(out.quarantine.is_clean());
         let par: Vec<_> = out.mined.iter().map(|m| m.profile.clone()).collect();
         let serial: Vec<_> = o
@@ -382,29 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_equals_uncached() {
-        let o = outcome();
-        let on = mine(&o.analyzed, 4, true);
-        let off = mine(&o.analyzed, 4, false);
-        assert_eq!(on.mined, off.mined);
-        assert_eq!(on.quarantine, off.quarantine);
-        let (s1, s2) = (on.exec, off.exec);
-        assert!(s1.cache_enabled);
-        assert!(!s2.cache_enabled);
-        assert_eq!(s2.parse_hits, 0, "disabled cache cannot hit");
-        assert_eq!(s2.diff_hits, 0);
-        assert_eq!(
-            s1.parse_hits + s1.parse_misses,
-            s2.parse_misses,
-            "cache hides parses, it does not change how many are needed"
-        );
-        assert_eq!(s1.diff_hits + s1.diff_misses, s2.diff_misses);
-    }
-
-    #[test]
     fn profiles_carry_context() {
         let o = outcome();
-        let out = mine(&o.analyzed, 4, true);
+        let out = mine(&o.analyzed, 4);
         assert!(!out.mined.is_empty());
         for m in &out.mined {
             assert!(m.profile.context.is_some());
@@ -415,14 +341,15 @@ mod tests {
     #[test]
     fn single_worker_path() {
         let o = outcome();
-        let out = mine(&o.analyzed, 1, true);
+        let out = mine(&o.analyzed, 1);
         assert!(out.quarantine.is_clean());
         assert_eq!(out.mined.len(), o.analyzed.len());
     }
 
     #[test]
-    fn unparseable_version_is_salvaged_and_recorded_identically_cached_or_not() {
+    fn unparseable_version_is_salvaged_and_recorded() {
         use schevo_vcs::history::FileVersion;
+        use schevo_vcs::sha1::sha1;
         use schevo_vcs::timestamp::Timestamp;
         let bad = crate::funnel::CandidateHistory {
             name: "bad/project".into(),
@@ -437,16 +364,12 @@ mod tests {
             pup_months: 1,
             total_commits: 1,
         };
-        let out = mine(std::slice::from_ref(&bad), 2, false);
+        let out = mine(std::slice::from_ref(&bad), 2);
         assert_eq!(out.mined.len(), 1, "the salvaged table keeps the project");
         assert!(out.quarantine.quarantined.is_empty());
         assert_eq!(out.quarantine.recovered.len(), 1);
         let record = &out.quarantine.recovered[0];
         assert_eq!(record.error.class, ErrorClass::Lex);
         assert_eq!(record.error.version_index, Some(0));
-        // The cached path salvages and records the same failure.
-        let cached = mine(std::slice::from_ref(&bad), 1, true);
-        assert_eq!(cached.mined, out.mined);
-        assert_eq!(cached.quarantine, out.quarantine);
     }
 }

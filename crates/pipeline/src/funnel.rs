@@ -14,7 +14,7 @@
 //! ```
 
 use schevo_corpus::libio::LibioRecord;
-use schevo_corpus::universe::{MaterializedRepo, Universe};
+use schevo_corpus::universe::Universe;
 use schevo_vcs::history::{file_history, FileVersion, WalkStrategy};
 use schevo_vcs::repo::Repository;
 use serde::{Deserialize, Serialize};
@@ -196,19 +196,8 @@ pub fn resolve_paths(paths: &[String]) -> Result<String, Exclusion> {
     }
 }
 
-/// Extract the DDL history of a materialized repository at `path`,
-/// dropping versions with blank content, and classify the extraction
-/// outcome.
-pub fn extract_versions(
-    repo: &MaterializedRepo,
-    path: &str,
-    strategy: WalkStrategy,
-) -> Result<Vec<FileVersion>, Exclusion> {
-    extract_versions_from(repo.repo(), path, strategy)
-}
-
-/// [`extract_versions`] over a bare repository — the form the streaming
-/// store source uses, where no [`MaterializedRepo`] wrapper exists.
+/// Extract the DDL history of repository `r` at `path`, dropping
+/// versions with blank content, and classify the extraction outcome.
 pub fn extract_versions_from(
     r: &Repository,
     path: &str,

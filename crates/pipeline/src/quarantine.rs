@@ -34,7 +34,7 @@ pub struct QuarantineRecord {
 
 /// Everything the miner survived (or refused to): recoveries and
 /// quarantines, in candidate order, deterministic for every worker
-/// count and cache mode.
+/// count.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuarantineReport {
     /// Version-level events recovered in place.
@@ -56,11 +56,6 @@ impl QuarantineReport {
             .first()
             .map(|q| &q.error)
             .or_else(|| self.recovered.first().map(|r| &r.error))
-    }
-
-    /// Projects that were quarantined, in candidate order.
-    pub fn quarantined_projects(&self) -> Vec<&str> {
-        self.quarantined.iter().map(|q| q.error.project.as_str()).collect()
     }
 
     /// `(class, recovered, quarantined)` counts over every class that

@@ -35,10 +35,6 @@ pub struct StudyOptions {
     pub reed_threshold: Option<u64>,
     /// Mining worker threads.
     pub workers: usize,
-    /// Whether the content-addressed parse/diff cache is used during
-    /// mining. Results are bit-identical either way; this only trades
-    /// memory for repeated work.
-    pub cache: bool,
     /// Strict mode: the mining pass still runs to the end, but if it
     /// recorded any degradation event the study returns an error instead
     /// of statistics — the first quarantine in candidate order, else the
@@ -61,7 +57,6 @@ impl Default for StudyOptions {
             strategy: WalkStrategy::FirstParent,
             reed_threshold: None,
             workers: crate::exec::default_workers(),
-            cache: true,
             strict: false,
             durability: DurabilityOptions::default(),
             obs: ObsHooks::default(),
@@ -185,9 +180,9 @@ pub struct StudyResult {
     /// χ² independence test of table fate (dead/survivor) vs activity
     /// (quiet/updated) over the pooled lives; `None` when a marginal is 0.
     pub fate_activity_chi2: Option<schevo_stats::Chi2Independence>,
-    /// Executor observability: cache hit/miss counters and per-stage
-    /// timings of the mining pass. Timings and hit counts vary with
-    /// scheduling; everything else in this struct does not.
+    /// Executor observability: parse counters and per-stage timings of
+    /// the mining pass. Timings vary with scheduling, and parse counts
+    /// with a warm memo; everything else in this struct does not.
     pub exec: ExecStats,
     /// Journal accounting when a journal was configured: replayed vs
     /// freshly mined candidates, stale records discarded, tail
@@ -311,8 +306,8 @@ pub fn try_run_study_source(
 impl MiningEngine {
     /// Run the complete study over `source`: stream its candidates through
     /// [`MiningEngine::mine`], then run the statistical battery on the
-    /// mined population. Output is byte-identical across backends and
-    /// however the engine was configured to reuse caches.
+    /// mined population. Output is byte-identical across backends, with
+    /// or without a warm outcome memo.
     ///
     /// The `study.stage.{funnel,mine,stats}.nanos` gauges are stage-guard
     /// durations: funnel is the `source.read` span, mine is the

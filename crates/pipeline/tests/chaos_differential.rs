@@ -2,7 +2,7 @@
 //! every fault class of the `faultgen` catalog into a seeded universe and
 //! prove that (a) the study always completes, (b) the clean-history
 //! subset of the result is bit-identical to the uninjected run across
-//! worker counts and cache settings, (c) `--strict` fails with the
+//! worker counts, (c) `--strict` fails with the
 //! expected error class, and (d) degradation events are attributed only
 //! to injected projects, with the right `ErrorClass`.
 //!
@@ -53,7 +53,6 @@ fn baseline() -> &'static StudyResult {
             &clean_universe(),
             StudyOptions {
                 workers: 1,
-                cache: false,
                 ..StudyOptions::default()
             },
         )
@@ -61,30 +60,25 @@ fn baseline() -> &'static StudyResult {
     })
 }
 
-fn study_of(u: &Universe, workers: usize, cache: bool) -> StudyResult {
+fn study_of(u: &Universe, workers: usize) -> StudyResult {
     try_run_study_source(
         u,
         StudyOptions {
             workers,
-            cache,
             ..StudyOptions::default()
         },
     )
     .expect("graceful study without a journal")
 }
 
-/// (workers, cache) grid: serial, contended, wide × cache off/on.
-fn configs() -> Vec<(usize, bool)> {
+/// Worker counts: serial, contended, wide.
+fn configs() -> Vec<usize> {
     let n = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let mut grid = Vec::new();
-    for workers in [1, 2, n] {
-        for cache in [false, true] {
-            if !grid.contains(&(workers, cache)) {
-                grid.push((workers, cache));
-            }
-        }
+    let mut grid = vec![1, 2];
+    if !grid.contains(&n) {
+        grid.push(n);
     }
     grid
 }
@@ -188,9 +182,9 @@ fn every_fault_class_completes_with_identical_clean_subset() {
         let allowed = allowed_classes(class);
 
         let mut runs: Vec<(String, StudyResult)> = Vec::new();
-        for (workers, cache) in configs() {
-            let label = format!("{class} workers={workers} cache={cache}");
-            let s = study_of(&u, workers, cache);
+        for workers in configs() {
+            let label = format!("{class} workers={workers}");
+            let s = study_of(&u, workers);
             assert_clean_subset_identical(&s, &injected, &label);
             assert_events_attributed(&s.quarantine, &injected, &allowed, &label);
             runs.push((label, s));
@@ -219,7 +213,7 @@ fn every_fault_class_completes_with_identical_clean_subset() {
 fn byte_flip_always_surfaces_as_lex_recovery() {
     let mut u = clean_universe();
     let faults = inject(&mut u, &FaultPlan::single(FAULT_SEED, RATE, FaultClass::ByteFlip));
-    let s = study_of(&u, 2, true);
+    let s = study_of(&u, 2);
     let events = s.quarantine.recovered.len() + s.quarantine.quarantined.len();
     assert!(
         events >= 1,
@@ -239,7 +233,7 @@ fn backwards_timestamps_always_surface_and_resort() {
         &mut u,
         &FaultPlan::single(FAULT_SEED, RATE, FaultClass::NonMonotonicTimestamps),
     );
-    let s = study_of(&u, 2, true);
+    let s = study_of(&u, 2);
     assert!(
         s.quarantine
             .recovered
@@ -264,7 +258,6 @@ fn strict_mode_fails_with_expected_error_class() {
         &u,
         StudyOptions {
             workers: 2,
-            cache: true,
             strict: true,
             ..StudyOptions::default()
         },
@@ -280,7 +273,6 @@ fn strict_mode_fails_with_expected_error_class() {
         &u,
         StudyOptions {
             workers: 1,
-            cache: false,
             strict: true,
             ..StudyOptions::default()
         },
@@ -296,7 +288,6 @@ fn strict_mode_on_clean_universe_matches_graceful() {
         &u,
         StudyOptions {
             workers: 2,
-            cache: true,
             strict: true,
             ..StudyOptions::default()
         },
@@ -322,9 +313,9 @@ fn twenty_percent_mixed_fault_study_completes() {
         .flat_map(|&c| allowed_classes(c))
         .collect();
     let mut prev: Option<StudyResult> = None;
-    for (workers, cache) in configs() {
-        let label = format!("mixed workers={workers} cache={cache}");
-        let s = study_of(&u, workers, cache);
+    for workers in configs() {
+        let label = format!("mixed workers={workers}");
+        let s = study_of(&u, workers);
         assert_clean_subset_identical(&s, &injected, &label);
         assert_events_attributed(&s.quarantine, &injected, &all_classes, &label);
         if let Some(p) = &prev {
@@ -361,15 +352,10 @@ fn candidate(versions: Vec<FileVersion>) -> CandidateHistory {
     }
 }
 
-fn mine_graceful(
-    cands: &[CandidateHistory],
-    workers: usize,
-    cache: bool,
-) -> (Vec<Mined>, QuarantineReport) {
+fn mine_graceful(cands: &[CandidateHistory], workers: usize) -> (Vec<Mined>, QuarantineReport) {
     let out = MiningEngine::new(StudyOptions {
         reed_threshold: Some(schevo_core::heartbeat::REED_THRESHOLD),
         workers,
-        cache,
         ..StudyOptions::default()
     })
     .mine(&SliceSource::new(cands))
@@ -377,8 +363,8 @@ fn mine_graceful(
     (out.mined, out.quarantine)
 }
 
-fn mine_one(c: CandidateHistory, cache: bool) -> (usize, QuarantineReport) {
-    let (mined, report) = mine_graceful(&[c], 1, cache);
+fn mine_one(c: CandidateHistory) -> (usize, QuarantineReport) {
+    let (mined, report) = mine_graceful(&[c], 1);
     (mined.len(), report)
 }
 
@@ -388,25 +374,23 @@ const V2: &str = "CREATE TABLE users (id INT, name TEXT, email TEXT);\nCREATE TA
 
 #[test]
 fn candidate_duplicate_version_recovers_and_matches_dedup() {
-    for cache in [false, true] {
-        let mut dup = vec![ver(0, 1, V0), ver(1, 2, V1), ver(3, 4, V2)];
-        let mut rng = StdRng::seed_from_u64(FAULT_SEED);
-        let at = corrupt_versions(&mut dup, FaultClass::DuplicateVersion, &mut rng)
-            .expect("duplicate injection applies");
-        assert_eq!(dup.len(), 4);
-        assert_eq!(dup[at + 1].content, dup[at].content);
+    let mut dup = vec![ver(0, 1, V0), ver(1, 2, V1), ver(3, 4, V2)];
+    let mut rng = StdRng::seed_from_u64(FAULT_SEED);
+    let at = corrupt_versions(&mut dup, FaultClass::DuplicateVersion, &mut rng)
+        .expect("duplicate injection applies");
+    assert_eq!(dup.len(), 4);
+    assert_eq!(dup[at + 1].content, dup[at].content);
 
-        let (n, report) = mine_one(candidate(dup), cache);
-        assert_eq!(n, 1, "cache={cache}: duplicate must not kill the candidate");
-        assert_eq!(report.recovered.len(), 1);
-        assert_eq!(report.recovered[0].error.class, ErrorClass::DuplicateVersion);
+    let (n, report) = mine_one(candidate(dup));
+    assert_eq!(n, 1, "duplicate must not kill the candidate");
+    assert_eq!(report.recovered.len(), 1);
+    assert_eq!(report.recovered[0].error.class, ErrorClass::DuplicateVersion);
 
-        // Recovery must reproduce the clean three-version mining result.
-        let (clean_n, clean_report) =
-            mine_one(candidate(vec![ver(0, 1, V0), ver(1, 2, V1), ver(3, 4, V2)]), cache);
-        assert_eq!(clean_n, 1);
-        assert!(clean_report.is_clean());
-    }
+    // Recovery must reproduce the clean three-version mining result.
+    let (clean_n, clean_report) =
+        mine_one(candidate(vec![ver(0, 1, V0), ver(1, 2, V1), ver(3, 4, V2)]));
+    assert_eq!(clean_n, 1);
+    assert!(clean_report.is_clean());
 }
 
 #[test]
@@ -414,7 +398,7 @@ fn candidate_empty_version_recovers() {
     let mut vs = vec![ver(0, 1, V0), ver(1, 2, V1), ver(2, 3, V2)];
     let mut rng = StdRng::seed_from_u64(FAULT_SEED);
     corrupt_versions(&mut vs, FaultClass::EmptyVersion, &mut rng).expect("blanking applies");
-    let (n, report) = mine_one(candidate(vs), true);
+    let (n, report) = mine_one(candidate(vs));
     assert_eq!(n, 1);
     assert_eq!(report.recovered.len(), 1);
     assert_eq!(report.recovered[0].error.class, ErrorClass::EmptyVersion);
@@ -423,7 +407,7 @@ fn candidate_empty_version_recovers() {
 #[test]
 fn candidate_all_blank_is_quarantined_not_fatal() {
     let vs = vec![ver(0, 1, "\n\n"), ver(1, 2, "  \n")];
-    let (n, report) = mine_one(candidate(vs), false);
+    let (n, report) = mine_one(candidate(vs));
     assert_eq!(n, 0);
     assert_eq!(report.quarantined.len(), 1);
     let q = &report.quarantined[0];
@@ -436,23 +420,21 @@ fn candidate_all_blank_is_quarantined_not_fatal() {
 
 #[test]
 fn candidate_backwards_timestamps_resort_to_clean_result() {
-    for cache in [false, true] {
-        let mut vs = vec![ver(0, 1, V0), ver(1, 2, V1), ver(2, 3, V2)];
-        let mut rng = StdRng::seed_from_u64(FAULT_SEED);
-        corrupt_versions(&mut vs, FaultClass::NonMonotonicTimestamps, &mut rng)
-            .expect("timestamp swap applies");
-        assert!(
-            vs.windows(2).any(|w| w[1].timestamp < w[0].timestamp),
-            "injection failed to break monotonicity"
-        );
-        let (n, report) = mine_one(candidate(vs), cache);
-        assert_eq!(n, 1);
-        assert_eq!(report.recovered.len(), 1);
-        assert_eq!(
-            report.recovered[0].error.class,
-            ErrorClass::NonMonotonicTimestamps
-        );
-    }
+    let mut vs = vec![ver(0, 1, V0), ver(1, 2, V1), ver(2, 3, V2)];
+    let mut rng = StdRng::seed_from_u64(FAULT_SEED);
+    corrupt_versions(&mut vs, FaultClass::NonMonotonicTimestamps, &mut rng)
+        .expect("timestamp swap applies");
+    assert!(
+        vs.windows(2).any(|w| w[1].timestamp < w[0].timestamp),
+        "injection failed to break monotonicity"
+    );
+    let (n, report) = mine_one(candidate(vs));
+    assert_eq!(n, 1);
+    assert_eq!(report.recovered.len(), 1);
+    assert_eq!(
+        report.recovered[0].error.class,
+        ErrorClass::NonMonotonicTimestamps
+    );
 }
 
 #[test]
@@ -462,15 +444,13 @@ fn candidate_unterminated_token_recovers_with_prefix() {
     // the well-formed prefix, and mining continues.
     let damaged = format!("{V1}\n/* migration notes never closed");
     let vs = vec![ver(0, 1, V0), ver(1, 2, &damaged), ver(2, 3, V2)];
-    for cache in [false, true] {
-        let (n, report) = mine_one(candidate(vs.clone()), cache);
-        assert_eq!(n, 1, "cache={cache}");
-        assert_eq!(report.recovered.len(), 1, "cache={cache}");
-        let r = &report.recovered[0];
-        assert_eq!(r.error.class, ErrorClass::Lex);
-        assert_eq!(r.error.version_index, Some(1));
-        assert!(r.error.byte_offset.is_some());
-    }
+    let (n, report) = mine_one(candidate(vs));
+    assert_eq!(n, 1);
+    assert_eq!(report.recovered.len(), 1);
+    let r = &report.recovered[0];
+    assert_eq!(r.error.class, ErrorClass::Lex);
+    assert_eq!(r.error.version_index, Some(1));
+    assert!(r.error.byte_offset.is_some());
 }
 
 #[test]
@@ -479,15 +459,13 @@ fn candidate_unsalvageable_version_quarantines_whole_history() {
     // an empty salvage schema: the history is quarantined, with
     // provenance pointing at the damaged version.
     let vs = vec![ver(0, 1, V0), ver(1, 2, "'swallowed from the first byte")];
-    for cache in [false, true] {
-        let (n, report) = mine_one(candidate(vs.clone()), cache);
-        assert_eq!(n, 0, "cache={cache}");
-        assert_eq!(report.quarantined.len(), 1, "cache={cache}");
-        let q = &report.quarantined[0];
-        assert_eq!(q.error.class, ErrorClass::Lex);
-        assert_eq!(q.error.version_index, Some(1));
-        assert!(q.recovery_attempted);
-    }
+    let (n, report) = mine_one(candidate(vs));
+    assert_eq!(n, 0);
+    assert_eq!(report.quarantined.len(), 1);
+    let q = &report.quarantined[0];
+    assert_eq!(q.error.class, ErrorClass::Lex);
+    assert_eq!(q.error.version_index, Some(1));
+    assert!(q.recovery_attempted);
 }
 
 #[test]
@@ -509,14 +487,14 @@ fn candidate_injection_on_real_funnel_output_stays_ordered() {
     )
     .expect("duplicate injection applies to a real candidate");
 
-    let (mined, report) = mine_graceful(&candidates, 4, true);
+    let (mined, report) = mine_graceful(&candidates, 4);
     assert_eq!(mined.len(), candidates.len(), "duplicate drop must not lose the candidate");
     assert_eq!(report.recovered.len(), 1);
     assert_eq!(report.recovered[0].error.project, victim_name);
     assert_eq!(report.recovered[0].error.class, ErrorClass::DuplicateVersion);
     // Order and content of everything else match the clean mining pass.
     let clean = run_funnel(&u, WalkStrategy::FirstParent).analyzed;
-    let (clean_mined, clean_report) = mine_graceful(&clean, 4, true);
+    let (clean_mined, clean_report) = mine_graceful(&clean, 4);
     assert!(clean_report.is_clean());
     for (a, b) in mined.iter().zip(clean_mined.iter()) {
         assert_eq!(a.profile, b.profile, "profile order or content changed");

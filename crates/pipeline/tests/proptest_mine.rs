@@ -1,6 +1,7 @@
 //! Property tests for the work-stealing miner: for *arbitrary* candidate
 //! sets — valid histories, unparseable blobs, duplicated contents — and
-//! arbitrary worker counts / cache settings, a [`MiningEngine`] pass over
+//! arbitrary worker counts, with or without a warm outcome memo, a
+//! [`MiningEngine`] pass over
 //! a [`SliceSource`] mines every candidate, accounts for every recovery,
 //! equals a plain serial fold of `mine_candidate`/`mine_extended` where
 //! no version needed salvage, and is insensitive to its execution
@@ -11,15 +12,15 @@ use schevo_core::errors::ErrorClass;
 use schevo_core::heartbeat::REED_THRESHOLD;
 use schevo_pipeline::extract::{mine_candidate, mine_extended};
 use schevo_pipeline::funnel::CandidateHistory;
-use schevo_pipeline::{MiningEngine, MiningOutput, SliceSource, StudyOptions};
+use schevo_pipeline::{MiningEngine, MiningOutput, SliceSource, StudyOptions, WarmCaches};
 use schevo_vcs::history::FileVersion;
 use schevo_vcs::sha1::sha1;
 use schevo_vcs::timestamp::Timestamp;
 
 /// A small pool of DDL blobs. Index 5 is deliberately unparseable
 /// (unterminated string literal) so salvage is exercised, and
-/// the pool is small so the same content recurs across candidates — the
-/// content-addressed cache's bread and butter.
+/// the pool is small so the same content recurs within and across
+/// candidates.
 fn blob(id: usize) -> &'static str {
     match id % 6 {
         0 => "CREATE TABLE a (x INT);",
@@ -73,15 +74,18 @@ fn candidates_strategy() -> impl Strategy<Value = Vec<CandidateHistory>> {
     })
 }
 
-fn mine(cands: &[CandidateHistory], workers: usize, cache: bool) -> MiningOutput {
+fn engine(workers: usize) -> MiningEngine {
     MiningEngine::new(StudyOptions {
         reed_threshold: Some(REED_THRESHOLD),
         workers,
-        cache,
         ..StudyOptions::default()
     })
-    .mine(&SliceSource::new(cands))
-    .expect("slice mining cannot fail without a journal")
+}
+
+fn mine(cands: &[CandidateHistory], workers: usize) -> MiningOutput {
+    engine(workers)
+        .mine(&SliceSource::new(cands))
+        .expect("slice mining cannot fail without a journal")
 }
 
 /// The candidate with each run of byte-identical consecutive versions
@@ -125,9 +129,8 @@ proptest! {
     fn engine_equals_serial_fold_on_deduped_candidates(
         cands in candidates_strategy(),
         workers in 1usize..9,
-        cache in any::<bool>(),
     ) {
-        let out = mine(&cands, workers, cache);
+        let out = mine(&cands, workers);
         prop_assert_eq!(out.mined.len(), cands.len());
         prop_assert!(out.quarantine.quarantined.is_empty());
         let recovered: Vec<_> = out
@@ -148,24 +151,29 @@ proptest! {
             prop_assert_eq!(Some(m.profile.clone()), mine_candidate(&d, REED_THRESHOLD));
         }
         prop_assert_eq!(out.exec.tasks, cands.len());
-        prop_assert_eq!(out.exec.cache_enabled, cache);
-        if !cache {
-            prop_assert_eq!(out.exec.parse_hits, 0);
-            prop_assert_eq!(out.exec.diff_hits, 0);
-        }
+        prop_assert_eq!(out.exec.parse_hits, 0);
     }
 
     /// The mined records and the quarantine report are identical for
-    /// every worker count and cache setting: each configuration equals
-    /// the serial, uncached pass.
+    /// every worker count, and for a second pass served from a warm
+    /// memo the first pass filled: each equals the serial pass.
     #[test]
     fn engine_output_is_config_invariant(
         cands in candidates_strategy(),
         workers in 1usize..9,
-        cache in any::<bool>(),
+        warm in any::<bool>(),
     ) {
-        let baseline = mine(&cands, 1, false);
-        let out = mine(&cands, workers, cache);
+        let baseline = mine(&cands, 1);
+        let out = if warm {
+            let memo = WarmCaches::new();
+            let source = SliceSource::new(&cands);
+            let fill = engine(workers).with_warm(&memo).mine(&source);
+            fill.expect("slice mining cannot fail without a journal");
+            let served = engine(workers).with_warm(&memo).mine(&source);
+            served.expect("slice mining cannot fail without a journal")
+        } else {
+            mine(&cands, workers)
+        };
         prop_assert_eq!(out.mined, baseline.mined);
         prop_assert_eq!(out.quarantine, baseline.quarantine);
     }

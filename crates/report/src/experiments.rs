@@ -447,7 +447,8 @@ fn serve_appendix(d: &ServeDemo) -> String {
     md.push_str("## Appendix — serving studies: a resident daemon under load\n\n");
     md.push_str(
         "`schevo serve` keeps one warm `MiningEngine` (shard store handle \
-         plus content-addressed parse/diff caches) resident and answers \
+         plus a memo of mined outcomes keyed by the journal's candidate \
+         key) resident and answers \
          study requests over a line-JSON protocol carried in \
          length-prefixed SHA-1-checksummed frames on a Unix or TCP \
          socket — the same framing the journal and shard store use on \
@@ -500,7 +501,7 @@ fn serve_appendix(d: &ServeDemo) -> String {
         "```\n\nThe concurrent differential (`tests/serve_differential.rs`), \
          the protocol fuzz suite (`crates/serve/tests/proptest_protocol.rs`) \
          and the append/kill-9 chaos pass (`tests/serve_chaos.rs`) pin these \
-         behaviours across worker counts, cache settings and client \
+         behaviours across worker counts, memo use and client \
          concurrency.\n\n",
     );
     md
@@ -577,7 +578,7 @@ fn obs_appendix(d: &ObsDemo) -> String {
         "An instrumented run's `study_results.json` was {} an \
          uninstrumented run of the same study (the traced-vs-untraced \
          differential in `tests/traced_differential.rs` pins this across \
-         worker counts and cache settings).\n\n",
+         worker counts).\n\n",
         if d.outputs_identical {
             "byte-identical to"
         } else {
@@ -650,7 +651,7 @@ fn resume_appendix(d: &ResumeDemo) -> String {
         "```\n\nEvery resumed run {} the uninterrupted study. The \
          subprocess-level version of this demonstration — `--crash-after N` \
          aborting the real CLI after the Nth durable commit, resumed across \
-         worker counts and cache settings — is pinned by \
+         worker counts — is pinned by \
          `tests/crash_resume.rs`.\n\n",
         if d.all_identical {
             "reproduced byte-for-byte"

@@ -9,7 +9,6 @@ use crate::table::{fmt_num, fmt_p, TextTable};
 use schevo_core::measures::{measure_history, monthly_activity};
 use schevo_core::tempo::{tempo, Tempo, IDLE_THRESHOLD_DAYS};
 use schevo_core::model::SchemaHistory;
-use schevo_core::profile::EvolutionProfile;
 use schevo_core::taxa::{ProjectClass, Taxon};
 use schevo_corpus::realize::GeneratedProject;
 use schevo_pipeline::funnel::FunnelReport;
@@ -502,13 +501,6 @@ pub fn extensions_table(study: &StudyResult) -> String {
     out
 }
 
-/// Sort profiles of a taxon by activity (handy for report listings).
-pub fn taxon_roster(study: &StudyResult, taxon: Taxon) -> Vec<&EvolutionProfile> {
-    let mut v = study.profiles_of(taxon);
-    v.sort_by_key(|p| std::cmp::Reverse(p.total_activity));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,14 +574,5 @@ mod tests {
         let t = table1_definitions();
         assert!(t.contains("History-less"));
         assert!(t.contains("Focused Shot & Low"));
-    }
-
-    #[test]
-    fn roster_is_sorted_descending() {
-        let s = study();
-        let roster = taxon_roster(&s, Taxon::Active);
-        for w in roster.windows(2) {
-            assert!(w[0].total_activity >= w[1].total_activity);
-        }
     }
 }

@@ -5,9 +5,10 @@
 //! Unix or TCP socket with the same length-prefixed, SHA-1-checksummed
 //! framing the journal and store use on disk.
 //!
-//! The server exists because re-parsing a corpus for every study is the
-//! dominant cost of interactive use. It keeps the parse/diff cache warm
-//! across requests (content-addressed, so sharing cannot change
+//! The server exists because re-mining a corpus for every study is the
+//! dominant cost of interactive use. It keeps every mined outcome
+//! resident across requests, keyed by the journal's candidate key (a
+//! digest of all the outcome depends on, so reuse cannot change
 //! results), replays untouched histories from the mining journal when a
 //! corpus has been appended to, and degrades explicitly under load: a
 //! bounded number of studies run in flight, everything beyond the bound

@@ -21,7 +21,8 @@ pub struct Request {
     pub profile: Option<String>,
     /// Mining worker threads (server default when absent).
     pub workers: Option<u64>,
-    /// Parse/diff cache on or off (server default when absent).
+    /// `Some(false)` mines every candidate afresh instead of reusing the
+    /// server's resident outcomes; absent or `Some(true)` reuses them.
     pub cache: Option<bool>,
     /// Run this study durably against the server's journal, replaying
     /// already-mined histories and re-mining only new candidate keys.

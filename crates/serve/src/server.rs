@@ -1,14 +1,15 @@
 //! The resident study server: one warm [`MiningEngine`] configuration,
-//! one open shard store, one shared parse/diff cache — answering
+//! one open shard store, one shared memo of mined outcomes — answering
 //! concurrent study requests with admission control, per-request
 //! watchdog deadlines, queryable results, and Prometheus metrics.
 //!
 //! Determinism contract: a served study runs the exact same
 //! `MiningEngine::study` path as the batch CLI over the same store, and
-//! the warm cache is content-addressed, so the `study_json` bytes in an
-//! `ok` response are identical to the CLI's `study_results.json` for
-//! the same store and options — whatever else the server is doing
-//! concurrently.
+//! the outcome memo is keyed by a digest of everything an outcome
+//! depends on ([`schevo_pipeline::candidate_key`]), so the `study_json`
+//! bytes in an `ok` response are identical to the CLI's
+//! `study_results.json` for the same store and options — whatever else
+//! the server is doing concurrently.
 
 use crate::frame::{frame_len, read_frame, write_frame};
 use crate::proto::{decode_request, encode_response, Request, Response};
@@ -47,8 +48,6 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Default worker count per study (requests may override).
     pub workers: usize,
-    /// Default cache mode per study (requests may override).
-    pub cache: bool,
     /// Journal path backing `resume: true` requests; `None` rejects them.
     pub journal: Option<PathBuf>,
     /// Deterministic crash injection forwarded to durable requests
@@ -89,14 +88,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config serving `store_dir` with library defaults: 4 studies in
-    /// flight, engine-default workers, cache on, no journal, no
+    /// flight, engine-default workers, no journal, no
     /// deadline, no artifacts.
     pub fn new(store_dir: PathBuf) -> ServerConfig {
         ServerConfig {
             store_dir,
             max_inflight: 4,
             workers: StudyOptions::default().workers,
-            cache: true,
             journal: None,
             crash_after: None,
             deadline: None,
@@ -561,7 +559,6 @@ impl Server {
             .workers
             .map(|w| w as usize)
             .unwrap_or(self.config.workers);
-        let cache = request.cache.unwrap_or(self.config.cache);
         let resume = request.resume.unwrap_or(false);
         let deadline = request
             .deadline_ms
@@ -592,7 +589,6 @@ impl Server {
             .then(|| Arc::new(TraceScope::new()));
         let options = StudyOptions {
             workers,
-            cache,
             durability,
             obs: ObsHooks {
                 trace: scope.clone(),
@@ -600,7 +596,10 @@ impl Server {
             },
             ..StudyOptions::default()
         };
-        let engine = MiningEngine::new(options).with_warm(&self.warm);
+        let mut engine = MiningEngine::new(options);
+        if request.cache != Some(false) {
+            engine = engine.with_warm(&self.warm);
+        }
         // Durable requests serialize on the journal gate: the journal is
         // one append-only file with one writer. Non-durable studies run
         // concurrently up to the admission cap.
@@ -651,7 +650,6 @@ impl Server {
             seed: store_manifest.seed,
             scale_divisor: store_manifest.scale_divisor,
             workers: workers as u64,
-            cache,
             strict: false,
             inject_faults_pct: None,
             fault_seed: None,

@@ -27,7 +27,6 @@ pub mod contingency;
 pub mod correlation;
 pub mod describe;
 pub mod kruskal;
-pub mod mannwhitney;
 pub mod quantile;
 pub mod rank;
 pub mod shapiro;
@@ -37,7 +36,6 @@ pub mod threshold;
 pub use contingency::{chi2_independence, Chi2Independence, ContingencyError};
 pub use correlation::{spearman, CorrelationError, Spearman};
 pub use describe::{mean, percent_where, variance, Summary};
-pub use mannwhitney::{mann_whitney, MannWhitney, MannWhitneyError};
 pub use kruskal::{kruskal_wallis, pairwise_kruskal, KruskalError, KruskalWallis, PairwiseMatrix};
 pub use quantile::{median, quantile, Quartiles};
 pub use rank::{midranks, tie_correction};

@@ -105,17 +105,8 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     h * (-x + a * x.ln() - ln_gamma(a)).exp()
 }
 
-/// Error function, via the incomplete gamma identity
-/// `erf(x) = P(1/2, x²)` for `x ≥ 0`.
-pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        -erf(-x)
-    } else {
-        gamma_p(0.5, x * x)
-    }
-}
-
-/// Complementary error function.
+/// Complementary error function, via the incomplete gamma identity
+/// `erfc(x) = Q(1/2, x²)` for `x ≥ 0`.
 pub fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         2.0 - erfc(-x)
@@ -235,11 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn erf_reference_values() {
-        // erf(1) = 0.8427007929497149
-        assert!(close(erf(1.0), 0.842_700_792_949_714_9, 1e-10));
-        assert!(close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10));
-        assert_eq!(erf(0.0), 0.0);
+    fn erfc_reference_values() {
+        // erfc(1) = 1 - erf(1) = 0.1572992070502851
+        assert!(close(erfc(1.0), 0.157_299_207_050_285_1, 1e-10));
+        assert!(close(erfc(-1.0), 1.842_700_792_949_715, 1e-10));
+        assert_eq!(erfc(0.0), 1.0);
         // erfc(2) = 0.004677734981063127
         assert!(close(erfc(2.0), 0.004_677_734_981_063_127, 1e-9));
     }

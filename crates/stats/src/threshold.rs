@@ -23,21 +23,6 @@ pub fn reed_limit(single_commit_activities: &[f64]) -> Option<u64> {
     percentile_split(single_commit_activities, 0.85)
 }
 
-/// Check how power-law-like a positive sample is by comparing the
-/// mean/median ratio: heavy-tailed samples have mean ≫ median. Returns the
-/// ratio (1.0 ⇒ symmetric-ish; ≥ 2 ⇒ strongly right-skewed).
-pub fn skew_ratio(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let m = crate::describe::mean(values);
-    let med = crate::quantile::median(values);
-    if med == 0.0 {
-        return None;
-    }
-    Some(m / med)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,20 +53,5 @@ mod tests {
     fn empty_sample_is_none() {
         assert_eq!(percentile_split(&[], 0.85), None);
         assert_eq!(reed_limit(&[]), None);
-        assert_eq!(skew_ratio(&[]), None);
-    }
-
-    #[test]
-    fn skew_ratio_detects_heavy_tail() {
-        let symmetric: Vec<f64> = (1..=99).map(|x| x as f64).collect();
-        assert!((skew_ratio(&symmetric).unwrap() - 1.0).abs() < 0.01);
-        let mut heavy = vec![1.0; 90];
-        heavy.extend(vec![1000.0; 10]);
-        assert!(skew_ratio(&heavy).unwrap() > 50.0);
-    }
-
-    #[test]
-    fn zero_median_is_none() {
-        assert_eq!(skew_ratio(&[0.0, 0.0, 5.0]), None);
     }
 }

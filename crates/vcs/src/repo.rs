@@ -1,7 +1,7 @@
 //! Repositories: branches over a shared object store, with a git-like
 //! commit/merge API.
 
-use crate::object::{Blob, Commit, Object, Tree};
+use crate::object::{Blob, Commit, Tree};
 use crate::sha1::Digest;
 use crate::store::ObjectStore;
 use crate::timestamp::Timestamp;
@@ -322,22 +322,6 @@ impl Repository {
         }
         Ok(seen)
     }
-
-    /// Read a file at a specific commit.
-    pub fn read_file_at(&self, commit: Digest, path: &str) -> Result<Option<String>, RepoError> {
-        let c = self.commit_object(commit)?;
-        let tree = self
-            .store
-            .tree(c.tree)
-            .ok_or(RepoError::MissingObject(c.tree))?;
-        match tree.get(path) {
-            None => Ok(None),
-            Some(id) => match self.store.get(id) {
-                Some(Object::Blob(b)) => Ok(Some(b.as_text())),
-                _ => Err(RepoError::MissingObject(id)),
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -377,7 +361,6 @@ mod tests {
         let commit2 = r.commit_object(c2).unwrap();
         assert_eq!(commit2.parents, vec![c1]);
         assert_eq!(r.read_file("f").unwrap().unwrap(), "2");
-        assert_eq!(r.read_file_at(c1, "f").unwrap().unwrap(), "1");
     }
 
     #[test]

@@ -36,20 +36,6 @@ impl Digest {
         hex(&self.0)
     }
 
-    /// Parse from 40 hex characters.
-    pub fn from_hex(hex: &str) -> Option<Digest> {
-        if hex.len() != 40 {
-            return None;
-        }
-        let mut out = [0u8; 20];
-        for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(Digest(out))
-    }
-
     /// Short 8-character prefix, as shown in logs.
     pub fn short(&self) -> String {
         hex(&self.0[..4])
@@ -396,21 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn hex_roundtrip() {
-        let d = sha1(b"roundtrip");
-        assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
-        assert_eq!(Digest::from_hex("xyz"), None);
-        assert_eq!(Digest::from_hex(&"g".repeat(40)), None);
-    }
-
-    #[test]
     fn hex_covers_every_byte_value() {
         for b in 0..=255u8 {
             let d = Digest([b; 20]);
             let want = format!("{b:02x}").repeat(20);
             assert_eq!(d.to_hex(), want);
             assert_eq!(d.short(), want[..8]);
-            assert_eq!(Digest::from_hex(&want), Some(d));
         }
     }
 

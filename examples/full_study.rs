@@ -8,9 +8,8 @@
 //! cargo run --release --example full_study -- --write # also write EXPERIMENTS.md
 //! ```
 //!
-//! `--workers N` sets the mining worker count and `--no-cache` disables
-//! the content-addressed parse/diff cache; neither changes any output
-//! (the executor is deterministic), only the wall time.
+//! `--workers N` sets the mining worker count; it changes no output (the
+//! executor is deterministic), only the wall time.
 
 use schevo::corpus::universe::Universe;
 use schevo::pipeline::ablation::{
@@ -46,7 +45,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| StudyOptions::default().workers);
-    let cache = !args.iter().any(|a| a == "--no-cache");
     // The paper-scale run is itself instrumented: the registry's stage
     // walls and latency histograms feed the observability appendix, and
     // instrumentation is a no-op on every published byte.
@@ -60,20 +58,15 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         &universe,
         StudyOptions {
             workers,
-            cache,
             obs: ObsHooks::with_registry(registry.clone()),
             ..StudyOptions::default()
         },
     )?;
     eprintln!(
-        "study ran in {:?} ({} workers, cache {}; parse {}/{} hits, diff {}/{} hits)",
+        "study ran in {:?} ({} workers; {} versions parsed)",
         t1.elapsed(),
         study.exec.workers,
-        if cache { "on" } else { "off" },
-        study.exec.parse_hits,
-        study.exec.parse_hits + study.exec.parse_misses,
-        study.exec.diff_hits,
-        study.exec.diff_hits + study.exec.diff_misses,
+        study.exec.parse_misses,
     );
     eprintln!("{}", study.quarantine.summary());
 
@@ -98,9 +91,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         serve_demo: None,
     };
     eprintln!("building observability appendix...");
-    extras.obs_demo = Some(obs_demo(&universe, &study, &registry, workers, cache, t0.elapsed())?);
+    extras.obs_demo = Some(obs_demo(&universe, &study, &registry, workers, t0.elapsed())?);
     eprintln!("running chaos pass (fault injection)...");
-    extras.fault_demo = Some(fault_demo(&study, workers, cache));
+    extras.fault_demo = Some(fault_demo(&study, workers));
     eprintln!("running durability pass (crash/resume)...");
     extras.resume_demo = Some(resume_demo(&universe, &study)?);
     let scale_factor: usize = args
@@ -158,7 +151,6 @@ fn obs_demo(
     study: &StudyResult,
     registry: &Registry,
     workers: usize,
-    cache: bool,
     wall: std::time::Duration,
 ) -> Result<ObsDemo, Box<dyn std::error::Error>> {
     let snap = registry.snapshot();
@@ -168,7 +160,6 @@ fn obs_demo(
         seed: 2019,
         scale_divisor: 1,
         workers: workers as u64,
-        cache,
         strict: false,
         inject_faults_pct: None,
         fault_seed: None,
@@ -228,7 +219,7 @@ fn obs_demo(
 /// The durability pass for the EXPERIMENTS.md appendix: run one fully
 /// journaled paper-scale study, cut the journal at a spread of record
 /// boundaries (as a crash at that commit would leave it), resume from
-/// each cut under alternating worker/cache configurations, and compare
+/// each cut under alternating worker counts, and compare
 /// every resumed result to the uninterrupted study.
 fn resume_demo(
     universe: &Universe,
@@ -271,7 +262,6 @@ fn resume_demo(
             universe,
             StudyOptions {
                 workers: 1 + (i % 2),
-                cache: i % 2 == 0,
                 durability: DurabilityOptions {
                     journal: Some(cut_path.clone()),
                     resume: true,
@@ -345,10 +335,6 @@ fn scale_run(
         cmd.arg("--store-dir").arg(store_dir);
         cmd.args(["--shards", &shards.to_string()]);
     }
-    // The parse/diff cache never hits on the salted synthetic corpus
-    // (every blob is unique), so at scale it is pure memory overhead;
-    // disabling it lets every row show its backend's true footprint.
-    cmd.arg("--no-cache");
     cmd.arg("--metrics-out").arg(&metrics);
     cmd.arg("--manifest-out").arg(&manifest);
     cmd.arg("--out").arg(&out_dir);
@@ -593,7 +579,7 @@ fn serve_demo() -> Result<Option<ServeDemo>, Box<dyn std::error::Error>> {
 /// of the evolving projects with the full fault catalog (fault seed 7),
 /// re-run the study gracefully, and check the untouched projects against
 /// the clean study.
-fn fault_demo(clean: &StudyResult, workers: usize, cache: bool) -> FaultDemo {
+fn fault_demo(clean: &StudyResult, workers: usize) -> FaultDemo {
     const FAULT_SEED: u64 = 7;
     const RATE: u32 = 20;
     let mut universe = generate(UniverseConfig::paper(2019));
@@ -603,7 +589,6 @@ fn fault_demo(clean: &StudyResult, workers: usize, cache: bool) -> FaultDemo {
         &universe,
         StudyOptions {
             workers,
-            cache,
             ..StudyOptions::default()
         },
     )

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: build, full test suite, lint wall, a black-box differential
-# check that the work-stealing executor's output is bit-identical for every
-# worker count and with the parse/diff cache on or off, the chaos suite
+# CI gate: build, the test suite of every workspace crate, lint wall, a
+# black-box differential check that the work-stealing executor's output is
+# bit-identical for every worker count, the chaos suite
 # (fault injection + graceful degradation), the scale tier (sharded store
 # byte-identity plus a 20x streaming run under a fixed peak-RSS ceiling),
 # a paper-scale differential of incremental parsing, lexing and diffing,
@@ -22,23 +22,23 @@ peak_rss_mb() {
 echo "==> build (release)"
 cargo build --release --workspace
 
-echo "==> tests"
-cargo test -q --release
+echo "==> tests (every workspace crate)"
+cargo test -q --release --workspace
 
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> differential: study output across worker counts and cache settings"
+echo "==> differential: study output across worker counts"
 # The study report on stdout (exec stats go to stderr) must not depend on
 # scheduling. Small scale keeps this gate quick; the in-tree differential
 # harness (crates/pipeline/tests/differential_parallel.rs) covers the same
 # invariant at the StudyResult level.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-baseline="$tmp/w1-nocache.txt"
+baseline="$tmp/w1.txt"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
-  --workers 1 --no-cache > "$baseline" 2>/dev/null
-for variant in "--workers 1" "--workers 2" "--workers 8" "--workers 8 --no-cache"; do
+  --workers 1 > "$baseline" 2>/dev/null
+for variant in "--workers 1" "--workers 2" "--workers 8"; do
   out="$tmp/out.txt"
   # shellcheck disable=SC2086
   cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
@@ -58,7 +58,7 @@ echo "==> observability: traced run is byte-identical, artifacts validate"
 # below replays them against the files this run just wrote).
 obs_out="$tmp/obs-out.txt"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
-  --workers 1 --no-cache --progress \
+  --workers 1 --progress \
   --trace-out "$tmp/obs-trace.jsonl" \
   --metrics-out "$tmp/obs-metrics.json" \
   --manifest-out "$tmp/obs-manifest.json" > "$obs_out" 2>/dev/null
@@ -82,7 +82,7 @@ fi
 echo "    trace/metrics/manifest validate against their schemas"
 echo "    every manifest stage wall equals its trace-derived wall"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
-  --workers 1 --no-cache --metrics-out "$tmp/obs-metrics.prom" \
+  --workers 1 --metrics-out "$tmp/obs-metrics.prom" \
   --metrics-format prom >/dev/null 2>&1
 if ! grep -q '^# TYPE mine_parse_misses counter$' "$tmp/obs-metrics.prom" \
   || ! grep -q 'le="+Inf"' "$tmp/obs-metrics.prom"; then
@@ -91,17 +91,12 @@ if ! grep -q '^# TYPE mine_parse_misses counter$' "$tmp/obs-metrics.prom" \
 fi
 echo "    prometheus export well-formed"
 
-echo "==> pipeline crate (unit, chaos, property and journal suites) + fault-injection suite"
-cargo test -q --release -p schevo-pipeline
-cargo test -q --release -p schevo-ddl --test proptest_chaos
-cargo test -q --release -p schevo-corpus faultgen
-
 echo "==> chaos: graceful vs strict, black-box"
 # A clean study must produce identical stdout with and without --strict
 # (graceful mining is a bit-identical no-op on clean input).
 strict_out="$tmp/strict.txt"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
-  --workers 1 --no-cache --strict > "$strict_out" 2>/dev/null
+  --workers 1 --strict > "$strict_out" 2>/dev/null
 if ! diff -q "$baseline" "$strict_out" >/dev/null; then
   echo "CHAOS FAILURE: --strict changed the clean study output" >&2
   exit 1
@@ -112,7 +107,7 @@ echo "    clean study identical under --strict"
 f1="$tmp/fault-w1.txt"
 f8="$tmp/fault-w8.txt"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 10 \
-  --inject-faults 30 --workers 1 --no-cache > "$f1" 2>/dev/null
+  --inject-faults 30 --workers 1 > "$f1" 2>/dev/null
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 10 \
   --inject-faults 30 --workers 8 > "$f8" 2>/dev/null
 if ! diff -q "$f1" "$f8" >/dev/null; then
@@ -120,7 +115,7 @@ if ! diff -q "$f1" "$f8" >/dev/null; then
   diff "$f1" "$f8" | head -40 >&2
   exit 1
 fi
-echo "    faulted study identical across workers/cache"
+echo "    faulted study identical across worker counts"
 # ...while the same corpus under --strict must refuse to run (exit 3).
 if cargo run -q --release --bin schevo -- study --seed 2019 --scale 10 \
   --inject-faults 30 --strict >/dev/null 2>&1; then
@@ -131,10 +126,10 @@ echo "    faulted study refused under --strict"
 
 echo "==> durability: kill -> resume, black-box"
 # Crash the CLI with --crash-after (deterministic abort after the Nth
-# durable journal commit), resume under a *different* worker/cache
-# configuration, and require study_results.json and stdout to be
-# byte-identical to a clean run. tests/crash_resume.rs sweeps every
-# crash point; this gate spot-checks one mid-run point end to end.
+# durable journal commit), resume under a *different* worker count, and
+# require study_results.json and stdout to be byte-identical to a clean
+# run. tests/crash_resume.rs sweeps every crash point; this gate
+# spot-checks one mid-run point end to end.
 clean_dir="$tmp/durable-clean"
 resume_dir="$tmp/durable-resumed"
 journal="$tmp/durable.wal"
@@ -146,7 +141,7 @@ if cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
   exit 1
 fi
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
-  --workers 1 --no-cache --journal "$journal" --resume --out "$resume_dir" \
+  --workers 1 --journal "$journal" --resume --out "$resume_dir" \
   > "$tmp/durable-resumed.txt" 2>/dev/null
 if ! diff -q "$tmp/durable-clean.txt" "$tmp/durable-resumed.txt" >/dev/null; then
   echo "DURABILITY FAILURE: resumed stdout diverged from clean run" >&2
@@ -165,7 +160,7 @@ echo "==> io-chaos: seeded syscall faults, typed failures, no torn artifacts"
 # stderr only.
 iochaos_out="$tmp/iochaos.txt"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
-  --workers 1 --no-cache --journal "$tmp/iochaos.wal" \
+  --workers 1 --journal "$tmp/iochaos.wal" \
   --io-faults "journal.fsync=eio@0.3;journal.append=eio@0.3" --io-fault-seed 42 \
   > "$iochaos_out" 2>"$tmp/iochaos.err"
 if ! diff -q "$baseline" "$iochaos_out" >/dev/null; then
@@ -240,7 +235,7 @@ fi
 # ...and the clean subset mines deterministically: two runs over the
 # scrubbed store are byte-identical and exit 0.
 cargo run -q --release --bin schevo -- study --store-dir "$scrub_store" \
-  --store-as-is --workers 1 --no-cache > "$tmp/scrubbed-1.txt" 2>/dev/null
+  --store-as-is --workers 1 > "$tmp/scrubbed-1.txt" 2>/dev/null
 cargo run -q --release --bin schevo -- study --store-dir "$scrub_store" \
   --store-as-is --workers 8 > "$tmp/scrubbed-2.txt" 2>/dev/null
 if ! diff -q "$tmp/scrubbed-1.txt" "$tmp/scrubbed-2.txt" >/dev/null; then
@@ -255,7 +250,7 @@ echo "==> scale tier: sharded store byte-identity + streaming RSS ceiling"
 store_small="$tmp/store-small"
 stream_out="$tmp/stream.txt"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
-  --workers 1 --no-cache --store-dir "$store_small" --shards 4 \
+  --workers 1 --store-dir "$store_small" --shards 4 \
   > "$stream_out" 2>/dev/null
 if ! diff -q "$baseline" "$stream_out" >/dev/null; then
   echo "SCALE FAILURE: sharded backend changed the study output" >&2
@@ -272,7 +267,7 @@ echo "    sharded backend identical to in-memory baseline"
 RSS_CEILING_MB=256
 store_big="$tmp/store-20x"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale-factor 20 \
-  --workers 1 --no-cache --store-dir "$store_big" --shards 8 \
+  --workers 1 --store-dir "$store_big" --shards 8 \
   --metrics-out "$tmp/scale-metrics.json" >/dev/null 2>&1
 rss_mb=$(peak_rss_mb "$tmp/scale-metrics.json")
 if [ -z "$rss_mb" ]; then

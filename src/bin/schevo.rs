@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! schevo study [--seed N] [--scale D] [--scale-factor F] [--out DIR]
-//!              [--store-dir DIR] [--shards N] [--workers N] [--no-cache]
-//!              [--strict] [--inject-faults PCT] [--fault-seed N]
+//!              [--store-dir DIR] [--shards N] [--workers N] [--strict]
+//!              [--inject-faults PCT] [--fault-seed N]
 //!              [--journal PATH] [--resume] [--crash-after N] [--deadline-ms N]
 //!              [--trace-out PATH] [--metrics-out PATH] [--metrics-format json|prom]
 //!              [--manifest-out PATH] [--progress] [--no-trace]
@@ -91,7 +91,7 @@ fn print_help() {
          USAGE:\n  \
          schevo study [--seed N] [--scale D] [--scale-factor F] [--out DIR]\n               \
          [--store-dir DIR] [--shards N]\n               \
-         [--workers N] [--no-cache] [--strict]\n               \
+         [--workers N] [--strict]\n               \
          [--inject-faults PCT] [--fault-seed N]\n               \
          [--journal PATH] [--resume]\n               \
          [--crash-after N] [--deadline-ms N]\n               \
@@ -103,7 +103,7 @@ fn print_help() {
          schevo export <seed> <out.pack>                    generate + pack one project\n  \
          schevo mine <in.pack> <ddl-path>                   mine a packed repository\n  \
          schevo serve --store-dir DIR [--port N | --socket PATH]\n               \
-         [--max-inflight N] [--workers N] [--no-cache]\n               \
+         [--max-inflight N] [--workers N]\n               \
          [--journal PATH] [--deadline-ms N] [--artifacts DIR]\n               \
          [--drain-deadline-ms N] [--final-metrics PATH]\n               \
          [--request-log PATH] [--trace-dir DIR]\n               \
@@ -154,7 +154,6 @@ fn cmd_study(args: &[String]) -> i32 {
     let workers: usize = flag_value(args, "--workers")
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| StudyOptions::default().workers);
-    let cache = !args.iter().any(|a| a == "--no-cache");
     let strict = args.iter().any(|a| a == "--strict");
     let inject_pct: u32 = flag_value(args, "--inject-faults")
         .and_then(|v| v.parse().ok())
@@ -377,13 +376,12 @@ fn cmd_study(args: &[String]) -> i32 {
     };
     events::info(
         "study",
-        &format!("running study ({workers} workers, cache {})...", if cache { "on" } else { "off" }),
+        &format!("running study ({workers} workers)..."),
     );
     let study = match try_run_study_source(
         source,
         StudyOptions {
             workers,
-            cache,
             strict,
             durability,
             obs,
@@ -416,13 +414,10 @@ fn cmd_study(args: &[String]) -> i32 {
     events::info(
         "mine",
         &format!(
-            "mined {} candidates in {:.2}s: parse {}/{} cache hits, diff {}/{} cache hits",
+            "mined {} candidates in {:.2}s: {} versions parsed",
             study.exec.tasks,
             study.exec.wall_nanos as f64 / 1e9,
-            study.exec.parse_hits,
-            study.exec.parse_hits + study.exec.parse_misses,
-            study.exec.diff_hits,
-            study.exec.diff_hits + study.exec.diff_misses,
+            study.exec.parse_misses,
         ),
     );
     println!("{}", funnel_table(&study.report));
@@ -502,7 +497,6 @@ fn cmd_study(args: &[String]) -> i32 {
             seed,
             scale_divisor: scale as u64,
             workers: workers as u64,
-            cache,
             strict,
             inject_faults_pct: (inject_pct > 0).then_some(inject_pct as u64),
             fault_seed: (inject_pct > 0).then_some(fault_seed),
@@ -692,7 +686,6 @@ fn cmd_serve(args: &[String]) -> i32 {
     if let Some(n) = flag_value(args, "--workers").and_then(|v| v.parse().ok()) {
         config.workers = n;
     }
-    config.cache = !args.iter().any(|a| a == "--no-cache");
     config.journal = flag_value(args, "--journal").map(std::path::PathBuf::from);
     config.crash_after = flag_value(args, "--crash-after").and_then(|v| v.parse().ok());
     config.deadline = flag_value(args, "--deadline-ms")

@@ -53,7 +53,6 @@ fn mining_reaches_no_failpoint_site() {
     let universe = generate(UniverseConfig::small(2019, 20));
     let mined = MiningEngine::new(StudyOptions {
         workers: 1,
-        cache: false,
         ..StudyOptions::default()
     })
     .mine(&universe);

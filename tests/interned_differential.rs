@@ -4,8 +4,8 @@
 //! *before* the hot-path rewrite (arena ASTs, byte-level lexer, interned
 //! diff symbols). The rewrite's contract is observational equivalence:
 //! a full `schevo study` must still produce byte-identical stdout and
-//! `study_results.json` — for every worker count and cache setting,
-//! since interned symbol ids depend on thread interleaving and must
+//! `study_results.json` — for every worker count, since interned
+//! symbol ids depend on thread interleaving and must
 //! never leak into any output. The checked-in `artifacts/*.csv` (also
 //! seed-era bytes) are re-rendered in-process for the same reason.
 
@@ -40,44 +40,39 @@ fn study_matches_pre_rewrite_golden_across_schedules() {
     let golden_json = golden("study_s2019_scale20_results.json");
 
     for workers in ["1", "2", "8"] {
-        for cache in [true, false] {
-            let tag = format!("w{workers}{}", if cache { "c" } else { "nc" });
-            let out_dir = scratch.join(format!("out-{tag}"));
-            let mut flags = vec![
-                "study",
-                "--seed",
-                SEED,
-                "--scale",
-                SCALE,
-                "--workers",
-                workers,
-                "--out",
-            ];
-            let out_str = out_dir.to_str().expect("utf8 path").to_string();
-            flags.push(&out_str);
-            if !cache {
-                flags.push("--no-cache");
-            }
-            let run = Command::new(env!("CARGO_BIN_EXE_schevo"))
-                .args(&flags)
-                .output()
-                .expect("binary runs");
-            assert!(
-                run.status.success(),
-                "study ({tag}) failed: {}",
-                String::from_utf8_lossy(&run.stderr)
-            );
-            assert_eq!(
-                String::from_utf8_lossy(&run.stdout),
-                golden_stdout,
-                "stdout diverged from the pre-rewrite golden under {tag}"
-            );
-            assert_eq!(
-                read(&out_dir.join("study_results.json")),
-                golden_json,
-                "study_results.json diverged from the pre-rewrite golden under {tag}"
-            );
-        }
+        let tag = format!("w{workers}");
+        let out_dir = scratch.join(format!("out-{tag}"));
+        let out_str = out_dir.to_str().expect("utf8 path").to_string();
+        let flags = [
+            "study",
+            "--seed",
+            SEED,
+            "--scale",
+            SCALE,
+            "--workers",
+            workers,
+            "--out",
+            &out_str,
+        ];
+        let run = Command::new(env!("CARGO_BIN_EXE_schevo"))
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        assert!(
+            run.status.success(),
+            "study ({tag}) failed: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&run.stdout),
+            golden_stdout,
+            "stdout diverged from the pre-rewrite golden under {tag}"
+        );
+        assert_eq!(
+            read(&out_dir.join("study_results.json")),
+            golden_json,
+            "study_results.json diverged from the pre-rewrite golden under {tag}"
+        );
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -1,7 +1,9 @@
 //! Black-box differential test of `schevo serve`: a real daemon process
 //! answering concurrent study requests must hand every client the exact
 //! bytes the batch CLI writes to `study_results.json` over the same
-//! store — for every worker count, cache setting, and concurrency level.
+//! store — for every worker count and concurrency level, whether the
+//! daemon serves the request from its resident outcomes or mines it
+//! afresh.
 //!
 //! The daemon is spawned via `CARGO_BIN_EXE_schevo` and killed on drop,
 //! so a failing assertion never leaks a listening process.
@@ -112,9 +114,11 @@ fn concurrent_served_studies_match_batch_cli_bytes() {
         "8",
     ]);
 
-    // Worker counts × cache settings cycle across the clients of each
+    // Worker counts × memo use cycle across the clients of each
     // concurrency level, so every combination is served at least once
-    // while other configurations run beside it.
+    // while other configurations run beside it. `cache: Some(false)`
+    // bypasses the daemon's resident outcomes; every other request after
+    // the first is served from them.
     let matrix: Vec<(Option<u64>, Option<bool>)> = vec![
         (Some(1), Some(true)),
         (Some(1), Some(false)),

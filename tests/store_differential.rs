@@ -1,8 +1,8 @@
 //! Black-box differential test of the two `CandidateSource` backends:
 //! the sharded on-disk store must be indistinguishable from the
 //! resident in-memory universe. Indistinguishable means *byte*
-//! identity of stdout and `study_results.json` across worker counts
-//! and cache modes, survival of a kill-and-resume cycle against the
+//! identity of stdout and `study_results.json` across worker counts,
+//! survival of a kill-and-resume cycle against the
 //! store, and — at the property level — that shard corruption
 //! (bit-flips, truncation, even truncation at an exact frame boundary)
 //! is detected, quarantined as `StoreCorrupt`, and never panics or
@@ -58,22 +58,19 @@ fn golden(scratch: &Path) -> (Vec<u8>, Vec<u8>) {
 // ---------------------------------------------------------------------
 
 #[test]
-fn sharded_backend_is_byte_identical_across_worker_and_cache_configs() {
+fn sharded_backend_is_byte_identical_across_worker_counts() {
     let scratch = scratch("identity");
     let (golden_stdout, golden_json) = golden(&scratch);
 
     let store = scratch.join("store");
     let store = store.to_str().expect("utf-8");
-    // Workers × cache mode; the first run also generates the store, the
-    // rest must reuse it (regeneration would still pass — reuse is
-    // asserted separately below via the manifest's mtime).
-    let configs: [&[&str]; 6] = [
+    // Worker counts; the first run also generates the store, the rest
+    // must reuse it (regeneration would still pass — reuse is asserted
+    // separately below via the manifest's mtime).
+    let configs: [&[&str]; 3] = [
         &["--workers", "1"],
         &["--workers", "2"],
         &["--workers", "8"],
-        &["--workers", "1", "--no-cache"],
-        &["--workers", "2", "--no-cache"],
-        &["--workers", "8", "--no-cache"],
     ];
     let mut manifest_mtime = None;
     for (i, cfg) in configs.iter().enumerate() {
@@ -210,7 +207,6 @@ fn mine_store(dir: &Path) -> schevo::pipeline::MiningOutput {
     MiningEngine::new(StudyOptions {
         reed_threshold: Some(REED_THRESHOLD),
         workers: 1,
-        cache: true,
         ..StudyOptions::default()
     })
     .mine(&store)

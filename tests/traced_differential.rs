@@ -1,9 +1,9 @@
 //! Black-box traced-vs-untraced differential: the observability layer
 //! (`--trace-out`, `--metrics-out`, `--manifest-out`, `--progress`) must
 //! never perturb a single output byte. A fully instrumented `schevo
-//! study` is compared to a bare one across worker counts and cache
-//! settings, and every emitted artifact is pushed through the schema
-//! validators in `schevo-obs`.
+//! study` is compared to a bare one across worker counts, and every
+//! emitted artifact is pushed through the schema validators in
+//! `schevo-obs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -35,7 +35,7 @@ fn read(path: &Path) -> String {
 fn instrumented_run_is_byte_identical_across_schedules() {
     let scratch = dir("matrix");
     let bare_dir = scratch.join("bare");
-    let bare = study(&["--workers", "1", "--no-cache", "--out", bare_dir.to_str().unwrap()]);
+    let bare = study(&["--workers", "1", "--out", bare_dir.to_str().unwrap()]);
     assert!(
         bare.status.success(),
         "bare run failed: {}",
@@ -43,17 +43,12 @@ fn instrumented_run_is_byte_identical_across_schedules() {
     );
     let bare_json = read(&bare_dir.join("study_results.json"));
 
-    for (tag, workers, cache) in [
-        ("w1", "1", true),
-        ("w2", "2", true),
-        ("w8", "8", true),
-        ("w8nc", "8", false),
-    ] {
+    for (tag, workers) in [("w1", "1"), ("w2", "2"), ("w8", "8")] {
         let out_dir = scratch.join(format!("out-{tag}"));
         let trace = scratch.join(format!("trace-{tag}.jsonl"));
         let metrics = scratch.join(format!("metrics-{tag}.json"));
         let manifest = scratch.join(format!("manifest-{tag}.json"));
-        let mut flags = vec![
+        let flags = [
             "--workers",
             workers,
             "--progress",
@@ -66,9 +61,6 @@ fn instrumented_run_is_byte_identical_across_schedules() {
             "--manifest-out",
             manifest.to_str().unwrap(),
         ];
-        if !cache {
-            flags.push("--no-cache");
-        }
         let instrumented = study(&flags);
         assert!(
             instrumented.status.success(),
@@ -99,7 +91,6 @@ fn instrumented_run_is_byte_identical_across_schedules() {
         assert_eq!(m.seed, 2019);
         assert_eq!(m.scale_divisor, 20);
         assert_eq!(m.workers.to_string(), workers);
-        assert_eq!(m.cache, cache);
         assert_eq!(m.corpus_digest.len(), 40);
         let stage_names: Vec<&str> = m.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(stage_names, ["generate", "funnel", "mine", "stats"]);
