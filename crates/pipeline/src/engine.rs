@@ -216,9 +216,9 @@ impl MiningEngine {
         // stream (funnel assessment happens here), turns replay hits, memo
         // hits and corruption into ready-made slots, and registers the
         // keys of fresh candidates. `keys` is shared with the completion
-        // hook, which also runs on the caller thread. Opening the stream
-        // is source time too: the in-memory backend runs its whole funnel
-        // there.
+        // hook, which also runs on the caller thread. Both backends run
+        // the funnel lazily, record by record, inside these polls; opening
+        // the stream counts as source time too.
         let opening = SpanGuard::slice();
         let mut stream = source.stream(o.strategy);
         let mut source_nanos = opening.close();

@@ -12,9 +12,16 @@
 //!   − rigid single-version projects (132)
 //!   = Schema_Evo_2019 (195)
 //! ```
+//!
+//! The funnel is written once, as the per-record step
+//! [`FunnelReport::assess`] over a borrowed [`RecordView`]. Every caller
+//! walks its records through that step one at a time: the resident
+//! universe's and the shard store's candidate streams
+//! ([`crate::source`]) and [`run_funnel`], which collects the survivors.
 
+use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_corpus::libio::LibioRecord;
-use schevo_corpus::universe::Universe;
+use schevo_corpus::universe::{SqlCollectionEntry, Universe};
 use schevo_vcs::history::{file_history, FileVersion, WalkStrategy};
 use schevo_vcs::repo::Repository;
 use serde::{Deserialize, Serialize};
@@ -72,10 +79,51 @@ pub struct FunnelReport {
 }
 
 impl FunnelReport {
-    /// Tally one exclusion into its stage counter. Both the in-memory
-    /// funnel and the streaming store source feed their drops through
-    /// here, so the two backends produce identical reports.
-    pub fn note_exclusion(&mut self, e: Exclusion) {
+    /// Run one SQL-Collection record through the whole funnel and tally
+    /// it: the Libraries.io join and metadata filters, path
+    /// post-processing, the clone, the extraction, and the rigid split.
+    /// Every backend feeds its records through here one at a time, so all
+    /// of them produce identical reports.
+    ///
+    /// Returns the cloned survivor (`is_rigid` tells the split), `None`
+    /// for a dropped record, or a [`ErrorClass::StoreCorrupt`] error for a
+    /// record that passes the metadata filters but carries no repository
+    /// to clone: an inconsistent corpus, counted into `sql_collection`
+    /// only.
+    pub(crate) fn assess<'a>(
+        &mut self,
+        record: RecordView<'a, impl FnOnce() -> Cloned<'a>>,
+        strategy: WalkStrategy,
+    ) -> Result<Option<CandidateHistory>, SchevoError> {
+        self.sql_collection += 1;
+        let path = match assess_metadata(record.libio, record.sql_paths) {
+            Ok(p) => p,
+            Err(e) => {
+                self.note_exclusion(e);
+                return Ok(None);
+            }
+        };
+        let Some((repo, pup_months, total_commits)) = (record.clone)() else {
+            return Err(SchevoError::project(
+                ErrorClass::StoreCorrupt,
+                record.name,
+                "record passed the funnel filters but carries no repository",
+            ));
+        };
+        self.lib_io += 1;
+        match assess_clone(record.name, repo, path, pup_months, total_commits, strategy) {
+            Ok(candidate) => {
+                self.note_candidate(candidate.is_rigid());
+                Ok(Some(candidate))
+            }
+            Err(e) => {
+                self.note_exclusion(e);
+                Ok(None)
+            }
+        }
+    }
+
+    fn note_exclusion(&mut self, e: Exclusion) {
         match e {
             Exclusion::NotInLibio => self.not_in_libio += 1,
             Exclusion::Fork => self.forks += 1,
@@ -88,14 +136,54 @@ impl FunnelReport {
         }
     }
 
-    /// Tally one surviving candidate (already counted into `lib_io`).
-    pub fn note_candidate(&mut self, rigid: bool) {
+    fn note_candidate(&mut self, rigid: bool) {
         self.cloned += 1;
         if rigid {
             self.rigid += 1;
         } else {
             self.analyzed += 1;
         }
+    }
+}
+
+/// A cloned repository with its forge-reported `(PUP months, total
+/// commits)`, absent for lightweight records.
+pub(crate) type Cloned<'a> = Option<(&'a Repository, u64, u64)>;
+
+/// A borrowed view of one SQL-Collection record, whichever backend holds
+/// it: what [`FunnelReport::assess`] reads.
+pub(crate) struct RecordView<'a, C> {
+    /// `owner/repo`.
+    pub name: &'a str,
+    /// Paths of `.sql` files in the repository.
+    pub sql_paths: &'a [String],
+    /// Libraries.io metadata, absent for unmonitored repositories.
+    pub libio: Option<&'a LibioRecord>,
+    /// Fetches the clone. Called only once the metadata filters pass, so
+    /// the resident universe looks up a few hundred repositories by name,
+    /// not every record.
+    pub clone: C,
+}
+
+/// The view of `entry` in a resident universe: the Libraries.io join and
+/// the materialized repository, both looked up by name.
+pub(crate) fn resident_record<'a>(
+    u: &'a Universe,
+    entry: &'a SqlCollectionEntry,
+) -> RecordView<'a, impl FnOnce() -> Cloned<'a>> {
+    let libio = u.libio.get(&entry.repo_name);
+    if let Some(m) = libio {
+        debug_assert!(m.url.ends_with(&entry.repo_name), "join on URL too");
+    }
+    RecordView {
+        name: &entry.repo_name,
+        sql_paths: &entry.sql_paths,
+        libio,
+        clone: move || {
+            let m = u.materialized.get(&entry.repo_name)?;
+            let (pup_months, total_commits) = m.reported_meta();
+            Some((m.repo(), pup_months, total_commits))
+        },
     }
 }
 
@@ -141,36 +229,12 @@ pub fn assess_metadata(
     if meta.contributors <= 1 {
         return Err(Exclusion::OneContributor);
     }
-    match resolve_paths(sql_paths) {
-        Ok(p) => Ok(p),
-        Err(Exclusion::ExcludedPath) => Err(Exclusion::ExcludedPath),
-        Err(_) => Err(Exclusion::MultiFile),
-    }
-}
-
-/// Funnel stage 5 (post-clone): extract the DDL history from the cloned
-/// repository and build the candidate.
-pub fn assess_clone(
-    name: &str,
-    repo: &Repository,
-    ddl_path: String,
-    pup_months: u64,
-    total_commits: u64,
-    strategy: WalkStrategy,
-) -> Result<CandidateHistory, Exclusion> {
-    let versions = extract_versions_from(repo, &ddl_path, strategy)?;
-    Ok(CandidateHistory {
-        name: name.to_string(),
-        ddl_path,
-        versions,
-        pup_months,
-        total_commits,
-    })
+    resolve_paths(sql_paths)
 }
 
 /// Resolve the candidate `.sql` paths of one repository to a single DDL
-/// path, per the paper's post-processing rules. `None` means exclusion.
-pub fn resolve_paths(paths: &[String]) -> Result<String, Exclusion> {
+/// path, per the paper's post-processing rules.
+fn resolve_paths(paths: &[String]) -> Result<String, Exclusion> {
     let kept: Vec<&String> = paths
         .iter()
         .filter(|p| {
@@ -196,14 +260,18 @@ pub fn resolve_paths(paths: &[String]) -> Result<String, Exclusion> {
     }
 }
 
-/// Extract the DDL history of repository `r` at `path`, dropping
-/// versions with blank content, and classify the extraction outcome.
-pub fn extract_versions_from(
-    r: &Repository,
-    path: &str,
+/// Funnel stage 5 (post-clone): extract the DDL history at `ddl_path`
+/// from the cloned repository, dropping versions with blank content, and
+/// build the candidate, or classify why the extraction fails.
+fn assess_clone(
+    name: &str,
+    repo: &Repository,
+    ddl_path: String,
+    pup_months: u64,
+    total_commits: u64,
     strategy: WalkStrategy,
-) -> Result<Vec<FileVersion>, Exclusion> {
-    let raw = file_history(r, path, strategy).map_err(|_| Exclusion::ZeroVersions)?;
+) -> Result<CandidateHistory, Exclusion> {
+    let raw = file_history(repo, &ddl_path, strategy).map_err(|_| Exclusion::ZeroVersions)?;
     // Distinguish "no file at all" from "only blank versions".
     let had_any = !raw.is_empty();
     let versions: Vec<FileVersion> = raw
@@ -226,7 +294,13 @@ pub fn extract_versions_from(
     if !has_ct {
         return Err(Exclusion::EmptyOrNoCreateTable);
     }
-    Ok(versions)
+    Ok(CandidateHistory {
+        name: name.to_string(),
+        ddl_path,
+        versions,
+        pup_months,
+        total_commits,
+    })
 }
 
 /// The funnel's output: the report, the analyzed candidates, and the rigid
@@ -241,59 +315,19 @@ pub struct FunnelOutcome {
     pub rigid: Vec<CandidateHistory>,
 }
 
-/// Run the whole funnel over a universe.
+/// Run the whole funnel over a universe. A survivor the universe holds
+/// no repository for is left out of both `analyzed` and `rigid`.
 pub fn run_funnel(universe: &Universe, strategy: WalkStrategy) -> FunnelOutcome {
-    let mut report = FunnelReport {
-        sql_collection: universe.sql_collection.len(),
-        ..Default::default()
-    };
+    let mut report = FunnelReport::default();
     let mut analyzed = Vec::new();
     let mut rigid = Vec::new();
-
     for entry in &universe.sql_collection {
-        // 1–3. Libraries.io join, metadata filters, path post-processing.
-        let meta = universe.libio.get(&entry.repo_name);
-        if let Some(m) = meta {
-            debug_assert!(m.url.ends_with(&entry.repo_name), "join on URL too");
-        }
-        let path = match assess_metadata(meta, &entry.sql_paths) {
-            Ok(p) => p,
-            Err(e) => {
-                report.note_exclusion(e);
-                continue;
+        if let Ok(Some(c)) = report.assess(resident_record(universe, entry), strategy) {
+            if c.is_rigid() {
+                rigid.push(c);
+            } else {
+                analyzed.push(c);
             }
-        };
-        // 4. Clone. A candidate that passed all metadata filters must be
-        // materialized; a lightweight record reaching this point would be a
-        // corpus bug, surfaced loudly.
-        let repo = universe
-            .materialized
-            .get(&entry.repo_name)
-            .unwrap_or_else(|| panic!("{} passed filters but is not materialized", entry.repo_name));
-        report.lib_io += 1;
-        // 5. Extract.
-        let (pup_months, total_commits) = repo.reported_meta();
-        let candidate = match assess_clone(
-            &entry.repo_name,
-            repo.repo(),
-            path,
-            pup_months,
-            total_commits,
-            strategy,
-        ) {
-            Ok(c) => c,
-            Err(e) => {
-                report.note_exclusion(e);
-                continue;
-            }
-        };
-        // 6. Rigid split.
-        let is_rigid = candidate.is_rigid();
-        report.note_candidate(is_rigid);
-        if is_rigid {
-            rigid.push(candidate);
-        } else {
-            analyzed.push(candidate);
         }
     }
     FunnelOutcome {

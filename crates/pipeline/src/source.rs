@@ -4,17 +4,16 @@
 //! slice — through one streaming interface.
 //!
 //! A source yields [`SourceEvent`]s: surviving candidates in corpus
-//! order, interleaved (for on-disk backends) with corruption events
-//! that the engine quarantines. Both real backends run the *same*
-//! funnel-assessment steps ([`crate::funnel::assess_metadata`] /
-//! [`crate::funnel::assess_clone`]) and tally into the same
-//! [`FunnelReport`], which is what makes their study output
-//! byte-identical.
+//! order, interleaved with corruption events that the engine
+//! quarantines. Both real backends walk their records lazily through the
+//! *same* per-record funnel step ([`FunnelReport::assess`]), which is
+//! what makes their study output byte-identical; the store adds only its
+//! frame and record-tally checks.
 
-use crate::funnel::{assess_clone, assess_metadata, run_funnel, CandidateHistory, FunnelReport};
+use crate::funnel::{resident_record, CandidateHistory, Cloned, FunnelReport, RecordView};
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_corpus::store::{ShardStore, StoreEvent, StoreIo, StoreStream};
-use schevo_corpus::universe::{corpus_digest, Universe};
+use schevo_corpus::universe::{SqlCollectionEntry, Universe};
 use schevo_vcs::history::WalkStrategy;
 
 /// One event pulled from a candidate source.
@@ -47,32 +46,49 @@ pub trait CandidateStream {
 
 /// A corpus backend the mining engine can stream candidates from.
 pub trait CandidateSource {
-    /// Human-readable backend description for logs and manifests.
-    fn describe(&self) -> String;
     /// Estimated number of candidates (progress/ETA sizing only).
     fn size_hint(&self) -> Option<usize> {
-        None
-    }
-    /// The corpus content digest, when the backend knows it.
-    fn corpus_digest(&self) -> Option<String> {
         None
     }
     /// Begin streaming, linearizing histories with `strategy`.
     fn stream(&self, strategy: WalkStrategy) -> Box<dyn CandidateStream + '_>;
 }
 
+/// Run one record through the funnel step and turn the outcome into the
+/// event the engine sees, if any. Rigid survivors are counted, never
+/// mined; a survivor without a repository (on disk, potential bit rot) is
+/// quarantined instead of killing the run.
+fn funnel_event<'a>(
+    report: &mut FunnelReport,
+    record: RecordView<'a, impl FnOnce() -> Cloned<'a>>,
+    strategy: WalkStrategy,
+) -> Option<SourceEvent> {
+    match report.assess(record, strategy) {
+        Ok(Some(c)) if !c.is_rigid() => Some(SourceEvent::Candidate(c)),
+        Ok(_) => None,
+        Err(e) => Some(SourceEvent::Corrupt(e)),
+    }
+}
+
 // ---------------------------------------------------------------------
 // In-memory backend: the resident Universe.
 // ---------------------------------------------------------------------
 
-struct MemoryStream {
-    queue: std::vec::IntoIter<CandidateHistory>,
+struct UniverseStream<'a> {
+    universe: &'a Universe,
+    entries: std::slice::Iter<'a, SqlCollectionEntry>,
     report: FunnelReport,
+    strategy: WalkStrategy,
 }
 
-impl CandidateStream for MemoryStream {
+impl CandidateStream for UniverseStream<'_> {
     fn next_event(&mut self) -> Option<SourceEvent> {
-        self.queue.next().map(SourceEvent::Candidate)
+        loop {
+            let record = resident_record(self.universe, self.entries.next()?);
+            if let Some(event) = funnel_event(&mut self.report, record, self.strategy) {
+                return Some(event);
+            }
+        }
     }
 
     fn finish(self: Box<Self>) -> SourceSummary {
@@ -84,29 +100,16 @@ impl CandidateStream for MemoryStream {
 }
 
 impl CandidateSource for Universe {
-    fn describe(&self) -> String {
-        format!(
-            "in-memory universe (seed {}, {} repos)",
-            self.config.seed,
-            self.sql_collection.len()
-        )
-    }
-
     fn size_hint(&self) -> Option<usize> {
         Some(self.expected.analyzed)
     }
 
-    fn corpus_digest(&self) -> Option<String> {
-        Some(corpus_digest(self))
-    }
-
     fn stream(&self, strategy: WalkStrategy) -> Box<dyn CandidateStream + '_> {
-        // The universe is already fully resident, so the funnel runs
-        // eagerly — the stream then just hands out the survivors.
-        let outcome = run_funnel(self, strategy);
-        Box::new(MemoryStream {
-            queue: outcome.analyzed.into_iter(),
-            report: outcome.report,
+        Box::new(UniverseStream {
+            universe: self,
+            entries: self.sql_collection.iter(),
+            report: FunnelReport::default(),
+            strategy,
         })
     }
 }
@@ -138,9 +141,11 @@ struct SliceStream<'a> {
 impl CandidateStream for SliceStream<'_> {
     fn next_event(&mut self) -> Option<SourceEvent> {
         let c = self.candidates.next()?;
-        self.report.sql_collection += 1;
-        self.report.lib_io += 1;
-        self.report.note_candidate(false);
+        let r = &mut self.report;
+        r.sql_collection += 1;
+        r.lib_io += 1;
+        r.cloned += 1;
+        r.analyzed += 1;
         Some(SourceEvent::Candidate(c.clone()))
     }
 
@@ -153,10 +158,6 @@ impl CandidateStream for SliceStream<'_> {
 }
 
 impl CandidateSource for SliceSource<'_> {
-    fn describe(&self) -> String {
-        format!("candidate slice ({} candidates)", self.candidates.len())
-    }
-
     fn size_hint(&self) -> Option<usize> {
         Some(self.candidates.len())
     }
@@ -217,47 +218,15 @@ impl CandidateStream for StoreSourceStream {
                     )));
                 }
                 StoreEvent::Record(r) => {
-                    self.report.sql_collection += 1;
-                    let path = match assess_metadata(r.libio.as_ref(), &r.sql_paths) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            self.report.note_exclusion(e);
-                            continue;
-                        }
+                    let record = RecordView {
+                        name: &r.name,
+                        sql_paths: &r.sql_paths,
+                        libio: r.libio.as_ref(),
+                        clone: || r.materialized.as_ref().map(|(repo, p, c)| (repo, *p, *c)),
                     };
-                    // The in-memory funnel treats a survivor without a
-                    // repository as a corpus bug and panics; on disk the
-                    // same inconsistency is (potential) bit rot, so it is
-                    // quarantined instead of killing the run.
-                    let Some((repo, pup_months, total_commits)) = r.materialized else {
-                        return Some(SourceEvent::Corrupt(SchevoError::project(
-                            ErrorClass::StoreCorrupt,
-                            r.name,
-                            "record passed the funnel filters but carries no repository",
-                        )));
-                    };
-                    self.report.lib_io += 1;
-                    let candidate = match assess_clone(
-                        &r.name,
-                        &repo,
-                        path,
-                        pup_months,
-                        total_commits,
-                        self.strategy,
-                    ) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            self.report.note_exclusion(e);
-                            continue;
-                        }
-                    };
-                    let rigid = candidate.is_rigid();
-                    self.report.note_candidate(rigid);
-                    if rigid {
-                        // Counted (the paper reports them), never mined.
-                        continue;
+                    if let Some(event) = funnel_event(&mut self.report, record, self.strategy) {
+                        return Some(event);
                     }
-                    return Some(SourceEvent::Candidate(candidate));
                 }
             }
         }
@@ -272,21 +241,9 @@ impl CandidateStream for StoreSourceStream {
 }
 
 impl CandidateSource for ShardStore {
-    fn describe(&self) -> String {
-        let m = self.manifest();
-        format!(
-            "sharded store ({} shards, {} records, seed {})",
-            m.shards, m.records, m.seed
-        )
-    }
-
     fn size_hint(&self) -> Option<usize> {
         // Materialized records are the upper bound on funnel survivors.
         Some(self.manifest().materialized as usize)
-    }
-
-    fn corpus_digest(&self) -> Option<String> {
-        Some(self.manifest().corpus_digest.clone())
     }
 
     fn stream(&self, strategy: WalkStrategy) -> Box<dyn CandidateStream + '_> {
@@ -303,8 +260,9 @@ impl CandidateSource for ShardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::funnel::run_funnel;
     use schevo_corpus::store::generate_into_store;
-    use schevo_corpus::universe::{generate, UniverseConfig};
+    use schevo_corpus::universe::{corpus_digest, generate, UniverseConfig};
 
     fn drain(source: &dyn CandidateSource) -> (Vec<CandidateHistory>, SourceSummary) {
         let mut stream = source.stream(WalkStrategy::FirstParent);
@@ -362,10 +320,7 @@ mod tests {
                 assert_eq!(va.timestamp, vb.timestamp, "{}", a.name);
             }
         }
-        assert_eq!(
-            CandidateSource::corpus_digest(&u),
-            CandidateSource::corpus_digest(&store)
-        );
+        assert_eq!(corpus_digest(&u), store.manifest().corpus_digest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

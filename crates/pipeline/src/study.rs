@@ -328,9 +328,9 @@ impl MiningEngine {
         let output = self.mine(source)?;
         let mine_nanos = mining.close();
         if let Some(reg) = registry {
-            // The funnel runs inside the source (eagerly for the in-memory
-            // backend, interleaved with reads for the sharded one); its
-            // stage wall time is the `source.read` span either way.
+            // The funnel runs inside the source, one record per step as
+            // the stream is polled, on either backend; its stage wall time
+            // is the `source.read` span.
             reg.set_gauge("study.stage.funnel.nanos", output.source_nanos);
             reg.set_gauge(
                 "study.stage.mine.nanos",

@@ -440,6 +440,22 @@ pub fn experiments_markdown(study: &StudyResult, extras: &ExperimentExtras) -> S
     md
 }
 
+/// Keep the hand-written sections of an existing EXPERIMENTS.md: the
+/// `generated` text, then `current` from its first `## ` heading that
+/// `generated` does not emit. Regenerating then refreshes the measured
+/// sections without dropping the appendices written after them.
+pub fn splice_hand_written(generated: &str, current: &str) -> String {
+    let emitted: Vec<&str> = generated.lines().filter(|l| l.starts_with("## ")).collect();
+    let mut offset = 0;
+    for line in current.split_inclusive('\n') {
+        if line.starts_with("## ") && !emitted.contains(&line.trim_end()) {
+            return format!("{}\n\n{}", generated.trim_end(), &current[offset..]);
+        }
+        offset += line.len();
+    }
+    generated.to_string()
+}
+
 /// The serve appendix: concurrent-load throughput and the append-aware
 /// replayed-vs-re-mined split.
 fn serve_appendix(d: &ServeDemo) -> String {
@@ -730,6 +746,21 @@ mod tests {
     use super::*;
     use schevo_corpus::universe::{generate, UniverseConfig};
     use schevo_pipeline::study::{try_run_study_source, StudyOptions};
+
+    #[test]
+    fn splice_keeps_the_hand_written_tail() {
+        let generated = "# E\n\n## Funnel\n\nnew\n\n## Appendix — serve\n\nnew\n\n";
+        let current = "# E\n\n## Funnel\n\nold\n\n## Appendix — serve\n\nold\n\n\
+                       ## Appendix — by hand\n\nkept\n\n## Funnel\n\nkept too\n";
+        assert_eq!(
+            splice_hand_written(generated, current),
+            "# E\n\n## Funnel\n\nnew\n\n## Appendix — serve\n\nnew\n\n\
+             ## Appendix — by hand\n\nkept\n\n## Funnel\n\nkept too\n"
+        );
+        // Nothing written by hand (or no file yet): the generated text.
+        assert_eq!(splice_hand_written(generated, generated), generated);
+        assert_eq!(splice_hand_written(generated, ""), generated);
+    }
 
     #[test]
     fn markdown_contains_every_section() {

@@ -1,7 +1,8 @@
 //! Reproduce the whole paper: generate the 133,029-record universe, run the
 //! collection funnel down to the 195-project Schema_Evo_2019 data set, mine
 //! and classify every project, run the statistical battery, render every
-//! table/figure, and (with `--write`) regenerate EXPERIMENTS.md.
+//! table/figure, and (with `--write`) regenerate EXPERIMENTS.md, keeping
+//! its hand-written appendices.
 //!
 //! ```sh
 //! cargo run --release --example full_study            # print everything
@@ -20,8 +21,8 @@ use schevo::prelude::*;
 use schevo::obs::metrics::Registry;
 use schevo::obs::{manifest, ObsHooks};
 use schevo::report::experiments::{
-    experiments_markdown, ExperimentExtras, FaultDemo, LatencyRow, ObsDemo, ResumeDemo,
-    ResumePoint, ScaleDemo, ScaleRow, ServeDemo,
+    experiments_markdown, splice_hand_written, ExperimentExtras, FaultDemo, LatencyRow, ObsDemo,
+    ResumeDemo, ResumePoint, ScaleDemo, ScaleRow, ServeDemo,
 };
 use schevo::report::{
     fig04_table, fig10_scatter, fig11_matrix, fig12_quartiles, fig13_boxplot, funnel_table,
@@ -107,7 +108,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("running serve pass (resident daemon, concurrent clients)...");
     extras.serve_demo = serve_demo()?;
     if write {
-        let md = experiments_markdown(&study, &extras);
+        // The generator ends at the serve appendix; every section written
+        // by hand after it is kept.
+        let current = std::fs::read_to_string("EXPERIMENTS.md").unwrap_or_default();
+        let md = splice_hand_written(&experiments_markdown(&study, &extras), &current);
         write_atomic(Path::new("EXPERIMENTS.md"), md.as_bytes())?;
         let json = study_to_json(&study)?;
         std::fs::create_dir_all("artifacts")?;

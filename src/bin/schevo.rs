@@ -129,6 +129,21 @@ fn print_help() {
     );
 }
 
+/// Reject the first `--flag` in `args` that `command` does not read, so
+/// a misspelt or removed flag is never silently dropped: warn and report
+/// `true`, and the caller exits 2 (flag misuse). The global fault flags
+/// are accepted everywhere.
+fn unknown_flag(command: &str, args: &[String], known: &[&str]) -> bool {
+    let global = ["--io-faults", "--io-fault-seed"];
+    let Some(flag) = args.iter().find(|a| {
+        a.starts_with("--") && !known.contains(&a.as_str()) && !global.contains(&a.as_str())
+    }) else {
+        return false;
+    };
+    schevo::obs::events::warn(command, &format!("unknown flag `{flag}`"));
+    true
+}
+
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -145,6 +160,15 @@ enum MetricsFormat {
 fn cmd_study(args: &[String]) -> i32 {
     use schevo::obs::{events, manifest, metrics, progress, stage, trace};
     use std::sync::Arc;
+    let known = [
+        "--seed", "--scale", "--scale-factor", "--out", "--store-dir", "--shards",
+        "--store-as-is", "--workers", "--strict", "--inject-faults", "--fault-seed",
+        "--journal", "--resume", "--crash-after", "--deadline-ms", "--trace-out",
+        "--metrics-out", "--metrics-format", "--manifest-out", "--progress", "--no-trace",
+    ];
+    if unknown_flag("study", args, &known) {
+        return 2;
+    }
     let seed: u64 = flag_value(args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2019);
@@ -675,6 +699,15 @@ fn cmd_serve(args: &[String]) -> i32 {
     use schevo::obs::events;
     use schevo::serve::{Listener, Server, ServerConfig};
     use std::sync::Arc;
+    let known = [
+        "--store-dir", "--port", "--socket", "--max-inflight", "--workers", "--journal",
+        "--crash-after", "--deadline-ms", "--artifacts", "--drain-deadline-ms",
+        "--final-metrics", "--request-log", "--trace-dir", "--slow-ms", "--slow-log",
+        "--profile-interval-ms",
+    ];
+    if unknown_flag("serve", args, &known) {
+        return 2;
+    }
     let Some(store_dir) = flag_value(args, "--store-dir") else {
         events::warn("serve", "serve needs --store-dir DIR (or --connect ADDR for client mode)");
         return 2;
@@ -789,6 +822,13 @@ fn cmd_serve(args: &[String]) -> i32 {
 fn serve_client(addr: &str, args: &[String]) -> i32 {
     use schevo::obs::events;
     use schevo::serve::proto::Request;
+    let known = [
+        "--connect", "--op", "--id", "--workers", "--no-cache", "--resume", "--deadline-ms",
+        "--out", "--repeat", "--profile", "--stacks-out", "--retries", "--timeout-ms",
+    ];
+    if unknown_flag("serve", args, &known) {
+        return 2;
+    }
     let op = flag_value(args, "--op").unwrap_or_else(|| "status".to_string());
     let request = Request {
         id: flag_value(args, "--id"),
@@ -1047,6 +1087,10 @@ fn top_frame(conn: &mut schevo::serve::Conn, addr: &str, frame: u64) -> Result<S
 
 fn cmd_top(args: &[String]) -> i32 {
     use schevo::obs::events;
+    let known = ["--connect", "--once", "--interval-ms", "--count", "--timeout-ms"];
+    if unknown_flag("top", args, &known) {
+        return 2;
+    }
     let Some(addr) = flag_value(args, "--connect") else {
         events::warn("top", "top needs --connect ADDR");
         return 2;
@@ -1089,6 +1133,9 @@ fn cmd_top(args: &[String]) -> i32 {
 
 fn cmd_scrub(args: &[String]) -> i32 {
     use schevo::obs::events;
+    if unknown_flag("scrub", args, &["--store"]) {
+        return 2;
+    }
     let Some(dir) = flag_value(args, "--store") else {
         events::warn("scrub", "scrub needs --store DIR");
         return 2;
@@ -1119,6 +1166,9 @@ fn cmd_append(args: &[String]) -> i32 {
     use schevo::corpus::store::{append_into_store, ShardStore};
     use schevo::corpus::universe::generate_appendix;
     use schevo::obs::events;
+    if unknown_flag("append", args, &["--store", "--count", "--corrupt", "--batch"]) {
+        return 2;
+    }
     let Some(dir) = flag_value(args, "--store") else {
         events::warn("append", "append needs --store DIR");
         return 2;

@@ -64,6 +64,30 @@ fn help_and_unknown_commands() {
 }
 
 #[test]
+fn unknown_flags_are_flag_misuse() {
+    let cases: [&[&str]; 6] = [
+        &["study", "--scale", "500", "--wrokers", "3"],
+        &["serve", "--store-dir", "x", "--wrokers", "3"],
+        &["serve", "--connect", "127.0.0.1:1", "--wrokers", "3"],
+        &["top", "--connect", "127.0.0.1:1", "--wrokers", "3"],
+        &["append", "--store", "x", "--wrokers", "3"],
+        &["scrub", "--store", "x", "--wrokers", "3"],
+    ];
+    for args in cases {
+        let out = schevo(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag `--wrokers`"), "{args:?}: {stderr}");
+    }
+    // A flag the study no longer reads is rejected the same way; the
+    // global fault flags stay accepted.
+    let out = schevo(&["study", "--scale", "500", "--no-cache"]);
+    assert_eq!(out.status.code(), Some(2));
+    let out = schevo(&["study", "--scale", "500", "--io-fault-seed", "3"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn tiny_study_runs() {
     // 1/40 scale keeps this a smoke test, not a soak test.
     let out = schevo(&["study", "--seed", "7", "--scale", "40"]);
