@@ -15,9 +15,9 @@
 //!
 //! // A project whose only logical change injects one attribute.
 //! let mut repo = Repository::new("acme/app");
-//! repo.commit(&[FileChange::write("schema.sql", "CREATE TABLE t (a INT);")],
+//! repo.commit([FileChange::write("schema.sql", "CREATE TABLE t (a INT);")],
 //!             "dev", Timestamp::from_date(2018, 1, 1), "v0").unwrap();
-//! repo.commit(&[FileChange::write("schema.sql", "CREATE TABLE t (a INT, b INT);")],
+//! repo.commit([FileChange::write("schema.sql", "CREATE TABLE t (a INT, b INT);")],
 //!             "dev", Timestamp::from_date(2018, 6, 1), "add b").unwrap();
 //!
 //! let versions = file_history(&repo, "schema.sql", WalkStrategy::FirstParent).unwrap();

@@ -158,14 +158,14 @@ mod tests {
     fn sample_history() -> SchemaHistory {
         let mut repo = Repository::new("t/proj");
         repo.commit(
-            &[FileChange::write("s.sql", "CREATE TABLE a (x INT);")],
+            [FileChange::write("s.sql", "CREATE TABLE a (x INT);")],
             "dev",
             ts(0),
             "v0",
         )
         .unwrap();
         repo.commit(
-            &[FileChange::write(
+            [FileChange::write(
                 "s.sql",
                 "CREATE TABLE a (x INT, y INT);",
             )],
@@ -175,7 +175,7 @@ mod tests {
         )
         .unwrap();
         repo.commit(
-            &[FileChange::write(
+            [FileChange::write(
                 "s.sql",
                 "CREATE TABLE a (x INT, y INT);\nCREATE TABLE b (z INT);",
             )],

@@ -190,7 +190,7 @@ fn corrupt_project(project: &mut GeneratedProject, class: FaultClass, rng: &mut 
     let mut repo = Repository::new(project.repo.name.clone());
     for v in &versions {
         let _ = repo.commit(
-            &[FileChange::write(&project.ddl_path, v.content.clone())],
+            [FileChange::write(&project.ddl_path, v.content.clone())],
             &v.author,
             v.timestamp,
             &v.message,
@@ -226,7 +226,7 @@ pub fn poison_history(project: &mut GeneratedProject) -> usize {
     let mut repo = Repository::new(project.repo.name.clone());
     for v in &rebuilt {
         let _ = repo.commit(
-            &[FileChange::write(&project.ddl_path, v.content.clone())],
+            [FileChange::write(&project.ddl_path, v.content.clone())],
             &v.author,
             v.timestamp,
             &v.message,

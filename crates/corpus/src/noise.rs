@@ -78,7 +78,7 @@ pub fn rigid_project(rng: &mut impl Rng, index: usize) -> NoiseProject {
     let t0 = base_ts(rng);
     let author = author_name(index, 0);
     repo.commit(
-        &[FileChange::write("README.md", format!("# {name}\n"))],
+        [FileChange::write("README.md", format!("# {name}\n"))],
         &author,
         t0,
         "initial import",
@@ -88,7 +88,7 @@ pub fn rigid_project(rng: &mut impl Rng, index: usize) -> NoiseProject {
     let schema = small_schema(rng, table_count);
     let ddl_path = "db/schema.sql".to_string();
     repo.commit(
-        &[FileChange::write(&ddl_path, render_schema_with(&schema, &RenderOptions::default()))],
+        [FileChange::write(&ddl_path, render_schema_with(&schema, &RenderOptions::default()))],
         &author,
         t0 + 86_400,
         "add schema",
@@ -97,7 +97,7 @@ pub fn rigid_project(rng: &mut impl Rng, index: usize) -> NoiseProject {
     // The project stays active on other files for years.
     for k in 0..rng.gen_range(3..12) {
         repo.commit(
-            &[FileChange::write(format!("src/mod_{k}.c"), format!("// {k}\n"))],
+            [FileChange::write(format!("src/mod_{k}.c"), format!("// {k}\n"))],
             &author_name(index, 1),
             t0 + 86_400 * (30 + 60 * k as i64),
             "feature work",
@@ -118,7 +118,7 @@ pub fn zero_version_project(rng: &mut impl Rng, index: usize) -> NoiseProject {
     let name = project_name(index);
     let mut repo = Repository::new(name.clone());
     repo.commit(
-        &[FileChange::write("README.md", format!("# {name}\n"))],
+        [FileChange::write("README.md", format!("# {name}\n"))],
         &author_name(index, 0),
         base_ts(rng),
         "initial import",
@@ -144,7 +144,7 @@ pub fn no_create_table_project(rng: &mut impl Rng, index: usize) -> NoiseProject
             "-- seed data rev {v}\nSET NAMES utf8;\nINSERT INTO users VALUES ({v}, 'u{v}');\n"
         );
         repo.commit(
-            &[FileChange::write(&ddl_path, body)],
+            [FileChange::write(&ddl_path, body)],
             &author_name(index, v % 2),
             t0 + 86_400 * (v as i64 * 15 + 1),
             "update seeds",
@@ -166,7 +166,7 @@ pub fn empty_file_project(rng: &mut impl Rng, index: usize) -> NoiseProject {
     let t0 = base_ts(rng);
     let ddl_path = "db/schema.sql".to_string();
     repo.commit(
-        &[FileChange::write(&ddl_path, "")],
+        [FileChange::write(&ddl_path, "")],
         &author_name(index, 0),
         t0,
         "placeholder schema",
@@ -174,7 +174,7 @@ pub fn empty_file_project(rng: &mut impl Rng, index: usize) -> NoiseProject {
     .expect("placeholder commit");
     // One later commit re-adds whitespace, keeping the file logically empty.
     repo.commit(
-        &[FileChange::write(&ddl_path, "\n\n")],
+        [FileChange::write(&ddl_path, "\n\n")],
         &author_name(index, 1),
         t0 + 86_400 * 10,
         "whitespace",
@@ -201,7 +201,7 @@ pub fn add_postgres_sibling(repo: &mut Repository, mysql_path: &str, when: Times
     let pg = content.replace(" ENGINE=InnoDB DEFAULT CHARSET=utf8", "");
     let sibling = mysql_path.replace("mysql", "postgres");
     repo.commit(
-        &[FileChange::write(sibling, pg)],
+        [FileChange::write(sibling, pg)],
         "vendor-bot",
         when,
         "add postgres variant",

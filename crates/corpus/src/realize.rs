@@ -244,7 +244,7 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
     let post_months = slack_months as i64 - pre_months;
     let project_start_day = -pre_months * 30;
     repo.commit(
-        &[
+        [
             FileChange::write("README.md", format!("# {}\n\nA {} project.\n", plan.name, project_domain(plan.index))),
             FileChange::write("src/main.c", "int main(void) { return 0; }\n"),
         ],
@@ -270,7 +270,7 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
     // Each version is sized from the one before it, with room to grow.
     let mut ddl_len = ddl.len();
     repo.commit(
-        &[FileChange::write(&ddl_path, ddl)],
+        [FileChange::write(&ddl_path, ddl)],
         &author_name(plan.index, 0),
         at(0, &mut seq),
         "add database schema",
@@ -284,7 +284,7 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
         // Occasionally interleave an unrelated commit just before.
         if rng.gen_bool(0.35) {
             repo.commit(
-                &[FileChange::write(
+                [FileChange::write(
                     format!("src/feature_{i}.c"),
                     format!("// feature {i}\n"),
                 )],
@@ -331,7 +331,7 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
         let ddl = live.render(&render_opts, ddl_len + ddl_len / 8);
         ddl_len = ddl.len();
         repo.commit(
-            &[FileChange::write(&ddl_path, ddl)],
+            [FileChange::write(&ddl_path, ddl)],
             &author,
             at(commit.day, &mut seq),
             &message,
@@ -343,7 +343,7 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
     let last_day = plan.schedule.last().map(|c| c.day).unwrap_or(0);
     if post_months > 0 {
         repo.commit(
-            &[FileChange::write("CHANGELOG.md", "## later releases\n")],
+            [FileChange::write("CHANGELOG.md", "## later releases\n")],
             &author_name(plan.index, 1),
             at(last_day + post_months * 30, &mut seq),
             "post-schema maintenance",

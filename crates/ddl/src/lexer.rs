@@ -29,21 +29,42 @@
 //! # Lexing an edit
 //!
 //! [`tokenize_edit`] lexes the next version of a text from the tokens of
-//! the previous one, touching only the bytes that changed. It keeps the old
-//! tokens through the last `;` token that ends at or before the first
-//! differing byte, and runs the same lexer loop from there. When that loop
-//! emits a `;` starting inside the suffix both texts share, and the old
-//! stream had a `;` at the matching old offset, the rest of the old tokens
-//! are moved over with their spans shifted by the length difference, and
-//! the loop stops.
+//! the previous one, touching only the statements that changed. Call an
+//! *old statement* the old bytes from just after one `;` token (or from
+//! the start) through the next `;` token. The edit keeps the old tokens
+//! through the last `;` token that ends at or before the first differing
+//! byte, and runs the same lexer loop from there. At that point, and after
+//! every `;` the loop emits, it looks for old statements that the new
+//! bytes from there repeat byte for byte:
 //!
-//! Both cut points are sound because the lexer carries no state from one
-//! token to the next and a `;` is one byte with no lookahead: whatever
-//! follows a `;` token lexes the same way whatever preceded it. The tokens
-//! before a `;` that ends in the common prefix depend only on bytes of that
-//! prefix, and the tokens after a `;` in the common suffix depend only on
-//! bytes of that suffix. Lex errors are only raised at end of input, so a
-//! version that fails to lex fails exactly where [`tokenize`] fails.
+//! - the old statement after the last one taken over, and the next few
+//!   after it (an edited, inserted or deleted statement is then passed);
+//! - inside the suffix both texts share, the old statement at the
+//!   matching old offset (an edit that deleted many statements at once).
+//!
+//! On a match it takes the old tokens of every old statement repeated in a
+//! row from there over, their spans shifted, and continues lexing after
+//! them. When the repeated bytes run to the end of both texts, it takes the
+//! rest of the old tokens, a final statement with no `;` included.
+//!
+//! This gives exactly [`tokenize`]'s tokens because the lexer carries no
+//! state from one token to the next and a `;` is one byte with no
+//! lookahead: whatever follows a `;` token lexes the same way whatever
+//! preceded it. No token before a `;` token looks past that `;` (it ends
+//! any token it does not belong to), so the tokens of an old statement
+//! depend on its bytes alone. New bytes equal to them, starting right
+//! after a `;` token too, lex to the same tokens at shifted offsets, and
+//! end in the same state: right after a `;`. So the kept prefix, each
+//! statement taken over and each stretch lexed again are all what a whole
+//! lex produces there. Lex errors are only raised at end of input, and a
+//! statement taken over lexed without one, so a version that fails to lex
+//! fails exactly where [`tokenize`] fails.
+//!
+//! Taken-over tokens stay in the previous version's buffer and are shifted
+//! where they lie. They move only when an edit changed the token count
+//! before them, once per resync; after a stretch lexed again that is
+//! longer than what is left of the old stream, the few left are appended
+//! to the tokens lexed instead.
 
 use crate::error::{ParseError, Span};
 use crate::token::{Token, TokenKind};
@@ -72,60 +93,127 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
 /// Tokenize `sql`, the next version of `prev`, reusing `prev_tokens`.
 ///
 /// `prev_tokens` must be what [`tokenize`] returned for `prev`. The result
-/// is exactly what [`tokenize`] returns for `sql`, `Ok` and `Err` alike; only
-/// the bytes between the longest common prefix and suffix of the two texts
-/// (widened to the enclosing `;` tokens) are lexed again. The old tokens
-/// are moved, not cloned. See the [module docs](self) for why this holds.
+/// is exactly what [`tokenize`] returns for `sql`, `Ok` and `Err` alike;
+/// only the statements an edit touched are lexed again, and the old tokens
+/// of every statement the new text repeats are moved over, not cloned. See
+/// the [module docs](self) for why this holds.
 ///
 /// # Errors
 ///
 /// Exactly those of [`tokenize`] on `sql`.
 pub fn tokenize_edit(
     prev: &str,
-    mut prev_tokens: Vec<Token>,
+    prev_tokens: Vec<Token>,
     sql: &str,
 ) -> Result<Vec<Token>, ParseError> {
+    lex_edit(prev, prev_tokens, sql, &mut Carried::default())
+}
+
+/// A run of tokens that [`tokenize_edit`] took over from the previous
+/// version instead of lexing: new tokens `new..new + len` are old tokens
+/// `old..old + len`, their spans shifted. A run starts right after a `;`
+/// token (or at the start) and ends with a `;` token or at the end of the
+/// text, so an old statement whose first token a run took over has its
+/// first `;` in that run too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) new: usize,
+    pub(crate) old: usize,
+    pub(crate) len: usize,
+}
+
+/// What one [`lex_edit`] took over from the previous version.
+#[derive(Debug, Default)]
+pub(crate) struct Carried {
+    /// The runs, in new-stream order; their old indices ascend too.
+    pub(crate) runs: Vec<Run>,
+    /// Bytes of the new text those runs cover, whitespace and comments
+    /// between their tokens included; the rest was lexed.
+    pub(crate) bytes: usize,
+}
+
+impl Carried {
+    fn push(&mut self, run: Run, bytes: usize) {
+        self.runs.push(run);
+        self.bytes += bytes;
+    }
+}
+
+/// How many old statements, from the first not yet taken over, a resync
+/// tries at each `;`.
+const WINDOW: usize = 8;
+
+/// [`tokenize_edit`], recording in `carried` what it took over.
+pub(crate) fn lex_edit(
+    prev: &str,
+    prev_tokens: Vec<Token>,
+    sql: &str,
+    carried: &mut Carried,
+) -> Result<Vec<Token>, ParseError> {
+    carried.runs.clear();
+    carried.bytes = 0;
     let (old, new) = (prev.as_bytes(), sql.as_bytes());
     let prefix = common_prefix(old, new);
-    // The suffix may not overlap the prefix in either text, so a resync
-    // point always lies past where lexing restarts.
-    let room = old.len().min(new.len()) - prefix;
-    let suffix = common_suffix(&old[old.len() - room..], &new[new.len() - room..]);
+    if prefix == old.len() && prefix == new.len() {
+        let len = prev_tokens.len();
+        carried.push(
+            Run {
+                new: 0,
+                old: 0,
+                len,
+            },
+            new.len(),
+        );
+        return Ok(prev_tokens);
+    }
     let ended = prev_tokens.partition_point(|t| t.span.end <= prefix);
     let keep = prev_tokens[..ended]
         .iter()
         .rposition(|t| t.kind == TokenKind::Semicolon)
         .map_or(0, |i| i + 1);
-    let tail = prev_tokens.split_off(keep);
-    let lexer = Lexer {
-        src: new,
-        pos: prev_tokens.last().map_or(0, |t| t.span.end),
-        tokens: prev_tokens,
-        resync: Some(Resync {
-            from: new.len() - suffix,
-            shift: new.len() as isize - old.len() as isize,
-            tail,
-        }),
+    let at = prev_tokens[..keep].last().map_or(0, |t| t.span.end);
+    if keep > 0 {
+        carried.push(
+            Run {
+                new: 0,
+                old: 0,
+                len: keep,
+            },
+            at,
+        );
+    }
+    let mut r = Resync {
+        old,
+        buf: prev_tokens,
+        w: keep,
+        r: keep,
+        next: keep,
+        at,
+        suffix: new.len() - common_suffix(&old[prefix..], &new[prefix..]),
+        shift: new.len() as isize - old.len() as isize,
+        window: Vec::with_capacity(WINDOW),
+        carried: std::mem::take(carried),
     };
-    match lexer.run() {
-        (tokens, None) => Ok(tokens),
-        (_, Some(e)) => Err(e),
+    // Sized as a whole lex of the rest would be: after a rewrite, the
+    // tokens lexed are most of the stream.
+    let mut lexer = Lexer {
+        src: new,
+        pos: at,
+        tokens: Vec::with_capacity((new.len() - at) / 6 + 4),
+    };
+    lexer.resync(&mut r);
+    let err = lexer.lex(Some(&mut r));
+    *carried = r.carried;
+    match err {
+        // Nothing was taken over: the tokens lexed are the whole stream.
+        None if r.w == 0 => Ok(lexer.tokens),
+        None => {
+            r.buf.truncate(r.w);
+            r.buf.append(&mut lexer.tokens);
+            Ok(r.buf)
+        }
+        Some(e) => Err(e),
     }
-}
-
-/// Length of the longest common prefix of `a` and `b`.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    const CHUNK: usize = 64;
-    let n = a.len().min(b.len());
-    let mut i = 0;
-    // Whole chunks compare as one `memcmp`; the differing chunk bytewise.
-    while i + CHUNK <= n && a[i..i + CHUNK] == b[i..i + CHUNK] {
-        i += CHUNK;
-    }
-    while i < n && a[i] == b[i] {
-        i += 1;
-    }
-    i
 }
 
 /// Length of the longest common suffix of `a` and `b`.
@@ -138,6 +226,21 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
         i += CHUNK;
     }
     while i < n && a[n - i - 1] == b[n - i - 1] {
+        i += 1;
+    }
+    i
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const CHUNK: usize = 64;
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    // Whole chunks compare as one `memcmp`; the differing chunk bytewise.
+    while i + CHUNK <= n && a[i..i + CHUNK] == b[i..i + CHUNK] {
+        i += CHUNK;
+    }
+    while i < n && a[i] == b[i] {
         i += 1;
     }
     i
@@ -327,21 +430,151 @@ fn utf8_width(b: u8) -> usize {
 struct Lexer<'s> {
     src: &'s [u8],
     pos: usize,
+    /// The tokens lexed; when lexing an edit, those lexed since the last
+    /// resync.
     tokens: Vec<Token>,
-    /// When lexing an edit: where the rest of the previous version's
-    /// tokens can be taken over ([`tokenize_edit`]).
-    resync: Option<Resync>,
 }
 
-/// The part of a previous version's token stream that may still be reused.
-struct Resync {
-    /// Offset in the new text where the suffix shared with the old one
-    /// starts.
-    from: usize,
-    /// New offset minus old offset of the same byte of that suffix.
+/// When lexing an edit ([`tokenize_edit`]): the part of the previous
+/// version's token stream that may still be reused.
+struct Resync<'s> {
+    /// The previous version's text.
+    old: &'s [u8],
+    /// The start of the new stream, `buf[..w]`, which the lexer's tokens
+    /// continue; then old tokens passed over, to be replaced by those;
+    /// then, from `r` on, the old tokens not yet taken over or passed, in
+    /// old offsets. It starts as the previous version's tokens, so tokens
+    /// taken over stay where they are unless an edit changed the token
+    /// count before them.
+    buf: Vec<Token>,
+    w: usize,
+    r: usize,
+    /// Index in the old stream of `buf[r]`.
+    next: usize,
+    /// Old offset where `buf[r..]` starts: right after a `;` token, or 0.
+    at: usize,
+    /// Offset in the new text where the suffix it shares with the old one
+    /// starts, and new length minus old length: how far a byte of that
+    /// suffix moved.
+    suffix: usize,
     shift: isize,
-    /// The old tokens after the ones kept as the prefix, in old offsets.
-    tail: Vec<Token>,
+    /// The old statements a resync tries first: the one at `at` and the
+    /// ones after it. Empty until needed, and again after every take.
+    window: Vec<Candidate>,
+    /// What was taken over so far.
+    carried: Carried,
+}
+
+/// An old statement that the new text may repeat at a resync point.
+#[derive(Clone, Copy)]
+struct Candidate {
+    /// Its old offset: right after a `;` token, or 0.
+    from: usize,
+    /// The index in `buf[r..]` of its first token.
+    i: usize,
+    /// The old offset right after its `;` token; `None` for the end of a
+    /// text that has no `;` after `from`.
+    to: Option<usize>,
+}
+
+/// Old tokens to take over at a resync point.
+struct Take {
+    /// Tokens of `buf[r..]` passed over before the first one taken.
+    skip: usize,
+    /// Tokens taken.
+    len: usize,
+    /// Old offsets of the taken bytes: right after a `;` token (or 0)
+    /// through the end of the last `;` token taken, or of the old text.
+    from: usize,
+    to: usize,
+}
+
+impl Resync<'_> {
+    /// Old statements that the new text repeats from new offset `p`, which
+    /// lies right after a `;` token or where lexing restarted.
+    fn find(&mut self, new: &[u8], p: usize) -> Option<Take> {
+        if self.window.is_empty() {
+            let (mut from, mut i) = (self.at, 0);
+            for (k, t) in self.buf[self.r..].iter().enumerate() {
+                if t.kind == TokenKind::Semicolon {
+                    let to = Some(t.span.end);
+                    self.window.push(Candidate { from, i, to });
+                    if self.window.len() == WINDOW {
+                        break;
+                    }
+                    (from, i) = (t.span.end, k + 1);
+                }
+            }
+            if self.window.len() < WINDOW {
+                self.window.push(Candidate { from, i, to: None });
+            }
+        }
+        if let Some(take) = (self.window.iter()).find_map(|&c| self.agree(new, p, c)) {
+            return Some(take);
+        }
+        // Inside the suffix both texts share, at an offset where the old
+        // text had a `;` token too, everything after lexes as it did:
+        // reached after an edit that deleted more statements than the
+        // window holds.
+        if p < self.suffix {
+            return None;
+        }
+        let from = p.checked_add_signed(-self.shift)?;
+        let rest = &self.buf[self.r..];
+        let i = rest.partition_point(|t| t.span.end < from);
+        let semi = rest.get(i)?;
+        let to = self.old.len();
+        (semi.span.end == from && semi.kind == TokenKind::Semicolon).then(|| Take {
+            skip: i + 1,
+            len: rest.len() - i - 1,
+            from,
+            to,
+        })
+    }
+
+    /// Whether the new bytes from `p` repeat the old statement `c` through
+    /// its `;`: if so, every old statement they repeat in a row from there.
+    fn agree(&self, new: &[u8], p: usize, c: Candidate) -> Option<Take> {
+        // A cheap necessary condition first: the new text ends where the
+        // statement ends, with the same bytes before it; or it has as many
+        // bytes left as the old one.
+        let plausible = match c.to {
+            Some(to) => {
+                let end = p + (to - c.from);
+                let tail = (to - c.from).min(16);
+                new.get(end - 1) == Some(&b';') && new[end - tail..end] == self.old[to - tail..to]
+            }
+            None => new.len() - p == self.old.len() - c.from,
+        };
+        if !plausible {
+            return None;
+        }
+        let from = c.from;
+        let same = common_prefix(&self.old[from..], &new[p..]);
+        let rest = &self.buf[self.r + c.i..];
+        if from + same == self.old.len() && p + same == new.len() {
+            // Both texts end here, so even a final statement with no `;`
+            // lexes as it did.
+            let to = self.old.len();
+            return Some(Take {
+                skip: c.i,
+                len: rest.len(),
+                from,
+                to,
+            });
+        }
+        let ended = rest.partition_point(|t| t.span.end <= from + same);
+        let last = rest[..ended]
+            .iter()
+            .rposition(|t| t.kind == TokenKind::Semicolon)?;
+        let to = rest[last].span.end;
+        Some(Take {
+            skip: c.i,
+            len: last + 1,
+            from,
+            to,
+        })
+    }
 }
 
 impl<'s> Lexer<'s> {
@@ -352,7 +585,6 @@ impl<'s> Lexer<'s> {
             // One token per ~6 source bytes is typical for DDL dumps;
             // pre-sizing avoids the early doubling churn on every parse.
             tokens: Vec::with_capacity(input.len() / 6 + 4),
-            resync: None,
         }
     }
 
@@ -367,6 +599,13 @@ impl<'s> Lexer<'s> {
     }
 
     fn run(mut self) -> (Vec<Token>, Option<ParseError>) {
+        let err = self.lex(None);
+        (self.tokens, err)
+    }
+
+    /// Lex from `pos` to the end of the input, or to the first lex error;
+    /// when lexing an edit, resync at every `;`.
+    fn lex(&mut self, mut resync: Option<&mut Resync>) -> Option<ParseError> {
         let len = self.src.len();
         while self.pos < len {
             let b = self.src[self.pos];
@@ -406,7 +645,9 @@ impl<'s> Lexer<'s> {
                 CL_SEMI => {
                     self.pos += 1;
                     self.push(TokenKind::Semicolon, start);
-                    self.resync(start);
+                    if let Some(r) = resync.as_deref_mut() {
+                        self.resync(r);
+                    }
                     Ok(())
                 }
                 CL_EQ => {
@@ -462,43 +703,62 @@ impl<'s> Lexer<'s> {
             if let Err(e) = step {
                 // Lex errors only fire at end of input, so the accumulated
                 // tokens form the complete well-formed prefix.
-                return (self.tokens, Some(e));
+                return Some(e);
             }
         }
-        (self.tokens, None)
+        None
     }
 
-    /// When lexing an edit, take over the rest of the previous version's
-    /// tokens if the `;` just lexed at `start` lies in the shared suffix
-    /// and was also a `;` token of the previous version, and stop the loop:
-    /// everything after it lexes as it did there.
-    #[inline]
-    fn resync(&mut self, start: usize) {
-        let Some(r) = &mut self.resync else {
-            return;
-        };
-        if start < r.from {
-            return;
+    /// When lexing an edit, at `pos` (right after a `;` token, or where
+    /// lexing restarted), take over the old tokens of every old statement
+    /// the new text repeats from here, as often as one resync follows
+    /// another.
+    fn resync(&mut self, r: &mut Resync) {
+        let Lexer { src, pos, tokens } = self;
+        while *pos < src.len() {
+            let Some(take) = r.find(src, *pos) else {
+                return;
+            };
+            let shift = *pos as isize - take.from as isize;
+            let shifted = |t: &mut Token| {
+                t.span = Span::new(
+                    t.span.start.wrapping_add_signed(shift),
+                    t.span.end.wrapping_add_signed(shift),
+                );
+            };
+            let first = r.r + take.skip;
+            let run = Run {
+                new: r.w + tokens.len(),
+                old: r.next + take.skip,
+                len: take.len,
+            };
+            if tokens.len() > r.buf.len() - first {
+                // More was lexed than is left of the old stream: append the
+                // tokens taken over to the ones lexed, and leave the
+                // placeholders behind, rather than move the lexed ones in.
+                let placeholder = || Token::new(TokenKind::Comma, Span::new(0, 0));
+                let taken = r.buf[first..first + take.len].iter_mut();
+                tokens.extend(taken.map(|t| {
+                    let mut t = std::mem::replace(t, placeholder());
+                    shifted(&mut t);
+                    t
+                }));
+                r.r = first + take.len;
+            } else {
+                // The newly lexed tokens replace the old ones passed over;
+                // the tokens taken over are then shifted where they lie.
+                r.buf.splice(r.w..first, tokens.drain(..));
+                r.buf[run.new..run.new + take.len]
+                    .iter_mut()
+                    .for_each(shifted);
+                (r.w, r.r) = (run.new + take.len, run.new + take.len);
+            }
+            r.carried.push(run, take.to - take.from);
+            r.next += take.skip + take.len;
+            r.at = take.to;
+            r.window.clear();
+            *pos += take.to - take.from;
         }
-        let old_start = start.wrapping_add_signed(-r.shift);
-        let i = r.tail.partition_point(|t| t.span.start < old_start);
-        if !r
-            .tail
-            .get(i)
-            .is_some_and(|t| t.span.start == old_start && t.kind == TokenKind::Semicolon)
-        {
-            return;
-        }
-        let shift = r.shift;
-        self.tokens.extend(r.tail.drain(i + 1..).map(|mut t| {
-            t.span = Span::new(
-                t.span.start.wrapping_add_signed(shift),
-                t.span.end.wrapping_add_signed(shift),
-            );
-            t
-        }));
-        self.resync = None;
-        self.pos = self.src.len();
     }
 
     /// Decode the character at `pos` and return it with its byte width.

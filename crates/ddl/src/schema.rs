@@ -237,15 +237,16 @@ fn column_to_attribute(col: &crate::ast::ColumnDef) -> Attribute {
 
 /// A logical schema: the tables of one DDL file version, in file order.
 ///
-/// Tables are shared (`Arc`): cloning a schema, or building the next
-/// version of a history from the tables of the previous one, bumps
+/// Tables and the name index are shared (`Arc`): cloning a schema, or
+/// building the next version of a history from the previous one, bumps
 /// reference counts instead of copying names and attributes. Mutation
-/// through [`Schema::table_mut`] is copy-on-write, so a shared table is
-/// never changed under another schema that holds it.
+/// through [`Schema::table_mut`] is copy-on-write, as is every change to
+/// the index, so a shared table or index is never changed under another
+/// schema that holds it.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Schema {
     tables: Vec<Arc<Table>>,
-    index: HashMap<String, usize>,
+    index: Arc<HashMap<String, usize>>,
 }
 
 impl Schema {
@@ -266,6 +267,27 @@ impl Schema {
     pub fn from_arena(arena: &ScriptArena) -> Schema {
         let mut schema = Schema::new();
         schema.apply_arena(arena);
+        schema
+    }
+
+    /// The schema that upserting `tables` one by one into an empty schema
+    /// builds, sharing `like`'s name index when `tables` have the names of
+    /// `like`'s tables in the same order. Those names are distinct, so each
+    /// upsert would have appended its table at its own position.
+    pub(crate) fn with_tables(like: &Schema, tables: Vec<Arc<Table>>) -> Schema {
+        let same_names = tables.len() == like.tables.len()
+            && (tables.iter().zip(&like.tables))
+                .all(|(t, l)| Arc::ptr_eq(t, l) || t.name == l.name);
+        if same_names {
+            return Schema {
+                tables,
+                index: Arc::clone(&like.index),
+            };
+        }
+        let mut schema = Schema::new();
+        for table in tables {
+            schema.upsert_table(table);
+        }
         schema
     }
 
@@ -342,7 +364,8 @@ impl Schema {
         if let Some(&i) = self.index.get(&table.name) {
             self.tables[i] = table;
         } else {
-            self.index.insert(table.name.clone(), self.tables.len());
+            let index = Arc::make_mut(&mut self.index);
+            index.insert(table.name.clone(), self.tables.len());
             self.tables.push(table);
         }
     }
@@ -350,9 +373,11 @@ impl Schema {
     /// Remove a table by name, returning it if present: the table itself
     /// when no other schema shares it, else a clone.
     pub fn remove_table(&mut self, name: &str) -> Option<Table> {
-        let i = self.index.remove(name)?;
+        let i = *self.index.get(name)?;
+        let index = Arc::make_mut(&mut self.index);
+        index.remove(name);
         let mut t = self.tables.remove(i);
-        for v in self.index.values_mut() {
+        for v in index.values_mut() {
             if *v > i {
                 *v -= 1;
             }

@@ -418,12 +418,15 @@ impl MiningEngine {
             }
             // Hot-path telemetry: AST-arena bytes allocated by this pass's
             // parses (delta over a process-cumulative counter; statements
-            // reused from the previous version build no arena) and the
-            // current size of the global symbol-interning table.
+            // reused from the previous version build no arena), the bytes
+            // its parses lexed rather than took over from the version
+            // before, and the current size of the global symbol-interning
+            // table.
             reg.add(
                 "parse.arena_bytes",
                 schevo_ddl::arena_bytes_total().saturating_sub(arena_bytes_at_start),
             );
+            reg.add("parse.relexed_bytes", total.relexed_bytes);
             reg.set_gauge("intern.symbols", schevo_core::symbol_count() as u64);
         }
 

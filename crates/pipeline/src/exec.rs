@@ -73,6 +73,9 @@ pub(crate) struct StageTally {
     pub(crate) parse_hits: u64,
     pub(crate) parse_misses: u64,
     pub(crate) parse_nanos: u64,
+    /// Bytes the task's parser lexed rather than took over from the
+    /// version before ([`schevo_ddl::HistoryParser::relexed_bytes`]).
+    pub(crate) relexed_bytes: u64,
     pub(crate) diff_nanos: u64,
     pub(crate) profile_nanos: u64,
 }
@@ -85,6 +88,7 @@ impl StageTally {
         self.parse_hits += other.parse_hits;
         self.parse_misses += other.parse_misses;
         self.parse_nanos += other.parse_nanos;
+        self.relexed_bytes += other.relexed_bytes;
         self.diff_nanos += other.diff_nanos;
         self.profile_nanos += other.profile_nanos;
     }
@@ -599,6 +603,7 @@ mod tests {
             parse_hits: 1,
             parse_misses: 2,
             parse_nanos: 10,
+            relexed_bytes: 5,
             diff_nanos: 20,
             profile_nanos: 30,
         };
@@ -610,6 +615,7 @@ mod tests {
                 parse_hits: 2,
                 parse_misses: 4,
                 parse_nanos: 20,
+                relexed_bytes: 10,
                 diff_nanos: 40,
                 profile_nanos: 60,
             }

@@ -227,6 +227,7 @@ fn mine_task_graceful(
                 let error = SchevoError::from_parse(name, i, &e);
                 let salvage = schevo_ddl::parse_schema_recovering(&v.content);
                 if salvage.schema.is_empty() {
+                    tally.relexed_bytes += parser.relexed_bytes();
                     tally.parse_nanos += clock.close();
                     return MineOutcome::quarantine(recovered, error, true);
                 }
@@ -249,6 +250,7 @@ fn mine_task_graceful(
         });
     }
 
+    tally.relexed_bytes += parser.relexed_bytes();
     let history = SchemaHistory {
         project: candidate.name.clone(),
         versions,

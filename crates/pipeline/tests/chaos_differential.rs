@@ -513,7 +513,7 @@ fn byte_flipped_packs_never_panic() {
     let mut repo = Repository::new("chaos/pack");
     for (i, content) in [V0, V1, V2].iter().enumerate() {
         repo.commit(
-            &[FileChange::write("schema.sql", content.to_string())],
+            [FileChange::write("schema.sql", content.to_string())],
             "chaos",
             Timestamp::from_date(2018, 1 + i as u8, 1),
             &format!("v{i}"),
@@ -550,7 +550,7 @@ fn truncated_packs_never_panic() {
 
     let mut repo = Repository::new("chaos/pack-trunc");
     repo.commit(
-        &[FileChange::write("schema.sql", V0.to_string())],
+        [FileChange::write("schema.sql", V0.to_string())],
         "chaos",
         Timestamp::from_date(2018, 1, 1),
         "v0",

@@ -179,15 +179,15 @@ mod tests {
 
     fn repo_with_linear_history() -> Repository {
         let mut r = Repository::new("t/linear");
-        r.commit(&[FileChange::write("s.sql", "v1")], "a", ts(0), "c0")
+        r.commit([FileChange::write("s.sql", "v1")], "a", ts(0), "c0")
             .unwrap();
-        r.commit(&[FileChange::write("other.txt", "x")], "a", ts(1), "c1: unrelated")
+        r.commit([FileChange::write("other.txt", "x")], "a", ts(1), "c1: unrelated")
             .unwrap();
-        r.commit(&[FileChange::write("s.sql", "v2")], "a", ts(2), "c2")
+        r.commit([FileChange::write("s.sql", "v2")], "a", ts(2), "c2")
             .unwrap();
-        r.commit(&[FileChange::write("s.sql", "v2")], "a", ts(3), "c3: touch, same content")
+        r.commit([FileChange::write("s.sql", "v2")], "a", ts(3), "c3: touch, same content")
             .unwrap();
-        r.commit(&[FileChange::write("s.sql", "v3")], "a", ts(4), "c4")
+        r.commit([FileChange::write("s.sql", "v3")], "a", ts(4), "c4")
             .unwrap();
         r
     }
@@ -216,11 +216,11 @@ mod tests {
     #[test]
     fn delete_and_readd_same_content_no_new_version() {
         let mut r = Repository::new("t/readd");
-        r.commit(&[FileChange::write("s.sql", "v1")], "a", ts(0), "add")
+        r.commit([FileChange::write("s.sql", "v1")], "a", ts(0), "add")
             .unwrap();
-        r.commit(&[FileChange::delete("s.sql")], "a", ts(1), "drop")
+        r.commit([FileChange::delete("s.sql")], "a", ts(1), "drop")
             .unwrap();
-        r.commit(&[FileChange::write("s.sql", "v1")], "a", ts(2), "restore")
+        r.commit([FileChange::write("s.sql", "v1")], "a", ts(2), "restore")
             .unwrap();
         let h = file_history(&r, "s.sql", WalkStrategy::FirstParent).unwrap();
         assert_eq!(h.len(), 1);
@@ -229,11 +229,11 @@ mod tests {
     #[test]
     fn delete_and_readd_different_content_new_version() {
         let mut r = Repository::new("t/readd2");
-        r.commit(&[FileChange::write("s.sql", "v1")], "a", ts(0), "add")
+        r.commit([FileChange::write("s.sql", "v1")], "a", ts(0), "add")
             .unwrap();
-        r.commit(&[FileChange::delete("s.sql")], "a", ts(1), "drop")
+        r.commit([FileChange::delete("s.sql")], "a", ts(1), "drop")
             .unwrap();
-        r.commit(&[FileChange::write("s.sql", "v2")], "a", ts(2), "redo")
+        r.commit([FileChange::write("s.sql", "v2")], "a", ts(2), "redo")
             .unwrap();
         let h = file_history(&r, "s.sql", WalkStrategy::FirstParent).unwrap();
         assert_eq!(h.len(), 2);
@@ -242,13 +242,13 @@ mod tests {
     #[test]
     fn first_parent_skips_side_branch_edits() {
         let mut r = Repository::new("t/branchy");
-        r.commit(&[FileChange::write("s.sql", "v1")], "a", ts(0), "base")
+        r.commit([FileChange::write("s.sql", "v1")], "a", ts(0), "base")
             .unwrap();
         r.branch_and_checkout("side").unwrap();
-        r.commit(&[FileChange::write("s.sql", "side-v")], "b", ts(1), "side edit")
+        r.commit([FileChange::write("s.sql", "side-v")], "b", ts(1), "side edit")
             .unwrap();
         r.checkout(Repository::DEFAULT_BRANCH).unwrap();
-        r.commit(&[FileChange::write("readme", "hi")], "a", ts(2), "main edit")
+        r.commit([FileChange::write("readme", "hi")], "a", ts(2), "main edit")
             .unwrap();
         r.merge("side", "a", ts(3), "merge side").unwrap();
 
@@ -269,11 +269,11 @@ mod tests {
     #[test]
     fn commit_count_covers_all_branches_reachable() {
         let mut r = Repository::new("t/count");
-        r.commit(&[], "a", ts(0), "c0").unwrap();
+        r.commit([], "a", ts(0), "c0").unwrap();
         r.branch_and_checkout("side").unwrap();
-        r.commit(&[], "a", ts(1), "c1").unwrap();
+        r.commit([], "a", ts(1), "c1").unwrap();
         r.checkout(Repository::DEFAULT_BRANCH).unwrap();
-        r.commit(&[], "a", ts(2), "c2").unwrap();
+        r.commit([], "a", ts(2), "c2").unwrap();
         r.merge("side", "a", ts(3), "m").unwrap();
         assert_eq!(commit_count(&r).unwrap(), 4);
     }
@@ -281,11 +281,11 @@ mod tests {
     #[test]
     fn full_dag_orders_by_timestamp() {
         let mut r = Repository::new("t/order");
-        r.commit(&[], "a", ts(0), "c0").unwrap();
+        r.commit([], "a", ts(0), "c0").unwrap();
         r.branch_and_checkout("side").unwrap();
-        r.commit(&[], "a", ts(5), "late side").unwrap();
+        r.commit([], "a", ts(5), "late side").unwrap();
         r.checkout(Repository::DEFAULT_BRANCH).unwrap();
-        r.commit(&[], "a", ts(2), "early main").unwrap();
+        r.commit([], "a", ts(2), "early main").unwrap();
         r.merge("side", "a", ts(6), "m").unwrap();
         let tip = r.head().unwrap();
         let chain = linearize(&r, tip, WalkStrategy::FullDag).unwrap();

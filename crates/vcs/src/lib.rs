@@ -21,11 +21,11 @@
 //!
 //! let mut repo = Repository::new("acme/shop");
 //! repo.commit(
-//!     &[FileChange::write("db/schema.sql", "CREATE TABLE p (id INT);")],
+//!     [FileChange::write("db/schema.sql", "CREATE TABLE p (id INT);")],
 //!     "alice", Timestamp::from_date(2018, 3, 1), "initial schema",
 //! ).unwrap();
 //! repo.commit(
-//!     &[FileChange::write("db/schema.sql", "CREATE TABLE p (id INT, name TEXT);")],
+//!     [FileChange::write("db/schema.sql", "CREATE TABLE p (id INT, name TEXT);")],
 //!     "bob", Timestamp::from_date(2018, 5, 9), "add product name",
 //! ).unwrap();
 //!

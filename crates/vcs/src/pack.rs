@@ -386,7 +386,7 @@ mod tests {
     fn sample_repo() -> Repository {
         let mut r = Repository::new("pack/demo");
         r.commit(
-            &[FileChange::write("s.sql", "CREATE TABLE a (x INT);")],
+            [FileChange::write("s.sql", "CREATE TABLE a (x INT);")],
             "ann",
             Timestamp::from_date(2018, 1, 1),
             "v0",
@@ -394,7 +394,7 @@ mod tests {
         .unwrap();
         r.branch_and_checkout("side").unwrap();
         r.commit(
-            &[FileChange::write("s.sql", "CREATE TABLE a (x INT, y INT);")],
+            [FileChange::write("s.sql", "CREATE TABLE a (x INT, y INT);")],
             "ben",
             Timestamp::from_date(2018, 2, 1),
             "side edit",
@@ -402,7 +402,7 @@ mod tests {
         .unwrap();
         r.checkout(Repository::DEFAULT_BRANCH).unwrap();
         r.commit(
-            &[FileChange::write("README", "hello")],
+            [FileChange::write("README", "hello")],
             "ann",
             Timestamp::from_date(2018, 3, 1),
             "docs",

@@ -184,10 +184,11 @@ impl Repository {
 
     /// Apply `changes` as a new commit on the current branch and return its
     /// id. An empty change list still creates a commit (git allows empty
-    /// commits; mining must tolerate them).
+    /// commits; mining must tolerate them). Written contents move into
+    /// their blobs, uncopied.
     pub fn commit(
         &mut self,
-        changes: &[FileChange],
+        changes: impl IntoIterator<Item = FileChange>,
         author: &str,
         timestamp: Timestamp,
         message: &str,
@@ -196,13 +197,11 @@ impl Repository {
         for change in changes {
             match change {
                 FileChange::Write { path, content } => {
-                    let blob_id = self
-                        .store
-                        .put_blob(Blob::new(content.clone().into_bytes()));
-                    tree.insert(path.clone(), blob_id);
+                    let blob_id = self.store.put_blob(Blob::new(content.into_bytes()));
+                    tree.insert(path, blob_id);
                 }
                 FileChange::Delete { path } => {
-                    tree.remove(path);
+                    tree.remove(&path);
                 }
             }
         }
@@ -336,7 +335,7 @@ mod tests {
     fn commit_and_read_back() {
         let mut r = Repository::new("acme/app");
         r.commit(
-            &[FileChange::write("schema.sql", "CREATE TABLE t (a INT);")],
+            [FileChange::write("schema.sql", "CREATE TABLE t (a INT);")],
             "alice",
             ts(0),
             "init",
@@ -353,10 +352,10 @@ mod tests {
     fn successive_commits_chain_parents() {
         let mut r = Repository::new("acme/app");
         let c1 = r
-            .commit(&[FileChange::write("f", "1")], "a", ts(0), "one")
+            .commit([FileChange::write("f", "1")], "a", ts(0), "one")
             .unwrap();
         let c2 = r
-            .commit(&[FileChange::write("f", "2")], "a", ts(1), "two")
+            .commit([FileChange::write("f", "2")], "a", ts(1), "two")
             .unwrap();
         let commit2 = r.commit_object(c2).unwrap();
         assert_eq!(commit2.parents, vec![c1]);
@@ -366,9 +365,9 @@ mod tests {
     #[test]
     fn delete_removes_file() {
         let mut r = Repository::new("acme/app");
-        r.commit(&[FileChange::write("f", "1")], "a", ts(0), "add")
+        r.commit([FileChange::write("f", "1")], "a", ts(0), "add")
             .unwrap();
-        r.commit(&[FileChange::delete("f")], "a", ts(1), "rm")
+        r.commit([FileChange::delete("f")], "a", ts(1), "rm")
             .unwrap();
         assert_eq!(r.read_file("f").unwrap(), None);
     }
@@ -376,21 +375,21 @@ mod tests {
     #[test]
     fn empty_commit_allowed() {
         let mut r = Repository::new("acme/app");
-        let c1 = r.commit(&[], "a", ts(0), "empty root").unwrap();
-        let c2 = r.commit(&[], "a", ts(1), "still empty").unwrap();
+        let c1 = r.commit([], "a", ts(0), "empty root").unwrap();
+        let c2 = r.commit([], "a", ts(1), "still empty").unwrap();
         assert_ne!(c1, c2, "metadata differs so ids differ");
     }
 
     #[test]
     fn branching_and_merging() {
         let mut r = Repository::new("acme/app");
-        r.commit(&[FileChange::write("f", "base")], "a", ts(0), "base")
+        r.commit([FileChange::write("f", "base")], "a", ts(0), "base")
             .unwrap();
         r.branch_and_checkout("feature").unwrap();
-        r.commit(&[FileChange::write("g", "side")], "b", ts(1), "side work")
+        r.commit([FileChange::write("g", "side")], "b", ts(1), "side work")
             .unwrap();
         r.checkout(Repository::DEFAULT_BRANCH).unwrap();
-        r.commit(&[FileChange::write("f", "main2")], "a", ts(2), "main work")
+        r.commit([FileChange::write("f", "main2")], "a", ts(2), "main work")
             .unwrap();
         let m = r.merge("feature", "a", ts(3), "merge feature").unwrap();
         let merge = r.commit_object(m).unwrap();
@@ -422,9 +421,9 @@ mod tests {
         let store = ObjectStore::shared();
         let mut r1 = Repository::with_store("a/one", Arc::clone(&store));
         let mut r2 = Repository::with_store("a/two", Arc::clone(&store));
-        r1.commit(&[FileChange::write("s.sql", "CREATE TABLE t (a INT);")], "x", ts(0), "m")
+        r1.commit([FileChange::write("s.sql", "CREATE TABLE t (a INT);")], "x", ts(0), "m")
             .unwrap();
-        r2.commit(&[FileChange::write("s.sql", "CREATE TABLE t (a INT);")], "y", ts(5), "m")
+        r2.commit([FileChange::write("s.sql", "CREATE TABLE t (a INT);")], "y", ts(5), "m")
             .unwrap();
         assert_eq!(store.stats().blobs, 1, "identical schema file stored once");
     }

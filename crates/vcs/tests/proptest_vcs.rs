@@ -40,7 +40,7 @@ proptest! {
         let mut repo = Repository::new("prop/linear");
         for (i, c) in contents.iter().enumerate() {
             repo.commit(
-                &[FileChange::write("s.sql", c.clone())],
+                [FileChange::write("s.sql", c.clone())],
                 "gen",
                 Timestamp(i as i64 * 3600),
                 &format!("v{i}"),
@@ -57,7 +57,7 @@ proptest! {
         let mut repo = Repository::new("prop/agree");
         for (i, c) in contents.iter().enumerate() {
             repo.commit(
-                &[FileChange::write("s.sql", c.clone())],
+                [FileChange::write("s.sql", c.clone())],
                 "gen",
                 Timestamp(i as i64 * 60),
                 "m",
@@ -77,7 +77,7 @@ proptest! {
         for (dt, content) in &steps {
             clock += dt;
             repo.commit(
-                &[FileChange::write("s.sql", content.clone())],
+                [FileChange::write("s.sql", content.clone())],
                 "gen",
                 Timestamp(clock),
                 "m",

@@ -9,8 +9,11 @@
 //! cargo run --release --example full_study -- --write # also write EXPERIMENTS.md
 //! ```
 //!
-//! `--workers N` sets the mining worker count; it changes no output (the
-//! executor is deterministic), only the wall time.
+//! `--workers N` sets the mining worker count, for this process and the
+//! scale pass's `schevo study` runs; it changes no output (the executor is
+//! deterministic), only the wall time. The appendices' mine-stage walls
+//! are meaningful at `--workers 1` only: the funnel feeds the workers as
+//! they mine, and the mine stage is the mining span less the funnel's.
 
 use schevo::corpus::universe::Universe;
 use schevo::pipeline::ablation::{
@@ -104,7 +107,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|v| v.parse().ok())
         .unwrap_or(20);
     eprintln!("running scale pass (sharded store, {scale_factor}x streaming)...");
-    extras.scale_demo = scale_demo(scale_factor, 8)?;
+    extras.scale_demo = scale_demo(scale_factor, 8, workers)?;
     eprintln!("running serve pass (resident daemon, concurrent clients)...");
     extras.serve_demo = serve_demo()?;
     if write {
@@ -322,6 +325,7 @@ fn scale_run(
     bin: &Path,
     factor: usize,
     store: Option<(&Path, usize)>,
+    workers: usize,
     tag: &str,
 ) -> Result<ScaleRun, Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("schevo_scale_{}_{tag}", std::process::id()));
@@ -331,7 +335,7 @@ fn scale_run(
     let manifest = dir.join("manifest.json");
     let out_dir = dir.join("out");
     let mut cmd = std::process::Command::new(bin);
-    cmd.args(["study", "--seed", "2019"]);
+    cmd.args(["study", "--seed", "2019", "--workers", &workers.to_string()]);
     if factor > 1 {
         cmd.args(["--scale-factor", &factor.to_string()]);
     }
@@ -379,6 +383,7 @@ fn scale_run(
 fn scale_demo(
     factor: usize,
     shards: usize,
+    workers: usize,
 ) -> Result<Option<ScaleDemo>, Box<dyn std::error::Error>> {
     let Some(bin) = cli_binary() else {
         eprintln!("scale pass skipped: `schevo` binary not found next to this example");
@@ -386,11 +391,11 @@ fn scale_demo(
     };
     let stores = std::env::temp_dir().join(format!("schevo_scale_stores_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&stores);
-    let resident = scale_run(&bin, 1, None, "resident1x")?;
-    let streaming1 = scale_run(&bin, 1, Some((&stores.join("s1"), shards)), "stream1x")?;
+    let resident = scale_run(&bin, 1, None, workers, "resident1x")?;
+    let streaming1 = scale_run(&bin, 1, Some((&stores.join("s1"), shards)), workers, "stream1x")?;
     let outputs_identical = resident.stdout == streaming1.stdout
         && resident.results_json == streaming1.results_json;
-    let streaming_n = scale_run(&bin, factor, Some((&stores.join("sN"), shards)), "streamNx")?;
+    let streaming_n = scale_run(&bin, factor, Some((&stores.join("sN"), shards)), workers, "streamNx")?;
     let _ = std::fs::remove_dir_all(&stores);
     let row = |backend: &str, factor: usize, r: &ScaleRun| ScaleRow {
         backend: backend.to_string(),

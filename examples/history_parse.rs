@@ -14,11 +14,14 @@
 //! * **histories** — every candidate's versions oldest first, the order
 //!   mining uses; this is where statements are reused.
 //! * **no reuse** — the same histories with a comment naming the version
-//!   written before every `;`, so no statement key (its text through its
-//!   first `;`) repeats and nothing is reused. The gap is the memo's pure
-//!   overhead.
+//!   written before every `;`, so no statement repeats and nothing is
+//!   reused. The gap is the reuse machinery's pure overhead.
 //!
 //! Both parsers' results are compared version by version before timing.
+//! For each order it also prints how many statements `HistoryParser`
+//! reused by position (their tokens taken over from the previous version)
+//! and by text, and the share of the bytes of versions 2..n it lexed again
+//! rather than took over.
 //!
 //! Two more pairs isolate the layers under the parse and after it:
 //!
@@ -123,18 +126,26 @@ fn main() {
     );
 
     for (label, sequences) in [("histories", &histories), ("no reuse", &marked)] {
-        let (mut statements, mut reused) = (0, 0);
+        let later: usize = (sequences.iter())
+            .flat_map(|seq| &seq[1.min(seq.len())..])
+            .map(|v| v.len())
+            .sum();
+        let (mut statements, mut reused, mut by_position, mut relexed) = (0, 0, 0, 0);
         for seq in sequences {
             let mut parser = HistoryParser::new();
+            let mut first = None;
             for sql in seq {
                 assert_eq!(
                     parser.parse(sql),
                     parse_schema(sql),
                     "{label}: parsers diverged"
                 );
+                first.get_or_insert(parser.relexed_bytes());
             }
             statements += parser.statements();
             reused += parser.reused();
+            by_position += parser.reused_by_position();
+            relexed += parser.relexed_bytes() - first.unwrap_or(0);
         }
         let (mut stateless, mut incremental) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..rounds {
@@ -155,11 +166,19 @@ fn main() {
             incremental = incremental.min(t.elapsed().as_secs_f64());
         }
         println!(
-            "{label:>9}: {reused} of {statements} statements reused; parse_schema {:.3} s, \
-             HistoryParser {:.3} s ({:+.1}%), min of {rounds}",
+            "{label:>9}: {reused} of {statements} statements reused ({by_position} by position, \
+             {} by text); parse_schema {:.3} s, HistoryParser {:.3} s ({:+.1}%), min of {rounds}",
+            reused - by_position,
             stateless,
             incremental,
             (incremental / stateless - 1.0) * 100.0
+        );
+        println!(
+            "{label:>9}: {:.1}% of the bytes of each version after the first lexed again \
+             ({:.2} of {:.2} MB)",
+            relexed as f64 / later as f64 * 100.0,
+            relexed as f64 / 1e6,
+            later as f64 / 1e6
         );
 
         lex_incrementally(sequences, |sql, tokens| {

@@ -68,7 +68,7 @@ fn main() {
         ("add profiles", "-- now with docs\nCREATE TABLE users (id INT, email VARCHAR(255), created_at DATETIME, PRIMARY KEY (id));\nCREATE TABLE profiles (user_id INT, bio TEXT);"),
     ] {
         repo.commit(
-            &[FileChange::write("db/schema.sql", sql)],
+            [FileChange::write("db/schema.sql", sql)],
             "dev",
             Timestamp::from_date(2018, 1, 1) + day * 86_400,
             label,

@@ -20,9 +20,9 @@
 //! // 1. A repository with a DDL file history (here: built by hand; the
 //! //    corpus generator builds 365 of these).
 //! let mut repo = Repository::new("acme/shop");
-//! repo.commit(&[FileChange::write("schema.sql", "CREATE TABLE p (id INT);")],
+//! repo.commit([FileChange::write("schema.sql", "CREATE TABLE p (id INT);")],
 //!             "ann", Timestamp::from_date(2017, 2, 1), "v0").unwrap();
-//! repo.commit(&[FileChange::write("schema.sql",
+//! repo.commit([FileChange::write("schema.sql",
 //!             "CREATE TABLE p (id INT, name TEXT);\nCREATE TABLE o (id INT);")],
 //!             "ben", Timestamp::from_date(2017, 9, 9), "grow").unwrap();
 //!

@@ -543,3 +543,235 @@ proptest! {
         }
     }
 }
+
+// -- edits at several sites ------------------------------------------------
+
+/// One edit of a version changed at several sites: a byte-level edit inside
+/// one statement, or a whole statement inserted, deleted or swapped with
+/// the next.
+#[derive(Debug, Clone)]
+enum SiteEdit {
+    Within(Edit),
+    /// Insert a statement of a seed document (picked by the number).
+    Insert(usize),
+    Delete,
+    Swap,
+}
+
+fn site_edit() -> impl Strategy<Value = SiteEdit> {
+    prop_oneof![
+        3 => edit().prop_map(SiteEdit::Within),
+        1 => (0usize..64).prop_map(SiteEdit::Insert),
+        1 => Just(SiteEdit::Delete),
+        1 => Just(SiteEdit::Swap),
+    ]
+}
+
+/// `s` cut after every `;`: its statements, the last one maybe without.
+fn pieces(s: &str) -> Vec<String> {
+    s.split_inclusive(';').map(str::to_string).collect()
+}
+
+/// Apply `edits` to `prev`, each at the statement its number picks; edits
+/// that pick the same statement as an earlier one are dropped, so every
+/// site is distinct. Sites are edited from the last back, so an insert or
+/// a delete does not move the sites before it.
+fn apply_at_sites(prev: &str, edits: &[(usize, SiteEdit)]) -> String {
+    let mut parts = pieces(prev);
+    let n = parts.len().max(1);
+    let mut sites: Vec<(usize, &SiteEdit)> = edits.iter().map(|(at, e)| (at % n, e)).collect();
+    sites.sort_by_key(|&(at, _)| std::cmp::Reverse(at));
+    sites.dedup_by_key(|&mut (at, _)| at);
+    for (at, e) in sites {
+        if parts.is_empty() {
+            parts.push(String::new());
+        }
+        match e {
+            SiteEdit::Within(e) => parts[at] = apply(&parts[at], e),
+            SiteEdit::Insert(k) => {
+                let pool = pieces(BASES[k % BASES.len()]);
+                parts.insert(at, pool[k / BASES.len() % pool.len()].clone());
+            }
+            SiteEdit::Delete => {
+                parts.remove(at);
+            }
+            SiteEdit::Swap => {
+                if at + 1 < parts.len() {
+                    parts.swap(at, at + 1);
+                }
+            }
+        }
+    }
+    parts.concat()
+}
+
+/// Check a sequence of versions: each parses like `parse_schema`, keeps
+/// `tokenize`'s (and the reference lexer's) tokens, and lexes as an edit
+/// of the one before like `tokenize`.
+fn check_sequence(versions: &[String], what: &dyn std::fmt::Debug) -> Result<(), TestCaseError> {
+    let mut parser = HistoryParser::new();
+    for (i, sql) in versions.iter().enumerate() {
+        prop_assert_eq!(
+            parser.parse(sql),
+            parse_schema(sql),
+            "version {} of {:?} diverged on {:?}",
+            i,
+            what,
+            sql
+        );
+        if let Some(why) = token_divergence(&parser, sql) {
+            prop_assert!(false, "version {} of {:?}: {}", i, what, why);
+        }
+        if i > 0 {
+            if let Ok(prev_tokens) = tokenize(&versions[i - 1]) {
+                let edited = tokenize_edit(&versions[i - 1], prev_tokens, sql);
+                prop_assert_eq!(
+                    edited.map_err(|e| (e.span, e.to_string())),
+                    tokenize(sql).map_err(|e| (e.span, e.to_string())),
+                    "edit {} of {:?} lexed differently on {:?}",
+                    i,
+                    what,
+                    sql
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn edits_at_several_sites_match_the_oracle(
+        bases in proptest::collection::vec(0usize..BASES.len(), 1..4),
+        steps in proptest::collection::vec(
+            proptest::collection::vec((0usize..64, site_edit()), 2..4),
+            1..8,
+        ),
+    ) {
+        // Several seed documents back to back, so a version has enough
+        // statements for far-apart sites.
+        let first: String = bases.iter().map(|&b| BASES[b]).collect();
+        let mut versions = vec![first];
+        for edits in &steps {
+            let next = apply_at_sites(versions.last().unwrap(), edits);
+            versions.push(next);
+        }
+        check_sequence(&versions, &steps)?;
+    }
+}
+
+// -- pinned shapes for resyncing at every `;` ------------------------------
+
+/// Check `shapes`, each a pair of versions, in both directions and as
+/// `a, b, a`.
+fn check_shapes(shapes: &[(String, String)]) {
+    for (a, b) in shapes {
+        for (prev, next) in [(a, b), (b, a)] {
+            if tokenize(prev).is_ok() {
+                assert_edit_lexes_like_tokenize(prev, next);
+            }
+            assert_matches_oracle(&[prev, next, prev], "resync hazard");
+        }
+    }
+}
+
+/// `n` small tables, `t0` to `t{n-1}`.
+fn tables(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|i| format!("CREATE TABLE t{i} (a INT, b TEXT DEFAULT 'x');\n"))
+        .collect()
+}
+
+#[test]
+fn an_edit_opening_a_string_or_comment_swallows_later_semicolons() {
+    let base = tables(8);
+    let v1 = base.concat();
+    let mut shapes = Vec::new();
+    for opener in ["'", "/*", "\"", "`", "[", "-- "] {
+        // Opened in table 1 and never closed on the same statement; a far
+        // edit in table 6 as well, so there is a second site to resync at.
+        let mut parts = base.clone();
+        parts[1] = parts[1].replace("(a INT", &format!("(a INT {opener}"));
+        parts[6] = parts[6].replace("b TEXT", "b MEDIUMTEXT");
+        shapes.push((v1.clone(), parts.concat()));
+        // Closed again three statements later.
+        let closer = match opener {
+            "/*" => "*/",
+            "[" => "]",
+            "-- " => "\n",
+            q => q,
+        };
+        parts[4] = parts[4].replace("(a INT", &format!("(a INT {closer}"));
+        shapes.push((v1.clone(), parts.concat()));
+    }
+    check_shapes(&shapes);
+}
+
+#[test]
+fn two_identical_statements_one_deleted() {
+    let same = "INSERT INTO t0 VALUES (1, 'a;b');\n";
+    let mut parts = tables(6);
+    parts.insert(2, same.to_string());
+    parts.insert(4, same.to_string());
+    let v1 = parts.concat();
+    let mut shapes = Vec::new();
+    for gone in [2, 4] {
+        let mut fewer = parts.clone();
+        fewer.remove(gone);
+        shapes.push((v1.clone(), fewer.concat()));
+        // And with an edit elsewhere too.
+        fewer[0] = fewer[0].replace("a INT", "a BIGINT");
+        shapes.push((v1.clone(), fewer.concat()));
+    }
+    // Identical CREATE TABLEs, one deleted: the duplicate keeps its first
+    // position with its last definition.
+    let mut dup = tables(5);
+    dup.insert(1, dup[3].clone());
+    let with_dup = dup.concat();
+    for gone in [1, 4] {
+        let mut fewer = dup.clone();
+        fewer.remove(gone);
+        shapes.push((with_dup.clone(), fewer.concat()));
+    }
+    check_shapes(&shapes);
+}
+
+#[test]
+fn a_degraded_create_right_before_an_untouched_one() {
+    // The unbalanced default makes the CREATE degrade and read past its
+    // `;`, so it is never kept; the statement after it is untouched.
+    let mut parts = tables(6);
+    parts.insert(3, "CREATE TABLE bad (a INT DEFAULT (1;\n".to_string());
+    let v1 = parts.concat();
+    let mut shapes = Vec::new();
+    for edited in [0, 2, 4, 6] {
+        let mut next = parts.clone();
+        next[edited] = next[edited].replace("b TEXT", "b TEXT, c INT");
+        shapes.push((v1.clone(), next.concat()));
+    }
+    let mut healed = parts.clone();
+    healed[3] = "CREATE TABLE bad (a INT DEFAULT (1));\n".to_string();
+    shapes.push((v1.clone(), healed.concat()));
+    check_shapes(&shapes);
+}
+
+#[test]
+fn an_alter_after_an_edited_create() {
+    let mut parts = tables(5);
+    parts.push("ALTER TABLE t1 ADD COLUMN z INT, DROP COLUMN b;\n".to_string());
+    parts.push("ALTER TABLE t3 RENAME TO t9;\n".to_string());
+    parts.push("DROP TABLE t4;\n".to_string());
+    let v1 = parts.concat();
+    let mut shapes = Vec::new();
+    for edited in [1, 3, 4] {
+        let mut next = parts.clone();
+        next[edited] = next[edited].replace("a INT", "a INT, y INT");
+        shapes.push((v1.clone(), next.concat()));
+        // Renamed, so the ALTER names a table that is gone.
+        next[edited] = next[edited].replace(&format!("t{edited} "), &format!("u{edited} "));
+        shapes.push((v1.clone(), next.concat()));
+    }
+    check_shapes(&shapes);
+}

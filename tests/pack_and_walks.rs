@@ -80,7 +80,7 @@ fn merge_heavy_history_still_mines() {
     let mut repo = Repository::new("branchy/app");
     let t = |d: i64| Timestamp::from_date(2018, 1, 1) + d * 86_400;
     repo.commit(
-        &[FileChange::write("s.sql", "CREATE TABLE a (x INT);")],
+        [FileChange::write("s.sql", "CREATE TABLE a (x INT);")],
         "ann",
         t(0),
         "v0",
@@ -88,19 +88,19 @@ fn merge_heavy_history_still_mines() {
     .unwrap();
     repo.branch_and_checkout("feat-1").unwrap();
     repo.commit(
-        &[FileChange::write("s.sql", "CREATE TABLE a (x INT, y INT);")],
+        [FileChange::write("s.sql", "CREATE TABLE a (x INT, y INT);")],
         "ben",
         t(5),
         "add y",
     )
     .unwrap();
     repo.checkout(Repository::DEFAULT_BRANCH).unwrap();
-    repo.commit(&[FileChange::write("docs.md", "hi")], "ann", t(6), "docs")
+    repo.commit([FileChange::write("docs.md", "hi")], "ann", t(6), "docs")
         .unwrap();
     repo.merge("feat-1", "ann", t(7), "merge feat-1").unwrap();
     repo.branch_and_checkout("feat-2").unwrap();
     repo.commit(
-        &[FileChange::write(
+        [FileChange::write(
             "s.sql",
             "CREATE TABLE a (x INT, y INT);\nCREATE TABLE b (z TEXT);",
         )],

@@ -102,7 +102,7 @@ proptest! {
         let mut repo = Repository::new("prop/history");
         let opts = RenderOptions::default();
         repo.commit(
-            &[FileChange::write("s.sql", render_schema_with(&schema, &opts))],
+            [FileChange::write("s.sql", render_schema_with(&schema, &opts))],
             "gen", Timestamp::from_date(2018, 1, 1), "v0",
         ).unwrap();
 
@@ -119,7 +119,7 @@ proptest! {
                 continue;
             }
             repo.commit(
-                &[FileChange::write("s.sql", render_schema_with(&schema, &opts))],
+                [FileChange::write("s.sql", render_schema_with(&schema, &opts))],
                 "gen", Timestamp::from_date(2018, 1, 1) + day * 86_400, "edit",
             ).unwrap();
             expected.push((exp, maint));
@@ -153,12 +153,12 @@ proptest! {
         schema.upsert_table(t0);
         let mut repo = Repository::new("prop/classify");
         let opts = RenderOptions::default();
-        repo.commit(&[FileChange::write("s.sql", render_schema_with(&schema, &opts))],
+        repo.commit([FileChange::write("s.sql", render_schema_with(&schema, &opts))],
                     "gen", Timestamp::from_date(2018, 1, 1), "v0").unwrap();
         let mut counter = 0;
         for (i, e) in edits.iter().enumerate() {
             apply(&mut schema, e, &mut counter);
-            repo.commit(&[FileChange::write("s.sql", render_schema_with(&schema, &opts))],
+            repo.commit([FileChange::write("s.sql", render_schema_with(&schema, &opts))],
                         "gen", Timestamp::from_date(2018, 1, 1) + (i as i64 + 1) * 86_400, "e").unwrap();
         }
         let versions = file_history(&repo, "s.sql", WalkStrategy::FirstParent).unwrap();
