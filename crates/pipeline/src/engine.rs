@@ -396,11 +396,7 @@ impl MiningEngine {
                     reg.add(&format!("quarantine.quarantined.{class}"), quar as u64);
                 }
             }
-            let deadline_exceeded = report
-                .recovered
-                .iter()
-                .filter(|r| r.error.class == ErrorClass::DeadlineExceeded)
-                .count();
+            let deadline_exceeded = report.deadline_exceeded();
             if deadline_exceeded > 0 {
                 reg.add("mine.deadline_exceeded", deadline_exceeded as u64);
             }

@@ -25,6 +25,7 @@ use crate::extract::MineOutcome;
 use crate::funnel::CandidateHistory;
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_core::failpoint;
+use schevo_obs::manifest::JournalManifest;
 use schevo_vcs::frame;
 use schevo_vcs::sha1::{Digest, Sha1};
 use std::fs::{File, OpenOptions};
@@ -75,6 +76,19 @@ pub struct JournalSummary {
     /// Corruption found at the journal tail during replay, if any. The
     /// valid prefix was still used; the tail was truncated away.
     pub corruption: Option<SchevoError>,
+}
+
+impl JournalSummary {
+    /// The run manifest's journal section for a pass journaled at `path`.
+    pub fn manifest(&self, path: &Path) -> JournalManifest {
+        JournalManifest {
+            path: path.display().to_string(),
+            replayed: self.replayed as u64,
+            mined_fresh: self.mined_fresh as u64,
+            stale_discarded: self.stale_discarded as u64,
+            corrupt_tail: self.corruption.as_ref().map(|c| c.to_string()),
+        }
+    }
 }
 
 /// One committed record: the mining outcome of one candidate, keyed by

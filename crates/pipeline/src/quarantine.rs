@@ -10,6 +10,7 @@
 //! to survive it.
 
 use schevo_core::errors::{ErrorClass, SchevoError};
+use schevo_obs::manifest::{ClassCount, QuarantineManifest};
 use serde::{Deserialize, Serialize};
 
 /// A version-level problem the miner recovered from without losing the
@@ -82,6 +83,33 @@ impl QuarantineReport {
                 (rec + quar > 0).then_some((class, rec, quar))
             })
             .collect()
+    }
+
+    /// Recoveries flagged by the per-task watchdog (the engine's
+    /// `mine.deadline_exceeded` counter).
+    pub fn deadline_exceeded(&self) -> usize {
+        self.recovered
+            .iter()
+            .filter(|r| r.error.class == ErrorClass::DeadlineExceeded)
+            .count()
+    }
+
+    /// The run manifest's quarantine section.
+    pub fn manifest(&self) -> QuarantineManifest {
+        QuarantineManifest {
+            recovered: self.recovered.len() as u64,
+            quarantined: self.quarantined.len() as u64,
+            deadline_exceeded: self.deadline_exceeded() as u64,
+            classes: self
+                .class_counts()
+                .into_iter()
+                .map(|(class, recovered, quarantined)| ClassCount {
+                    class: class.to_string(),
+                    recovered: recovered as u64,
+                    quarantined: quarantined as u64,
+                })
+                .collect(),
+        }
     }
 
     /// One-line summary for CLI / example output.

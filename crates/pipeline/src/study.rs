@@ -312,7 +312,10 @@ impl MiningEngine {
     /// The `study.stage.{funnel,mine,stats}.nanos` gauges are stage-guard
     /// durations: funnel is the `source.read` span, mine is the
     /// `study.mine` span less `source.read`, stats is the `study.stats`
-    /// span.
+    /// span. The caller polls the source while the workers mine, so at 2
+    /// or more workers the funnel stage absorbs the overlap and mine reads
+    /// near 0; funnel + mine (the `study.mine` span) holds at any worker
+    /// count.
     ///
     /// Errors come from [`MiningEngine::mine`] (an unusable journal) or, with [`StudyOptions::strict`] set, are the first
     /// degradation event the pass recorded.

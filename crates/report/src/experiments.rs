@@ -98,7 +98,8 @@ pub struct ScaleRow {
     pub factor: usize,
     /// Funnel survivors mined.
     pub analyzed: u64,
-    /// Mining-stage wall clock, seconds.
+    /// Mining wall clock (the funnel and mine stages, i.e. the
+    /// `study.mine` span), seconds.
     pub mine_s: f64,
     /// Mining throughput, projects per second.
     pub projects_per_s: f64,

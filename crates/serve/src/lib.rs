@@ -38,4 +38,4 @@ pub mod server;
 pub use client::{connect, connect_timeout, retrying_roundtrip, ClientError, Conn, RetrySpec};
 pub use frame::{read_frame, write_frame, FrameError};
 pub use proto::{Request, Response};
-pub use server::{install_drain_signals, Listener, Server, ServerConfig};
+pub use server::{install_drain_signals, Admitted, Listener, Server, ServerConfig};

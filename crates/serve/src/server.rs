@@ -10,19 +10,21 @@
 //! bytes in an `ok` response are identical to the CLI's
 //! `study_results.json` for the same store and options — whatever else
 //! the server is doing concurrently.
+//!
+//! One post-response step writes every per-request sink (request log,
+//! trace file, slow log) while the study still holds its admission
+//! slot, and a drain — SIGINT/SIGTERM, [`Server::begin_drain`] or a
+//! `shutdown` request — is the one exit path.
 
 use crate::frame::{frame_len, read_frame, write_frame};
 use crate::proto::{decode_request, encode_response, Request, Response};
 use parking_lot::Mutex;
 use schevo_corpus::store::{ShardStore, StoreError};
-use schevo_obs::manifest::{
-    stages_from_snapshot, ClassCount, JournalManifest, QuarantineManifest, RunManifest,
-    MANIFEST_VERSION,
-};
+use schevo_obs::manifest::{stages_from_snapshot, RunManifest, MANIFEST_VERSION};
 use schevo_obs::metrics::{RedRing, Registry};
 use schevo_obs::scope::TraceScope;
 use schevo_obs::stage;
-use schevo_obs::trace::to_chrome_jsonl;
+use schevo_obs::trace::{to_chrome_jsonl, TraceEvent};
 use schevo_obs::validate::REQUEST_LOG_VERSION;
 use schevo_obs::{events, profile, ObsHooks};
 use schevo_pipeline::exec::watchdog;
@@ -57,9 +59,10 @@ pub struct ServerConfig {
     pub deadline: Option<Duration>,
     /// Directory for per-request CSV artifacts; `None` publishes none.
     pub artifacts_dir: Option<PathBuf>,
-    /// How long a drain waits for in-flight studies before giving up
-    /// and exiting anyway (they run the same deterministic path on the
-    /// next request, so abandoning them loses no durable state).
+    /// How long a drain waits for admitted studies, sinks included,
+    /// before giving up and exiting anyway (they run the same
+    /// deterministic path on the next request, so abandoning them loses
+    /// no durable state).
     pub drain_deadline: Duration,
     /// Where to flush the final metrics snapshot (Prometheus text,
     /// written atomically) when the server exits; `None` skips it.
@@ -67,10 +70,11 @@ pub struct ServerConfig {
     /// Structured JSONL request log: one line per finished request (all
     /// ops, including `busy`/`draining` rejections) with id, admission
     /// outcome, queue wait, per-stage walls, quarantine count, and wire
-    /// bytes in/out. `None` logs nothing.
+    /// bytes in/out. `None` logs nothing. Like every sink below, it is
+    /// written after the response frame.
     pub request_log: Option<PathBuf>,
     /// Directory for per-request Chrome-trace JSONL exports
-    /// (`<dir>/<id>.trace.jsonl`); `None` exports none.
+    /// (`<dir>/<id>.trace.jsonl`) of served studies; `None` exports none.
     pub trace_dir: Option<PathBuf>,
     /// Slow-study threshold: any study whose wall exceeds this many
     /// milliseconds has its full span tree appended to
@@ -132,7 +136,6 @@ pub struct Server {
     registry: Registry,
     /// One journal file, one writer: durable requests serialize here.
     journal_gate: Mutex<()>,
-    shutdown: AtomicBool,
     draining: AtomicBool,
     /// Monotonic zero point of request-log `ts_ms` stamps and the RED
     /// ring's second counter.
@@ -144,9 +147,6 @@ pub struct Server {
     request_log: Option<Mutex<std::fs::File>>,
     /// Open slow-study-log appender, same lifecycle as the request log.
     slow_log: Option<Mutex<std::fs::File>>,
-    /// Per-stage walls stashed by `run_study` for the request-log line,
-    /// keyed by request id and taken exactly once at log time.
-    log_details: Mutex<HashMap<String, Vec<(String, u64)>>>,
 }
 
 /// Set by the SIGINT/SIGTERM handler; polled by [`Server::serve`].
@@ -255,6 +255,31 @@ struct SlowSpan {
     tid: u64,
 }
 
+/// An admitted study's hold on its admission slot, plus what its sinks
+/// record. [`Server::serve_stream`] hands it to the post-response step,
+/// which writes the sinks; the slot is released when it drops.
+#[derive(Debug)]
+pub struct Admitted<'a> {
+    slot: &'a AtomicUsize,
+    sinks: StudySinks,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.slot.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What a study that ran to an `ok` response leaves for its sinks: the
+/// manifest's stage walls (request log), the `serve.request` wall (slow
+/// log) and, when a trace dir or slow log wants them, its span events.
+#[derive(Debug, Default)]
+struct StudySinks {
+    stages: Vec<(String, u64)>,
+    wall_us: u64,
+    events: Option<Vec<TraceEvent>>,
+}
+
 impl Server {
     /// Open the store and build a server around it. When
     /// [`ServerConfig::profile_interval_ms`] is nonzero the sampling
@@ -282,21 +307,20 @@ impl Server {
             results: Mutex::new(HashMap::new()),
             registry: Registry::new(),
             journal_gate: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             epoch: Instant::now(),
             red: RedRing::new(),
             request_log,
             slow_log,
-            log_details: Mutex::new(HashMap::new()),
         })
     }
 
     /// Stop admitting studies: further `study` requests get a typed
     /// `draining` response while `result`/`metrics`/`status` stay
-    /// queryable, and [`Server::serve`] exits once the last in-flight
-    /// study finishes (or the drain deadline passes). Idempotent; also
-    /// reached via SIGINT/SIGTERM when [`install_drain_signals`] ran.
+    /// queryable, and [`Server::serve`] exits once no admitted study is
+    /// still running or writing its sinks (or the drain deadline
+    /// passes). Idempotent; also reached by a `shutdown` request and,
+    /// when [`install_drain_signals`] ran, by SIGINT/SIGTERM.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
@@ -335,17 +359,18 @@ impl Server {
                 Ok(r) => r.op.clone(),
                 Err(_) => "invalid".to_string(),
             };
+            let shutdown = op == "shutdown";
             // Queue wait: time between the frame being fully on hand and
             // dispatch starting. Tiny on this one-thread-per-connection
             // transport, but the request-log schema reserves the field so
             // a queued executor can fill it without a version bump.
             let dispatched = Instant::now();
             let queue_us = dispatched.duration_since(arrival).as_micros() as u64;
-            let (response, shutdown) = match decoded {
+            let (response, admitted) = match decoded {
                 Ok(request) => self.dispatch(request),
                 Err(e) => {
                     self.registry.add("serve.bad_requests", 1);
-                    (Response::error(None, &e), false)
+                    (Response::error(None, &e), None)
                 }
             };
             let wall_us = dispatched.elapsed().as_micros() as u64;
@@ -354,88 +379,115 @@ impl Server {
             };
             let bytes_out = frame_len(bytes.len()) as u64;
             let write_ok = write_frame(stream, &bytes).is_ok();
-            self.log_request(&response, &op, queue_us, wall_us, bytes_in, bytes_out);
-            if !write_ok {
+            let entry = RequestLogEntry {
+                v: REQUEST_LOG_VERSION,
+                ts_ms: 0,
+                // Undecodable requests and id-less `result` lookups have
+                // no id to echo; `-` keeps the line schema-valid (ids are
+                // never empty).
+                id: response.id.unwrap_or_else(|| "-".to_string()),
+                op,
+                status: response.status,
+                queue_us,
+                wall_us,
+                bytes_in,
+                bytes_out,
+                quarantined: response.quarantined.unwrap_or(0),
+                stages: Vec::new(),
+            };
+            self.write_sinks(entry, admitted);
+            if !write_ok || shutdown {
                 return shutdown;
             }
-            if shutdown {
-                return true;
+        }
+    }
+
+    /// The post-response step: write every sink of one request — an
+    /// admitted study's trace file and slow-log entry, then the
+    /// request-log line — and only then release the study's admission
+    /// slot, so a drain cannot exit while a study is still writing.
+    fn write_sinks(&self, mut entry: RequestLogEntry, mut admitted: Option<Admitted<'_>>) {
+        if let Some(sinks) = admitted.as_mut().map(|a| &mut a.sinks) {
+            entry.stages = std::mem::take(&mut sinks.stages);
+            if let (Some(events), Some(dir)) = (&sinks.events, &self.config.trace_dir) {
+                let path = dir.join(format!("{}.trace.jsonl", sanitize_id(&entry.id)));
+                let exported = std::fs::create_dir_all(dir).is_ok()
+                    && write_atomic(&path, to_chrome_jsonl(events).as_bytes()).is_ok();
+                if !exported {
+                    self.registry.add("serve.trace_export_errors", 1);
+                }
+            }
+            // Compared in microseconds so a threshold of 0 means "every
+            // study is slow" — the deterministic log-everything mode tests
+            // and drills use.
+            let slow_ms = self.config.slow_ms.filter(|ms| sinks.wall_us > ms.saturating_mul(1000));
+            if let (Some(events), Some(threshold_ms), Some(file)) =
+                (&sinks.events, slow_ms, &self.slow_log)
+            {
+                self.registry.add("serve.slow_studies", 1);
+                let slow = SlowLogEntry {
+                    id: entry.id.clone(),
+                    wall_us: sinks.wall_us,
+                    threshold_ms,
+                    spans: events
+                        .iter()
+                        .map(|e| SlowSpan {
+                            name: e.name.clone(),
+                            ts_us: e.ts_us,
+                            dur_us: e.dur_us,
+                            tid: e.tid,
+                        })
+                        .collect(),
+                };
+                if let Ok(line) = serde_json::to_string(&slow) {
+                    let _ = writeln!(&mut *file.lock(), "{line}");
+                }
+            }
+        }
+        // `ts_ms` is stamped *inside* the file lock, so stamps are
+        // monotonically non-decreasing in file order even under
+        // concurrent connections.
+        if let Some(file) = &self.request_log {
+            let mut guard = file.lock();
+            entry.ts_ms = self.epoch.elapsed().as_millis() as u64;
+            if let Ok(line) = serde_json::to_string(&entry) {
+                if writeln!(&mut *guard, "{line}").is_err() {
+                    self.registry.add("serve.request_log_errors", 1);
+                }
             }
         }
     }
 
-    /// Append one request-log line, if the log is configured. The
-    /// `ts_ms` stamp is taken *inside* the file lock, so stamps are
-    /// monotonically non-decreasing in file order even under concurrent
-    /// connections. Per-stage walls stashed by `run_study` under this
-    /// request's id are taken exactly once here.
-    fn log_request(
-        &self,
-        response: &Response,
-        op: &str,
-        queue_us: u64,
-        wall_us: u64,
-        bytes_in: u64,
-        bytes_out: u64,
-    ) {
-        let Some(file) = &self.request_log else {
-            return;
-        };
-        // Undecodable requests and id-less `result` lookups have no id to
-        // echo; `-` keeps the line schema-valid (ids are never empty).
-        let id = response.id.clone().unwrap_or_else(|| "-".to_string());
-        let stages = self.log_details.lock().remove(&id).unwrap_or_default();
-        let mut entry = RequestLogEntry {
-            v: REQUEST_LOG_VERSION,
-            ts_ms: 0,
-            id,
-            op: op.to_string(),
-            status: response.status.clone(),
-            queue_us,
-            wall_us,
-            bytes_in,
-            bytes_out,
-            quarantined: response.quarantined.unwrap_or(0),
-            stages,
-        };
-        let mut guard = file.lock();
-        entry.ts_ms = self.epoch.elapsed().as_millis() as u64;
-        if let Ok(line) = serde_json::to_string(&entry) {
-            if writeln!(&mut *guard, "{line}").is_err() {
-                self.registry.add("serve.request_log_errors", 1);
-            }
-        }
-    }
-
-    /// Handle one decoded request. Returns the response and whether the
-    /// server should shut down.
+    /// Handle one decoded request. Returns the response and, for an
+    /// admitted study, its [`Admitted`] hold on the admission slot:
+    /// the study counts as in flight until that value drops.
     ///
     /// Every request leaves with an id: client-supplied ids are echoed,
     /// and the server mints `req-N` for id-less requests of every op
     /// except `result` (a `result` lookup without an id is a typed
     /// error — the id *is* the query). Every dispatch, whatever its
     /// outcome, lands one observation in the sliding-window RED ring.
-    pub fn dispatch(&self, request: Request) -> (Response, bool) {
+    /// A `shutdown` request begins the same drain as SIGTERM.
+    pub fn dispatch(&self, request: Request) -> (Response, Option<Admitted<'_>>) {
         self.registry.add("serve.requests", 1);
         let mut request = request;
         if request.id.is_none() && request.op != "result" {
             request.id = Some(format!("req-{}", self.next_id.fetch_add(1, Ordering::SeqCst)));
         }
         let started = Instant::now();
-        let (mut response, shutdown) = match request.op.as_str() {
-            "study" if self.is_draining() => {
-                self.registry.add("serve.drained_away", 1);
-                (Response::draining(request.id.clone()), false)
+        let (mut response, admitted) = match request.op.as_str() {
+            "study" => self.admit_study(&request),
+            "result" => (self.lookup_result(&request), None),
+            "metrics" => (self.metrics_response(&request), None),
+            "status" => (self.status_response(&request), None),
+            "profile" => (self.profile_response(&request), None),
+            "shutdown" => {
+                self.begin_drain();
+                (Response::ok(request.id.clone()), None)
             }
-            "study" => (self.admit_study(&request), false),
-            "result" => (self.lookup_result(&request), false),
-            "metrics" => (self.metrics_response(&request), false),
-            "status" => (self.status_response(&request), false),
-            "profile" => (self.profile_response(&request), false),
-            "shutdown" => (Response::ok(request.id.clone()), true),
             other => (
                 Response::error(request.id.clone(), &format!("unknown op `{other}`")),
-                false,
+                None,
             ),
         };
         if response.id.is_none() {
@@ -450,7 +502,7 @@ impl Server {
             wall_us,
             response.status == "error",
         );
-        (response, shutdown)
+        (response, admitted)
     }
 
     /// Runtime profiler control (`op: "profile"`): `start` turns the
@@ -532,25 +584,40 @@ impl Server {
 
     /// Admission control: bounded in-flight studies with an explicit
     /// `busy` backpressure response — the server never queues unbounded
-    /// mining work behind a socket.
-    fn admit_study(&self, request: &Request) -> Response {
+    /// mining work behind a socket. A draining server turns every study
+    /// away; the drain is checked after the slot is taken, so a drain
+    /// that begins concurrently either turns this study away or sees it
+    /// in flight.
+    fn admit_study(&self, request: &Request) -> (Response, Option<Admitted<'_>>) {
         let cap = self.config.max_inflight.max(1);
-        let admitted = self
+        let slot = self
             .inflight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
                 (n < cap).then_some(n + 1)
             })
-            .is_ok();
-        if !admitted {
-            self.registry.add("serve.busy", 1);
-            return Response::busy(request.id.clone());
+            .ok()
+            .map(|_| Admitted {
+                slot: &self.inflight,
+                sinks: StudySinks::default(),
+            });
+        if self.is_draining() {
+            self.registry.add("serve.drained_away", 1);
+            return (Response::draining(request.id.clone()), None);
         }
-        let response = self.run_study(request);
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        response
+        let Some(mut admitted) = slot else {
+            self.registry.add("serve.busy", 1);
+            return (Response::busy(request.id.clone()), None);
+        };
+        let (response, sinks) = self.run_study(request);
+        admitted.sinks = sinks;
+        (response, Some(admitted))
     }
 
-    fn run_study(&self, request: &Request) -> Response {
+    /// Run one admitted study. Returns its response and what its sinks
+    /// record; the sinks themselves are written after the response frame
+    /// by [`Server::serve_stream`]. A study that fails returns its
+    /// `error` response and leaves nothing for the trace or slow log.
+    fn run_study(&self, request: &Request) -> (Response, StudySinks) {
         let id = match &request.id {
             Some(id) => id.clone(),
             None => format!("req-{}", self.next_id.fetch_add(1, Ordering::SeqCst)),
@@ -566,10 +633,8 @@ impl Server {
             .or(self.config.deadline);
         let durability = if resume {
             let Some(journal) = self.config.journal.clone() else {
-                return Response::error(
-                    Some(id),
-                    "resume requested but the server has no journal configured",
-                );
+                let error = "resume requested but the server has no journal configured";
+                return (Response::error(Some(id), error), StudySinks::default());
             };
             DurabilityOptions {
                 journal: Some(journal),
@@ -614,14 +679,16 @@ impl Server {
             Ok(study) => study,
             Err(e) => {
                 self.registry.add("serve.study_errors", 1);
-                return Response::error(Some(id), &format!("study aborted: {e}"));
+                let error = format!("study aborted: {e}");
+                return (Response::error(Some(id), &error), StudySinks::default());
             }
         };
         let study_json = match study_to_json(&study) {
             Ok(json) => json,
             Err(e) => {
                 self.registry.add("serve.study_errors", 1);
-                return Response::error(Some(id), &format!("cannot serialize study: {e}"));
+                let error = format!("cannot serialize study: {e}");
+                return (Response::error(Some(id), &error), StudySinks::default());
             }
         };
         if let Some(dir) = &self.config.artifacts_dir {
@@ -638,7 +705,8 @@ impl Server {
                 });
             if let Err(e) = published {
                 self.registry.add("serve.study_errors", 1);
-                return Response::error(Some(id), &format!("artifact publication failed: {e}"));
+                let error = format!("artifact publication failed: {e}");
+                return (Response::error(Some(id), &error), StudySinks::default());
             }
         }
         let snapshot = request_registry.snapshot();
@@ -659,83 +727,22 @@ impl Server {
             corpus_digest: store_manifest.corpus_digest.clone(),
             wall_us,
             stages: stages_from_snapshot(&snapshot),
-            quarantine: QuarantineManifest {
-                recovered: study.quarantine.recovered.len() as u64,
-                quarantined: study.quarantine.quarantined.len() as u64,
-                deadline_exceeded: snapshot.counter("mine.deadline_exceeded").unwrap_or(0),
-                classes: study
-                    .quarantine
-                    .class_counts()
-                    .iter()
-                    .map(|(class, recovered, quarantined)| ClassCount {
-                        class: class.to_string(),
-                        recovered: *recovered as u64,
-                        quarantined: *quarantined as u64,
-                    })
-                    .collect(),
-            },
-            journal: study.journal.as_ref().map(|j| JournalManifest {
-                path: self
-                    .config
-                    .journal
-                    .as_ref()
-                    .map(|p| p.display().to_string())
-                    .unwrap_or_default(),
-                replayed: j.replayed as u64,
-                mined_fresh: j.mined_fresh as u64,
-                stale_discarded: j.stale_discarded as u64,
-                corrupt_tail: j.corruption.as_ref().map(|c| c.to_string()),
-            }),
+            quarantine: study.quarantine.manifest(),
+            journal: study
+                .journal
+                .as_ref()
+                .zip(self.config.journal.as_deref())
+                .map(|(j, path)| j.manifest(path)),
         };
-        if let Some(scope) = &scope {
-            let events = scope.drain();
-            if let Some(dir) = &self.config.trace_dir {
-                let path = dir.join(format!("{}.trace.jsonl", sanitize_id(&id)));
-                let exported = std::fs::create_dir_all(dir)
-                    .map_err(|e| e.to_string())
-                    .and_then(|()| {
-                        write_atomic(&path, to_chrome_jsonl(&events).as_bytes())
-                            .map_err(|e| e.to_string())
-                    });
-                if exported.is_err() {
-                    self.registry.add("serve.trace_export_errors", 1);
-                }
-            }
-            if let (Some(slow_ms), Some(file)) = (self.config.slow_ms, &self.slow_log) {
-                // Compared in microseconds so a threshold of 0 means
-                // "every study is slow" — the deterministic log-everything
-                // mode tests and drills use.
-                if wall_us > slow_ms.saturating_mul(1000) {
-                    self.registry.add("serve.slow_studies", 1);
-                    let entry = SlowLogEntry {
-                        id: id.clone(),
-                        wall_us,
-                        threshold_ms: slow_ms,
-                        spans: events
-                            .iter()
-                            .map(|e| SlowSpan {
-                                name: e.name.clone(),
-                                ts_us: e.ts_us,
-                                dur_us: e.dur_us,
-                                tid: e.tid,
-                            })
-                            .collect(),
-                    };
-                    if let Ok(line) = serde_json::to_string(&entry) {
-                        let mut guard = file.lock();
-                        let _ = writeln!(&mut *guard, "{line}");
-                    }
-                }
-            }
-        }
-        if self.request_log.is_some() {
-            let stages: Vec<(String, u64)> = manifest
+        let sinks = StudySinks {
+            stages: manifest
                 .stages
                 .iter()
                 .map(|s| (s.name.clone(), s.wall_us))
-                .collect();
-            self.log_details.lock().insert(id.clone(), stages);
-        }
+                .collect(),
+            wall_us,
+            events: scope.map(|s| s.drain()),
+        };
         self.registry.add("serve.studies_ok", 1);
         self.registry
             .add("serve.quarantined", study.quarantine.quarantined.len() as u64);
@@ -755,29 +762,26 @@ impl Server {
         };
         self.results.lock().insert(id, response.clone());
         self.served.fetch_add(1, Ordering::SeqCst);
-        response
+        (response, sinks)
     }
 
-    /// Accept connections, one thread per connection, until either a
-    /// `shutdown` request arrives or a drain (SIGINT/SIGTERM or
-    /// [`Server::begin_drain`]) completes. The listener keeps accepting
-    /// during a drain so clients receive the typed `draining` response
-    /// — and can still query `result`/`metrics`/`status` — rather than
-    /// a refused connection; the loop exits once no study is in flight
-    /// or [`ServerConfig::drain_deadline`] passes, then flushes the
-    /// final metrics snapshot to [`ServerConfig::metrics_out`].
+    /// Accept connections, one thread per connection, until a drain
+    /// (SIGINT/SIGTERM, [`Server::begin_drain`] or a `shutdown` request)
+    /// completes. The listener keeps accepting during a drain so clients
+    /// receive the typed `draining` response — and can still query
+    /// `result`/`metrics`/`status` — rather than a refused connection;
+    /// the loop exits once no admitted study is still running or writing
+    /// its sinks, or [`ServerConfig::drain_deadline`] passes, then
+    /// flushes the final metrics snapshot to [`ServerConfig::metrics_out`].
     pub fn serve(self: &Arc<Self>, listener: Listener) -> std::io::Result<()> {
         // Nonblocking accept + a short poll keeps the loop responsive
-        // to the drain/shutdown flags without a wake-up side channel.
+        // to the drain flag without a wake-up side channel.
         // glibc's `signal()` installs SA_RESTART handlers, so a blocking
         // accept would never return on SIGTERM.
         const POLL: Duration = Duration::from_millis(25);
         listener.set_nonblocking(true)?;
         let mut drain_started: Option<Instant> = None;
         loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
             if DRAIN_SIGNAL.load(Ordering::SeqCst) {
                 self.begin_drain();
             }
@@ -791,11 +795,7 @@ impl Server {
             match listener.try_accept() {
                 Ok(Some(mut stream)) => {
                     let server = Arc::clone(self);
-                    std::thread::spawn(move || {
-                        if server.serve_stream(&mut *stream) {
-                            server.shutdown.store(true, Ordering::SeqCst);
-                        }
-                    });
+                    std::thread::spawn(move || server.serve_stream(&mut *stream));
                 }
                 Ok(None) => std::thread::sleep(POLL),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

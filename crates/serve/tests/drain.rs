@@ -40,9 +40,9 @@ fn draining_turns_studies_away_but_keeps_queries_alive() {
     server.begin_drain();
     assert!(server.is_draining());
 
-    let (turned_away, shutdown) = server.dispatch(request("study", Some("during-drain")));
+    let (turned_away, admitted) = server.dispatch(request("study", Some("during-drain")));
     assert_eq!(turned_away.status, "draining");
-    assert!(!shutdown);
+    assert!(admitted.is_none(), "a turned-away study holds no slot");
     assert!(turned_away.study_json.is_none(), "the study did not run");
 
     let (status, _) = server.dispatch(request("status", None));

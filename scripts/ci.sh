@@ -601,6 +601,31 @@ for round in a b; do
   [ -z "$bare_min" ] || [ "$b" -lt "$bare_min" ] && bare_min=$b
   [ -z "$instr_min" ] || [ "$i" -lt "$instr_min" ] && instr_min=$i
 done
+# The instrumented daemons exit through `--op shutdown` right after their
+# last study, so their sinks must be complete: 2 rounds x 20 studies in
+# the request log, and one valid trace per minted id (round b rewrites
+# round a's `req-1`...`req-20`).
+ok_studies=$(python3 -c 'import json, sys
+rows = [json.loads(l) for l in open(sys.argv[1])]
+print(sum(r["op"] == "study" and r["status"] == "ok" for r in rows))' \
+  "$instr_dir/requests.jsonl")
+if [ "$ok_studies" -ne 40 ]; then
+  echo "OBS-SERVE FAILURE: fence request log holds $ok_studies ok studies, want 40" >&2
+  exit 1
+fi
+if [ "$(ls "$instr_dir/traces" | wc -l)" -ne 20 ]; then
+  echo "OBS-SERVE FAILURE: fence trace dir does not hold exactly req-1...req-20:" >&2
+  ls "$instr_dir/traces" >&2
+  exit 1
+fi
+for n in $(seq 1 20); do
+  if ! SCHEVO_TRACE_FILE="$instr_dir/traces/req-$n.trace.jsonl" \
+    cargo test -q --release -p schevo-obs --test schema_validation >/dev/null 2>&1; then
+    echo "OBS-SERVE FAILURE: fence trace req-$n missing or invalid" >&2
+    exit 1
+  fi
+done
+echo "    fence daemons' sinks complete: 40 ok studies logged, traces req-1...req-20 valid"
 if awk -v i="$instr_min" -v b="$bare_min" 'BEGIN { exit !(i > b * 1.05) }'; then
   echo "OBS-SERVE FAILURE: instrumented min ${instr_min}us vs bare ${bare_min}us (fence: +5%)" >&2
   exit 1

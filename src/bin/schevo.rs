@@ -151,6 +151,21 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// The value of flag `name` parsed as `T`; `None` when the flag is
+/// absent. A value that does not parse is flag misuse, as an unknown
+/// flag is: warn naming the flag and the value, and exit 2 at once
+/// (every command reads its flags before it does any I/O).
+fn parsed_flag<T: std::str::FromStr>(command: &str, args: &[String], name: &str) -> Option<T> {
+    let value = flag_value(args, name)?;
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            schevo::obs::events::warn(command, &format!("bad value `{value}` for `{name}`"));
+            std::process::exit(2);
+        }
+    }
+}
+
 /// How `--metrics-out` serializes the registry snapshot.
 enum MetricsFormat {
     Json,
@@ -169,28 +184,18 @@ fn cmd_study(args: &[String]) -> i32 {
     if unknown_flag("study", args, &known) {
         return 2;
     }
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2019);
-    let scale: usize = flag_value(args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let workers: usize = flag_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
+    let seed: u64 = parsed_flag("study", args, "--seed").unwrap_or(2019);
+    let scale: usize = parsed_flag("study", args, "--scale").unwrap_or(1);
+    let workers: usize = parsed_flag("study", args, "--workers")
         .unwrap_or_else(|| StudyOptions::default().workers);
     let strict = args.iter().any(|a| a == "--strict");
-    let inject_pct: u32 = flag_value(args, "--inject-faults")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let fault_seed: u64 = flag_value(args, "--fault-seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
+    let inject_pct: u32 = parsed_flag("study", args, "--inject-faults").unwrap_or(0);
+    let fault_seed: u64 = parsed_flag("study", args, "--fault-seed").unwrap_or(7);
     let journal = flag_value(args, "--journal").map(std::path::PathBuf::from);
     let resume = args.iter().any(|a| a == "--resume");
-    let crash_after: Option<u64> = flag_value(args, "--crash-after").and_then(|v| v.parse().ok());
-    let deadline = flag_value(args, "--deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(std::time::Duration::from_millis);
+    let crash_after: Option<u64> = parsed_flag("study", args, "--crash-after");
+    let deadline =
+        parsed_flag("study", args, "--deadline-ms").map(std::time::Duration::from_millis);
     if journal.is_none() && (resume || crash_after.is_some()) {
         events::warn("study", "--resume and --crash-after require --journal PATH");
         return 2;
@@ -203,24 +208,16 @@ fn cmd_study(args: &[String]) -> i32 {
         events::warn("store", "--store-as-is requires --store-dir DIR");
         return 2;
     }
-    let shards: usize = match flag_value(args, "--shards") {
-        None => 8,
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                events::warn("store", "--shards must be a positive integer");
-                return 2;
-            }
-        },
-    };
+    let shards: usize = parsed_flag("study", args, "--shards").unwrap_or(8);
+    if shards == 0 {
+        events::warn("store", "--shards must be a positive integer");
+        return 2;
+    }
     if flag_value(args, "--shards").is_some() && store_dir.is_none() {
         events::warn("store", "--shards requires --store-dir DIR");
         return 2;
     }
-    let scale_factor: usize = flag_value(args, "--scale-factor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let scale_factor: usize = parsed_flag("study", args, "--scale-factor").unwrap_or(1).max(1);
     if inject_pct > 0 && store_dir.is_some() {
         events::warn(
             "store",
@@ -534,31 +531,12 @@ fn cmd_study(args: &[String]) -> i32 {
             },
             wall_us: wall_nanos / 1_000,
             stages: manifest::stages_from_snapshot(snap),
-            quarantine: manifest::QuarantineManifest {
-                recovered: study.quarantine.recovered.len() as u64,
-                quarantined: study.quarantine.quarantined.len() as u64,
-                deadline_exceeded: snap.counter("mine.deadline_exceeded").unwrap_or(0),
-                classes: study
-                    .quarantine
-                    .class_counts()
-                    .iter()
-                    .map(|(class, recovered, quarantined)| manifest::ClassCount {
-                        class: class.to_string(),
-                        recovered: *recovered as u64,
-                        quarantined: *quarantined as u64,
-                    })
-                    .collect(),
-            },
-            journal: study.journal.as_ref().map(|j| manifest::JournalManifest {
-                path: journal_path
-                    .as_ref()
-                    .map(|p| p.display().to_string())
-                    .unwrap_or_default(),
-                replayed: j.replayed as u64,
-                mined_fresh: j.mined_fresh as u64,
-                stale_discarded: j.stale_discarded as u64,
-                corrupt_tail: j.corruption.as_ref().map(|c| c.to_string()),
-            }),
+            quarantine: study.quarantine.manifest(),
+            journal: study
+                .journal
+                .as_ref()
+                .zip(journal_path.as_deref())
+                .map(|(j, path)| j.manifest(path)),
         };
         if let Err(e) =
             schevo::report::write_atomic(std::path::Path::new(path), m.render().as_bytes())
@@ -713,19 +691,18 @@ fn cmd_serve(args: &[String]) -> i32 {
         return 2;
     };
     let mut config = ServerConfig::new(std::path::PathBuf::from(store_dir));
-    if let Some(n) = flag_value(args, "--max-inflight").and_then(|v| v.parse().ok()) {
+    if let Some(n) = parsed_flag("serve", args, "--max-inflight") {
         config.max_inflight = n;
     }
-    if let Some(n) = flag_value(args, "--workers").and_then(|v| v.parse().ok()) {
+    if let Some(n) = parsed_flag("serve", args, "--workers") {
         config.workers = n;
     }
     config.journal = flag_value(args, "--journal").map(std::path::PathBuf::from);
-    config.crash_after = flag_value(args, "--crash-after").and_then(|v| v.parse().ok());
-    config.deadline = flag_value(args, "--deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(std::time::Duration::from_millis);
+    config.crash_after = parsed_flag("serve", args, "--crash-after");
+    config.deadline =
+        parsed_flag("serve", args, "--deadline-ms").map(std::time::Duration::from_millis);
     config.artifacts_dir = flag_value(args, "--artifacts").map(std::path::PathBuf::from);
-    if let Some(ms) = flag_value(args, "--drain-deadline-ms").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(ms) = parsed_flag("serve", args, "--drain-deadline-ms") {
         config.drain_deadline = std::time::Duration::from_millis(ms);
     }
     config.metrics_out = flag_value(args, "--final-metrics").map(std::path::PathBuf::from);
@@ -736,7 +713,7 @@ fn cmd_serve(args: &[String]) -> i32 {
     // --- observability flags ---
     config.request_log = flag_value(args, "--request-log").map(std::path::PathBuf::from);
     config.trace_dir = flag_value(args, "--trace-dir").map(std::path::PathBuf::from);
-    config.slow_ms = flag_value(args, "--slow-ms").and_then(|v| v.parse().ok());
+    config.slow_ms = parsed_flag("serve", args, "--slow-ms");
     config.slow_log = flag_value(args, "--slow-log").map(std::path::PathBuf::from);
     if config.slow_ms.is_some() != config.slow_log.is_some() {
         events::warn("serve", "--slow-ms and --slow-log must be given together");
@@ -745,16 +722,8 @@ fn cmd_serve(args: &[String]) -> i32 {
     // The daemon profiles itself by default (10 ms wall-clock sampling);
     // `--profile-interval-ms 0` turns always-on profiling off (the
     // `profile` op can still start it at runtime).
-    config.profile_interval_ms = match flag_value(args, "--profile-interval-ms") {
-        None => 10,
-        Some(v) => match v.parse() {
-            Ok(ms) => ms,
-            Err(_) => {
-                events::warn("serve", "--profile-interval-ms must be a u64 (0 disables)");
-                return 2;
-            }
-        },
-    };
+    config.profile_interval_ms = parsed_flag("serve", args, "--profile-interval-ms").unwrap_or(10);
+    let port: u16 = parsed_flag("serve", args, "--port").unwrap_or(0);
     let server = match Server::new(config) {
         Ok(s) => Arc::new(s),
         Err(e) => {
@@ -783,7 +752,6 @@ fn cmd_serve(args: &[String]) -> i32 {
             }
         }
     } else {
-        let port: u16 = flag_value(args, "--port").and_then(|v| v.parse().ok()).unwrap_or(0);
         match std::net::TcpListener::bind(("127.0.0.1", port)) {
             Ok(l) => {
                 match l.local_addr() {
@@ -803,19 +771,16 @@ fn cmd_serve(args: &[String]) -> i32 {
     };
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    // SIGINT/SIGTERM drain instead of killing: stop admitting studies,
-    // finish in-flight work (bounded by --drain-deadline-ms), flush the
-    // final metrics snapshot, exit 0.
+    // SIGINT/SIGTERM drain instead of killing, as a `shutdown` request
+    // does: stop admitting studies, finish in-flight work and its sinks
+    // (bounded by --drain-deadline-ms), flush the final metrics snapshot,
+    // exit 0.
     schevo::serve::install_drain_signals();
     if let Err(e) = server.serve(listener) {
         events::warn("serve", &format!("accept loop failed: {e}"));
         return 1;
     }
-    if server.is_draining() {
-        events::info("serve", "drained; exiting");
-    } else {
-        events::info("serve", "shutdown requested; exiting");
-    }
+    events::info("serve", "drained; exiting");
     0
 }
 
@@ -834,21 +799,14 @@ fn serve_client(addr: &str, args: &[String]) -> i32 {
         id: flag_value(args, "--id"),
         op: op.clone(),
         profile: flag_value(args, "--profile"),
-        workers: flag_value(args, "--workers").and_then(|v| v.parse().ok()),
+        workers: parsed_flag("serve", args, "--workers"),
         cache: args.iter().any(|a| a == "--no-cache").then_some(false),
         resume: args.iter().any(|a| a == "--resume").then_some(true),
-        deadline_ms: flag_value(args, "--deadline-ms").and_then(|v| v.parse().ok()),
+        deadline_ms: parsed_flag("serve", args, "--deadline-ms"),
     };
-    let retries: u32 = flag_value(args, "--retries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let timeout = flag_value(args, "--timeout-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(std::time::Duration::from_millis);
-    let repeat: u32 = flag_value(args, "--repeat")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let retries: u32 = parsed_flag("serve", args, "--retries").unwrap_or(0);
+    let timeout = parsed_flag("serve", args, "--timeout-ms").map(std::time::Duration::from_millis);
+    let repeat: u32 = parsed_flag("serve", args, "--repeat").unwrap_or(1).max(1);
     let response = if repeat > 1 {
         // Warm-request timing: one connection, the same request N times,
         // per-request walls on stdout. The ci.sh serving-mode overhead
@@ -1096,19 +1054,10 @@ fn cmd_top(args: &[String]) -> i32 {
         return 2;
     };
     let once = args.iter().any(|a| a == "--once");
-    let interval = std::time::Duration::from_millis(
-        flag_value(args, "--interval-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1000),
-    );
-    let count: u64 = match flag_value(args, "--count").and_then(|v| v.parse().ok()) {
-        Some(n) => n,
-        None if once => 1,
-        None => u64::MAX,
-    };
-    let timeout = flag_value(args, "--timeout-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(std::time::Duration::from_millis);
+    let interval_ms = parsed_flag("top", args, "--interval-ms").unwrap_or(1000);
+    let interval = std::time::Duration::from_millis(interval_ms);
+    let count = parsed_flag("top", args, "--count").unwrap_or(if once { 1 } else { u64::MAX });
+    let timeout = parsed_flag("top", args, "--timeout-ms").map(std::time::Duration::from_millis);
     let mut conn = match schevo::serve::connect_timeout(&addr, timeout) {
         Ok(c) => c,
         Err(e) => {
@@ -1174,9 +1123,9 @@ fn cmd_append(args: &[String]) -> i32 {
         return 2;
     };
     let dir = std::path::PathBuf::from(dir);
-    let count: usize = flag_value(args, "--count").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let corrupt: usize = flag_value(args, "--corrupt").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let batch: u64 = flag_value(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let count: usize = parsed_flag("append", args, "--count").unwrap_or(6);
+    let corrupt: usize = parsed_flag("append", args, "--corrupt").unwrap_or(0);
+    let batch: u64 = parsed_flag("append", args, "--batch").unwrap_or(0);
     if corrupt > count {
         events::warn("append", "--corrupt cannot exceed --count");
         return 2;

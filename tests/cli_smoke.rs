@@ -88,6 +88,26 @@ fn unknown_flags_are_flag_misuse() {
 }
 
 #[test]
+fn unparsable_flag_values_are_flag_misuse() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["study", "--scale", "500", "--seed", "abc"], "bad value `abc` for `--seed`"),
+        (&["study", "--scale", "500", "--workers", "zz"], "bad value `zz` for `--workers`"),
+        (
+            &["serve", "--connect", "127.0.0.1:1", "--retries", "x"],
+            "bad value `x` for `--retries`",
+        ),
+        (&["append", "--store", "x", "--count", "x"], "bad value `x` for `--count`"),
+    ];
+    for (args, warning) in cases {
+        let out = schevo(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs on a bad value");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(warning), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn tiny_study_runs() {
     // 1/40 scale keeps this a smoke test, not a soak test.
     let out = schevo(&["study", "--seed", "7", "--scale", "40"]);
