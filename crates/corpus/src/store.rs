@@ -507,12 +507,12 @@ pub fn generate_into_store(
     let mut writer = StoreWriter::create(dir, config, shards)?;
     let mut failed: Option<StoreError> = None;
     generate_records(config, &mut |record| {
-        if failed.is_some() {
-            return;
+        if failed.is_none() {
+            if let Err(e) = writer.write(&record) {
+                failed = Some(e);
+            }
         }
-        if let Err(e) = writer.write(&record) {
-            failed = Some(e);
-        }
+        std::ops::ControlFlow::Continue(())
     });
     match failed {
         Some(e) => Err(e),

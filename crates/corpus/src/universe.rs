@@ -18,6 +18,7 @@ use rand::SeedableRng;
 use schevo_core::taxa::Taxon;
 use schevo_vcs::repo::Repository;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow;
 
 /// One record of the SQL-Collection: a repository known to contain `.sql`
 /// files, with the file paths GitHub Activity reports for it.
@@ -271,10 +272,15 @@ fn light_record(i: usize, paths: Vec<String>, meta: Option<(bool, u32, u32)>) ->
 /// Drive the generator, handing each [`CorpusRecord`] to `emit` in
 /// SQL-Collection order. This is the single source of truth for corpus
 /// content: [`generate`] collects the records into an in-memory
-/// [`Universe`], the sharded store writer streams them to disk, and both
+/// [`Universe`], the sharded store writer streams them to disk, the
+/// pipeline's streamed source funnels them on a producer thread, and all
 /// see the identical record sequence because the RNG stream depends only
-/// on the config.
-pub fn generate_records(config: UniverseConfig, emit: &mut dyn FnMut(CorpusRecord)) {
+/// on the config. `emit` returning [`ControlFlow::Break`] stops the
+/// generator there, before it builds another record.
+pub fn generate_records(
+    config: UniverseConfig,
+    emit: &mut dyn FnMut(CorpusRecord) -> ControlFlow<()>,
+) {
     let expected = ExpectedCounts::for_config(&config);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut index = 0usize;
@@ -289,7 +295,9 @@ pub fn generate_records(config: UniverseConfig, emit: &mut dyn FnMut(CorpusRecor
     macro_rules! send {
         ($record:expr) => {{
             emitted += 1;
-            emit($record);
+            if emit($record).is_break() {
+                return;
+            }
         }};
     }
 
@@ -423,6 +431,7 @@ pub fn generate(config: UniverseConfig) -> Universe {
             repo_name: record.name,
             sql_paths: record.sql_paths,
         });
+        ControlFlow::Continue(())
     });
     Universe {
         config,

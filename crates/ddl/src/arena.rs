@@ -170,16 +170,19 @@ impl ScriptArena {
     /// The primary-key columns of a pooled `CREATE TABLE`: a table-level
     /// `PRIMARY KEY` constraint wins, else the inline-marked columns.
     pub fn primary_key_columns(&self, ct: &ArenaCreateTable) -> Vec<String> {
-        for c in self.constraints(ct.constraints) {
-            if let TableConstraint::PrimaryKey { columns, .. } = c {
-                return columns.clone();
-            }
-        }
-        self.columns(ct.columns)
-            .iter()
-            .filter(|c| c.inline_primary_key)
-            .map(|c| c.name.clone())
-            .collect()
+        primary_key_of(self.columns(ct.columns), self.constraints(ct.constraints))
+    }
+
+    /// The first statement when it is a `CREATE TABLE`, with its columns
+    /// open to be moved out of and its constraints.
+    pub(crate) fn first_create_table_mut(
+        &mut self,
+    ) -> Option<(&ArenaCreateTable, &mut [ColumnDef], &[TableConstraint])> {
+        let Some(ArenaStatement::CreateTable(ct)) = self.statements.first() else {
+            return None;
+        };
+        let columns = &mut self.columns[ct.columns.bounds()];
+        Some((ct, columns, &self.constraints[ct.constraints.bounds()]))
     }
 
     /// Iterate the pooled `CREATE TABLE` statements, in file order.
@@ -272,6 +275,24 @@ impl ScriptArena {
             + self.ops.capacity() * std::mem::size_of::<AlterOp>()
             + self.strings.capacity() * std::mem::size_of::<String>()
     }
+}
+
+/// The primary key of a table with these columns and constraints: its
+/// `PRIMARY KEY` constraint's columns, else its columns marked inline.
+pub(crate) fn primary_key_of(
+    columns: &[ColumnDef],
+    constraints: &[TableConstraint],
+) -> Vec<String> {
+    for c in constraints {
+        if let TableConstraint::PrimaryKey { columns, .. } = c {
+            return columns.clone();
+        }
+    }
+    columns
+        .iter()
+        .filter(|c| c.inline_primary_key)
+        .map(|c| c.name.clone())
+        .collect()
 }
 
 #[cfg(test)]

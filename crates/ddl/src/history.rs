@@ -237,9 +237,8 @@ impl<'a> HistoryParser<'a> {
             };
             let arena = parser.arena_mut();
             let lowered = match &arena.statements()[0] {
-                ArenaStatement::CreateTable(ct) => {
-                    Table::lower(arena, ct).map_or(Lowered::Inert, |t| Lowered::Create(Arc::new(t)))
-                }
+                ArenaStatement::CreateTable(_) => Table::lower_taking(arena)
+                    .map_or(Lowered::Inert, |t| Lowered::Create(Arc::new(t))),
                 ArenaStatement::AlterTable { .. } | ArenaStatement::DropTable { .. } => {
                     arena_bytes += arena.heap_bytes();
                     Lowered::Apply(Arc::new(std::mem::take(arena)))

@@ -67,7 +67,7 @@
 //! to the tokens lexed instead.
 
 use crate::error::{ParseError, Span};
-use crate::token::{Token, TokenKind};
+use crate::token::{Text, Token, TokenKind};
 
 #[doc(hidden)]
 pub mod reference;
@@ -200,6 +200,7 @@ pub(crate) fn lex_edit(
         src: new,
         pos: at,
         tokens: Vec::with_capacity((new.len() - at) / 6 + 4),
+        scratch: String::new(),
     };
     lexer.resync(&mut r);
     let err = lexer.lex(Some(&mut r));
@@ -433,6 +434,9 @@ struct Lexer<'s> {
     /// The tokens lexed; when lexing an edit, those lexed since the last
     /// resync.
     tokens: Vec<Token>,
+    /// Where a quoted token's unescaped text is put together; reused, so
+    /// only text too long to be held inline allocates.
+    scratch: String,
 }
 
 /// When lexing an edit ([`tokenize_edit`]): the part of the previous
@@ -585,6 +589,7 @@ impl<'s> Lexer<'s> {
             // One token per ~6 source bytes is typical for DDL dumps;
             // pre-sizing avoids the early doubling churn on every parse.
             tokens: Vec::with_capacity(input.len() / 6 + 4),
+            scratch: String::new(),
         }
     }
 
@@ -714,7 +719,9 @@ impl<'s> Lexer<'s> {
     /// the new text repeats from here, as often as one resync follows
     /// another.
     fn resync(&mut self, r: &mut Resync) {
-        let Lexer { src, pos, tokens } = self;
+        let Lexer {
+            src, pos, tokens, ..
+        } = self;
         while *pos < src.len() {
             let Some(take) = r.find(src, *pos) else {
                 return;
@@ -784,8 +791,8 @@ impl<'s> Lexer<'s> {
     /// ASCII bytes or after whole characters), so the lossy fallback never
     /// allocates in practice.
     #[inline]
-    fn text(&self, start: usize, end: usize) -> String {
-        String::from_utf8_lossy(&self.src[start..end]).into_owned()
+    fn text(&self, start: usize, end: usize) -> Text {
+        Text::new(&String::from_utf8_lossy(&self.src[start..end]))
     }
 
     fn line_comment(&mut self) {
@@ -833,7 +840,8 @@ impl<'s> Lexer<'s> {
 
     fn string_lit(&mut self, quote: u8, start: usize) -> Result<(), ParseError> {
         self.pos += 1; // opening quote
-        let mut text = String::new();
+        let mut text = std::mem::take(&mut self.scratch);
+        text.clear();
         loop {
             // Bulk-copy everything up to the next quote or escape; plain
             // string bodies take exactly one scan and one extend.
@@ -850,6 +858,7 @@ impl<'s> Lexer<'s> {
                     // MySQL-style backslash escape: keep the escaped char.
                     self.pos += 1;
                     if self.pos >= self.src.len() {
+                        self.scratch = text;
                         return Err(ParseError::lex(
                             "unterminated string literal",
                             Span::new(start, self.pos),
@@ -871,6 +880,7 @@ impl<'s> Lexer<'s> {
                     }
                 }
                 None => {
+                    self.scratch = text;
                     return Err(ParseError::lex(
                         "unterminated string literal",
                         Span::new(start, self.pos),
@@ -884,16 +894,18 @@ impl<'s> Lexer<'s> {
         // use `"name"` in the identifier position. Single quotes are always
         // string literals.
         if quote == b'"' && looks_like_identifier(&text) {
-            self.push(TokenKind::QuotedIdent(text), start);
+            self.push(TokenKind::QuotedIdent(Text::new(&text)), start);
         } else {
-            self.push(TokenKind::StringLit(text), start);
+            self.push(TokenKind::StringLit(Text::new(&text)), start);
         }
+        self.scratch = text;
         Ok(())
     }
 
     fn quoted_ident(&mut self, open: u8, close: u8, start: usize) -> Result<(), ParseError> {
         self.pos += 1; // opening delimiter
-        let mut text = String::new();
+        let mut text = std::mem::take(&mut self.scratch);
+        text.clear();
         loop {
             let chunk_start = self.pos;
             match memchr1(close, &self.src[self.pos..]) {
@@ -916,6 +928,7 @@ impl<'s> Lexer<'s> {
                     }
                 }
                 None => {
+                    self.scratch = text;
                     return Err(ParseError::lex(
                         "unterminated quoted identifier",
                         Span::new(start, self.pos),
@@ -923,7 +936,8 @@ impl<'s> Lexer<'s> {
                 }
             }
         }
-        self.push(TokenKind::QuotedIdent(text), start);
+        self.push(TokenKind::QuotedIdent(Text::new(&text)), start);
+        self.scratch = text;
         Ok(())
     }
 

@@ -238,9 +238,9 @@ impl<'s> Lexer<'s> {
         // use `"name"` in the identifier position. Single quotes are always
         // string literals.
         if quote == b'"' && looks_like_identifier(&text) {
-            self.push(TokenKind::QuotedIdent(text), start);
+            self.push(TokenKind::QuotedIdent(text.into()), start);
         } else {
-            self.push(TokenKind::StringLit(text), start);
+            self.push(TokenKind::StringLit(text.into()), start);
         }
         Ok(())
     }
@@ -272,7 +272,7 @@ impl<'s> Lexer<'s> {
                 }
             }
         }
-        self.push(TokenKind::QuotedIdent(text), start);
+        self.push(TokenKind::QuotedIdent(text.into()), start);
         Ok(())
     }
 
@@ -286,7 +286,7 @@ impl<'s> Lexer<'s> {
                 self.pos += 1;
             }
             let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-            self.push(TokenKind::Number(text), start);
+            self.push(TokenKind::Number(text.into()), start);
             return;
         }
         while let Some(b) = self.peek() {
@@ -317,7 +317,7 @@ impl<'s> Lexer<'s> {
             }
         }
         let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        self.push(TokenKind::Number(text), start);
+        self.push(TokenKind::Number(text.into()), start);
     }
 
     fn bare_ident(&mut self, start: usize) {
@@ -332,7 +332,7 @@ impl<'s> Lexer<'s> {
             }
         }
         let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        self.push(TokenKind::Ident(text), start);
+        self.push(TokenKind::Ident(text.into()), start);
     }
 }
 

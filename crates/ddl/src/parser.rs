@@ -134,7 +134,7 @@ impl Parser {
         match self.peek() {
             Some(t) => match &t.kind {
                 TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => {
-                    let s = s.clone();
+                    let s = s.as_str().to_owned();
                     self.pos += 1;
                     Ok(s)
                 }
@@ -142,6 +142,18 @@ impl Parser {
             },
             None => Err(self.err_expected("an identifier")),
         }
+    }
+
+    /// Step over the identifier at the cursor without copying it; whether
+    /// there was one (the cursor stays put otherwise, as after a failed
+    /// [`Self::identifier`]).
+    fn skip_identifier(&mut self) -> bool {
+        let at = matches!(
+            self.peek().map(|t| &t.kind),
+            Some(TokenKind::Ident(_) | TokenKind::QuotedIdent(_))
+        );
+        self.pos += usize::from(at);
+        at
     }
 
     /// Top-level: a sequence of statements separated by semicolons, parsed
@@ -541,16 +553,14 @@ impl Parser {
 
     /// Parse a data type: name, optional params or value list, modifiers.
     fn data_type(&mut self) -> Result<DataType, ParseError> {
-        let raw = match self.peek() {
+        let mut upper = match self.peek() {
             Some(t) => match &t.kind {
-                TokenKind::Ident(s) => s.clone(),
-                TokenKind::QuotedIdent(s) => s.clone(),
+                TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => s.to_ascii_uppercase(),
                 _ => return Err(self.err_expected("a data type")),
             },
             None => return Err(self.err_expected("a data type")),
         };
         self.pos += 1;
-        let mut upper = raw.to_ascii_uppercase();
         // Multi-word types.
         if upper == "DOUBLE" && self.eat_keyword("PRECISION") {
             // DOUBLE PRECISION — same family.
@@ -563,7 +573,7 @@ impl Parser {
                 upper = "MEDIUMBLOB".to_string();
             }
         }
-        let mut ty = DataType::from_name(&upper);
+        let mut ty = DataType::from_upper(upper);
 
         if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LParen)) {
             if matches!(ty.family, TypeFamily::Enum | TypeFamily::Set) {
@@ -596,16 +606,16 @@ impl Parser {
             match self.peek() {
                 Some(t) => match &t.kind {
                     TokenKind::StringLit(s) => {
-                        values.push(s.clone());
+                        values.push(s.as_str().to_owned());
                         self.pos += 1;
                     }
                     TokenKind::QuotedIdent(s) | TokenKind::Ident(s) => {
                         // Lenient: unquoted/double-quoted enum values exist in the wild.
-                        values.push(s.clone());
+                        values.push(s.as_str().to_owned());
                         self.pos += 1;
                     }
                     TokenKind::Number(n) => {
-                        values.push(n.clone());
+                        values.push(n.as_str().to_owned());
                         self.pos += 1;
                     }
                     _ => return Err(self.err_expected("a string value")),
@@ -658,7 +668,7 @@ impl Parser {
     /// ends the column element.
     fn column_options(&mut self, col: &mut ColumnDef) -> Result<(), ParseError> {
         loop {
-            match self.peek().map(|t| t.kind.clone()) {
+            match self.peek().map(|t| &t.kind) {
                 None => break,
                 Some(TokenKind::Comma) | Some(TokenKind::RParen) | Some(TokenKind::Semicolon) => {
                     break
@@ -694,21 +704,23 @@ impl Parser {
                     } else if self.eat_keyword("COLLATE") || self.eat_keyword("CHARACTER") {
                         // COLLATE x / CHARACTER SET x
                         let _ = self.eat_keyword("SET");
-                        let _ = self.identifier();
+                        self.skip_identifier();
                     } else if self.eat_keyword("CHARSET") {
-                        let _ = self.identifier();
+                        self.skip_identifier();
                     } else if self.eat_keyword("ON") {
                         // ON UPDATE CURRENT_TIMESTAMP etc.
                         self.pos += 1; // UPDATE/DELETE
-                        let _ = self.identifier();
+                        self.skip_identifier();
                         if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LParen)) {
                             self.skip_balanced_parens()?;
                         }
                     } else if self.eat_keyword("REFERENCES") {
                         // Inline FK: REFERENCES t (c) [actions]
-                        let _ = self.identifier()?;
-                        if self.eat_kind(&TokenKind::Dot) {
-                            let _ = self.identifier()?;
+                        if !self.skip_identifier() {
+                            return Err(self.err_expected("an identifier"));
+                        }
+                        if self.eat_kind(&TokenKind::Dot) && !self.skip_identifier() {
+                            return Err(self.err_expected("an identifier"));
                         }
                         if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LParen)) {
                             self.skip_balanced_parens()?;
@@ -753,31 +765,32 @@ impl Parser {
                         ""
                     };
                     self.pos += 1;
-                    if let Some(TokenKind::Number(n)) = self.peek().map(|t| t.kind.clone()) {
+                    if let Some(TokenKind::Number(n)) = self.peek().map(|t| &t.kind) {
+                        let signed = format!("{sign}{n}");
                         self.pos += 1;
-                        return Ok(format!("{sign}{n}"));
+                        return Ok(signed);
                     }
                     return Ok(sign.to_string());
                 }
                 TokenKind::Number(n) => {
-                    let n = n.clone();
+                    let n = n.as_str().to_owned();
                     self.pos += 1;
                     return Ok(n);
                 }
                 TokenKind::StringLit(s) => {
-                    let s = s.clone();
+                    let quoted = format!("'{}'", s.replace('\'', "''"));
                     self.pos += 1;
-                    return Ok(format!("'{}'", s.replace('\'', "''")));
+                    return Ok(quoted);
                 }
                 TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => {
                     // NULL, CURRENT_TIMESTAMP, TRUE, now(), uuid() ...
-                    let s = s.clone();
+                    let mut upper = s.to_ascii_uppercase();
                     self.pos += 1;
                     if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LParen)) {
                         self.skip_balanced_parens()?;
-                        return Ok(format!("{}()", s.to_ascii_uppercase()));
+                        upper.push_str("()");
                     }
-                    return Ok(s.to_ascii_uppercase());
+                    return Ok(upper);
                 }
                 TokenKind::LParen => {
                     // Parenthesized default expression: record opaquely.
@@ -794,7 +807,7 @@ impl Parser {
         match self.peek() {
             Some(t) => match &t.kind {
                 TokenKind::StringLit(s) => {
-                    let s = s.clone();
+                    let s = s.as_str().to_owned();
                     self.pos += 1;
                     Ok(s)
                 }
@@ -823,7 +836,7 @@ impl Parser {
             first
         };
         loop {
-            match self.peek().map(|t| t.kind.clone()) {
+            match self.peek().map(|t| &t.kind) {
                 None | Some(TokenKind::Semicolon) => break,
                 Some(TokenKind::Comma) => {
                     self.pos += 1;
@@ -968,42 +981,39 @@ impl Parser {
     fn table_options(&mut self) {
         let mut current = String::new();
         loop {
-            match self.peek().map(|t| t.kind.clone()) {
+            // An option ends at a comma, or where a word starts that is
+            // not its value.
+            let mut ended = None;
+            match self.peek().map(|t| &t.kind) {
                 None | Some(TokenKind::Semicolon) => break,
-                Some(TokenKind::Eq) => {
-                    current.push('=');
-                    self.pos += 1;
-                }
+                Some(TokenKind::Eq) => current.push('='),
                 Some(TokenKind::Comma) => {
                     if !current.is_empty() {
-                        self.arena.push_string(std::mem::take(&mut current));
+                        ended = Some(std::mem::take(&mut current));
                     }
-                    self.pos += 1;
                 }
                 Some(TokenKind::Ident(s)) | Some(TokenKind::QuotedIdent(s)) => {
                     if !current.is_empty() && !current.ends_with('=') {
-                        self.arena.push_string(std::mem::take(&mut current));
+                        ended = Some(std::mem::take(&mut current));
                     }
-                    current.push_str(&s);
-                    self.pos += 1;
+                    current.push_str(s);
                 }
-                Some(TokenKind::Number(n)) => {
-                    current.push_str(&n);
-                    self.pos += 1;
-                }
+                Some(TokenKind::Number(n)) => current.push_str(n),
                 Some(TokenKind::StringLit(s)) => {
                     current.push('\'');
-                    current.push_str(&s);
+                    current.push_str(s);
                     current.push('\'');
-                    self.pos += 1;
                 }
                 Some(TokenKind::LParen) => {
                     let _ = self.skip_balanced_parens();
+                    continue;
                 }
-                Some(_) => {
-                    self.pos += 1;
-                }
+                Some(_) => {}
             }
+            if let Some(option) = ended {
+                self.arena.push_string(option);
+            }
+            self.pos += 1;
         }
         if !current.is_empty() {
             self.arena.push_string(current);

@@ -5,7 +5,8 @@
 //! study calls a *logical-level* construct lives here; indexes, storage
 //! options, comments and data do not.
 
-use crate::arena::{ArenaCreateTable, ArenaStatement, ScriptArena};
+use crate::arena::{primary_key_of, ArenaCreateTable, ArenaStatement, ScriptArena};
+use crate::ast::{ColumnDef, TableConstraint};
 use crate::types::DataType;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -204,14 +205,56 @@ impl Table {
             return None;
         }
         let columns = arena.columns(ct.columns);
-        let mut table = Table::new(ct.name.clone());
-        table.attributes.reserve(columns.len());
-        for col in columns {
-            table.push_attribute(column_to_attribute(col));
+        let constraints = arena.constraints(ct.constraints);
+        let attributes = columns.iter().map(column_to_attribute);
+        let primary_key = primary_key_of(columns, constraints);
+        Some(Table::assemble(
+            ct.name.clone(),
+            attributes,
+            primary_key,
+            constraints,
+        ))
+    }
+
+    /// [`Table::lower`] for the arena's first statement, moving each
+    /// column's name and type out of the arena instead of copying them:
+    /// for an arena about to be cleared.
+    pub(crate) fn lower_taking(arena: &mut ScriptArena) -> Option<Table> {
+        let (ct, columns, constraints) = arena.first_create_table_mut()?;
+        if ct.temporary {
+            return None;
         }
-        table.set_primary_key(arena.primary_key_columns(ct));
-        for constraint in arena.constraints(ct.constraints) {
-            if let crate::ast::TableConstraint::ForeignKey {
+        let primary_key = primary_key_of(columns, constraints);
+        let attributes = columns.iter_mut().map(|col| Attribute {
+            name: std::mem::take(&mut col.name),
+            data_type: std::mem::replace(&mut col.data_type, DataType::from_upper(String::new())),
+            not_null: col.not_null,
+        });
+        Some(Table::assemble(
+            ct.name.clone(),
+            attributes,
+            primary_key,
+            constraints,
+        ))
+    }
+
+    /// A table of these attributes, primary key and foreign keys, built as
+    /// the lowering of one `CREATE TABLE`.
+    fn assemble(
+        name: String,
+        attributes: impl ExactSizeIterator<Item = Attribute>,
+        primary_key: Vec<String>,
+        constraints: &[TableConstraint],
+    ) -> Table {
+        let mut table = Table::new(name);
+        table.attributes.reserve(attributes.len());
+        table.index.reserve(attributes.len());
+        for attr in attributes {
+            table.push_attribute(attr);
+        }
+        table.set_primary_key(primary_key);
+        for constraint in constraints {
+            if let TableConstraint::ForeignKey {
                 columns,
                 foreign_table,
                 foreign_columns,
@@ -225,11 +268,11 @@ impl Table {
                 });
             }
         }
-        Some(table)
+        table
     }
 }
 
-fn column_to_attribute(col: &crate::ast::ColumnDef) -> Attribute {
+fn column_to_attribute(col: &ColumnDef) -> Attribute {
     let mut attr = Attribute::new(col.name.clone(), col.data_type.clone());
     attr.not_null = col.not_null;
     attr

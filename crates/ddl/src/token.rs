@@ -2,6 +2,95 @@
 
 use crate::error::Span;
 use std::fmt;
+use std::ops::Deref;
+
+/// The text of an identifier, string or number token, read as a `str`.
+///
+/// Up to [`Text::INLINE`] bytes are held in the token itself, so the short
+/// names, keywords and numbers that make up most of a DDL file lex without
+/// a heap allocation; longer text is boxed.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Text(Repr);
+
+/// Text of at most [`Text::INLINE`] bytes is always inline, so equal text
+/// has one representation and the derived equality is the text's.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline(u8, [u8; Text::INLINE]),
+    Heap(Box<str>),
+}
+
+impl Text {
+    /// The longest text held inline.
+    pub const INLINE: usize = 22;
+
+    /// The token text `s`.
+    pub fn new(s: &str) -> Text {
+        if s.len() <= Text::INLINE {
+            let mut bytes = [0; Text::INLINE];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Text(Repr::Inline(s.len() as u8, bytes))
+        } else {
+            Text(Repr::Heap(s.into()))
+        }
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // Inline bytes are always whole UTF-8: they were copied from a
+            // `str`, so the empty fallback is never taken.
+            Repr::Inline(..) => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Repr::Heap(s) => s,
+        }
+    }
+
+    /// The text's bytes, without the UTF-8 check [`Text::as_str`] makes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// Whether the text equals `other` up to ASCII case, as
+    /// [`str::eq_ignore_ascii_case`] compares.
+    pub fn eq_ignore_ascii_case(&self, other: &str) -> bool {
+        self.as_bytes().eq_ignore_ascii_case(other.as_bytes())
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Text {
+        Text::new(s)
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Text {
+        Text::new(&s)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// The kind of a lexed token.
 ///
@@ -13,14 +102,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
     /// A bare (unquoted) identifier or keyword, e.g. `CREATE`, `users`.
-    Ident(String),
+    Ident(Text),
     /// A quoted identifier with its quoting removed: `` `order` ``,
     /// `"order"` (ANSI), or `[order]` (SQL Server).
-    QuotedIdent(String),
+    QuotedIdent(Text),
     /// A single- or double-quoted string literal, unescaped.
-    StringLit(String),
+    StringLit(Text),
     /// A numeric literal, kept verbatim (e.g. `11`, `10.5`, `0xFF`).
-    Number(String),
+    Number(Text),
     /// `(`
     LParen,
     /// `)`
@@ -42,7 +131,7 @@ impl TokenKind {
     /// Return the identifier text (bare or quoted), if this token is one.
     pub fn ident_text(&self) -> Option<&str> {
         match self {
-            TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => Some(s),
+            TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -113,6 +202,21 @@ mod tests {
         let t = TokenKind::QuotedIdent("create".into());
         assert!(!t.is_keyword("create"));
         assert_eq!(t.ident_text(), Some("create"));
+    }
+
+    #[test]
+    fn text_reads_back_inline_and_boxed() {
+        let inline = "a".repeat(Text::INLINE);
+        let boxed = "a".repeat(Text::INLINE + 1);
+        for s in ["", "users", "größe", inline.as_str(), boxed.as_str()] {
+            let t = Text::new(s);
+            assert_eq!(t.as_str(), s);
+            assert_eq!(t.as_bytes(), s.as_bytes());
+            assert_eq!(t, Text::from(s.to_string()));
+            assert_eq!(format!("{t:?}"), format!("{s:?}"));
+        }
+        assert_ne!(Text::new(&inline), Text::new(&boxed));
+        assert!(Text::new("NoT").eq_ignore_ascii_case("not"));
     }
 
     #[test]

@@ -144,7 +144,11 @@ pub struct DataType {
 impl DataType {
     /// Build a type from its raw name, classifying it into a family.
     pub fn from_name(raw: &str) -> Self {
-        let upper = raw.to_ascii_uppercase();
+        DataType::from_upper(raw.to_ascii_uppercase())
+    }
+
+    /// [`DataType::from_name`] for a name already uppercased.
+    pub(crate) fn from_upper(upper: String) -> Self {
         let family = classify(&upper);
         DataType {
             family,

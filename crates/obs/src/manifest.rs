@@ -98,7 +98,13 @@ pub struct RunManifest {
     pub corpus_digest: String,
     /// Total run wall time in microseconds.
     pub wall_us: u64,
-    /// Per-stage wall times, pipeline order.
+    /// Per-stage wall times, pipeline order. `generate` is the
+    /// `study.generate` span. A streamed corpus (`schevo study` without
+    /// `--store-dir` or `--inject-faults`) is generated on a producer
+    /// thread while the caller mines, so there `generate` is the
+    /// producer's summed generation time and overlaps `funnel` (the
+    /// caller's wait for the next survivor) and `mine`: the stages can
+    /// add up to more than `wall_us`.
     pub stages: Vec<StageWall>,
     /// Quarantine summary.
     pub quarantine: QuarantineManifest,

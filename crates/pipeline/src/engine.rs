@@ -213,12 +213,13 @@ impl MiningEngine {
         }
 
         // The source closure runs on the caller thread: it polls the
-        // stream (funnel assessment happens here), turns replay hits, memo
-        // hits and corruption into ready-made slots, and registers the
-        // keys of fresh candidates. `keys` is shared with the completion
-        // hook, which also runs on the caller thread. Both backends run
-        // the funnel lazily, record by record, inside these polls; opening
-        // the stream counts as source time too.
+        // stream, turns replay hits, memo hits and corruption into
+        // ready-made slots, and registers the keys of fresh candidates.
+        // `keys` is shared with the completion hook, which also runs on
+        // the caller thread. The universe and the store run the funnel
+        // lazily, record by record, inside these polls; the generated
+        // source runs it on its producer thread, and a poll waits for the
+        // next survivor. Opening the stream counts as source time too.
         let opening = SpanGuard::slice();
         let mut stream = source.stream(o.strategy);
         let mut source_nanos = opening.close();

@@ -34,7 +34,10 @@ pub use extract::MineOutcome;
 pub use journal::{candidate_key, DurabilityOptions, JournalRecord, JournalSummary, JournalWriter};
 pub use funnel::{run_funnel, CandidateHistory, Exclusion, FunnelOutcome, FunnelReport};
 pub use quarantine::{QuarantineRecord, QuarantineReport, RecoveryRecord};
-pub use source::{CandidateSource, CandidateStream, SliceSource, SourceEvent, SourceSummary};
+pub use source::{
+    CandidateSource, CandidateStream, GeneratedSource, ProducerReport, SliceSource, SourceEvent,
+    SourceSummary,
+};
 pub use study::{
     exit_code, try_run_study_source, Narrative, StatisticsBattery, StudyOptions, StudyResult,
     TaxonStats,

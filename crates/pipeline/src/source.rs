@@ -1,20 +1,29 @@
 //! Candidate sources: the abstraction that lets the mining engine pull
 //! funnel survivors from *any* corpus backend — the resident in-memory
-//! [`Universe`], a sharded on-disk [`ShardStore`], or a plain candidate
-//! slice — through one streaming interface.
+//! [`Universe`], the generator itself ([`GeneratedSource`]), a sharded
+//! on-disk [`ShardStore`], or a plain candidate slice — through one
+//! streaming interface.
 //!
 //! A source yields [`SourceEvent`]s: surviving candidates in corpus
 //! order, interleaved with corruption events that the engine
-//! quarantines. Both real backends walk their records lazily through the
+//! quarantines. Every real backend walks its records lazily through the
 //! *same* per-record funnel step ([`FunnelReport::assess`]), which is
 //! what makes their study output byte-identical; the store adds only its
 //! frame and record-tally checks.
 
+use crate::exec::lock;
 use crate::funnel::{resident_record, CandidateHistory, Cloned, FunnelReport, RecordView};
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_corpus::store::{ShardStore, StoreEvent, StoreIo, StoreStream};
-use schevo_corpus::universe::{SqlCollectionEntry, Universe};
+use schevo_corpus::universe::{
+    generate_records, CorpusDigester, ExpectedCounts, SqlCollectionEntry, Universe, UniverseConfig,
+};
+use schevo_obs::trace::SpanGuard;
 use schevo_vcs::history::WalkStrategy;
+use std::ops::ControlFlow;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TryRecvError};
+use std::sync::Mutex;
+use std::thread::JoinHandle;
 
 /// One event pulled from a candidate source.
 #[derive(Debug)]
@@ -110,6 +119,213 @@ impl CandidateSource for Universe {
             entries: self.sql_collection.iter(),
             report: FunnelReport::default(),
             strategy,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------
+// Generator backend: the corpus generated while it is mined.
+// ---------------------------------------------------------------------
+
+/// Survivors the producer may run ahead of the miner. It bounds a
+/// [`GeneratedSource`] stream's corpus memory; output does not depend
+/// on it.
+const PRODUCER_BOUND: usize = 16;
+
+/// A source that generates its corpus as it is streamed, never holding
+/// it resident: each [`CandidateSource::stream`] starts one producer
+/// thread that runs [`generate_records`], puts every record through the
+/// funnel step and drops it there, and sends only the resulting
+/// [`SourceEvent`]s over a bounded channel, so generation overlaps
+/// mining on the caller. It yields exactly the candidates, funnel report
+/// and corpus digest of the resident [`Universe`] of the same config.
+#[derive(Debug)]
+pub struct GeneratedSource {
+    config: UniverseConfig,
+    produced: Mutex<Option<ProducerReport>>,
+}
+
+/// What a drained [`GeneratedSource`] stream hands back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProducerReport {
+    /// The corpus digest ([`schevo_corpus::universe::corpus_digest`] of
+    /// the resident universe of the same config).
+    pub corpus_digest: String,
+    /// Nanoseconds the producer spent inside the generator, a sum of
+    /// [`SpanGuard::slice`] durations that leaves out each record's
+    /// funnel step, digest, drop and channel traffic; traced as one
+    /// rolled-up `study.generate` span.
+    pub generate_nanos: u64,
+}
+
+impl GeneratedSource {
+    /// A source that generates the corpus of `config`.
+    pub fn new(config: UniverseConfig) -> GeneratedSource {
+        GeneratedSource {
+            config,
+            produced: Mutex::new(None),
+        }
+    }
+
+    /// The last stream's digest and generation time, once its producer
+    /// has run to the end; `None` before that or after an early drop.
+    pub fn produced(&self) -> Option<ProducerReport> {
+        lock(&self.produced).clone()
+    }
+}
+
+/// The producer thread's result: the funnel ledger, and the digest and
+/// generation time when the generator ran to the end.
+type ProducerResult = (FunnelReport, Option<ProducerReport>);
+
+struct GeneratedStream<'a> {
+    source: &'a GeneratedSource,
+    /// `None` once closed: dropping the receiver makes the producer's
+    /// next send fail, which stops the generator.
+    events: Option<Receiver<SourceEvent>>,
+    /// Survivors handed back for the producer to free (see
+    /// `next_event`); `None` once closed, which stops the generator at its
+    /// next record even when it has no survivor left to send.
+    spent: Option<Sender<CandidateHistory>>,
+    producer: Option<JoinHandle<ProducerResult>>,
+    report: FunnelReport,
+}
+
+impl GeneratedStream<'_> {
+    /// Close the channel and join the producer, keeping its ledger and
+    /// publishing its digest. A producer panic comes back as the error.
+    fn join(&mut self) -> std::thread::Result<()> {
+        self.events = None;
+        self.spent = None;
+        let Some(producer) = self.producer.take() else {
+            return Ok(());
+        };
+        let (report, produced) = producer.join()?;
+        self.report = report;
+        if produced.is_some() {
+            *lock(&self.source.produced) = produced;
+        }
+        Ok(())
+    }
+}
+
+impl CandidateStream for GeneratedStream<'_> {
+    fn next_event(&mut self) -> Option<SourceEvent> {
+        match self.events.as_ref()?.recv() {
+            // The miner gets a copy on its own heap, and the producer,
+            // which allocated the survivor, frees it: a thread freeing the
+            // other's allocations while both allocate makes them contend
+            // in the allocator, which slowed parsing by about a third.
+            Ok(SourceEvent::Candidate(survivor)) => {
+                let copy = survivor.clone();
+                // Once the producer has returned, the original drops here.
+                if let Some(spent) = &self.spent {
+                    let _ = spent.send(survivor);
+                }
+                return Some(SourceEvent::Candidate(copy));
+            }
+            Ok(event) => return Some(event),
+            Err(_) => {}
+        }
+        // Disconnected: the producer has returned or panicked.
+        if let Err(payload) = self.join() {
+            std::panic::resume_unwind(payload);
+        }
+        None
+    }
+
+    fn finish(mut self: Box<Self>) -> SourceSummary {
+        if let Err(payload) = self.join() {
+            std::panic::resume_unwind(payload);
+        }
+        SourceSummary {
+            funnel: self.report,
+            io: StoreIo::default(),
+        }
+    }
+}
+
+impl Drop for GeneratedStream<'_> {
+    /// An early drop (a typed abort mid-pass) stops the producer at its
+    /// next send and waits for it, so no generation outlives the stream.
+    /// A producer panic is not raised again here (the panic hook has
+    /// reported it); [`CandidateStream::next_event`] and
+    /// [`CandidateStream::finish`] raise it.
+    fn drop(&mut self) {
+        let _ = self.join();
+    }
+}
+
+impl CandidateSource for GeneratedSource {
+    fn size_hint(&self) -> Option<usize> {
+        Some(ExpectedCounts::for_config(&self.config).analyzed)
+    }
+
+    fn stream(&self, strategy: WalkStrategy) -> Box<dyn CandidateStream + '_> {
+        *lock(&self.produced) = None;
+        let config = self.config;
+        let (tx, rx) = sync_channel(PRODUCER_BOUND);
+        let (spent, returned) = channel::<CandidateHistory>();
+        let producer = std::thread::spawn(move || -> ProducerResult {
+            let producing = schevo_obs::span!("corpus.stream", seed = config.seed);
+            let mut report = FunnelReport::default();
+            let mut digester = CorpusDigester::new();
+            let mut generate_nanos = 0u64;
+            let mut generating = SpanGuard::slice();
+            let mut stopped = false;
+            generate_records(config, &mut |record| {
+                generate_nanos += std::mem::replace(&mut generating, SpanGuard::inert()).close();
+                // Free the survivors the caller has mined a copy of; stop
+                // once the stream is closed.
+                loop {
+                    match returned.try_recv() {
+                        Ok(spent) => drop(spent),
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            stopped = true;
+                            return ControlFlow::Break(());
+                        }
+                    }
+                }
+                if let Some(body) = &record.body {
+                    digester.add(&record.name, &record.sql_paths, body.repo());
+                }
+                let view = RecordView {
+                    name: &record.name,
+                    sql_paths: &record.sql_paths,
+                    libio: record.libio.as_ref(),
+                    clone: || {
+                        let body = record.body.as_ref()?;
+                        let (pup_months, total_commits) = body.reported_meta();
+                        Some((body.repo(), pup_months, total_commits))
+                    },
+                };
+                let event = funnel_event(&mut report, view, strategy);
+                // The record is freed here, on the producer, so the
+                // caller spends its time mining, not deallocating.
+                drop(record);
+                stopped = event.is_some_and(|e| tx.send(e).is_err());
+                generating = SpanGuard::slice();
+                if stopped {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            generate_nanos += generating.close();
+            producing.rollup("study.generate", generate_nanos, Vec::new());
+            let produced = (!stopped).then(|| ProducerReport {
+                corpus_digest: digester.finalize(&config),
+                generate_nanos,
+            });
+            (report, produced)
+        });
+        Box::new(GeneratedStream {
+            source: self,
+            events: Some(rx),
+            spent: Some(spent),
+            producer: Some(producer),
+            report: FunnelReport::default(),
         })
     }
 }

@@ -315,7 +315,9 @@ impl MiningEngine {
     /// span. The caller polls the source while the workers mine, so at 2
     /// or more workers the funnel stage absorbs the overlap and mine reads
     /// near 0; funnel + mine (the `study.mine` span) holds at any worker
-    /// count.
+    /// count. From a [`crate::source::GeneratedSource`], which funnels on
+    /// its producer thread, funnel is the caller's wait for the next
+    /// survivor.
     ///
     /// Errors come from [`MiningEngine::mine`] (an unusable journal) or, with [`StudyOptions::strict`] set, are the first
     /// degradation event the pass recorded.

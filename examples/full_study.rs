@@ -42,15 +42,27 @@ fn main() {
     }
 }
 
+/// The value of flag `name` parsed as `T`; `None` when the flag is
+/// absent. A value that does not parse is flag misuse, as in the `schevo`
+/// CLI: warn naming the flag and the value, and exit 2 before any work.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let value = args.get(i + 1)?;
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => {
+            schevo::obs::events::warn("full_study", &format!("bad value `{value}` for `{name}`"));
+            std::process::exit(2);
+        }
+    }
+}
+
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let write = args.iter().any(|a| a == "--write");
-    let workers: usize = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| StudyOptions::default().workers);
+    let workers: usize =
+        parsed_flag(&args, "--workers").unwrap_or_else(|| StudyOptions::default().workers);
+    let scale_factor: usize = parsed_flag(&args, "--scale-factor").unwrap_or(20);
     // The paper-scale run is itself instrumented: the registry's stage
     // walls and latency histograms feed the observability appendix, and
     // instrumentation is a no-op on every published byte.
@@ -104,12 +116,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     extras.fault_demo = Some(fault_demo(&study, workers));
     eprintln!("running durability pass (crash/resume)...");
     extras.resume_demo = Some(resume_demo(&universe, &study)?);
-    let scale_factor: usize = args
-        .iter()
-        .position(|a| a == "--scale-factor")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
     eprintln!("running scale pass (sharded store, {scale_factor}x streaming)...");
     extras.scale_demo = scale_demo(scale_factor, 8, workers)?;
     eprintln!("running serve pass (resident daemon, concurrent clients)...");

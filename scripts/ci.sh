@@ -295,16 +295,20 @@ echo "==> paired fence: this tree vs its base revision on the same host"
 # host lands on both sides. The base is HEAD when tracked files differ
 # from it, else HEAD~1. The fence fails when the median per-pair
 # change/base ratio exceeds 1.10 for the process wall time, the generate
-# stage, the mine stage or the summed per-task parse time. On an Intel
+# stage, the mine stage or the summed per-task parse time. The study
+# streams its corpus, so generate is the producer thread's summed
+# generation time, which runs while the caller mines: its ratio checks
+# that the second thread does not slow generation down. On an Intel
 # Xeon with 2 shared vCPUs, 10 trials with both sides built from the same
 # source kept the wall, mine and parse medians within -4.0% to +9.2%
 # (min-of-5 process walls swing -13% to +11% there), 3 such trials kept
 # the generate stage within -4.8% to +7.3%, and a revision whose parsing
 # is ~2x slower tripped wall, mine and parse in 3 of 3 trials.
 # Each change-side run is also the paper-scale gate: it must reproduce
-# the committed study_results.json byte for byte under a 200 MB peak-RSS
-# ceiling (measured ~136 MB; ~310 MB when every parsed version owned its
-# tables instead of sharing unchanged ones).
+# the committed study_results.json byte for byte under a 64 MB peak-RSS
+# ceiling (measured ~28 MB with the corpus streamed from a producer
+# thread; ~102 MB when the whole universe was resident, ~310 MB when every
+# parsed version also owned its tables instead of sharing unchanged ones).
 if git diff --quiet HEAD --; then base_rev=HEAD~1; else base_rev=HEAD; fi
 if ! base_sha=$(git rev-parse --verify -q "$base_rev^{commit}"); then
   echo "PAIRED FENCE FAILURE: cannot resolve base revision $base_rev" >&2
@@ -319,7 +323,7 @@ change_bin="${CARGO_TARGET_DIR:-target}/release/schevo"
 echo "    base $base_rev ($(git rev-parse --short "$base_sha")) built"
 PAIRS=10
 PAIRED_BOUND=1.10
-PAPER_RSS_CEILING_MB=200
+PAPER_RSS_CEILING_MB=64
 paired_run() {
   # $1 = side, $2 = binary, $3 = pair index. Writes the run's wall time
   # in nanoseconds next to its metrics export.

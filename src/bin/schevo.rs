@@ -15,6 +15,7 @@
 //! schevo help
 //! ```
 
+use schevo::pipeline::GeneratedSource;
 use schevo::prelude::*;
 use schevo::report::{
     extensions_table, fig04_table, fig10_scatter, fig11_matrix, fig12_quartiles, fig13_boxplot,
@@ -282,7 +283,12 @@ fn cmd_study(args: &[String]) -> i32 {
         UniverseConfig::small(seed, scale)
     }
     .with_multiplier(scale_factor);
-    let generating = stage!("study.generate");
+    // Without a store or injected faults the corpus is generated while it
+    // is mined (`GeneratedSource`): its producer thread times generation
+    // itself. The other backends are built before mining starts, under
+    // this guard.
+    let streamed = GeneratedSource::new(config);
+    let generating = (store_dir.is_some() || inject_pct > 0).then(|| stage!("study.generate"));
     let mut universe: Option<Universe> = None;
     let store: Option<schevo::corpus::store::ShardStore> = if let Some(dir) = &store_dir {
         use schevo::corpus::store::{generate_into_store, ShardStore};
@@ -367,33 +373,38 @@ fn cmd_study(args: &[String]) -> i32 {
         };
         Some(opened)
         }
-    } else {
-        events::info("corpus", &format!("generating universe (seed {seed}, scale 1/{scale})..."));
+    } else if inject_pct > 0 {
+        // `inject` picks its faults from the sorted names of every
+        // evolving project, so a fault-injected corpus stays resident.
+        events::info(
+            "corpus",
+            &format!("generating universe (seed {seed}, scale 1/{scale})..."),
+        );
         let mut u = generate(config);
-        if inject_pct > 0 {
-            let faults = inject(&mut u, &FaultPlan::all(fault_seed, inject_pct));
-            events::info(
-                "faults",
-                &format!(
-                    "injected {} fault(s) into {inject_pct}% of evolving projects (fault seed {fault_seed})",
-                    faults.len()
-                ),
-            );
-        }
+        let faults = inject(&mut u, &FaultPlan::all(fault_seed, inject_pct));
+        events::info(
+            "faults",
+            &format!(
+                "injected {} fault(s) into {inject_pct}% of evolving projects (fault seed {fault_seed})",
+                faults.len()
+            ),
+        );
         universe = Some(u);
         None
+    } else {
+        events::info(
+            "corpus",
+            &format!("streaming universe (seed {seed}, scale 1/{scale})..."),
+        );
+        None
     };
-    let generate_nanos = generating.close();
-    if let Some(reg) = &registry {
-        reg.set_gauge("study.stage.generate.nanos", generate_nanos);
+    if let (Some(generating), Some(reg)) = (generating, &registry) {
+        reg.set_gauge("study.stage.generate.nanos", generating.close());
     }
     let source: &dyn CandidateSource = match (&store, &universe) {
         (Some(s), _) => s,
         (None, Some(u)) => u,
-        (None, None) => {
-            events::warn("study", "no corpus backend configured");
-            return 1;
-        }
+        (None, None) => &streamed,
     };
     events::info(
         "study",
@@ -415,6 +426,10 @@ fn cmd_study(args: &[String]) -> i32 {
             return schevo::pipeline::exit_code(&e);
         }
     };
+    let produced = streamed.produced();
+    if let (Some(p), Some(reg)) = (&produced, &registry) {
+        reg.set_gauge("study.stage.generate.nanos", p.generate_nanos);
+    }
     if let Some(j) = &study.journal {
         events::info(
             "journal",
@@ -524,9 +539,10 @@ fn cmd_study(args: &[String]) -> i32 {
             deadline_ms: deadline.map(|d| d.as_millis() as u64),
             trace_out: trace_out.clone(),
             metrics_out: metrics_out.clone(),
-            corpus_digest: match (&store, &universe) {
-                (Some(s), _) => s.manifest().corpus_digest.clone(),
-                (_, Some(u)) => schevo::corpus::universe::corpus_digest(u),
+            corpus_digest: match (&store, &universe, &produced) {
+                (Some(s), _, _) => s.manifest().corpus_digest.clone(),
+                (_, Some(u), _) => schevo::corpus::universe::corpus_digest(u),
+                (_, _, Some(p)) => p.corpus_digest.clone(),
                 _ => String::new(),
             },
             wall_us: wall_nanos / 1_000,
@@ -546,13 +562,15 @@ fn cmd_study(args: &[String]) -> i32 {
         }
         events::info("manifest", &format!("wrote {path}"));
     }
-    // Every artifact is written. Dropping the resident universe would free
-    // its 132,664 lightweight records, the Libraries.io map and 365 object
-    // stores one allocation at a time: 102–116 ms at paper scale on a
-    // 2-vCPU Xeon, for memory the process returns whole when it exits. It
-    // holds only memory (no file handle, no buffered writer), so leak it,
-    // as clang's `-disable-free` leaks the compiler's ASTs at exit. The
-    // early returns above still drop it.
+    // Every artifact is written. Only a fault-injected study holds a
+    // resident universe (the streamed corpus is freed record by record on
+    // its producer thread). Dropping it would free its 132,664 lightweight
+    // records, the Libraries.io map and 365 object stores one allocation
+    // at a time: 102–116 ms at paper scale on a 2-vCPU Xeon, for memory the
+    // process returns whole when it exits. It holds only memory (no file
+    // handle, no buffered writer), so leak it, as clang's `-disable-free`
+    // leaks the compiler's ASTs at exit. The early returns above still
+    // drop it.
     std::mem::forget(universe);
     0
 }
