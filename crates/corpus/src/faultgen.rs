@@ -190,7 +190,7 @@ fn corrupt_project(project: &mut GeneratedProject, class: FaultClass, rng: &mut 
     let mut repo = Repository::new(project.repo.name.clone());
     for v in &versions {
         let _ = repo.commit(
-            [FileChange::write(&project.ddl_path, v.content.clone())],
+            [FileChange::write(&project.ddl_path, v.content.as_str())],
             &v.author,
             v.timestamp,
             &v.message,
@@ -218,7 +218,7 @@ pub fn poison_history(project: &mut GeneratedProject) -> usize {
     let mut rebuilt = Vec::with_capacity(versions.len());
     for (i, mut v) in versions.into_iter().enumerate() {
         if i > 0 {
-            v.content.insert(0, '\'');
+            v.content.to_mut().insert(0, '\'');
             corrupted += 1;
         }
         rebuilt.push(v);
@@ -226,7 +226,7 @@ pub fn poison_history(project: &mut GeneratedProject) -> usize {
     let mut repo = Repository::new(project.repo.name.clone());
     for v in &rebuilt {
         let _ = repo.commit(
-            [FileChange::write(&project.ddl_path, v.content.clone())],
+            [FileChange::write(&project.ddl_path, v.content.as_str())],
             &v.author,
             v.timestamp,
             &v.message,
@@ -256,7 +256,7 @@ pub fn corrupt_versions(
     match class {
         FaultClass::TruncatedBlob => {
             let i = pick(rng, versions, |v| v.content.len() >= 40)?;
-            let content = &mut versions[i].content;
+            let content = versions[i].content.to_mut();
             let mut cut = content.len() * 3 / 5;
             while cut > 0 && !content.is_char_boundary(cut) {
                 cut -= 1;
@@ -266,14 +266,14 @@ pub fn corrupt_versions(
         }
         FaultClass::UnbalancedParens => {
             let i = pick(rng, versions, |v| v.content.contains(')'))?;
-            let content = &mut versions[i].content;
+            let content = versions[i].content.to_mut();
             let at = content.rfind(')')?;
             content.remove(at);
             Some(i)
         }
         FaultClass::UnknownVendorClause => {
             let i = pick(rng, versions, |_| true)?;
-            versions[i].content.push_str(
+            versions[i].content.to_mut().push_str(
                 "\nALTER TABLE ONLY audit_log REPLICA IDENTITY FULL;\n\
                  GO\n\
                  EXEC sp_addextendedproperty @name = N'MS_Description', @value = N'legacy';\n\
@@ -283,7 +283,7 @@ pub fn corrupt_versions(
         }
         FaultClass::NonDdlNoise => {
             let i = pick(rng, versions, |_| true)?;
-            let content = &mut versions[i].content;
+            let content = versions[i].content.to_mut();
             let noise = "INSERT INTO schema_migrations (version) VALUES ('20190301120000');\n\
                          <<<<<<< HEAD\n-- local tweak\n=======\n-- upstream tweak\n\
                          >>>>>>> upstream/master\n";
@@ -294,7 +294,7 @@ pub fn corrupt_versions(
         }
         FaultClass::ByteFlip => {
             let i = pick(rng, versions, |v| !v.content.is_empty())?;
-            let mut bytes = versions[i].content.clone().into_bytes();
+            let mut bytes = versions[i].content.as_bytes().to_vec();
             // Hostile replacement: a quote character opens a string (or
             // backquoted identifier) that nothing terminates. Flipping
             // after the last existing quote guarantees the token runs to
@@ -312,7 +312,7 @@ pub fn corrupt_versions(
             };
             let hostile = [b'\'', b'`'];
             bytes[pos] = hostile[rng.gen_range(0..hostile.len())];
-            versions[i].content = String::from_utf8_lossy(&bytes).into_owned();
+            versions[i].content = String::from_utf8_lossy(&bytes).into_owned().into();
             Some(i)
         }
         FaultClass::NonMonotonicTimestamps => {
@@ -339,7 +339,7 @@ pub fn corrupt_versions(
         }
         FaultClass::EmptyVersion => {
             let i = rng.gen_range(0..versions.len());
-            versions[i].content = "\n\n".to_string();
+            versions[i].content = "\n\n".into();
             Some(i)
         }
         FaultClass::SlowPath => {
@@ -354,7 +354,7 @@ pub fn corrupt_versions(
                 }
                 blob.push_str("PRIMARY KEY (c0));\n");
             }
-            let content = &mut versions[i].content;
+            let content = versions[i].content.to_mut();
             content.push('\n');
             content.push_str(&blob);
             Some(i)
@@ -452,7 +452,8 @@ mod tests {
                     message: format!("v{i}"),
                     content: format!(
                         "CREATE TABLE t{i} (id INT NOT NULL, name VARCHAR(255), PRIMARY KEY (id));"
-                    ),
+                    )
+                    .into(),
                 })
                 .collect();
             let before = versions.clone();
@@ -471,7 +472,7 @@ mod tests {
                 timestamp: schevo_vcs::timestamp::Timestamp::from_date(2018, 1 + i as u8, 1),
                 author: "dev".into(),
                 message: format!("v{i}"),
-                content: format!("CREATE TABLE t (c{i} INT);"),
+                content: format!("CREATE TABLE t (c{i} INT);").into(),
             })
             .collect();
         corrupt_versions(&mut versions, FaultClass::NonMonotonicTimestamps, &mut rng).unwrap();

@@ -3,6 +3,18 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The Libraries.io fields the funnel's selection reads: plain values,
+/// so a record that is dropped on them needs no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LibioMeta {
+    /// Whether the repository is a fork of another project.
+    pub is_fork: bool,
+    /// Star count.
+    pub stars: u32,
+    /// Number of contributors.
+    pub contributors: u32,
+}
+
 /// Metadata for one repository, as the Libraries.io dump reports it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LibioRecord {
@@ -29,6 +41,15 @@ impl LibioRecord {
             is_fork,
             stars,
             contributors,
+        }
+    }
+
+    /// The fields the funnel's selection reads.
+    pub fn meta(&self) -> LibioMeta {
+        LibioMeta {
+            is_fork: self.is_fork,
+            stars: self.stars,
+            contributors: self.contributors,
         }
     }
 

@@ -52,13 +52,23 @@ const COLUMN_STEMS: [&str; 36] = [
 
 /// The `owner/repo` name of the i-th synthetic project.
 pub fn project_name(index: usize) -> String {
+    let mut name = String::new();
+    write_project_name(&mut name, index);
+    name
+}
+
+/// Overwrite `out` with [`project_name`]`(index)`, reusing its buffer.
+pub fn write_project_name(out: &mut String, index: usize) {
+    use std::fmt::Write as _;
     let owner = OWNERS[index % OWNERS.len()];
     let stem = PROJECT_STEMS[(index / OWNERS.len()) % PROJECT_STEMS.len()];
     let round = index / (OWNERS.len() * PROJECT_STEMS.len());
-    if round == 0 {
-        format!("{owner}/{stem}")
-    } else {
-        format!("{owner}/{stem}{round}")
+    out.clear();
+    out.push_str(owner);
+    out.push('/');
+    out.push_str(stem);
+    if round != 0 {
+        let _ = write!(out, "{round}");
     }
 }
 
@@ -107,6 +117,17 @@ mod tests {
     fn project_names_unique_over_corpus_scale() {
         let names: HashSet<String> = (0..2000).map(project_name).collect();
         assert_eq!(names.len(), 2000);
+    }
+
+    #[test]
+    fn reused_buffer_writes_the_same_names() {
+        let mut buf = "a longer leftover name".to_string();
+        for i in [0, 7, 719, 720, 133_028] {
+            write_project_name(&mut buf, i);
+            assert_eq!(buf, project_name(i));
+        }
+        assert_eq!(project_name(0), "acmesoft/cms");
+        assert_eq!(project_name(720), "acmesoft/cms1");
     }
 
     #[test]

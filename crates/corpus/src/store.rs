@@ -46,7 +46,7 @@
 //! — callers quarantine it and continue — and never panics.
 
 use crate::libio::LibioRecord;
-use crate::universe::{generate_records, CorpusDigester, CorpusRecord, UniverseConfig};
+use crate::universe::{generate_records, CorpusDigester, CorpusRecord, RecordRef, UniverseConfig};
 use schevo_core::failpoint;
 use schevo_vcs::frame::{self, FrameError};
 use schevo_vcs::pack::{read_pack, write_pack, PackError, Reader};
@@ -217,16 +217,16 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Encode one record's payload (everything after the frame header).
-fn encode_record(seq: u64, record: &CorpusRecord) -> Vec<u8> {
+fn encode_record(seq: u64, record: RecordRef<'_>) -> Vec<u8> {
     let mut p = Vec::new();
     p.extend_from_slice(&seq.to_le_bytes());
     p.push(if record.body.is_some() { 1 } else { 0 });
-    put_str(&mut p, &record.name);
+    put_str(&mut p, record.name);
     put_u16(&mut p, record.sql_paths.len() as u16);
-    for path in &record.sql_paths {
+    for path in record.sql_paths {
         put_str(&mut p, path);
     }
-    match &record.libio {
+    match record.libio {
         Some(meta) => {
             p.push(1);
             p.push(if meta.is_fork { 1 } else { 0 });
@@ -235,7 +235,7 @@ fn encode_record(seq: u64, record: &CorpusRecord) -> Vec<u8> {
         }
         None => p.push(0),
     }
-    if let Some(body) = &record.body {
+    if let Some(body) = record.body {
         let (pup, commits) = body.reported_meta();
         p.extend_from_slice(&pup.to_le_bytes());
         p.extend_from_slice(&commits.to_le_bytes());
@@ -416,9 +416,14 @@ impl StoreWriter {
 
     /// Append one record to its shard.
     pub fn write(&mut self, record: &CorpusRecord) -> Result<(), StoreError> {
+        self.write_view(record.view())
+    }
+
+    /// Append one record, given as a borrowed view, to its shard.
+    pub fn write_view(&mut self, record: RecordRef<'_>) -> Result<(), StoreError> {
         let payload = encode_record(self.seq, record);
         let header = frame::header(&payload)?;
-        let shard = shard_of(&record.name, self.shards.len());
+        let shard = shard_of(record.name, self.shards.len());
         // The failpoint fires *before* any bytes reach the buffered
         // writer, so an absorbed transient fault cannot duplicate the
         // frame. A real mid-write error is not retried: `write_all`
@@ -431,9 +436,9 @@ impl StoreWriter {
         self.seq += 1;
         self.io.records_written += 1;
         self.io.bytes_written += frame::frame_len(payload.len()) as u64;
-        if let Some(body) = &record.body {
+        if let Some(body) = record.body {
             self.materialized += 1;
-            self.digester.add(&record.name, &record.sql_paths, body.repo());
+            self.digester.add(record.name, record.sql_paths, body.repo());
         }
         Ok(())
     }
@@ -508,7 +513,7 @@ pub fn generate_into_store(
     let mut failed: Option<StoreError> = None;
     generate_records(config, &mut |record| {
         if failed.is_none() {
-            if let Err(e) = writer.write(&record) {
+            if let Err(e) = writer.write_view(record.view()) {
                 failed = Some(e);
             }
         }

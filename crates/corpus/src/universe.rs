@@ -6,7 +6,7 @@
 //! for which taxon or noise class. The funnel never reads the ground truth;
 //! tests compare its output against it.
 
-use crate::libio::LibioRecord;
+use crate::libio::{LibioMeta, LibioRecord};
 use crate::noise::{
     add_postgres_sibling, empty_file_project, funnel_counts, no_create_table_project,
     rigid_project, zero_version_project, NoiseProject, TAXON_COUNTS,
@@ -237,6 +237,69 @@ pub struct CorpusRecord {
     pub body: Option<MaterializedBody>,
 }
 
+impl CorpusRecord {
+    /// The record as a borrowed view.
+    pub fn view(&self) -> RecordRef<'_> {
+        RecordRef {
+            name: &self.name,
+            sql_paths: &self.sql_paths,
+            libio: self.libio.as_ref().map(LibioRecord::meta),
+            body: self.body.as_ref(),
+        }
+    }
+}
+
+/// A borrowed view of one corpus record: what the store writer frames
+/// and the funnel reads.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    /// `owner/repo`.
+    pub name: &'a str,
+    /// Paths advertised in the SQL-Collection for this repository.
+    pub sql_paths: &'a [String],
+    /// Libraries.io metadata, absent for unmonitored repositories.
+    pub libio: Option<LibioMeta>,
+    /// The materialized repository, absent for lightweight records.
+    pub body: Option<&'a MaterializedBody>,
+}
+
+/// One record as [`generate_records`] hands it out.
+#[derive(Debug)]
+pub enum Emitted<'a> {
+    /// A lightweight record, borrowed from buffers the generator reuses
+    /// for the next one: nothing is allocated for it. Its `body` is
+    /// `None`.
+    Light(RecordRef<'a>),
+    /// A materialized record, handed over whole.
+    Materialized(CorpusRecord),
+}
+
+impl Emitted<'_> {
+    /// The record as a borrowed view.
+    pub fn view(&self) -> RecordRef<'_> {
+        match self {
+            Emitted::Light(r) => *r,
+            Emitted::Materialized(r) => r.view(),
+        }
+    }
+
+    /// The owned record: exactly what the generator emitted, with a
+    /// lightweight record's name, paths and Libraries.io entry copied out.
+    pub fn into_record(self) -> CorpusRecord {
+        match self {
+            Emitted::Light(r) => CorpusRecord {
+                name: r.name.to_string(),
+                sql_paths: r.sql_paths.to_vec(),
+                libio: r.libio.map(|m| {
+                    LibioRecord::new(r.name, m.is_fork, m.stars, m.contributors)
+                }),
+                body: None,
+            },
+            Emitted::Materialized(r) => r,
+        }
+    }
+}
+
 /// Wrap one noise project into its corpus record. The libio draw happens
 /// *after* the project is built — the RNG stream must match the original
 /// monolithic generator call for call.
@@ -254,32 +317,19 @@ fn noise_record(noise: NoiseProject, rng: &mut StdRng) -> CorpusRecord {
     }
 }
 
-/// Wrap one lightweight excluded record; `meta` is its Libraries.io
-/// `(is_fork, stars, contributors)`, absent for unmonitored repositories.
-fn light_record(i: usize, paths: Vec<String>, meta: Option<(bool, u32, u32)>) -> CorpusRecord {
-    let name = crate::names::project_name(i);
-    let libio = meta.map(|(is_fork, stars, contributors)| {
-        LibioRecord::new(name.clone(), is_fork, stars, contributors)
-    });
-    CorpusRecord {
-        name,
-        sql_paths: paths,
-        libio,
-        body: None,
-    }
-}
-
-/// Drive the generator, handing each [`CorpusRecord`] to `emit` in
-/// SQL-Collection order. This is the single source of truth for corpus
-/// content: [`generate`] collects the records into an in-memory
-/// [`Universe`], the sharded store writer streams them to disk, the
-/// pipeline's streamed source funnels them on a producer thread, and all
-/// see the identical record sequence because the RNG stream depends only
-/// on the config. `emit` returning [`ControlFlow::Break`] stops the
-/// generator there, before it builds another record.
+/// Drive the generator, handing each record to `emit` in SQL-Collection
+/// order. This is the single source of truth for corpus content:
+/// [`generate`] collects the records into an in-memory [`Universe`], the
+/// sharded store writer streams them to disk, the pipeline's streamed
+/// source funnels them on a producer thread, and all see the identical
+/// record sequence because the RNG stream depends only on the config.
+/// Lightweight records arrive as [`Emitted::Light`] views that live only
+/// for their `emit` call; materialized ones as owned records. `emit`
+/// returning [`ControlFlow::Break`] stops the generator there, before it
+/// builds another record.
 pub fn generate_records(
     config: UniverseConfig,
-    emit: &mut dyn FnMut(CorpusRecord) -> ControlFlow<()>,
+    emit: &mut dyn FnMut(Emitted<'_>) -> ControlFlow<()>,
 ) {
     let expected = ExpectedCounts::for_config(&config);
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -319,87 +369,93 @@ pub fn generate_records(
             let name = plan.name.clone();
             let libio =
                 LibioRecord::new(name.clone(), false, plan.stars.max(1), plan.contributors.max(2));
-            send!(CorpusRecord {
+            send!(Emitted::Materialized(CorpusRecord {
                 name,
                 sql_paths: paths,
                 libio: Some(libio),
                 body: Some(MaterializedBody::Evo(Box::new(project))),
-            });
+            }));
         }
     }
 
     // --- materialized noise projects ---
     for _ in 0..expected.rigid {
         let n = rigid_project(&mut rng, next_index!());
-        send!(noise_record(n, &mut rng));
+        send!(Emitted::Materialized(noise_record(n, &mut rng)));
     }
     for _ in 0..expected.zero_version {
         let n = zero_version_project(&mut rng, next_index!());
-        send!(noise_record(n, &mut rng));
+        send!(Emitted::Materialized(noise_record(n, &mut rng)));
     }
     // Split the empty/no-CT bucket roughly 40/60.
     let empty_count = (expected.empty_or_no_ct * 2) / 5;
     for _ in 0..empty_count {
         let n = empty_file_project(&mut rng, next_index!());
-        send!(noise_record(n, &mut rng));
+        send!(Emitted::Materialized(noise_record(n, &mut rng)));
     }
     for _ in empty_count..expected.empty_or_no_ct {
         let n = no_create_table_project(&mut rng, next_index!());
-        send!(noise_record(n, &mut rng));
+        send!(Emitted::Materialized(noise_record(n, &mut rng)));
     }
 
     // --- lightweight excluded records ---
+    // Each is a view over `name`, rewritten in place, and one of these
+    // path lists, built once.
     use rand::Rng;
+    let single = vec!["db/schema.sql".to_string()];
+    // Test, demo and example layouts.
+    let excluded = ["test/fixtures/schema.sql", "demo/demo_data.sql", "docs/example/schema.sql"]
+        .map(|path| vec![path.to_string()]);
+    let multi_file: [Vec<String>; 3] = [
+        // File-per-table layouts.
+        (0..4).map(|t| format!("sql/tables/table_{t}.sql")).collect(),
+        // Incremental migrations.
+        (0..5).map(|m| format!("migrations/{m:03}_step.sql")).collect(),
+        // Vendor × language Cartesian products.
+        ["sql/en/mysql", "sql/en/postgres", "sql/fr/mysql", "sql/fr/postgres"]
+            .map(|dir| format!("{dir}/schema.sql"))
+            .to_vec(),
+    ];
+    let mut name = String::new();
+    macro_rules! send_light {
+        ($paths:expr, $meta:expr) => {{
+            let libio = $meta.map(|(is_fork, stars, contributors)| LibioMeta {
+                is_fork,
+                stars,
+                contributors,
+            });
+            crate::names::write_project_name(&mut name, next_index!());
+            send!(Emitted::Light(RecordRef {
+                name: &name,
+                sql_paths: $paths,
+                libio,
+                body: None,
+            }));
+        }};
+    }
     let d = config.scale_divisor;
     let m = config.scale_multiplier;
     let scale = |n: usize| (n.saturating_mul(m) / d).max(1);
     for _ in 0..scale(FORK_COUNT) {
-        let i = next_index!();
-        let meta = (true, rng.gen_range(1..500), rng.gen_range(2..30));
-        send!(light_record(i, vec!["db/schema.sql".into()], Some(meta)));
+        send_light!(&single, Some((true, rng.gen_range(1..500), rng.gen_range(2..30))));
     }
     for _ in 0..scale(ZERO_STAR_COUNT) {
-        let i = next_index!();
-        let meta = (false, 0, rng.gen_range(2..30));
-        send!(light_record(i, vec!["db/schema.sql".into()], Some(meta)));
+        send_light!(&single, Some((false, 0, rng.gen_range(2..30))));
     }
     for _ in 0..scale(ONE_CONTRIB_COUNT) {
-        let i = next_index!();
-        let meta = (false, rng.gen_range(1..500), 1);
-        send!(light_record(i, vec!["db/schema.sql".into()], Some(meta)));
+        send_light!(&single, Some((false, rng.gen_range(1..500), 1)));
     }
     for k in 0..scale(EXCLUDED_PATH_COUNT) {
-        let i = next_index!();
         let meta = (false, rng.gen_range(1..500), rng.gen_range(2..30));
-        let path = match k % 3 {
-            0 => "test/fixtures/schema.sql",
-            1 => "demo/demo_data.sql",
-            _ => "docs/example/schema.sql",
-        };
-        send!(light_record(i, vec![path.into()], Some(meta)));
+        send_light!(&excluded[k % 3], Some(meta));
     }
     for k in 0..scale(MULTI_FILE_COUNT) {
-        let i = next_index!();
         let meta = (false, rng.gen_range(1..500), rng.gen_range(2..30));
-        let paths: Vec<String> = match k % 3 {
-            // File-per-table layouts.
-            0 => (0..4).map(|t| format!("sql/tables/table_{t}.sql")).collect(),
-            // Incremental migrations.
-            1 => (0..5).map(|m| format!("migrations/{m:03}_step.sql")).collect(),
-            // Vendor × language Cartesian products.
-            _ => vec![
-                "sql/en/mysql/schema.sql".into(),
-                "sql/en/postgres/schema.sql".into(),
-                "sql/fr/mysql/schema.sql".into(),
-                "sql/fr/postgres/schema.sql".into(),
-            ],
-        };
-        send!(light_record(i, paths, Some(meta)));
+        send_light!(&multi_file[k % 3], Some(meta));
     }
     // Remainder: not monitored by Libraries.io at all.
     while emitted < expected.sql_collection {
-        let i = next_index!();
-        send!(light_record(i, vec!["db/schema.sql".into()], None));
+        send_light!(&single, None::<(bool, u32, u32)>);
     }
 }
 
@@ -414,7 +470,8 @@ pub fn generate(config: UniverseConfig) -> Universe {
     let mut sql_collection = Vec::with_capacity(expected.sql_collection);
     let mut libio = HashMap::new();
     let mut materialized: HashMap<String, MaterializedRepo> = HashMap::new();
-    generate_records(config, &mut |record| {
+    generate_records(config, &mut |emitted| {
+        let record = emitted.into_record();
         if let Some(meta) = record.libio {
             libio.insert(record.name.clone(), meta);
         }

@@ -71,7 +71,7 @@ fn version(content: &str) -> FileVersion {
         timestamp: Timestamp::from_date(2019, 1, 1),
         author: "dev".into(),
         message: "v".into(),
-        content: content.to_string(),
+        content: content.into(),
     }
 }
 

@@ -21,10 +21,10 @@
 
 use crate::exec::{execute_stream_with, lock, ExecStats, StageTally, StreamItem, WINDOW};
 use crate::extract::{mine_task_watched, MineOutcome, Mined};
-use crate::funnel::{CandidateHistory, FunnelReport};
+use crate::funnel::FunnelReport;
 use crate::journal::{candidate_key, replay_file, JournalRecord, JournalSummary, JournalWriter};
 use crate::quarantine::QuarantineReport;
-use crate::source::{CandidateSource, SourceEvent};
+use crate::source::{CandidateSource, SourceEvent, Survivor};
 use crate::study::StudyOptions;
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_core::heartbeat::REED_THRESHOLD;
@@ -225,7 +225,7 @@ impl MiningEngine {
         let mut source_nanos = opening.close();
         let keys: RefCell<HashMap<usize, String>> = RefCell::new(HashMap::new());
         let mut replayed_count = 0usize;
-        let src = |seq: usize| -> Option<StreamItem<CandidateHistory, MineSlot>> {
+        let src = |seq: usize| -> Option<StreamItem<Survivor, MineSlot>> {
             let slice = SpanGuard::slice();
             let event = stream.next_event();
             source_nanos += slice.close();
@@ -236,6 +236,10 @@ impl MiningEngine {
                     fresh: false,
                 })),
                 SourceEvent::Candidate(c) => {
+                    // Each survivor carries its own way back and the
+                    // engine keeps none, so the producer's wait for mined
+                    // survivors ends with the last one.
+                    let c = Survivor::new(c, stream.spent());
                     if !journaling && memo.is_none() {
                         return Some(StreamItem::Work(c));
                     }
@@ -266,7 +270,7 @@ impl MiningEngine {
             }
         };
 
-        let work = |seq: usize, c: &CandidateHistory| -> MineSlot {
+        let work = |seq: usize, c: &Survivor| -> MineSlot {
             // One lane per worker slot keeps per-request traces readable
             // in Perfetto; lane 0 is the caller thread.
             let _task_lane = scope.map(|s| scope::install(s, (seq % workers) as u64 + 1));

@@ -20,7 +20,7 @@
 //! ([`crate::source`]) and [`run_funnel`], which collects the survivors.
 
 use schevo_core::errors::{ErrorClass, SchevoError};
-use schevo_corpus::libio::LibioRecord;
+use schevo_corpus::libio::{LibioMeta, LibioRecord};
 use schevo_corpus::universe::{SqlCollectionEntry, Universe};
 use schevo_vcs::history::{file_history, FileVersion, WalkStrategy};
 use schevo_vcs::repo::Repository;
@@ -96,7 +96,7 @@ impl FunnelReport {
         strategy: WalkStrategy,
     ) -> Result<Option<CandidateHistory>, SchevoError> {
         self.sql_collection += 1;
-        let path = match assess_metadata(record.libio, record.sql_paths) {
+        let path = match select(record.libio, record.sql_paths) {
             Ok(p) => p,
             Err(e) => {
                 self.note_exclusion(e);
@@ -158,7 +158,7 @@ pub(crate) struct RecordView<'a, C> {
     /// Paths of `.sql` files in the repository.
     pub sql_paths: &'a [String],
     /// Libraries.io metadata, absent for unmonitored repositories.
-    pub libio: Option<&'a LibioRecord>,
+    pub libio: Option<LibioMeta>,
     /// Fetches the clone. Called only once the metadata filters pass, so
     /// the resident universe looks up a few hundred repositories by name,
     /// not every record.
@@ -178,7 +178,7 @@ pub(crate) fn resident_record<'a>(
     RecordView {
         name: &entry.repo_name,
         sql_paths: &entry.sql_paths,
-        libio,
+        libio: libio.map(LibioRecord::meta),
         clone: move || {
             let m = u.materialized.get(&entry.repo_name)?;
             let (pup_months, total_commits) = m.reported_meta();
@@ -189,7 +189,7 @@ pub(crate) fn resident_record<'a>(
 
 /// A candidate that survived the funnel: its extracted DDL history plus
 /// repository metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CandidateHistory {
     /// `owner/repo`.
     pub name: String,
@@ -217,6 +217,12 @@ pub fn assess_metadata(
     libio: Option<&LibioRecord>,
     sql_paths: &[String],
 ) -> Result<String, Exclusion> {
+    select(libio.map(LibioRecord::meta), sql_paths).cloned()
+}
+
+/// [`assess_metadata`] over the fields it reads, borrowing the resolved
+/// path: a record it drops costs no allocation.
+fn select(libio: Option<LibioMeta>, sql_paths: &[String]) -> Result<&String, Exclusion> {
     let Some(meta) = libio else {
         return Err(Exclusion::NotInLibio);
     };
@@ -232,31 +238,35 @@ pub fn assess_metadata(
     resolve_paths(sql_paths)
 }
 
+/// Whether `haystack` contains `needle` (lowercase ASCII), ignoring ASCII
+/// case, as `haystack.to_ascii_lowercase().contains(needle)` would
+/// decide without building the lowercased copy.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    haystack
+        .as_bytes()
+        .windows(needle.len())
+        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+}
+
 /// Resolve the candidate `.sql` paths of one repository to a single DDL
 /// path, per the paper's post-processing rules.
-fn resolve_paths(paths: &[String]) -> Result<String, Exclusion> {
-    let kept: Vec<&String> = paths
-        .iter()
-        .filter(|p| {
-            let lower = p.to_ascii_lowercase();
-            !(lower.contains("test") || lower.contains("demo") || lower.contains("example"))
-        })
-        .collect();
-    match kept.len() {
-        0 => Err(Exclusion::ExcludedPath),
-        1 => Ok(kept[0].clone()),
-        _ => {
-            // Multi-vendor resolution: exactly one MySQL file wins.
-            let mysql: Vec<&&String> = kept
-                .iter()
-                .filter(|p| p.to_ascii_lowercase().contains("mysql"))
-                .collect();
-            if mysql.len() == 1 {
-                Ok((*mysql[0]).clone())
-            } else {
-                Err(Exclusion::MultiFile)
-            }
-        }
+fn resolve_paths(paths: &[String]) -> Result<&String, Exclusion> {
+    let excluded =
+        |p: &str| ["test", "demo", "example"].iter().any(|n| contains_ignore_ascii_case(p, n));
+    let mut kept = paths.iter().filter(|p| !excluded(p));
+    let Some(first) = kept.next() else {
+        return Err(Exclusion::ExcludedPath);
+    };
+    if kept.clone().next().is_none() {
+        return Ok(first);
+    }
+    // Multi-vendor resolution: exactly one MySQL file wins.
+    let mut mysql = std::iter::once(first)
+        .chain(kept)
+        .filter(|p| contains_ignore_ascii_case(p, "mysql"));
+    match (mysql.next(), mysql.next()) {
+        (Some(only), None) => Ok(only),
+        _ => Err(Exclusion::MultiFile),
     }
 }
 
@@ -266,12 +276,12 @@ fn resolve_paths(paths: &[String]) -> Result<String, Exclusion> {
 fn assess_clone(
     name: &str,
     repo: &Repository,
-    ddl_path: String,
+    ddl_path: &str,
     pup_months: u64,
     total_commits: u64,
     strategy: WalkStrategy,
 ) -> Result<CandidateHistory, Exclusion> {
-    let raw = file_history(repo, &ddl_path, strategy).map_err(|_| Exclusion::ZeroVersions)?;
+    let raw = file_history(repo, ddl_path, strategy).map_err(|_| Exclusion::ZeroVersions)?;
     // Distinguish "no file at all" from "only blank versions".
     let had_any = !raw.is_empty();
     let versions: Vec<FileVersion> = raw
@@ -296,7 +306,7 @@ fn assess_clone(
     }
     Ok(CandidateHistory {
         name: name.to_string(),
-        ddl_path,
+        ddl_path: ddl_path.to_string(),
         versions,
         pup_months,
         total_commits,
@@ -342,27 +352,82 @@ mod tests {
     use super::*;
     use schevo_corpus::universe::{generate, UniverseConfig};
 
+    /// `resolve_paths` with owned paths in and out.
+    fn resolve(paths: &[&str]) -> Result<String, Exclusion> {
+        let paths: Vec<String> = paths.iter().map(|p| p.to_string()).collect();
+        resolve_paths(&paths).cloned()
+    }
+
     #[test]
     fn resolve_single_clean_path() {
+        assert_eq!(resolve(&["db/schema.sql"]), Ok("db/schema.sql".to_string()));
+    }
+
+    #[test]
+    fn resolve_ignores_ascii_case() {
+        // The lowercasing filter this search replaced, as the reference.
+        fn lowercased(paths: &[&str]) -> Result<String, Exclusion> {
+            let kept: Vec<&&str> = paths
+                .iter()
+                .filter(|p| {
+                    let lower = p.to_ascii_lowercase();
+                    !(lower.contains("test") || lower.contains("demo") || lower.contains("example"))
+                })
+                .collect();
+            match kept.len() {
+                0 => Err(Exclusion::ExcludedPath),
+                1 => Ok(kept[0].to_string()),
+                _ => {
+                    let mysql: Vec<&&&str> = kept
+                        .iter()
+                        .filter(|p| p.to_ascii_lowercase().contains("mysql"))
+                        .collect();
+                    match mysql.len() {
+                        1 => Ok(mysql[0].to_string()),
+                        _ => Err(Exclusion::MultiFile),
+                    }
+                }
+            }
+        }
+        let cases: [&[&str]; 8] = [
+            &["Tests/Schema.SQL"],
+            &["docs/EXAMPLE/x.sql"],
+            &["Tests/Schema.SQL", "db/Schema.SQL"],
+            &["sql/MySQL/a.sql", "sql/Postgres/a.sql"],
+            &["sql/MySQL/a.sql", "sql/mysql/b.sql"],
+            &["Tests/Schema.SQL", "sql/MySQL/a.sql", "docs/EXAMPLE/x.sql"],
+            &["DeMo/x.sql", "db/s.sql", "sql/MySQL/a.sql"],
+            &["tes/t.sql", "exampl/e.sql", "my/sql.sql"],
+        ];
+        for paths in cases {
+            assert_eq!(resolve(paths), lowercased(paths), "{paths:?}");
+        }
+        assert_eq!(resolve(&["Tests/Schema.SQL"]), Err(Exclusion::ExcludedPath));
+        assert_eq!(resolve(&["docs/EXAMPLE/x.sql"]), Err(Exclusion::ExcludedPath));
         assert_eq!(
-            resolve_paths(&["db/schema.sql".into()]),
-            Ok("db/schema.sql".to_string())
+            resolve(&["sql/MySQL/a.sql", "sql/Postgres/a.sql"]),
+            Ok("sql/MySQL/a.sql".to_string())
         );
+        assert_eq!(
+            resolve(&["DeMo/x.sql", "db/s.sql", "sql/MySQL/a.sql"]),
+            Ok("sql/MySQL/a.sql".to_string())
+        );
+        assert_eq!(resolve(&["tes/t.sql", "exampl/e.sql", "my/sql.sql"]), Err(Exclusion::MultiFile));
     }
 
     #[test]
     fn resolve_excluded_paths() {
         assert_eq!(
-            resolve_paths(&["test/schema.sql".into()]),
+            resolve(&["test/schema.sql"]),
             Err(Exclusion::ExcludedPath)
         );
         assert_eq!(
-            resolve_paths(&["demo/x.sql".into(), "examples/y.sql".into()]),
+            resolve(&["demo/x.sql", "examples/y.sql"]),
             Err(Exclusion::ExcludedPath)
         );
         // A clean path next to a test path resolves to the clean one.
         assert_eq!(
-            resolve_paths(&["test/schema.sql".into(), "db/schema.sql".into()]),
+            resolve(&["test/schema.sql", "db/schema.sql"]),
             Ok("db/schema.sql".to_string())
         );
     }
@@ -370,20 +435,20 @@ mod tests {
     #[test]
     fn resolve_vendor_choice() {
         assert_eq!(
-            resolve_paths(&[
-                "db/schema-mysql.sql".into(),
-                "db/schema-postgres.sql".into()
+            resolve(&[
+                "db/schema-mysql.sql",
+                "db/schema-postgres.sql"
             ]),
             Ok("db/schema-mysql.sql".to_string())
         );
         // Two MySQL files do not resolve.
         assert_eq!(
-            resolve_paths(&["a/mysql.sql".into(), "b/mysql.sql".into()]),
+            resolve(&["a/mysql.sql", "b/mysql.sql"]),
             Err(Exclusion::MultiFile)
         );
         // File-per-table layouts do not resolve.
         assert_eq!(
-            resolve_paths(&["t/a.sql".into(), "t/b.sql".into(), "t/c.sql".into()]),
+            resolve(&["t/a.sql", "t/b.sql", "t/c.sql"]),
             Err(Exclusion::MultiFile)
         );
     }

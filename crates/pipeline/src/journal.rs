@@ -475,7 +475,7 @@ mod tests {
         assert_eq!(k, candidate_key(&base.clone(), 14), "key must be stable");
         assert_ne!(k, candidate_key(&base, 15), "threshold must key");
         let mut m = base.clone();
-        m.versions[0].content.push(' ');
+        m.versions[0].content.to_mut().push(' ');
         assert_ne!(k, candidate_key(&m, 14), "content must key");
         let mut m = base.clone();
         m.name = "a/c".into();

@@ -16,13 +16,15 @@ use crate::funnel::{resident_record, CandidateHistory, Cloned, FunnelReport, Rec
 use schevo_core::errors::{ErrorClass, SchevoError};
 use schevo_corpus::store::{ShardStore, StoreEvent, StoreIo, StoreStream};
 use schevo_corpus::universe::{
-    generate_records, CorpusDigester, ExpectedCounts, SqlCollectionEntry, Universe, UniverseConfig,
+    generate_records, CorpusDigester, Emitted, ExpectedCounts, RecordRef, SqlCollectionEntry,
+    Universe, UniverseConfig,
 };
 use schevo_obs::trace::SpanGuard;
 use schevo_vcs::history::WalkStrategy;
-use std::ops::ControlFlow;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TryRecvError};
-use std::sync::Mutex;
+use std::ops::{ControlFlow, Deref};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// One event pulled from a candidate source.
@@ -51,6 +53,42 @@ pub trait CandidateStream {
     /// Consume the stream and report its funnel/I/O accounting. Call
     /// after exhaustion; an early finish reports the partial tallies.
     fn finish(self: Box<Self>) -> SourceSummary;
+    /// Where to send each candidate once it is mined, so that the thread
+    /// that allocated it also frees it; `None` (the default) when the
+    /// candidates may be freed wherever they are mined.
+    fn spent(&self) -> Option<Sender<CandidateHistory>> {
+        None
+    }
+}
+
+/// A candidate being mined. Dropped, it goes back over its stream's
+/// [`CandidateStream::spent`] channel when the stream has one, and is
+/// freed in place otherwise.
+pub(crate) struct Survivor {
+    candidate: CandidateHistory,
+    spent: Option<Sender<CandidateHistory>>,
+}
+
+impl Survivor {
+    pub(crate) fn new(candidate: CandidateHistory, spent: Option<Sender<CandidateHistory>>) -> Self {
+        Survivor { candidate, spent }
+    }
+}
+
+impl Deref for Survivor {
+    type Target = CandidateHistory;
+    fn deref(&self) -> &CandidateHistory {
+        &self.candidate
+    }
+}
+
+impl Drop for Survivor {
+    fn drop(&mut self) {
+        if let Some(spent) = self.spent.take() {
+            // A stream whose producer has returned drops it here instead.
+            let _ = spent.send(std::mem::take(&mut self.candidate));
+        }
+    }
 }
 
 /// A corpus backend the mining engine can stream candidates from.
@@ -127,6 +165,42 @@ impl CandidateSource for Universe {
 // Generator backend: the corpus generated while it is mined.
 // ---------------------------------------------------------------------
 
+/// Whether `back` is the stream's wake-up rather than a mined survivor,
+/// which always has versions.
+fn is_wakeup(back: &CandidateHistory) -> bool {
+    back.versions.is_empty()
+}
+
+/// Send `event` to the stream and count it; true when the stream is
+/// closed.
+fn send(tx: &SyncSender<SourceEvent>, event: SourceEvent, sent: &mut usize) -> bool {
+    *sent += 1;
+    tx.send(event).is_err()
+}
+
+/// Stop the generator once a send finds the stream closed.
+fn flow(stopped: bool) -> ControlFlow<()> {
+    if stopped {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(())
+    }
+}
+
+/// The funnel's view of a generated record.
+fn view<'a>(record: RecordRef<'a>) -> RecordView<'a, impl FnOnce() -> Cloned<'a>> {
+    RecordView {
+        name: record.name,
+        sql_paths: record.sql_paths,
+        libio: record.libio,
+        clone: move || {
+            let body = record.body?;
+            let (pup_months, total_commits) = body.reported_meta();
+            Some((body.repo(), pup_months, total_commits))
+        },
+    }
+}
+
 /// Survivors the producer may run ahead of the miner. It bounds a
 /// [`GeneratedSource`] stream's corpus memory; output does not depend
 /// on it.
@@ -151,10 +225,13 @@ pub struct ProducerReport {
     /// The corpus digest ([`schevo_corpus::universe::corpus_digest`] of
     /// the resident universe of the same config).
     pub corpus_digest: String,
-    /// Nanoseconds the producer spent inside the generator, a sum of
-    /// [`SpanGuard::slice`] durations that leaves out each record's
-    /// funnel step, digest, drop and channel traffic; traced as one
-    /// rolled-up `study.generate` span.
+    /// Nanoseconds the producer spent inside the generator: a sum of
+    /// [`SpanGuard::slice`] durations between materialized records, which
+    /// leaves out each materialized record's funnel step, digest, drop
+    /// and channel traffic, and the producer's wait for the stream before
+    /// the lightweight records. Those are not sliced one by one, so their
+    /// funnel step (a few field checks on a borrowed view) counts as
+    /// generation. Traced as one rolled-up `study.generate` span.
     pub generate_nanos: u64,
 }
 
@@ -178,24 +255,48 @@ impl GeneratedSource {
 /// generation time when the generator ran to the end.
 type ProducerResult = (FunnelReport, Option<ProducerReport>);
 
+/// What a generated stream tells its producer.
+#[derive(Debug, Default)]
+struct Handoff {
+    /// Set once the stream is closed: the producer stops at its next
+    /// record, even when it has no survivor left to send.
+    closed: AtomicBool,
+    /// Events the stream has received.
+    taken: AtomicUsize,
+    /// Set while the producer waits for the stream to take every event
+    /// it sent; the stream then wakes it with an empty candidate over the
+    /// `spent` channel.
+    waiting: AtomicBool,
+}
+
 struct GeneratedStream<'a> {
     source: &'a GeneratedSource,
     /// `None` once closed: dropping the receiver makes the producer's
     /// next send fail, which stops the generator.
     events: Option<Receiver<SourceEvent>>,
-    /// Survivors handed back for the producer to free (see
-    /// `next_event`); `None` once closed, which stops the generator at its
-    /// next record even when it has no survivor left to send.
+    handoff: Arc<Handoff>,
+    /// Mined survivors go back to the producer over this channel (see
+    /// [`CandidateStream::spent`]), and so does an empty candidate that
+    /// wakes it; `None` once closed.
     spent: Option<Sender<CandidateHistory>>,
     producer: Option<JoinHandle<ProducerResult>>,
     report: FunnelReport,
 }
 
 impl GeneratedStream<'_> {
+    /// Wake a producer waiting on the `spent` channel (see [`Handoff`]).
+    fn wake_producer(&self) {
+        if let Some(spent) = &self.spent {
+            let _ = spent.send(CandidateHistory::default());
+        }
+    }
+
     /// Close the channel and join the producer, keeping its ledger and
     /// publishing its digest. A producer panic comes back as the error.
     fn join(&mut self) -> std::thread::Result<()> {
         self.events = None;
+        self.handoff.closed.store(true, Ordering::SeqCst);
+        self.wake_producer();
         self.spent = None;
         let Some(producer) = self.producer.take() else {
             return Ok(());
@@ -211,21 +312,12 @@ impl GeneratedStream<'_> {
 
 impl CandidateStream for GeneratedStream<'_> {
     fn next_event(&mut self) -> Option<SourceEvent> {
-        match self.events.as_ref()?.recv() {
-            // The miner gets a copy on its own heap, and the producer,
-            // which allocated the survivor, frees it: a thread freeing the
-            // other's allocations while both allocate makes them contend
-            // in the allocator, which slowed parsing by about a third.
-            Ok(SourceEvent::Candidate(survivor)) => {
-                let copy = survivor.clone();
-                // Once the producer has returned, the original drops here.
-                if let Some(spent) = &self.spent {
-                    let _ = spent.send(survivor);
-                }
-                return Some(SourceEvent::Candidate(copy));
+        if let Ok(event) = self.events.as_ref()?.recv() {
+            self.handoff.taken.fetch_add(1, Ordering::SeqCst);
+            if self.handoff.waiting.load(Ordering::SeqCst) {
+                self.wake_producer();
             }
-            Ok(event) => return Some(event),
-            Err(_) => {}
+            return Some(event);
         }
         // Disconnected: the producer has returned or panicked.
         if let Err(payload) = self.join() {
@@ -242,6 +334,14 @@ impl CandidateStream for GeneratedStream<'_> {
             funnel: self.report,
             io: StoreIo::default(),
         }
+    }
+
+    /// The producer allocated every survivor, so it frees them too: a
+    /// thread freeing the other's allocations while both allocate makes
+    /// them contend in the allocator, and slowed both generation and
+    /// parsing.
+    fn spent(&self) -> Option<Sender<CandidateHistory>> {
+        self.spent.clone()
     }
 }
 
@@ -265,6 +365,8 @@ impl CandidateSource for GeneratedSource {
         *lock(&self.produced) = None;
         let config = self.config;
         let (tx, rx) = sync_channel(PRODUCER_BOUND);
+        let handoff = Arc::new(Handoff::default());
+        let shared = Arc::clone(&handoff);
         let (spent, returned) = channel::<CandidateHistory>();
         let producer = std::thread::spawn(move || -> ProducerResult {
             let producing = schevo_obs::span!("corpus.stream", seed = config.seed);
@@ -273,46 +375,66 @@ impl CandidateSource for GeneratedSource {
             let mut generate_nanos = 0u64;
             let mut generating = SpanGuard::slice();
             let mut stopped = false;
-            generate_records(config, &mut |record| {
-                generate_nanos += std::mem::replace(&mut generating, SpanGuard::inert()).close();
-                // Free the survivors the caller has mined a copy of; stop
-                // once the stream is closed.
-                loop {
-                    match returned.try_recv() {
-                        Ok(spent) => drop(spent),
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            stopped = true;
-                            return ControlFlow::Break(());
+            let mut sent = 0usize;
+            let mut caught_up = false;
+            generate_records(config, &mut |emitted| {
+                if !caught_up && matches!(emitted, Emitted::Light(_)) {
+                    // Light records hold no survivors. Before running
+                    // through them, let the stream take every event sent,
+                    // so a stream closed right after its last survivor
+                    // stops the generator here. A mined survivor coming
+                    // back ends the wait early: that stream is mining, and
+                    // the light records run alongside.
+                    caught_up = true;
+                    generate_nanos +=
+                        std::mem::replace(&mut generating, SpanGuard::inert()).close();
+                    shared.waiting.store(true, Ordering::SeqCst);
+                    while shared.taken.load(Ordering::SeqCst) < sent
+                        && !shared.closed.load(Ordering::SeqCst)
+                    {
+                        match returned.recv() {
+                            Ok(back) if is_wakeup(&back) => {}
+                            _ => break,
                         }
                     }
+                    shared.waiting.store(false, Ordering::SeqCst);
+                    generating = SpanGuard::slice();
                 }
-                if let Some(body) = &record.body {
-                    digester.add(&record.name, &record.sql_paths, body.repo());
+                if shared.closed.load(Ordering::Relaxed) {
+                    stopped = true;
+                    return ControlFlow::Break(());
                 }
-                let view = RecordView {
-                    name: &record.name,
-                    sql_paths: &record.sql_paths,
-                    libio: record.libio.as_ref(),
-                    clone: || {
-                        let body = record.body.as_ref()?;
-                        let (pup_months, total_commits) = body.reported_meta();
-                        Some((body.repo(), pup_months, total_commits))
-                    },
+                let Emitted::Materialized(record) = emitted else {
+                    // A light record's funnel step is a few field checks
+                    // on a borrowed view: it counts as generation, with
+                    // no clock reading of its own.
+                    let event = funnel_event(&mut report, view(emitted.view()), strategy);
+                    stopped = event.is_some_and(|e| send(&tx, e, &mut sent));
+                    return flow(stopped);
                 };
-                let event = funnel_event(&mut report, view, strategy);
+                generate_nanos += std::mem::replace(&mut generating, SpanGuard::inert()).close();
+                // Free the survivors mined since the last record.
+                returned.try_iter().for_each(drop);
+                let event = {
+                    let record = record.view();
+                    if let Some(body) = record.body {
+                        digester.add(record.name, record.sql_paths, body.repo());
+                    }
+                    funnel_event(&mut report, view(record), strategy)
+                };
                 // The record is freed here, on the producer, so the
                 // caller spends its time mining, not deallocating.
                 drop(record);
-                stopped = event.is_some_and(|e| tx.send(e).is_err());
+                stopped = event.is_some_and(|e| send(&tx, e, &mut sent));
                 generating = SpanGuard::slice();
-                if stopped {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
+                flow(stopped)
             });
             generate_nanos += generating.close();
+            // Closing the channel ends the caller's stream; free the rest
+            // of the survivors as they are mined, until the stream is
+            // closed and the last one is back.
+            drop(tx);
+            returned.iter().for_each(drop);
             producing.rollup("study.generate", generate_nanos, Vec::new());
             let produced = (!stopped).then(|| ProducerReport {
                 corpus_digest: digester.finalize(&config),
@@ -323,6 +445,7 @@ impl CandidateSource for GeneratedSource {
         Box::new(GeneratedStream {
             source: self,
             events: Some(rx),
+            handoff,
             spent: Some(spent),
             producer: Some(producer),
             report: FunnelReport::default(),
@@ -437,7 +560,7 @@ impl CandidateStream for StoreSourceStream {
                     let record = RecordView {
                         name: &r.name,
                         sql_paths: &r.sql_paths,
-                        libio: r.libio.as_ref(),
+                        libio: r.libio.as_ref().map(|m| m.meta()),
                         clone: || r.materialized.as_ref().map(|(repo, p, c)| (repo, *p, *c)),
                     };
                     if let Some(event) = funnel_event(&mut self.report, record, self.strategy) {

@@ -43,7 +43,7 @@ fn candidate(idx: usize, blob_ids: Vec<usize>, pup_months: u64, total_commits: u
                 timestamp: Timestamp(i as i64 * 86_400 * 7),
                 author: "dev".into(),
                 message: format!("v{i}"),
-                content,
+                content: content.into(),
             }
         })
         .collect();

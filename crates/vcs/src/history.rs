@@ -13,11 +13,12 @@
 //! side-branch edits into the timeline. The walk-strategy ablation compares
 //! the two.
 
-use crate::object::Commit;
+use crate::object::{Commit, Text};
 use crate::repo::{RepoError, Repository};
 use crate::sha1::Digest;
 use crate::timestamp::Timestamp;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// How to linearize a commit DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -41,11 +42,12 @@ pub struct FileVersion {
     pub author: String,
     /// Commit message.
     pub message: String,
-    /// Full file content at this version.
-    pub content: String,
+    /// Full file content at this version, shared with its blob.
+    pub content: Text,
 }
 
 /// List ancestor commits of `tip` oldest-first under the given strategy.
+/// The commits are the store's shared handles, not copies.
 ///
 /// # Errors
 ///
@@ -55,7 +57,7 @@ pub fn linearize(
     repo: &Repository,
     tip: Digest,
     strategy: WalkStrategy,
-) -> Result<Vec<(Digest, Commit)>, RepoError> {
+) -> Result<Vec<(Digest, Arc<Commit>)>, RepoError> {
     match strategy {
         WalkStrategy::FirstParent => {
             let mut chain = Vec::new();
@@ -115,29 +117,28 @@ pub fn file_history(
         return Ok(Vec::new());
     };
     let chain = linearize(repo, tip, strategy)?;
-    let mut versions: Vec<FileVersion> = Vec::new();
+    let blob_at = |tree: Digest| -> Result<Option<Digest>, RepoError> {
+        let tree = repo.store().tree(tree).ok_or(RepoError::MissingObject(tree))?;
+        Ok(tree.get(path))
+    };
+    let mut versions: Vec<FileVersion> = Vec::with_capacity(chain.len());
     let mut last_emitted: Option<Digest> = None;
+    // The previous commit of the chain and the file's blob there: on a
+    // first-parent chain it is the next commit's parent.
+    let mut previous: Option<(Digest, Option<Digest>)> = None;
     for (id, commit) in chain {
-        let tree = repo
-            .store()
-            .tree(commit.tree)
-            .ok_or(RepoError::MissingObject(commit.tree))?;
-        let Some(blob_id) = tree.get(path) else {
+        let here = blob_at(commit.tree)?;
+        let before = previous.replace((id, here));
+        let Some(blob_id) = here else {
             continue;
         };
         // A commit contributes a version when it changed the file relative
         // to its first parent (git's TREESAME test), and the content is not
         // the one we already emitted (delete-and-readd, branch interleaving).
-        let parent_blob = match commit.parents.first() {
-            None => None,
-            Some(&p) => {
-                let pc = repo.commit_object(p)?;
-                let ptree = repo
-                    .store()
-                    .tree(pc.tree)
-                    .ok_or(RepoError::MissingObject(pc.tree))?;
-                ptree.get(path)
-            }
+        let parent_blob = match (commit.parents.first(), before) {
+            (None, _) => None,
+            (Some(&p), Some((prev, prev_blob))) if p == prev => prev_blob,
+            (Some(&p), _) => blob_at(repo.commit_object(p)?.tree)?,
         };
         if Some(blob_id) == parent_blob || Some(blob_id) == last_emitted {
             continue;

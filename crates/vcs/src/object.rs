@@ -8,29 +8,117 @@ use crate::sha1::{Digest, Sha1};
 use crate::timestamp::Timestamp;
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// File contents.
+/// Immutable, shared UTF-8 text: a file version's content. Cloning it, or
+/// reading it out of the [`Blob`] that holds it, copies no bytes; every
+/// clone points at the same buffer. [`Text::to_mut`] copies on write.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Text(Arc<String>);
+
+impl Text {
+    /// The text as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// A mutable string, copied first if any other clone shares it.
+    pub fn to_mut(&mut self) -> &mut String {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<String> for Text {
+    /// Moves the string in; its buffer becomes the text's.
+    fn from(s: String) -> Text {
+        Text(Arc::new(s))
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Text {
+        Text::from(s.to_string())
+    }
+}
+
+impl PartialEq<&str> for Text {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// File contents. Valid UTF-8 is held as [`Text`], so a file version read
+/// out of the blob shares its buffer; anything else as raw bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Blob {
-    /// Raw bytes of the file version.
-    pub data: Bytes,
+    data: BlobData,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum BlobData {
+    Text(Text),
+    /// Bytes that are not valid UTF-8 (never valid UTF-8, so equal
+    /// contents always take the same variant).
+    Raw(Bytes),
 }
 
 impl Blob {
-    /// Wrap bytes into a blob.
-    pub fn new(data: impl Into<Bytes>) -> Self {
-        Blob { data: data.into() }
+    /// Wrap bytes into a blob; a `Vec` of valid UTF-8 moves in uncopied.
+    pub fn new(data: impl Into<Vec<u8>>) -> Self {
+        let data = match String::from_utf8(data.into()) {
+            Ok(text) => BlobData::Text(text.into()),
+            Err(e) => BlobData::Raw(Bytes::from(e.into_bytes())),
+        };
+        Blob { data }
+    }
+
+    /// The raw bytes of the file version.
+    pub fn bytes(&self) -> &[u8] {
+        match &self.data {
+            BlobData::Text(t) => t.as_bytes(),
+            BlobData::Raw(b) => b,
+        }
     }
 
     /// The blob's content address (`blob <len>\0<data>`, exactly git's
     /// scheme).
     pub fn id(&self) -> Digest {
-        address("blob", self.data.len(), [&self.data[..]])
+        let data = self.bytes();
+        address("blob", data.len(), [data])
     }
 
-    /// Interpret the blob as UTF-8 text (lossy).
-    pub fn as_text(&self) -> String {
-        String::from_utf8_lossy(&self.data).into_owned()
+    /// Interpret the blob as UTF-8 text (lossy). Valid UTF-8 is shared,
+    /// not copied; other bytes are decoded into a new buffer with
+    /// replacement characters.
+    pub fn as_text(&self) -> Text {
+        match &self.data {
+            BlobData::Text(t) => t.clone(),
+            BlobData::Raw(b) => String::from_utf8_lossy(b).into_owned().into(),
+        }
+    }
+}
+
+impl From<String> for Blob {
+    /// Moves the string in uncopied: its buffer becomes the blob's.
+    fn from(text: String) -> Blob {
+        Blob {
+            data: BlobData::Text(text.into()),
+        }
     }
 }
 
@@ -126,15 +214,16 @@ fn address<'a>(kind: &str, len: usize, payload: impl IntoIterator<Item = &'a [u8
     h.finalize()
 }
 
-/// Any stored object.
+/// Any stored object. Trees and commits are shared, so cloning an object
+/// out of the store copies no paths or strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Object {
     /// File contents.
     Blob(Blob),
     /// Snapshot.
-    Tree(Tree),
+    Tree(Arc<Tree>),
     /// Commit.
-    Commit(Commit),
+    Commit(Arc<Commit>),
 }
 
 impl Object {
@@ -171,9 +260,33 @@ mod tests {
     #[test]
     fn equal_content_equal_address() {
         let a = Blob::new(&b"same"[..]);
-        let b = Blob::new(Bytes::from_static(b"same"));
+        let b = Blob::from("same".to_string());
         assert_eq!(a.id(), b.id());
         assert_ne!(a.id(), Blob::new(&b"different"[..]).id());
+    }
+
+    #[test]
+    fn text_and_raw_blobs() {
+        let text = "CREATE TABLE t (id INT);".to_string();
+        let ptr = text.as_ptr();
+        let blob = Blob::from(text);
+        assert_eq!(blob.bytes().as_ptr(), ptr, "the string moved in uncopied");
+        assert_eq!(blob.as_text().as_ptr(), ptr, "as_text shares the buffer");
+        assert_eq!(blob, Blob::new(&b"CREATE TABLE t (id INT);"[..]));
+
+        let raw = Blob::new(vec![b'a', 0xff, b'b']);
+        assert_eq!(raw.bytes(), [b'a', 0xff, b'b']);
+        assert_eq!(raw.as_text(), "a\u{fffd}b");
+        assert_eq!(raw.id(), address("blob", 3, [&[b'a', 0xff, b'b'][..]]));
+    }
+
+    #[test]
+    fn text_copies_on_write() {
+        let a = Text::from("v1");
+        let mut b = a.clone();
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        b.to_mut().push('!');
+        assert_eq!((a.as_str(), b.as_str()), ("v1", "v1!"));
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::repo::Repository;
 use crate::sha1::Digest;
 use crate::store::ObjectStore;
 use crate::timestamp::Timestamp;
-use bytes::Bytes;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 5] = b"SVPK1";
@@ -183,8 +182,8 @@ fn write_object(out: &mut Vec<u8>, obj: &Object) {
     match obj {
         Object::Blob(b) => {
             out.push(b'B');
-            put_u32(out, b.data.len() as u32);
-            out.extend_from_slice(&b.data);
+            put_u32(out, b.bytes().len() as u32);
+            out.extend_from_slice(b.bytes());
         }
         Object::Tree(t) => {
             out.push(b'T');
@@ -212,7 +211,7 @@ fn read_object(r: &mut Reader<'_>) -> Result<Object, PackError> {
     match r.u8()? {
         b'B' => {
             let n = r.u32()? as usize;
-            Ok(Object::Blob(Blob::new(Bytes::copy_from_slice(r.take(n)?))))
+            Ok(Object::Blob(Blob::new(r.take(n)?)))
         }
         b'T' => {
             let n = r.u32()? as usize;
@@ -222,7 +221,7 @@ fn read_object(r: &mut Reader<'_>) -> Result<Object, PackError> {
                 let id = r.digest()?;
                 tree.insert(path, id);
             }
-            Ok(Object::Tree(tree))
+            Ok(Object::Tree(Arc::new(tree)))
         }
         b'C' => {
             let tree = r.digest()?;
@@ -234,13 +233,13 @@ fn read_object(r: &mut Reader<'_>) -> Result<Object, PackError> {
             let author = r.string()?;
             let timestamp = Timestamp(r.i64()?);
             let message = r.lstring()?;
-            Ok(Object::Commit(Commit {
+            Ok(Object::Commit(Arc::new(Commit {
                 tree,
                 parents,
                 author,
                 timestamp,
                 message,
-            }))
+            })))
         }
         k => Err(PackError::UnknownKind(k)),
     }

@@ -1,7 +1,7 @@
 //! Repositories: branches over a shared object store, with a git-like
 //! commit/merge API.
 
-use crate::object::{Blob, Commit, Tree};
+use crate::object::{Blob, Commit, Text, Tree};
 use crate::sha1::Digest;
 use crate::store::ObjectStore;
 use crate::timestamp::Timestamp;
@@ -155,9 +155,9 @@ impl Repository {
 
     /// The snapshot tree at the tip of the current branch (empty tree when
     /// the branch has no commits).
-    pub fn head_tree(&self) -> Result<Tree, RepoError> {
+    pub fn head_tree(&self) -> Result<Arc<Tree>, RepoError> {
         match self.head() {
-            None => Ok(Tree::new()),
+            None => Ok(Arc::default()),
             Some(tip) => {
                 let commit = self
                     .store
@@ -170,8 +170,9 @@ impl Repository {
         }
     }
 
-    /// Read a file at the tip of the current branch.
-    pub fn read_file(&self, path: &str) -> Result<Option<String>, RepoError> {
+    /// Read a file at the tip of the current branch (lossy UTF-8, shared
+    /// with its blob; see [`Blob::as_text`]).
+    pub fn read_file(&self, path: &str) -> Result<Option<Text>, RepoError> {
         let tree = self.head_tree()?;
         match tree.get(path) {
             None => Ok(None),
@@ -185,7 +186,8 @@ impl Repository {
     /// Apply `changes` as a new commit on the current branch and return its
     /// id. An empty change list still creates a commit (git allows empty
     /// commits; mining must tolerate them). Written contents move into
-    /// their blobs, uncopied.
+    /// their blobs uncopied: each content `String`'s buffer becomes the
+    /// blob's, and file versions read back share it.
     pub fn commit(
         &mut self,
         changes: impl IntoIterator<Item = FileChange>,
@@ -193,11 +195,11 @@ impl Repository {
         timestamp: Timestamp,
         message: &str,
     ) -> Result<Digest, RepoError> {
-        let mut tree = self.head_tree()?;
+        let mut tree = Tree::clone(&*self.head_tree()?);
         for change in changes {
             match change {
                 FileChange::Write { path, content } => {
-                    let blob_id = self.store.put_blob(Blob::new(content.into_bytes()));
+                    let blob_id = self.store.put_blob(Blob::from(content));
                     tree.insert(path, blob_id);
                 }
                 FileChange::Delete { path } => {
@@ -250,7 +252,7 @@ impl Repository {
                     .tree(c.tree)
                     .ok_or(RepoError::MissingObject(c.tree))?
             }
-            None => Tree::new(),
+            None => Arc::default(),
         };
         let their_commit = self
             .store
@@ -260,7 +262,7 @@ impl Repository {
             .store
             .tree(their_commit.tree)
             .ok_or(RepoError::MissingObject(their_commit.tree))?;
-        let mut tree = self.head_tree()?;
+        let mut tree = Tree::clone(&*self.head_tree()?);
         // Paths present on their side: adopt when they differ from base.
         for (path, id) in &their_tree.entries {
             if base_tree.get(path) != Some(*id) {
@@ -288,7 +290,7 @@ impl Repository {
     }
 
     /// Load a commit object.
-    pub fn commit_object(&self, id: Digest) -> Result<Commit, RepoError> {
+    pub fn commit_object(&self, id: Digest) -> Result<Arc<Commit>, RepoError> {
         self.store.commit(id).ok_or(RepoError::MissingObject(id))
     }
 

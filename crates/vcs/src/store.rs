@@ -55,15 +55,16 @@ impl ObjectStore {
 
     /// Store a tree.
     pub fn put_tree(&self, tree: Tree) -> Digest {
-        self.put(Object::Tree(tree))
+        self.put(Object::Tree(Arc::new(tree)))
     }
 
     /// Store a commit.
     pub fn put_commit(&self, commit: Commit) -> Digest {
-        self.put(Object::Commit(commit))
+        self.put(Object::Commit(Arc::new(commit)))
     }
 
-    /// Fetch any object by address.
+    /// Fetch any object by address. Objects are shared handles: fetching
+    /// one copies no content, paths or strings.
     pub fn get(&self, id: Digest) -> Option<Object> {
         self.objects.read().get(&id).cloned()
     }
@@ -77,7 +78,7 @@ impl ObjectStore {
     }
 
     /// Fetch a tree; `None` when absent or not a tree.
-    pub fn tree(&self, id: Digest) -> Option<Tree> {
+    pub fn tree(&self, id: Digest) -> Option<Arc<Tree>> {
         match self.get(id)? {
             Object::Tree(t) => Some(t),
             _ => None,
@@ -85,7 +86,7 @@ impl ObjectStore {
     }
 
     /// Fetch a commit; `None` when absent or not a commit.
-    pub fn commit(&self, id: Digest) -> Option<Commit> {
+    pub fn commit(&self, id: Digest) -> Option<Arc<Commit>> {
         match self.get(id)? {
             Object::Commit(c) => Some(c),
             _ => None,
@@ -105,7 +106,7 @@ impl ObjectStore {
             match obj {
                 Object::Blob(b) => {
                     s.blobs += 1;
-                    s.blob_bytes += b.data.len();
+                    s.blob_bytes += b.bytes().len();
                 }
                 Object::Tree(_) => s.trees += 1,
                 Object::Commit(_) => s.commits += 1,

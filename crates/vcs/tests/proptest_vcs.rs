@@ -47,7 +47,7 @@ proptest! {
             ).unwrap();
         }
         let hist = file_history(&repo, "s.sql", WalkStrategy::FirstParent).unwrap();
-        let got: Vec<String> = hist.into_iter().map(|v| v.content).collect();
+        let got: Vec<String> = hist.into_iter().map(|v| v.content.to_string()).collect();
         prop_assert_eq!(got, distinct);
     }
 

@@ -383,6 +383,16 @@ for name in runs[0][0]:
     verdict = "ok" if ratio <= bound else "REGRESSION"
     failed |= ratio > bound
     print(f"    {name}: median change/base {ratio:.3f} (fence: {bound:.2f}) {verdict}")
+# Informational, never a gate: the caller's wait on the producer (the
+# funnel stage), which a faster producer shrinks toward zero.
+def funnel(side, pair):
+    gauges = json.load(open(f"{tmp}/paired-{side}-{pair}.metrics.json"))["gauges"]
+    return dict(gauges).get("study.stage.funnel.nanos")
+
+waits = [(funnel("base", p), funnel("change", p)) for p in range(1, pairs + 1)]
+if all(b and c is not None for b, c in waits):
+    ratio = statistics.median(c / b for b, c in waits)
+    print(f"    study.stage.funnel.nanos: median change/base {ratio:.3f} (informational)")
 if failed:
     print(f"PERF REGRESSION: a median change/base ratio exceeds {bound:.2f}", file=sys.stderr)
     sys.exit(1)

@@ -187,8 +187,7 @@ fn cmd_study(args: &[String]) -> i32 {
     }
     let seed: u64 = parsed_flag("study", args, "--seed").unwrap_or(2019);
     let scale: usize = parsed_flag("study", args, "--scale").unwrap_or(1);
-    let workers: usize = parsed_flag("study", args, "--workers")
-        .unwrap_or_else(|| StudyOptions::default().workers);
+    let workers: Option<usize> = parsed_flag("study", args, "--workers");
     let strict = args.iter().any(|a| a == "--strict");
     let inject_pct: u32 = parsed_flag("study", args, "--inject-faults").unwrap_or(0);
     let fault_seed: u64 = parsed_flag("study", args, "--fault-seed").unwrap_or(7);
@@ -226,6 +225,19 @@ fn cmd_study(args: &[String]) -> i32 {
         );
         return 2;
     }
+
+    // A streamed corpus (no store, no injected faults) is generated on a
+    // producer thread beside the miners, so by default that thread takes
+    // one of the host's hardware threads.
+    let streamed_source = store_dir.is_none() && inject_pct == 0;
+    let workers = workers.unwrap_or_else(|| {
+        let available = StudyOptions::default().workers;
+        if streamed_source {
+            available.saturating_sub(1).max(1)
+        } else {
+            available
+        }
+    });
 
     // --- observability flags ---
     let trace_out = flag_value(args, "--trace-out");

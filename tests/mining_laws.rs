@@ -100,7 +100,7 @@ fn comment_only_commit_adds_one_commit_and_nothing_else() {
         let mut v = c.versions[0].clone();
         v.commit = sha1(format!("comment-only/{}", c.name).as_bytes());
         v.message = "comment-only commit".into();
-        v.content.push_str("\n-- comment\n");
+        v.content.to_mut().push_str("\n-- comment\n");
         v
     });
     let out = mine(&edited);
@@ -135,7 +135,7 @@ fn rendered(rename: impl Fn(&str) -> String) -> Vec<CandidateHistory> {
                     }
                     renamed.upsert_table(copy);
                 }
-                v.content = render_schema(&renamed);
+                v.content = render_schema(&renamed).into();
             }
             c
         })
