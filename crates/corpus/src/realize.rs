@@ -328,7 +328,10 @@ pub fn realize<R: Rng>(rng: &mut R, plan: &ProjectPlan) -> GeneratedProject {
                 commit.expansion, commit.maintenance
             );
         }
-        let ddl = live.render(&render_opts, ddl_len + ddl_len / 8);
+        let mut ddl = live.render(&render_opts, ddl_len + ddl_len / 8);
+        // The text becomes the blob as it is: give back the headroom
+        // reserved for growth (an in-place shrink, not a copy).
+        ddl.shrink_to_fit();
         ddl_len = ddl.len();
         repo.commit(
             [FileChange::write(&ddl_path, ddl)],

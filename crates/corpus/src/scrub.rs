@@ -32,7 +32,7 @@
 //! worker count.
 
 use crate::store::{
-    decode_record, manifest_path, shard_path, ShardStore, StoreError, StoreManifest, SHARD_MAGIC,
+    manifest_path, shard_path, ParsedRecord, ShardStore, StoreError, StoreManifest, SHARD_MAGIC,
 };
 use crate::universe::CorpusDigester;
 use schevo_core::failpoint;
@@ -140,6 +140,7 @@ fn walk_shard(
     let mut bad: Vec<(usize, usize)> = Vec::new();
     let mut resynced = 0u64;
     let mut bad_start: Option<usize> = None;
+    let mut record = ParsedRecord::default();
     let mut pos = SHARD_MAGIC.len();
     if bytes.len() < SHARD_MAGIC.len() || &bytes[..SHARD_MAGIC.len()] != SHARD_MAGIC {
         // Corrupt magic: quarantine the prefix and resync from zero.
@@ -149,7 +150,7 @@ fn walk_shard(
         }
     }
     while pos < bytes.len() {
-        match verify_frame_at(bytes, pos, digester) {
+        match verify_frame_at(bytes, pos, &mut record, digester) {
             Some(frame) => {
                 if let Some(start) = bad_start.take() {
                     bad.push((start, pos));
@@ -178,18 +179,22 @@ fn walk_shard(
 }
 
 /// Verify a candidate frame at `pos`: plausible length, in-bounds,
-/// checksum match, decodable payload. Feeds the digester on success.
-fn verify_frame_at(bytes: &[u8], pos: usize, digester: &mut CorpusDigester) -> Option<GoodFrame> {
+/// checksum match, and a payload the reader would decode, checked with
+/// `record` as scratch. Feeds the digester on success.
+fn verify_frame_at(
+    bytes: &[u8],
+    pos: usize,
+    record: &mut ParsedRecord,
+    digester: &mut CorpusDigester,
+) -> Option<GoodFrame> {
     let payload = frame::decode(&bytes[pos..]).ok()?;
-    let record = decode_record(payload).ok()?;
-    let materialized = match &record.materialized {
-        Some((repo, _, _)) => {
-            digester.add(&record.name, &record.sql_paths, repo);
-            true
-        }
-        None => false,
-    };
-    Some(GoodFrame { start: pos, end: pos + frame::frame_len(payload.len()), materialized })
+    let record = record.verify(payload).ok()?;
+    record.digest_into(digester);
+    Some(GoodFrame {
+        start: pos,
+        end: pos + frame::frame_len(payload.len()),
+        materialized: record.is_materialized(),
+    })
 }
 
 /// Publish `contents` at `path` via temp file + fsync + rename +

@@ -36,6 +36,24 @@
 //! reproduces the exact in-memory SQL-Collection order — which is what
 //! makes the sharded backend byte-identical to the in-memory one.
 //!
+//! ## Reading
+//!
+//! [`StoreStream`] parses each shard's next frame as soon as the shard's
+//! previous record is handed out, so corruption surfaces in the same
+//! order whatever the caller does between events. It holds one parsed
+//! record per shard plus the one handed out. [`StoreStream::next_view`]
+//! lends each record as a [`StoreRecord`] borrowed from the stream: the
+//! name and paths sit in strings the cursor reuses and the Libraries.io
+//! fields are three plain values, so a light record costs no allocation;
+//! only a materialized record's pack is decoded into a repository.
+//! [`StoreStream::next_event`] hands out owned [`DecodedRecord`]s.
+//!
+//! An append re-primes the corpus digest from a verifying stream: each
+//! pack gets every check [`read_pack`] makes
+//! ([`schevo_vcs::pack::verify_pack`]) but no repository is built, since
+//! the digest reads only names, paths and branch tips. `schevo scrub`
+//! verifies its frames with the same step.
+//!
 //! ## Corruption
 //!
 //! Reads fail closed, per shard: a frame whose length or checksum does
@@ -45,13 +63,13 @@
 //! record. Either way the reader yields a [`StoreEvent::Corrupt`] event
 //! — callers quarantine it and continue — and never panics.
 
-use crate::libio::LibioRecord;
+use crate::libio::{LibioMeta, LibioRecord};
 use crate::universe::{generate_records, CorpusDigester, CorpusRecord, RecordRef, UniverseConfig};
 use schevo_core::failpoint;
 use schevo_vcs::frame::{self, FrameError};
-use schevo_vcs::pack::{read_pack, write_pack, PackError, Reader};
+use schevo_vcs::pack::{read_pack, verify_pack, write_pack, PackError, Reader};
 use schevo_vcs::repo::Repository;
-use schevo_vcs::sha1::sha1;
+use schevo_vcs::sha1::{sha1, Digest};
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -246,7 +264,8 @@ fn encode_record(seq: u64, record: RecordRef<'_>) -> Vec<u8> {
     p
 }
 
-/// One record streamed back from the store, decoded and verified.
+/// One record streamed back from the store, decoded and verified, owned:
+/// what [`StoreStream::next_event`] yields.
 #[derive(Debug)]
 pub struct DecodedRecord {
     /// Global generation sequence number (SQL-Collection order).
@@ -261,43 +280,183 @@ pub struct DecodedRecord {
     pub materialized: Option<(Repository, u64, u64)>,
 }
 
-/// Decode one verified payload.
-pub(crate) fn decode_record(payload: &[u8]) -> Result<DecodedRecord, PackError> {
-    let mut r = Reader::new(payload);
-    let seq = r.u64()?;
-    let kind = r.u8()?;
-    let name = r.string()?;
-    let path_count = r.u16()? as usize;
-    let mut sql_paths = Vec::with_capacity(path_count.min(64));
-    for _ in 0..path_count {
-        sql_paths.push(r.string()?);
+/// One record streamed back from the store, verified, as a view borrowed
+/// from the stream: what [`StoreStream::next_view`] yields. It lives
+/// until the stream's next event and allocates nothing of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct StoreRecord<'a> {
+    /// Global generation sequence number (SQL-Collection order).
+    pub seq: u64,
+    /// `owner/repo`.
+    pub name: &'a str,
+    /// Advertised SQL paths.
+    pub sql_paths: &'a [String],
+    /// Libraries.io metadata, absent for unmonitored repositories.
+    pub libio: Option<LibioMeta>,
+    body: &'a Body,
+}
+
+impl<'a> StoreRecord<'a> {
+    /// `(repository, pup_months, total_commits)` of a materialized record
+    /// read by [`ShardStore::stream`].
+    pub fn materialized(&self) -> Option<(&'a Repository, u64, u64)> {
+        match self.body {
+            Body::Decoded(repo, pup_months, total_commits) => {
+                Some((repo, *pup_months, *total_commits))
+            }
+            Body::Light | Body::Verified(_) => None,
+        }
     }
-    let libio = match r.u8()? {
-        0 => None,
-        _ => {
-            let is_fork = r.u8()? != 0;
-            let stars = r.u32()?;
-            let contributors = r.u32()?;
-            Some(LibioRecord::new(name.clone(), is_fork, stars, contributors))
+
+    /// Whether the record carries a repository.
+    pub(crate) fn is_materialized(&self) -> bool {
+        !matches!(self.body, Body::Light)
+    }
+
+    /// Fold the record's part of the corpus digest into `digester`
+    /// (light records have none).
+    pub(crate) fn digest_into(&self, digester: &mut CorpusDigester) {
+        match self.body {
+            Body::Light => {}
+            Body::Decoded(repo, ..) => digester.add(self.name, self.sql_paths, repo),
+            Body::Verified(tips) => digester.add_tips(
+                self.name,
+                self.sql_paths,
+                tips.iter().map(|(branch, tip)| (branch.as_str(), *tip)),
+            ),
         }
-    };
-    let materialized = match kind {
-        0 => None,
-        _ => {
-            let pup = r.u64()?;
-            let commits = r.u64()?;
-            let pack_len = r.u32()? as usize;
-            let repo = read_pack(r.take(pack_len)?)?;
-            Some((repo, pup, commits))
+    }
+}
+
+/// What a parsed record carries beyond its metadata.
+#[derive(Debug, Default)]
+enum Body {
+    /// A lightweight record.
+    #[default]
+    Light,
+    /// A materialized record's repository, decoded, with its
+    /// forge-reported `(pup_months, total_commits)`.
+    Decoded(Repository, u64, u64),
+    /// A materialized record's pack, verified but not decoded: its branch
+    /// tips in name order, all the corpus digest reads of it.
+    Verified(Vec<(String, Digest)>),
+}
+
+/// What parsing does with a materialized record's pack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PackMode {
+    /// Decode it into a repository ([`read_pack`]).
+    Decode,
+    /// Only verify it ([`verify_pack`]): every check `read_pack` makes,
+    /// without building the repository.
+    Verify,
+}
+
+/// Overwrite `slot` with `text`, keeping its allocation.
+fn reuse(slot: &mut String, text: &str) {
+    slot.clear();
+    slot.push_str(text);
+}
+
+/// One record payload, parsed in place. The name and path strings are
+/// reused from record to record, so parsing a light record allocates
+/// nothing once they have grown to fit.
+#[derive(Debug, Default)]
+pub(crate) struct ParsedRecord {
+    seq: u64,
+    name: String,
+    /// Path strings; the first `path_count` are this record's, the rest
+    /// are kept for their allocations.
+    paths: Vec<String>,
+    path_count: usize,
+    libio: Option<LibioMeta>,
+    body: Body,
+}
+
+impl ParsedRecord {
+    /// Parse a verified frame's payload into this record. On error the
+    /// record holds a mix of old and new fields and must not be viewed.
+    fn parse(&mut self, payload: &[u8], mode: PackMode) -> Result<(), PackError> {
+        let mut r = Reader::new(payload);
+        self.seq = r.u64()?;
+        let kind = r.u8()?;
+        reuse(&mut self.name, r.str()?);
+        let path_count = r.u16()? as usize;
+        for k in 0..path_count {
+            let path = r.str()?;
+            match self.paths.get_mut(k) {
+                Some(slot) => reuse(slot, path),
+                None => self.paths.push(path.to_string()),
+            }
         }
-    };
-    Ok(DecodedRecord {
-        seq,
-        name,
-        sql_paths,
-        libio,
-        materialized,
-    })
+        self.path_count = path_count;
+        self.libio = match r.u8()? {
+            0 => None,
+            _ => Some(LibioMeta {
+                is_fork: r.u8()? != 0,
+                stars: r.u32()?,
+                contributors: r.u32()?,
+            }),
+        };
+        self.body = match kind {
+            0 => Body::Light,
+            _ => {
+                let pup_months = r.u64()?;
+                let total_commits = r.u64()?;
+                let pack_len = r.u32()? as usize;
+                let pack = r.take(pack_len)?;
+                match mode {
+                    PackMode::Decode => Body::Decoded(read_pack(pack)?, pup_months, total_commits),
+                    PackMode::Verify => Body::Verified(
+                        verify_pack(pack)?
+                            .into_iter()
+                            .map(|(branch, tip)| (branch.to_string(), tip))
+                            .collect(),
+                    ),
+                }
+            }
+        };
+        Ok(())
+    }
+
+    /// Verify one record payload exactly as the reader decodes it, but
+    /// without building its repository: the step that re-primes a
+    /// corpus digest ([`StoreWriter::append_to`] and `schevo scrub`),
+    /// followed by [`StoreRecord::digest_into`].
+    pub(crate) fn verify(&mut self, payload: &[u8]) -> Result<StoreRecord<'_>, PackError> {
+        self.parse(payload, PackMode::Verify)?;
+        Ok(self.view())
+    }
+
+    fn view(&self) -> StoreRecord<'_> {
+        StoreRecord {
+            seq: self.seq,
+            name: &self.name,
+            sql_paths: &self.paths[..self.path_count],
+            libio: self.libio,
+            body: &self.body,
+        }
+    }
+
+    /// The record as an owned [`DecodedRecord`], moving its repository
+    /// out.
+    fn take_decoded(&mut self) -> DecodedRecord {
+        let libio = self
+            .libio
+            .map(|m| LibioRecord::new(self.name.clone(), m.is_fork, m.stars, m.contributors));
+        DecodedRecord {
+            seq: self.seq,
+            name: self.name.clone(),
+            sql_paths: self.paths[..self.path_count].to_vec(),
+            libio,
+            materialized: match std::mem::take(&mut self.body) {
+                Body::Decoded(repo, pup_months, total_commits) => {
+                    Some((repo, pup_months, total_commits))
+                }
+                Body::Light | Body::Verified(_) => None,
+            },
+        }
+    }
 }
 
 /// Streaming writer: frames each record into its shard as it arrives,
@@ -361,23 +520,23 @@ impl StoreWriter {
     }
 
     /// Reopen the store at `dir` for appending. The existing records are
-    /// streamed once to re-prime the corpus digester (the digest is
-    /// order-independent, so appended records fold in cleanly); any
-    /// corruption or short read fails closed — appending to a store we
-    /// cannot fully account for would silently launder the damage into a
-    /// fresh manifest.
+    /// verified once, in the reader's order, to re-prime the corpus
+    /// digester (the digest is order-independent, so appended records
+    /// fold in cleanly). Their packs are checked as the reader checks
+    /// them but not decoded: the digest reads only names, paths and
+    /// branch tips. Any corruption or short read fails closed —
+    /// appending to a store we cannot fully account for would silently
+    /// launder the damage into a fresh manifest.
     pub fn append_to(dir: &Path) -> Result<StoreWriter, StoreError> {
         let store = ShardStore::open(dir)?;
         let manifest = store.manifest().clone();
         let mut digester = CorpusDigester::new();
         let mut seen = 0u64;
-        let mut stream = store.stream();
-        while let Some(event) = stream.next_event() {
+        let mut stream = store.stream_with(PackMode::Verify);
+        while let Some(event) = stream.next_view() {
             match event {
                 StoreEvent::Record(r) => {
-                    if let Some((repo, _, _)) = &r.materialized {
-                        digester.add(&r.name, &r.sql_paths, repo);
-                    }
+                    r.digest_into(&mut digester);
                     seen += 1;
                 }
                 StoreEvent::Corrupt { shard, offset, detail } => {
@@ -578,17 +737,22 @@ impl ShardStore {
 
     /// Begin a streaming read merging all shards back into `seq` order.
     pub fn stream(&self) -> StoreStream {
+        self.stream_with(PackMode::Decode)
+    }
+
+    fn stream_with(&self, mode: PackMode) -> StoreStream {
         let shards = self.manifest.shards as usize;
         let mut cursors = Vec::with_capacity(shards);
         for i in 0..shards {
             cursors.push(ShardCursor::open(&shard_path(&self.dir, i)));
         }
         let mut stream = StoreStream {
+            pending: (0..cursors.len()).map(|_| Pending::Empty).collect(),
             cursors,
-            pending: Vec::new(),
             io: StoreIo::default(),
+            mode,
+            handed_out: None,
         };
-        stream.pending = (0..stream.cursors.len()).map(|_| Pending::Empty).collect();
         for i in 0..stream.cursors.len() {
             stream.refill(i);
         }
@@ -596,11 +760,12 @@ impl ShardStore {
     }
 }
 
-/// One event from a streaming store read.
+/// One event from a streaming store read: a record (owned, or a view
+/// borrowed from the stream) or a corruption event.
 #[derive(Debug)]
-pub enum StoreEvent {
+pub enum StoreEvent<R = DecodedRecord> {
     /// A verified, decoded record (in global `seq` order).
-    Record(DecodedRecord),
+    Record(R),
     /// A corruption event: the offending shard and offset, plus detail.
     /// The stream continues over the surviving data.
     Corrupt {
@@ -613,13 +778,29 @@ pub enum StoreEvent {
     },
 }
 
+impl<R> StoreEvent<R> {
+    fn map_record<S>(self, f: impl FnOnce(R) -> S) -> StoreEvent<S> {
+        match self {
+            StoreEvent::Record(r) => StoreEvent::Record(f(r)),
+            StoreEvent::Corrupt {
+                shard,
+                offset,
+                detail,
+            } => StoreEvent::Corrupt {
+                shard,
+                offset,
+                detail,
+            },
+        }
+    }
+}
+
 #[derive(Debug)]
 enum Pending {
     /// Nothing buffered; the cursor is exhausted or dead.
     Empty,
-    /// The next record of this shard (boxed: a materialized record is
-    /// orders of magnitude larger than the other variants).
-    Record(Box<DecodedRecord>),
+    /// The cursor's `staged` record is the shard's next.
+    Record,
     /// A corruption event waiting to be yielded.
     Corrupt { offset: u64, detail: String },
 }
@@ -633,40 +814,49 @@ struct ShardCursor {
     dead: bool,
     open_error: Option<String>,
     /// Reused payload scratch: each `refill` overwrites it in place and
-    /// decodes straight out of it, so a streamed read performs one payload
+    /// parses straight out of it, so a streamed read performs one payload
     /// allocation per shard (growing to the largest frame seen) instead of
     /// one per frame.
     payload_buf: Vec<u8>,
+    /// The shard's next record, parsed at refill.
+    staged: ParsedRecord,
+    /// The record last handed out, which the caller's view borrows. It
+    /// trades places with `staged` on hand-out, so the refill that
+    /// follows never touches it.
+    out: ParsedRecord,
 }
 
 impl ShardCursor {
     fn open(path: &Path) -> ShardCursor {
-        match File::open(path) {
-            Ok(f) => ShardCursor {
-                file: Some(BufReader::new(f)),
-                offset: 0,
-                dead: false,
-                open_error: None,
-                payload_buf: Vec::new(),
-            },
-            Err(e) => ShardCursor {
-                file: None,
-                offset: 0,
-                dead: true,
-                open_error: Some(format!("{}: {e}", path.display())),
-                payload_buf: Vec::new(),
-            },
+        let (file, dead, open_error) = match File::open(path) {
+            Ok(f) => (Some(BufReader::new(f)), false, None),
+            Err(e) => (None, true, Some(format!("{}: {e}", path.display()))),
+        };
+        ShardCursor {
+            file,
+            offset: 0,
+            dead,
+            open_error,
+            payload_buf: Vec::new(),
+            staged: ParsedRecord::default(),
+            out: ParsedRecord::default(),
         }
     }
 }
 
-/// A streaming, shard-merging store reader. Holds at most one decoded
-/// record per shard at a time.
+/// A streaming, shard-merging store reader. Each shard's next record is
+/// parsed as soon as the previous one is handed out, so the stream holds
+/// one parsed record per shard plus the one handed out.
 #[derive(Debug)]
 pub struct StoreStream {
     cursors: Vec<ShardCursor>,
     pending: Vec<Pending>,
     io: StoreIo,
+    mode: PackMode,
+    /// The shard whose `out` record the last event handed out. Its
+    /// repository is dropped on the next step, so no more than one
+    /// handed-out repository outlives its event.
+    handed_out: Option<usize>,
 }
 
 impl StoreStream {
@@ -742,12 +932,10 @@ impl StoreStream {
         self.io.bytes_read += len;
         // The frame verified, so the boundary is trustworthy: a decode
         // failure (a store bug, not bit rot) skips only this record.
-        // Decoding borrows the scratch buffer in place — the record owns
-        // its strings and pack, so nothing aliases the buffer afterwards.
-        match decode_record(&cursor.payload_buf) {
-            Ok(record) => {
+        match cursor.staged.parse(&cursor.payload_buf, self.mode) {
+            Ok(()) => {
                 self.io.records_read += 1;
-                self.pending[i] = Pending::Record(Box::new(record));
+                self.pending[i] = Pending::Record;
             }
             Err(e) => {
                 self.pending[i] = Pending::Corrupt {
@@ -758,10 +946,15 @@ impl StoreStream {
         }
     }
 
-    /// The next event, merging shards by `seq`. Corruption events are
-    /// yielded as soon as their shard is consulted (lowest shard index
-    /// first), so a given store's event order is deterministic.
-    pub fn next_event(&mut self) -> Option<StoreEvent> {
+    /// Step to the next event, merging shards by `seq`: a record is left
+    /// in its cursor's `out` slot and named by its shard index.
+    /// Corruption events are yielded as soon as their shard is consulted
+    /// (lowest shard index first), so a given store's event order is
+    /// deterministic.
+    fn advance(&mut self) -> Option<StoreEvent<usize>> {
+        if let Some(i) = self.handed_out.take() {
+            self.cursors[i].out.body = Body::Light;
+        }
         // Corruption first: the slot must drain before the shard can move.
         for i in 0..self.pending.len() {
             if matches!(self.pending[i], Pending::Corrupt { .. }) {
@@ -780,21 +973,33 @@ impl StoreStream {
             }
         }
         // Then the lowest-seq record across shards.
-        let mut best: Option<(usize, u64)> = None;
-        for (i, slot) in self.pending.iter().enumerate() {
-            if let Pending::Record(r) = slot {
-                if best.map(|(_, s)| r.seq < s).unwrap_or(true) {
-                    best = Some((i, r.seq));
-                }
-            }
-        }
-        let (i, _) = best?;
-        let slot = std::mem::replace(&mut self.pending[i], Pending::Empty);
-        let Pending::Record(record) = slot else {
-            unreachable!("selected slot holds a record");
-        };
+        let (i, _) = self
+            .pending
+            .iter()
+            .zip(&self.cursors)
+            .enumerate()
+            .filter(|(_, (slot, _))| matches!(slot, Pending::Record))
+            .map(|(i, (_, cursor))| (i, cursor.staged.seq))
+            .min_by_key(|&(i, seq)| (seq, i))?;
+        let cursor = &mut self.cursors[i];
+        std::mem::swap(&mut cursor.staged, &mut cursor.out);
         self.refill(i);
-        Some(StoreEvent::Record(*record))
+        self.handed_out = Some(i);
+        Some(StoreEvent::Record(i))
+    }
+
+    /// The next event, with the record owned.
+    pub fn next_event(&mut self) -> Option<StoreEvent> {
+        let event = self.advance()?;
+        Some(event.map_record(|i| self.cursors[i].out.take_decoded()))
+    }
+
+    /// The next event, with the record as a view borrowed from the
+    /// stream: no per-record allocation, and no Libraries.io record
+    /// built.
+    pub fn next_view(&mut self) -> Option<StoreEvent<StoreRecord<'_>>> {
+        let event = self.advance()?;
+        Some(event.map_record(|i| self.cursors[i].out.view()))
     }
 }
 
@@ -843,13 +1048,7 @@ mod tests {
                     let expect = &universe.sql_collection[n];
                     assert_eq!(r.name, expect.repo_name);
                     assert_eq!(r.sql_paths, expect.sql_paths);
-                    assert_eq!(
-                        r.libio.as_ref().map(|m| (m.is_fork, m.stars, m.contributors)),
-                        universe
-                            .libio
-                            .get(&r.name)
-                            .map(|m| (m.is_fork, m.stars, m.contributors))
-                    );
+                    assert_eq!(r.libio.as_ref(), universe.libio.get(&r.name), "{}", r.name);
                     assert_eq!(
                         r.materialized.is_some(),
                         universe.materialized.contains_key(&r.name)
@@ -861,7 +1060,71 @@ mod tests {
             }
         }
         assert_eq!(n, universe.sql_collection.len());
+
+        // The views carry every field of the resident universe, and a
+        // verifying stream the same records with only their tips.
+        for mode in [PackMode::Decode, PackMode::Verify] {
+            let mut stream = store.stream_with(mode);
+            let mut n = 0usize;
+            let mut verified = CorpusDigester::new();
+            while let Some(event) = stream.next_view() {
+                let StoreEvent::Record(r) = event else {
+                    panic!("clean store corrupt");
+                };
+                let expect = &universe.sql_collection[n];
+                assert_eq!(r.seq, n as u64, "seq order");
+                assert_eq!(r.name, expect.repo_name);
+                assert_eq!(r.sql_paths, expect.sql_paths);
+                assert_eq!(r.libio, universe.libio.get(r.name).map(LibioRecord::meta));
+                let resident = universe.materialized.get(r.name);
+                assert_eq!(r.is_materialized(), resident.is_some(), "{}", r.name);
+                match (r.materialized(), resident) {
+                    (Some((repo, pup, commits)), Some(m)) => {
+                        assert_eq!(mode, PackMode::Decode);
+                        assert_eq!((pup, commits), m.reported_meta());
+                        assert_eq!(repo.name, m.repo().name);
+                        assert_eq!(repo.head_branch(), m.repo().head_branch());
+                        let mut branches: Vec<_> = repo.branch_names().collect();
+                        branches.sort_unstable();
+                        for branch in branches {
+                            assert_eq!(repo.branch_tip(branch), m.repo().branch_tip(branch));
+                        }
+                    }
+                    (None, _) => assert!(mode == PackMode::Verify || resident.is_none()),
+                    (Some(_), None) => panic!("{} is not materialized", r.name),
+                }
+                r.digest_into(&mut verified);
+                n += 1;
+            }
+            assert_eq!(n, universe.sql_collection.len());
+            assert_eq!(stream.io().records_read, manifest.records);
+            assert_eq!(
+                verified.finalize(&config),
+                manifest.corpus_digest,
+                "{mode:?}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every event a stream yields: each corruption event with the count
+    /// of records yielded before it, then the record total.
+    fn events(dir: &Path) -> (Vec<(u64, usize, u64, String)>, u64) {
+        let store = ShardStore::open(dir).expect("open store");
+        let mut stream = store.stream();
+        let mut corrupt = Vec::new();
+        let mut records = 0u64;
+        while let Some(event) = stream.next_event() {
+            match event {
+                StoreEvent::Record(_) => records += 1,
+                StoreEvent::Corrupt {
+                    shard,
+                    offset,
+                    detail,
+                } => corrupt.push((records, shard, offset, detail)),
+            }
+        }
+        (corrupt, records)
     }
 
     #[test]
@@ -876,22 +1139,15 @@ mod tests {
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).expect("rewrite shard");
 
-        let store = ShardStore::open(&dir).expect("open store");
-        let mut records = 0u64;
-        let mut corrupt = 0u64;
-        let mut stream = store.stream();
-        while let Some(event) = stream.next_event() {
-            match event {
-                StoreEvent::Record(_) => records += 1,
-                StoreEvent::Corrupt { shard, .. } => {
-                    assert_eq!(shard, 0);
-                    corrupt += 1;
-                }
-            }
-        }
-        assert_eq!(corrupt, 1, "exactly one corruption event");
+        let (corrupt, records) = events(&dir);
+        // Exactly one corruption event, in shard 0, at the place and
+        // after the records the reader has always reported.
+        assert_eq!(
+            corrupt,
+            [(1024, 0, 99510, "frame checksum mismatch".to_string())]
+        );
+        assert_eq!(records, 2148);
         assert!(records < manifest.records, "tail of shard 0 is lost");
-        assert!(records > 0, "shard 1 survives in full");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -904,16 +1160,17 @@ mod tests {
         let bytes = fs::read(&path).expect("read shard");
         fs::write(&path, &bytes[..bytes.len() - 7]).expect("truncate shard");
 
-        let store = ShardStore::open(&dir).expect("open store");
-        let mut corrupt = 0;
-        let mut stream = store.stream();
-        while let Some(event) = stream.next_event() {
-            if let StoreEvent::Corrupt { detail, .. } = event {
-                assert!(detail.contains("truncated"), "{detail}");
-                corrupt += 1;
-            }
-        }
-        assert_eq!(corrupt, 1);
+        let (corrupt, records) = events(&dir);
+        assert_eq!(
+            corrupt,
+            [(
+                3324,
+                0,
+                859798,
+                "truncated frame: 40 of 47 bytes".to_string()
+            )]
+        );
+        assert_eq!(records, 3324);
         let _ = fs::remove_dir_all(&dir);
     }
 

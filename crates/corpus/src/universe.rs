@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use schevo_core::taxa::Taxon;
 use schevo_vcs::repo::Repository;
+use schevo_vcs::sha1::Digest;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
 
@@ -588,18 +589,32 @@ impl CorpusDigester {
 
     /// Record one materialized repository's contribution.
     pub fn add(&mut self, name: &str, sql_paths: &[String], repo: &Repository) {
+        let mut tips: Vec<(&str, Digest)> = repo
+            .branch_names()
+            .filter_map(|branch| Some((branch, repo.branch_tip(branch)?)))
+            .collect();
+        tips.sort_unstable();
+        self.add_tips(name, sql_paths, tips);
+    }
+
+    /// Record one materialized repository's contribution from its branch
+    /// tips, given in branch-name order (as
+    /// [`schevo_vcs::pack::verify_pack`] returns them): all the digest
+    /// reads of a repository, so a verified pack need not be decoded.
+    pub fn add_tips<'b>(
+        &mut self,
+        name: &str,
+        sql_paths: &[String],
+        tips: impl IntoIterator<Item = (&'b str, Digest)>,
+    ) {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(name.as_bytes());
         for path in sql_paths {
             bytes.extend_from_slice(path.as_bytes());
         }
-        let mut branches: Vec<&str> = repo.branch_names().collect();
-        branches.sort_unstable();
-        for branch in branches {
+        for (branch, tip) in tips {
             bytes.extend_from_slice(branch.as_bytes());
-            if let Some(tip) = repo.branch_tip(branch) {
-                bytes.extend_from_slice(&tip.0);
-            }
+            bytes.extend_from_slice(&tip.0);
         }
         self.parts.insert(name.to_string(), bytes);
     }

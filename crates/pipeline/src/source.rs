@@ -527,7 +527,7 @@ struct StoreSourceStream {
 impl CandidateStream for StoreSourceStream {
     fn next_event(&mut self) -> Option<SourceEvent> {
         loop {
-            let Some(event) = self.inner.next_event() else {
+            let Some(event) = self.inner.next_view() else {
                 if !self.tally_checked {
                     self.tally_checked = true;
                     let read = self.inner.io().records_read;
@@ -558,10 +558,10 @@ impl CandidateStream for StoreSourceStream {
                 }
                 StoreEvent::Record(r) => {
                     let record = RecordView {
-                        name: &r.name,
-                        sql_paths: &r.sql_paths,
-                        libio: r.libio.as_ref().map(|m| m.meta()),
-                        clone: || r.materialized.as_ref().map(|(repo, p, c)| (repo, *p, *c)),
+                        name: r.name,
+                        sql_paths: r.sql_paths,
+                        libio: r.libio,
+                        clone: || r.materialized(),
                     };
                     if let Some(event) = funnel_event(&mut self.report, record, self.strategy) {
                         return Some(event);

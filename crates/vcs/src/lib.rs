@@ -46,7 +46,7 @@ pub mod store;
 pub mod timestamp;
 
 pub use history::{commit_count, file_history, FileVersion, WalkStrategy};
-pub use pack::{read_pack, write_pack, PackError};
+pub use pack::{read_pack, verify_pack, write_pack, PackError};
 pub use repo::{FileChange, RepoError, Repository};
 pub use sha1::Digest;
 pub use store::ObjectStore;

@@ -98,8 +98,7 @@ impl Blob {
     /// The blob's content address (`blob <len>\0<data>`, exactly git's
     /// scheme).
     pub fn id(&self) -> Digest {
-        let data = self.bytes();
-        address("blob", data.len(), [data])
+        blob_address(self.bytes())
     }
 
     /// Interpret the blob as UTF-8 text (lossy). Valid UTF-8 is shared,
@@ -140,13 +139,7 @@ impl Tree {
 
     /// The tree's content address.
     pub fn id(&self) -> Digest {
-        // Each entry is `path \0 id`.
-        let len = self.entries.keys().map(|path| path.len() + 1 + 20).sum();
-        let parts = self
-            .entries
-            .iter()
-            .flat_map(|(path, id)| [path.as_bytes(), &[0], &id.0]);
-        address("tree", len, parts)
+        tree_address(self.entries.iter().map(|(path, id)| (path.as_str(), id)))
     }
 
     /// The blob id at `path`, if present.
@@ -184,33 +177,103 @@ pub struct Commit {
 impl Commit {
     /// The commit's content address.
     pub fn id(&self) -> Digest {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(b"tree ");
-        payload.extend_from_slice(self.tree.to_hex().as_bytes());
-        payload.push(b'\n');
-        for p in &self.parents {
-            payload.extend_from_slice(b"parent ");
-            payload.extend_from_slice(p.to_hex().as_bytes());
-            payload.push(b'\n');
-        }
-        payload.extend_from_slice(format!("author {} {}\n", self.author, self.timestamp.0).as_bytes());
-        payload.push(b'\n');
-        payload.extend_from_slice(self.message.as_bytes());
-        address("commit", payload.len(), [&payload[..]])
+        commit_address(
+            self.tree,
+            &self.parents,
+            &self.author,
+            self.timestamp,
+            &self.message,
+        )
     }
 }
 
-/// Git's object address: SHA-1 of `kind len\0` followed by the payload,
-/// streamed part by part; `len` is the payload's total length.
-fn address<'a>(kind: &str, len: usize, payload: impl IntoIterator<Item = &'a [u8]>) -> Digest {
+/// `n` in decimal (after a `-` when `negative`), as `format!` writes it,
+/// in the tail of `buf`.
+fn decimal(n: u64, negative: bool, buf: &mut [u8; 21]) -> &[u8] {
+    let mut rest = n;
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
+}
+
+/// A hasher primed with git's object header, `kind len\0`; the payload,
+/// `len` bytes in all, follows it.
+fn address_hasher(kind: &str, len: usize) -> Sha1 {
     let mut h = Sha1::new();
+    let mut digits = [0u8; 21];
     h.update(kind.as_bytes());
     h.update(b" ");
-    h.update(len.to_string().as_bytes());
+    h.update(decimal(len as u64, false, &mut digits));
     h.update(b"\0");
-    for part in payload {
-        h.update(part);
+    h
+}
+
+/// A blob's address: `blob <len>\0<data>`, exactly git's scheme.
+pub(crate) fn blob_address(data: &[u8]) -> Digest {
+    let mut h = address_hasher("blob", data.len());
+    h.update(data);
+    h.finalize()
+}
+
+/// A tree's address over its entries in path order, each `path \0 id`.
+pub(crate) fn tree_address<'e>(
+    entries: impl Iterator<Item = (&'e str, &'e Digest)> + Clone,
+) -> Digest {
+    let len = entries.clone().map(|(path, _)| path.len() + 1 + 20).sum();
+    let mut h = address_hasher("tree", len);
+    for (path, id) in entries {
+        h.update(path.as_bytes());
+        h.update(&[0]);
+        h.update(&id.0);
     }
+    h.finalize()
+}
+
+/// A commit's address from its fields. The payload is `tree <hex>\n`,
+/// `parent <hex>\n` per parent, `author <name> <secs>\n`, a blank line
+/// and the message; it is streamed into the hasher, never built.
+pub(crate) fn commit_address(
+    tree: Digest,
+    parents: &[Digest],
+    author: &str,
+    timestamp: Timestamp,
+    message: &str,
+) -> Digest {
+    let mut digits = [0u8; 21];
+    let secs = decimal(timestamp.0.unsigned_abs(), timestamp.0 < 0, &mut digits);
+    let len = "tree \n".len()
+        + 40
+        + parents.len() * ("parent \n".len() + 40)
+        + "author  \n\n".len()
+        + author.len()
+        + secs.len()
+        + message.len();
+    let mut h = address_hasher("commit", len);
+    h.update(b"tree ");
+    h.update(&tree.hex_bytes());
+    h.update(b"\n");
+    for p in parents {
+        h.update(b"parent ");
+        h.update(&p.hex_bytes());
+        h.update(b"\n");
+    }
+    h.update(b"author ");
+    h.update(author.as_bytes());
+    h.update(b" ");
+    h.update(secs);
+    h.update(b"\n\n");
+    h.update(message.as_bytes());
     h.finalize()
 }
 
@@ -277,7 +340,7 @@ mod tests {
         let raw = Blob::new(vec![b'a', 0xff, b'b']);
         assert_eq!(raw.bytes(), [b'a', 0xff, b'b']);
         assert_eq!(raw.as_text(), "a\u{fffd}b");
-        assert_eq!(raw.id(), address("blob", 3, [&[b'a', 0xff, b'b'][..]]));
+        assert_eq!(raw.id(), blob_address(&[b'a', 0xff, b'b']));
     }
 
     #[test]
@@ -334,6 +397,50 @@ mod tests {
         let mut other = base.clone();
         other.parents = vec![base.id()];
         assert_ne!(base.id(), other.id());
+    }
+
+    #[test]
+    fn streamed_addresses_equal_the_built_payloads() {
+        // The payloads as they were built before being streamed.
+        fn built(kind: &str, payload: &[u8]) -> Digest {
+            let mut bytes = format!("{kind} {}\0", payload.len()).into_bytes();
+            bytes.extend_from_slice(payload);
+            crate::sha1::sha1(&bytes)
+        }
+        let blob = Blob::new(&b"x"[..]).id();
+        for secs in [0, 7, -1, 1_514_764_800, i64::MAX, i64::MIN] {
+            for parents in [vec![], vec![blob], vec![blob, Tree::new().id()]] {
+                let c = Commit {
+                    tree: blob,
+                    parents: parents.clone(),
+                    author: "ann".into(),
+                    timestamp: Timestamp(secs),
+                    message: if secs < 0 {
+                        String::new()
+                    } else {
+                        "merge\nbody".into()
+                    },
+                };
+                let mut payload = format!("tree {}\n", c.tree.to_hex());
+                for p in &parents {
+                    payload += &format!("parent {}\n", p.to_hex());
+                }
+                payload += &format!("author {} {}\n\n{}", c.author, secs, c.message);
+                assert_eq!(c.id(), built("commit", payload.as_bytes()), "{secs}");
+            }
+        }
+        let mut t = Tree::new();
+        t.insert("b.sql", blob);
+        t.insert("a/ü.sql", blob);
+        let mut payload = Vec::new();
+        for (path, id) in &t.entries {
+            payload.extend_from_slice(path.as_bytes());
+            payload.push(0);
+            payload.extend_from_slice(&id.0);
+        }
+        assert_eq!(t.id(), built("tree", &payload));
+        assert_eq!(Tree::new().id(), built("tree", b""));
+        assert_eq!(Blob::new(vec![7u8; 1000]).id(), built("blob", &[7u8; 1000]));
     }
 
     #[test]

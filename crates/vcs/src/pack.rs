@@ -17,13 +17,15 @@
 //!
 //! All integers are little-endian. Loading recomputes every object's digest
 //! and rejects mismatches, so a corrupted pack can never produce a silently
-//! wrong history.
+//! wrong history. [`verify_pack`] makes the same checks without building
+//! the repository.
 
-use crate::object::{Blob, Commit, Object, Tree};
+use crate::object::{blob_address, commit_address, tree_address, Blob, Commit, Object, Tree};
 use crate::repo::Repository;
 use crate::sha1::Digest;
 use crate::store::ObjectStore;
 use crate::timestamp::Timestamp;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 5] = b"SVPK1";
@@ -165,16 +167,16 @@ impl<'a> Reader<'a> {
         Ok(Digest(self.array()?))
     }
 
-    /// Read a `u16`-length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, PackError> {
+    /// Read a `u16`-length-prefixed UTF-8 string, borrowed.
+    pub fn str(&mut self) -> Result<&'a str, PackError> {
         let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| PackError::BadString)
+        std::str::from_utf8(self.take(n)?).map_err(|_| PackError::BadString)
     }
 
-    /// Read a `u32`-length-prefixed UTF-8 string.
-    pub fn lstring(&mut self) -> Result<String, PackError> {
+    /// Read a `u32`-length-prefixed UTF-8 string, borrowed.
+    pub fn lstr(&mut self) -> Result<&'a str, PackError> {
         let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| PackError::BadString)
+        std::str::from_utf8(self.take(n)?).map_err(|_| PackError::BadString)
     }
 }
 
@@ -204,44 +206,6 @@ fn write_object(out: &mut Vec<u8>, obj: &Object) {
             out.extend_from_slice(&c.timestamp.0.to_le_bytes());
             put_lstr(out, &c.message);
         }
-    }
-}
-
-fn read_object(r: &mut Reader<'_>) -> Result<Object, PackError> {
-    match r.u8()? {
-        b'B' => {
-            let n = r.u32()? as usize;
-            Ok(Object::Blob(Blob::new(r.take(n)?)))
-        }
-        b'T' => {
-            let n = r.u32()? as usize;
-            let mut tree = Tree::new();
-            for _ in 0..n {
-                let path = r.string()?;
-                let id = r.digest()?;
-                tree.insert(path, id);
-            }
-            Ok(Object::Tree(Arc::new(tree)))
-        }
-        b'C' => {
-            let tree = r.digest()?;
-            let parent_count = r.u8()? as usize;
-            let mut parents = Vec::with_capacity(parent_count);
-            for _ in 0..parent_count {
-                parents.push(r.digest()?);
-            }
-            let author = r.string()?;
-            let timestamp = Timestamp(r.i64()?);
-            let message = r.lstring()?;
-            Ok(Object::Commit(Arc::new(Commit {
-                tree,
-                parents,
-                author,
-                timestamp,
-                message,
-            })))
-        }
-        k => Err(PackError::UnknownKind(k)),
     }
 }
 
@@ -300,80 +264,205 @@ pub fn write_pack(repo: &Repository) -> Vec<u8> {
     out
 }
 
+/// One object as a pack stores it, borrowed from the pack bytes (`'a`)
+/// and the walker's scratch (`'s`). Tree entries come in the tree's
+/// canonical order, the one its address covers: sorted by path, a later
+/// duplicate path replacing an earlier one.
+enum PackObject<'a, 's> {
+    Blob(&'a [u8]),
+    Tree(&'s [(&'a str, Digest)]),
+    Commit {
+        tree: Digest,
+        parents: &'s [Digest],
+        author: &'a str,
+        timestamp: Timestamp,
+        message: &'a str,
+    },
+}
+
+/// Object kinds, for the closure check.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Blob,
+    Tree,
+    Commit,
+}
+
+/// The repository manifest at the end of a pack, borrowed from it.
+struct Manifest<'a> {
+    name: &'a str,
+    head: &'a str,
+    /// Branches in pack order, every tip verified to be in the pack.
+    branches: Vec<(&'a str, Digest)>,
+}
+
+/// Sort `items` by key, a later duplicate key replacing an earlier one,
+/// as inserting them in order into a map would leave them. Packs are
+/// written sorted, so this only reorders a damaged one.
+fn canonical<T>(items: &mut Vec<(&str, T)>) {
+    if items.windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    // Reversed, a stable sort puts the last of each duplicate first,
+    // and `dedup_by` keeps the first.
+    items.reverse();
+    items.sort_by(|a, b| a.0.cmp(b.0));
+    items.dedup_by(|later, kept| later.0 == kept.0);
+}
+
+/// The one pack decoder under [`read_pack`] and [`verify_pack`]: reads
+/// every object, recomputes its address and hands both to `object` in
+/// pack order; then checks closure (every reference resolves to an
+/// object of the right kind), reads the manifest and checks that every
+/// branch tip is in the pack. Errors come in that order, so both
+/// callers fail a damaged pack with the same error.
+fn walk_pack<'a>(
+    bytes: &'a [u8],
+    mut object: impl FnMut(Digest, PackObject<'a, '_>),
+) -> Result<Manifest<'a>, PackError> {
+    let mut r = Reader::new(bytes);
+    if r.take(5)? != MAGIC {
+        return Err(PackError::BadMagic);
+    }
+    let count = r.u32()? as usize;
+    // The count is read from the input: every object takes at least
+    // five bytes, so a count beyond that must not size an allocation.
+    let mut kinds: HashMap<Digest, Kind> = HashMap::with_capacity(count.min(bytes.len() / 5));
+    // Every reference to resolve, in the order the check visits them:
+    // objects in pack order, a commit's tree before its parents, a
+    // tree's blobs in path order.
+    let mut refs: Vec<(Digest, Kind)> = Vec::new();
+    let mut entries: Vec<(&'a str, Digest)> = Vec::new();
+    let mut parents: Vec<Digest> = Vec::new();
+    for _ in 0..count {
+        let (id, kind, obj) = match r.u8()? {
+            b'B' => {
+                let n = r.u32()? as usize;
+                let data = r.take(n)?;
+                (blob_address(data), Kind::Blob, PackObject::Blob(data))
+            }
+            b'T' => {
+                let n = r.u32()? as usize;
+                entries.clear();
+                for _ in 0..n {
+                    let path = r.str()?;
+                    entries.push((path, r.digest()?));
+                }
+                canonical(&mut entries);
+                refs.extend(entries.iter().map(|&(_, blob)| (blob, Kind::Blob)));
+                let id = tree_address(entries.iter().map(|(path, blob)| (*path, blob)));
+                (id, Kind::Tree, PackObject::Tree(&entries))
+            }
+            b'C' => {
+                let tree = r.digest()?;
+                let parent_count = r.u8()? as usize;
+                parents.clear();
+                for _ in 0..parent_count {
+                    parents.push(r.digest()?);
+                }
+                let author = r.str()?;
+                let timestamp = Timestamp(r.i64()?);
+                let message = r.lstr()?;
+                refs.push((tree, Kind::Tree));
+                refs.extend(parents.iter().map(|&p| (p, Kind::Commit)));
+                let id = commit_address(tree, &parents, author, timestamp, message);
+                let obj = PackObject::Commit {
+                    tree,
+                    parents: &parents,
+                    author,
+                    timestamp,
+                    message,
+                };
+                (id, Kind::Commit, obj)
+            }
+            k => return Err(PackError::UnknownKind(k)),
+        };
+        kinds.entry(id).or_insert(kind);
+        object(id, obj);
+    }
+    // Closure: payload corruption moves an object to a new address, so
+    // this also catches bit flips anywhere in the object section.
+    if let Some(&(id, _)) = refs.iter().find(|(id, kind)| kinds.get(id) != Some(kind)) {
+        return Err(PackError::MissingObject(id));
+    }
+    let name = r.str()?;
+    let head = r.str()?;
+    let branch_count = r.u32()? as usize;
+    let mut branches = Vec::with_capacity(branch_count.min(r.remaining() / 22));
+    for _ in 0..branch_count {
+        let branch = r.str()?;
+        let tip = r.digest()?;
+        if !kinds.contains_key(&tip) {
+            return Err(PackError::Truncated);
+        }
+        branches.push((branch, tip));
+    }
+    Ok(Manifest {
+        name,
+        head,
+        branches,
+    })
+}
+
 /// Load a repository from a pack, verifying every object's address.
 ///
 /// # Errors
 ///
 /// See [`PackError`].
 pub fn read_pack(bytes: &[u8]) -> Result<Repository, PackError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(5)? != MAGIC {
-        return Err(PackError::BadMagic);
-    }
-    let store = Arc::new(ObjectStore::new());
-    let count = r.u32()? as usize;
-    // The count is read from the input: every object takes at least one
-    // byte, so a count beyond the pack's length is corrupt and must not
-    // size an allocation.
-    let mut loaded: Vec<Digest> = Vec::with_capacity(count.min(bytes.len()));
-    for _ in 0..count {
-        let obj = read_object(&mut r)?;
-        loaded.push(store.put(obj));
-    }
-    // Closure verification: every reference must resolve. Payload
-    // corruption moves an object to a new address, so this also catches
-    // bit flips anywhere in the object section.
-    for id in &loaded {
-        match store.get(*id) {
-            Some(Object::Commit(c)) => {
-                if store.tree(c.tree).is_none() {
-                    return Err(PackError::MissingObject(c.tree));
-                }
-                for p in &c.parents {
-                    if store.commit(*p).is_none() {
-                        return Err(PackError::MissingObject(*p));
-                    }
-                }
-            }
-            Some(Object::Tree(t)) => {
-                for b in t.entries.values() {
-                    if store.blob(*b).is_none() {
-                        return Err(PackError::MissingObject(*b));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let name = r.string()?;
-    let head = r.string()?;
-    let branch_count = r.u32()? as usize;
-    let mut repo = Repository::with_store(name, Arc::clone(&store));
-    for _ in 0..branch_count {
-        let branch = r.string()?;
-        let tip = r.digest()?;
-        // Verify the tip resolves to a commit whose digest matches.
-        match store.get(tip) {
-            Some(obj) if obj.id() == tip => {}
-            Some(obj) => {
-                return Err(PackError::DigestMismatch {
-                    expected: tip,
-                    actual: obj.id(),
-                })
-            }
-            None => return Err(PackError::Truncated),
-        }
+    let mut objects = HashMap::new();
+    let manifest = walk_pack(bytes, |id, obj| {
+        objects.entry(id).or_insert_with(|| match obj {
+            PackObject::Blob(data) => Object::Blob(Blob::new(data)),
+            PackObject::Tree(entries) => Object::Tree(Arc::new(Tree {
+                entries: entries
+                    .iter()
+                    .map(|&(path, blob)| (path.to_string(), blob))
+                    .collect(),
+            })),
+            PackObject::Commit {
+                tree,
+                parents,
+                author,
+                timestamp,
+                message,
+            } => Object::Commit(Arc::new(Commit {
+                tree,
+                parents: parents.to_vec(),
+                author: author.to_string(),
+                timestamp,
+                message: message.to_string(),
+            })),
+        });
+    })?;
+    let store = Arc::new(ObjectStore::from_objects(objects));
+    let mut repo = Repository::with_store(manifest.name, store);
+    for (branch, tip) in manifest.branches {
         repo.set_branch(branch, tip);
     }
-    if let Some(tip) = repo.branch_tip(&head) {
-        // The tip was digest-verified above, so checkout can only fail if
-        // the store is inconsistent — surface that as a corrupt pack rather
-        // than panicking.
-        if repo.checkout(&head).is_err() {
+    if let Some(tip) = repo.branch_tip(manifest.head) {
+        // The tip was verified above, so checkout can only fail if the
+        // repository is inconsistent: surface that as a corrupt pack
+        // rather than panicking.
+        if repo.checkout(manifest.head).is_err() {
             return Err(PackError::MissingObject(tip));
         }
     }
     Ok(repo)
+}
+
+/// Verify a pack exactly as [`read_pack`] does (every object's address,
+/// closure, every branch tip) without building its objects or its
+/// repository. Returns the branch tips sorted by branch name: what
+/// `read_pack(bytes)?.branch_tip(name)` reports for each branch.
+///
+/// # Errors
+///
+/// The error [`read_pack`] returns for the same bytes.
+pub fn verify_pack(bytes: &[u8]) -> Result<Vec<(&str, Digest)>, PackError> {
+    let mut tips = walk_pack(bytes, |_, _| {})?.branches;
+    canonical(&mut tips);
+    Ok(tips)
 }
 
 #[cfg(test)]
@@ -469,6 +558,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unsorted_and_duplicate_entries_read_as_a_map_would_hold_them() {
+        // A pack no writer produces: tree entries and branches out of
+        // order, each with a duplicate name whose later entry wins.
+        let (x, y) = (Blob::new(&b"x"[..]), Blob::new(&b"y"[..]));
+        let mut tree = Tree::new();
+        tree.insert("a.sql", x.id());
+        tree.insert("b.sql", y.id());
+        let commit = Commit {
+            tree: tree.id(),
+            parents: vec![],
+            author: "ann".into(),
+            timestamp: Timestamp(7),
+            message: "v0".into(),
+        };
+        let mut pack = MAGIC.to_vec();
+        put_u32(&mut pack, 4);
+        for obj in [Object::Blob(x.clone()), Object::Blob(y.clone())] {
+            write_object(&mut pack, &obj);
+        }
+        pack.push(b'T');
+        put_u32(&mut pack, 3);
+        for (path, id) in [("b.sql", x.id()), ("a.sql", x.id()), ("b.sql", y.id())] {
+            put_str(&mut pack, path);
+            pack.extend_from_slice(&id.0);
+        }
+        write_object(&mut pack, &Object::Commit(Arc::new(commit.clone())));
+        put_str(&mut pack, "pack/odd");
+        put_str(&mut pack, "main");
+        put_u32(&mut pack, 3);
+        for (branch, tip) in [("main", x.id()), ("dev", commit.id()), ("main", commit.id())] {
+            put_str(&mut pack, branch);
+            pack.extend_from_slice(&tip.0);
+        }
+        let repo = read_pack(&pack).unwrap();
+        assert_eq!(repo.head(), Some(commit.id()));
+        assert_eq!(repo.store().tree(commit.tree).as_deref(), Some(&tree));
+        let tips = verify_pack(&pack).unwrap();
+        assert_eq!(tips, [("dev", commit.id()), ("main", commit.id())]);
     }
 
     #[test]

@@ -19,26 +19,27 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 20]);
 
-/// Lowercase hex of `bytes`, two characters per byte.
-fn hex(bytes: &[u8]) -> String {
-    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(2 * bytes.len());
-    for &b in bytes {
-        s.push(NIBBLES[usize::from(b >> 4)] as char);
-        s.push(NIBBLES[usize::from(b & 0xf)] as char);
-    }
-    s
-}
-
 impl Digest {
     /// Render as 40 lowercase hex characters.
     pub fn to_hex(&self) -> String {
-        hex(&self.0)
+        self.hex_bytes().iter().map(|&c| char::from(c)).collect()
+    }
+
+    /// The 40 lowercase hex characters of [`Digest::to_hex`], on the
+    /// stack.
+    pub(crate) fn hex_bytes(&self) -> [u8; 40] {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; 40];
+        for (pair, &b) in out.chunks_exact_mut(2).zip(&self.0) {
+            pair[0] = NIBBLES[usize::from(b >> 4)];
+            pair[1] = NIBBLES[usize::from(b & 0xf)];
+        }
+        out
     }
 
     /// Short 8-character prefix, as shown in logs.
     pub fn short(&self) -> String {
-        hex(&self.0[..4])
+        self.hex_bytes()[..8].iter().map(|&c| char::from(c)).collect()
     }
 }
 

@@ -40,6 +40,14 @@ impl ObjectStore {
         Arc::new(ObjectStore::new())
     }
 
+    /// A store holding `objects`, each keyed by its address (the pack
+    /// reader computes them as it decodes).
+    pub(crate) fn from_objects(objects: HashMap<Digest, Object>) -> Self {
+        ObjectStore {
+            objects: RwLock::new(objects),
+        }
+    }
+
     /// Insert any object, returning its address. Idempotent: storing equal
     /// content twice is a no-op (deduplication).
     pub fn put(&self, obj: Object) -> Digest {

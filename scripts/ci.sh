@@ -5,6 +5,8 @@
 # (fault injection + graceful degradation), the scale tier (sharded store
 # byte-identity plus a 20x streaming run under a fixed peak-RSS ceiling),
 # a paper-scale differential of incremental parsing, lexing and diffing,
+# an append gate (an appended store mines the same at any worker count
+# and scrubs clean; an append to a damaged store is refused),
 # a same-host paired speed fence against the base revision whose runs
 # also hold the paper-scale study to its committed bytes and an RSS
 # ceiling, a serving-mode observability gate (request-log schema,
@@ -243,6 +245,60 @@ if ! diff -q "$tmp/scrubbed-1.txt" "$tmp/scrubbed-2.txt" >/dev/null; then
   exit 1
 fi
 echo "    bit-flip quarantined, repair converges, clean subset mines deterministically"
+
+echo "==> append: an extended store mines deterministically, scrubs clean, and a damaged one is refused"
+append_store="$tmp/append-store"
+cargo run -q --release --bin schevo -- study --seed 2019 --scale 80 \
+  --store-dir "$append_store" >/dev/null 2>&1
+cp -r "$append_store" "$tmp/append-flipped"
+if ! cargo run -q --release --bin schevo -- append --store "$append_store" \
+  --count 6 --corrupt 1 > "$tmp/append.log" 2>&1; then
+  echo "APPEND FAILURE: append to a clean store failed:" >&2
+  cat "$tmp/append.log" >&2
+  exit 1
+fi
+cargo run -q --release --bin schevo -- study --store-dir "$append_store" \
+  --store-as-is --workers 1 > "$tmp/appended-1.txt" 2>/dev/null
+cargo run -q --release --bin schevo -- study --store-dir "$append_store" \
+  --store-as-is --workers 8 > "$tmp/appended-8.txt" 2>/dev/null
+if ! diff -q "$tmp/appended-1.txt" "$tmp/appended-8.txt" >/dev/null; then
+  echo "APPEND FAILURE: appended store mines differently at 1 and 8 workers" >&2
+  diff "$tmp/appended-1.txt" "$tmp/appended-8.txt" | head -40 >&2
+  exit 1
+fi
+# Scrub recomputes the corpus digest from every record: a clean report
+# means the append published the digest and counts the store holds.
+cargo run -q --release --bin schevo -- scrub --store "$append_store" \
+  > "$tmp/append-scrub.log" 2>&1
+if ! grep -q 'store is clean' "$tmp/append-scrub.log"; then
+  echo "APPEND FAILURE: scrub finds the appended store damaged or its manifest stale:" >&2
+  cat "$tmp/append-scrub.log" >&2
+  exit 1
+fi
+# Appending to a bit-flipped store fails closed (exit 1) and leaves its
+# manifest as it was.
+python3 - "$tmp/append-flipped/shard-000.pack" <<'EOF'
+import os, sys
+path = sys.argv[1]
+offset = os.path.getsize(path) // 2
+with open(path, "r+b") as f:
+    f.seek(offset)
+    b = f.read(1)
+    f.seek(offset)
+    f.write(bytes([b[0] ^ 0x01]))
+EOF
+cp "$tmp/append-flipped/MANIFEST.json" "$tmp/append-flipped.manifest"
+set +e
+cargo run -q --release --bin schevo -- append --store "$tmp/append-flipped" \
+  --count 6 >/dev/null 2>&1
+append_code=$?
+set -e
+if [ "$append_code" -ne 1 ] \
+  || ! cmp -s "$tmp/append-flipped.manifest" "$tmp/append-flipped/MANIFEST.json"; then
+  echo "APPEND FAILURE: append to a bit-flipped store exited $append_code (want 1) or changed its manifest" >&2
+  exit 1
+fi
+echo "    appended store identical at 1 and 8 workers, scrubs clean; a flipped store is refused untouched"
 
 echo "==> scale tier: sharded store byte-identity + streaming RSS ceiling"
 # In-memory vs sharded: the same study streamed out of an on-disk shard
