@@ -40,6 +40,7 @@ pub mod migrate;
 pub mod model;
 pub mod profile;
 pub mod shape;
+pub mod sync;
 pub mod tables;
 pub mod taxa;
 pub mod tempo;

@@ -38,15 +38,44 @@
 //!
 //! ## Reading
 //!
-//! [`StoreStream`] parses each shard's next frame as soon as the shard's
-//! previous record is handed out, so corruption surfaces in the same
-//! order whatever the caller does between events. It holds one parsed
-//! record per shard plus the one handed out. [`StoreStream::next_view`]
-//! lends each record as a [`StoreRecord`] borrowed from the stream: the
-//! name and paths sit in strings the cursor reuses and the Libraries.io
-//! fields are three plain values, so a light record costs no allocation;
-//! only a materialized record's pack is decoded into a repository.
-//! [`StoreStream::next_event`] hands out owned [`DecodedRecord`]s.
+//! [`StoreStream`] merges the shards on the calling thread; reader
+//! threads read ahead of it. There is one reader per available hardware
+//! thread but the caller's (at least one), at most one per shard, each
+//! owning every n-th shard: a reader more than that shared the hardware
+//! with the caller and raised the peak RSS of an append and resume by a
+//! fifth, one heap arena per reader. A reader
+//! reads a shard's frames, checks each frame's length and checksum and,
+//! for a materialized record, parses it and runs [`read_pack`] (or
+//! [`verify_pack`], below) on its pack: both hashes, the frame SHA-1 and
+//! every object's address, run on the readers. A light
+//! record's verified payload is handed over as bytes and parsed by the
+//! stream (its few fields cost less to parse than to hand over parsed).
+//! The steps travel in batches of consecutive frames of one shard, which
+//! come back empty for reuse; a reader keeps one frame buffer for all
+//! its shards. What is read ahead is bounded in bytes (each step charged
+//! its frame plus its slot; 512 KiB a stream, split over the shards),
+//! and a shard always gets at least one frame ahead, so one larger than
+//! its share is still read.
+//!
+//! Everything that orders or counts stays on the calling thread: the
+//! `store.read` failpoint, checked once per frame at exactly the point a
+//! serial read checks it, the merge, the [`StoreIo`] counters, and the
+//! corruption events. A shard's sequence of frame outcomes is a function
+//! of its bytes alone, so a reader only computes early what the stream
+//! would find; when a failpoint fails a read, the stream drops that
+//! shard's read-ahead and yields the event a serial read yields, at the
+//! same offset. The stream takes each shard's next record as soon as the
+//! previous one is handed out, so corruption surfaces in the same order
+//! whatever the caller does between events. Dropping a stream stops and
+//! joins its readers; a reader panic is raised again from the stream's
+//! next event.
+//!
+//! [`StoreStream::next_view`] lends each record as a [`StoreRecord`]
+//! borrowed from the stream: the name and paths sit in strings the stream
+//! reuses and the Libraries.io fields are three plain values, so a light
+//! record costs no allocation; only a materialized record's pack is
+//! decoded into a repository. [`StoreStream::next_event`] hands out owned
+//! [`DecodedRecord`]s.
 //!
 //! An append re-primes the corpus digest from a verifying stream: each
 //! pack gets every check [`read_pack`] makes
@@ -66,14 +95,18 @@
 use crate::libio::{LibioMeta, LibioRecord};
 use crate::universe::{generate_records, CorpusDigester, CorpusRecord, RecordRef, UniverseConfig};
 use schevo_core::failpoint;
+use schevo_core::sync::{lock, wait};
 use schevo_vcs::frame::{self, FrameError};
 use schevo_vcs::pack::{read_pack, verify_pack, write_pack, PackError, Reader};
 use schevo_vcs::repo::Repository;
 use schevo_vcs::sha1::{sha1, Digest};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 /// Current store format version; readers reject anything else.
 pub const STORE_VERSION: u64 = 1;
@@ -351,6 +384,9 @@ enum PackMode {
     /// without building the repository.
     Verify,
 }
+
+/// Where a record payload keeps its kind byte (after the `u64` seq).
+const KIND_AT: usize = 8;
 
 /// Overwrite `slot` with `text`, keeping its allocation.
 fn reuse(slot: &mut String, text: &str) {
@@ -741,22 +777,14 @@ impl ShardStore {
     }
 
     fn stream_with(&self, mode: PackMode) -> StoreStream {
-        let shards = self.manifest.shards as usize;
-        let mut cursors = Vec::with_capacity(shards);
-        for i in 0..shards {
-            cursors.push(ShardCursor::open(&shard_path(&self.dir, i)));
-        }
-        let mut stream = StoreStream {
-            pending: (0..cursors.len()).map(|_| Pending::Empty).collect(),
-            cursors,
-            io: StoreIo::default(),
-            mode,
-            handed_out: None,
-        };
-        for i in 0..stream.cursors.len() {
-            stream.refill(i);
-        }
-        stream
+        let shards = (0..self.manifest.shards as usize).map(|shard| {
+            let path = shard_path(&self.dir, shard);
+            match File::open(&path) {
+                Ok(file) => Ok(Box::new(file) as ShardBytes),
+                Err(e) => Err(format!("{}: {e}", path.display())),
+            }
+        });
+        StoreStream::over(shards.collect(), mode)
     }
 }
 
@@ -795,30 +823,374 @@ impl<R> StoreEvent<R> {
     }
 }
 
+/// Read-ahead the reader threads may hold for one stream, in bytes: each
+/// step is charged its shard bytes plus its slot in a batch. It is split
+/// evenly over the shards, a shard getting a new batch while it holds
+/// less than its share, and only bounds memory; output does not depend
+/// on it.
+const READ_AHEAD_BYTES: usize = 512 * 1024;
+
+/// What one read of a shard found: exactly what a refill on the calling
+/// thread would find after its failpoint check, since it is a function
+/// of the shard's bytes alone.
+#[derive(Debug)]
+struct Step {
+    /// Shard bytes the read consumed: the magic on a shard's first read,
+    /// then the frame.
+    bytes: u64,
+    found: Found,
+}
+
+#[derive(Debug)]
+enum Found {
+    /// A lightweight record's frame, verified, which the caller parses
+    /// (out of its batch's `payloads[start..end]`): the few fields it
+    /// carries cost less to parse than to hand over parsed.
+    Payload {
+        offset: u64,
+        start: usize,
+        end: usize,
+    },
+    /// A materialized record's frame, verified and parsed, its pack
+    /// decoded or verified.
+    Parsed(Box<ParsedRecord>),
+    /// A frame that verified but did not parse: only this record is lost.
+    Undecodable { offset: u64, detail: String },
+    /// Bad magic, or a frame whose length or checksum does not verify:
+    /// the shard ends here (there is no reliable next boundary).
+    Torn { offset: u64, detail: String },
+    /// A clean end of the shard.
+    End,
+}
+
+impl Found {
+    /// Whether the shard has more to read after this step.
+    fn continues(&self) -> bool {
+        !matches!(self, Found::Torn { .. } | Found::End)
+    }
+}
+
+/// Consecutive steps of one shard, handed from a reader to the caller and
+/// back again empty, so their buffers and parsed records are reused.
+#[derive(Debug, Default)]
+struct Batch {
+    steps: Vec<Step>,
+    /// The lightweight records' payloads, back to back.
+    payloads: Vec<u8>,
+    /// Read-ahead charged for the batch.
+    bytes: usize,
+}
+
+/// One shard's queue between its reader and the caller.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Batches read ahead, oldest first.
+    full: VecDeque<Batch>,
+    /// Read-ahead charged for `full`.
+    bytes: usize,
+    /// Batches the caller is done with, back for reuse.
+    spare: Vec<Batch>,
+    /// The caller has stopped reading the shard: its read-ahead is
+    /// discarded and its reader reads no more of it.
+    closed: bool,
+}
+
+#[derive(Debug, Default)]
+struct Feed {
+    lanes: Vec<Lane>,
+    /// The stream is gone: every reader returns.
+    closed: bool,
+    /// A reader panicked; the caller raises the panic again.
+    panicked: bool,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    feed: Mutex<Feed>,
+    /// Signalled when a batch lands or a reader panics.
+    landed: Condvar,
+    /// Signalled when the caller takes or discards a batch, or closes
+    /// the stream.
+    taken: Condvar,
+}
+
+/// A shard's bytes, as its reader reads them.
+type ShardBytes = Box<dyn Read + Send>;
+
+/// One shard file as its reader reads it.
+struct ShardFile {
+    shard: usize,
+    file: BufReader<ShardBytes>,
+    offset: u64,
+    /// The shard's last step (its end or a fatal failure) has been read,
+    /// or the caller closed its lane.
+    done: bool,
+}
+
+impl ShardFile {
+    /// Read and check the shard's next frame into `batch`, parsing a
+    /// materialized record into a record from `pool`. `payload` is the
+    /// reader's frame scratch, reused for every frame it reads.
+    fn read_step(
+        &mut self,
+        batch: &mut Batch,
+        payload: &mut Vec<u8>,
+        pool: &mut Vec<ParsedRecord>,
+        mode: PackMode,
+    ) -> Step {
+        let mut bytes = 0;
+        // Shard magic, once, at offset zero.
+        if self.offset == 0 {
+            let mut magic = [0u8; 8];
+            let detail = match self.file.read_exact(&mut magic) {
+                Ok(()) if &magic == SHARD_MAGIC => None,
+                Ok(()) => Some("bad shard magic".to_string()),
+                Err(e) => Some(format!("shard magic: {e}")),
+            };
+            if let Some(detail) = detail {
+                let found = Found::Torn { offset: 0, detail };
+                return Step { bytes, found };
+            }
+            self.offset = 8;
+            bytes = 8;
+        }
+        let offset = self.offset;
+        match frame::read_into(&mut self.file, payload) {
+            Ok(true) => {}
+            Ok(false) => {
+                return Step {
+                    bytes,
+                    found: Found::End,
+                }
+            }
+            Err(e) => {
+                let detail = e.to_string();
+                return Step {
+                    bytes,
+                    found: Found::Torn { offset, detail },
+                };
+            }
+        }
+        let len = frame::frame_len(payload.len()) as u64;
+        self.offset += len;
+        bytes += len;
+        if !matches!(payload.get(KIND_AT), Some(&kind) if kind != 0) {
+            let start = batch.payloads.len();
+            batch.payloads.extend_from_slice(payload);
+            let end = batch.payloads.len();
+            return Step {
+                bytes,
+                found: Found::Payload { offset, start, end },
+            };
+        }
+        // The frame verified, so the boundary is trustworthy: a decode
+        // failure (a store bug, not bit rot) skips only this record.
+        let mut record = pool.pop().unwrap_or_default();
+        let found = match record.parse(payload, mode) {
+            Ok(()) => Found::Parsed(Box::new(record)),
+            Err(e) => {
+                pool.push(record);
+                Found::Undecodable {
+                    offset,
+                    detail: format!("record decode: {e}"),
+                }
+            }
+        };
+        Step { bytes, found }
+    }
+}
+
+/// Empty `batch` for reuse, keeping its parsed records in `pool`.
+fn recycle(batch: &mut Batch, pool: &mut Vec<ParsedRecord>) {
+    for step in batch.steps.drain(..) {
+        if let Found::Parsed(mut record) = step.found {
+            record.body = Body::Light;
+            pool.push(*record);
+        }
+    }
+    batch.payloads.clear();
+    batch.bytes = 0;
+}
+
+/// Tells the caller when its reader unwinds, so it stops waiting.
+struct PanicAlarm<'a>(&'a Shared);
+
+impl Drop for PanicAlarm<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(&self.0.feed).panicked = true;
+            self.0.landed.notify_all();
+        }
+    }
+}
+
+/// A reader thread: reads its shards' frames ahead of the caller, a
+/// batch of about half of `lane_cap` (a shard's share of the read-ahead)
+/// at a time, always for the shard of its own with the least read ahead,
+/// while that is under `lane_cap`, until every one is done or the stream
+/// closes.
+fn read_ahead(shared: &Shared, mut shards: Vec<ShardFile>, mode: PackMode, lane_cap: usize) {
+    let _alarm = PanicAlarm(shared);
+    let mut payload = Vec::new();
+    let mut pool = Vec::new();
+    let mut empties: Vec<Batch> = Vec::new();
+    let mut returned = Vec::new();
+    loop {
+        let pick = {
+            let mut feed = lock(&shared.feed);
+            loop {
+                if feed.closed {
+                    return;
+                }
+                for shard in &mut shards {
+                    let lane = &mut feed.lanes[shard.shard];
+                    returned.append(&mut lane.spare);
+                    shard.done |= lane.closed;
+                }
+                let pick = shards
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| !s.done)
+                    .map(|(k, s)| (feed.lanes[s.shard].bytes, k))
+                    .min();
+                match pick {
+                    None => return,
+                    Some((bytes, k)) if bytes < lane_cap => break Some(k),
+                    // Every live lane is full: free what came back first.
+                    Some(_) if !returned.is_empty() => break None,
+                    Some(_) => feed = wait(&shared.taken, feed),
+                }
+            }
+        };
+        for mut batch in returned.drain(..) {
+            recycle(&mut batch, &mut pool);
+            empties.push(batch);
+        }
+        let Some(k) = pick else { continue };
+        let shard = &mut shards[k];
+        let mut batch = empties.pop().unwrap_or_default();
+        while !shard.done && batch.bytes < lane_cap / 2 {
+            let step = shard.read_step(&mut batch, &mut payload, &mut pool, mode);
+            batch.bytes += step.bytes as usize + std::mem::size_of::<Step>();
+            shard.done = !step.found.continues();
+            batch.steps.push(step);
+        }
+        let mut feed = lock(&shared.feed);
+        let lane = &mut feed.lanes[shard.shard];
+        if lane.closed {
+            lane.spare.push(batch);
+        } else {
+            lane.bytes += batch.bytes;
+            lane.full.push_back(batch);
+            shared.landed.notify_all();
+        }
+    }
+}
+
+/// The reader threads of one stream.
+#[derive(Debug)]
+struct ReadAhead {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl ReadAhead {
+    /// Start one reader per available hardware thread but the caller's
+    /// (at least one), at most one per shard, each reading every `n`-th
+    /// of `files`.
+    fn spawn(shards: usize, files: Vec<ShardFile>, mode: PackMode) -> ReadAhead {
+        let shared = Arc::new(Shared::default());
+        lock(&shared.feed).lanes = (0..shards).map(|_| Lane::default()).collect();
+        let n = std::thread::available_parallelism()
+            .map_or(1, |n| n.get().saturating_sub(1).max(1))
+            .min(files.len());
+        let mut groups: Vec<Vec<ShardFile>> = (0..n).map(|_| Vec::new()).collect();
+        for (k, file) in files.into_iter().enumerate() {
+            groups[k % n].push(file);
+        }
+        let lane_cap = READ_AHEAD_BYTES / shards.max(1);
+        let threads = groups
+            .into_iter()
+            .map(|group| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || read_ahead(&shared, group, mode, lane_cap))
+            })
+            .collect();
+        ReadAhead { shared, threads }
+    }
+
+    /// Hand `done` back for reuse and take shard `i`'s next batch,
+    /// waiting for its reader. A reader panic is raised again here.
+    fn next_batch(&mut self, i: usize, done: Batch) -> Batch {
+        let mut feed = lock(&self.shared.feed);
+        feed.lanes[i].spare.push(done);
+        loop {
+            if let Some(batch) = feed.lanes[i].full.pop_front() {
+                feed.lanes[i].bytes -= batch.bytes;
+                self.shared.taken.notify_all();
+                return batch;
+            }
+            if feed.panicked {
+                drop(feed);
+                let payload = self.stop();
+                std::panic::resume_unwind(
+                    payload.unwrap_or_else(|| Box::new("store reader panicked")),
+                );
+            }
+            feed = wait(&self.shared.landed, feed);
+        }
+    }
+
+    /// Stop reading shard `i`, discarding what was read ahead of it.
+    fn close(&mut self, i: usize, done: Batch) {
+        let mut feed = lock(&self.shared.feed);
+        let lane = &mut feed.lanes[i];
+        lane.closed = true;
+        lane.bytes = 0;
+        lane.spare.push(done);
+        let discarded = std::mem::take(&mut lane.full);
+        lane.spare.extend(discarded);
+        self.shared.taken.notify_all();
+    }
+
+    /// Close the stream and join every reader; the first reader panic's
+    /// payload comes back.
+    fn stop(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
+        lock(&self.shared.feed).closed = true;
+        self.shared.taken.notify_all();
+        let mut panic = None;
+        for thread in self.threads.drain(..) {
+            if let Err(payload) = thread.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        panic
+    }
+}
+
 #[derive(Debug)]
 enum Pending {
     /// Nothing buffered; the cursor is exhausted or dead.
     Empty,
-    /// The cursor's `staged` record is the shard's next.
+    /// The cursor's staged record is the shard's next.
     Record,
     /// A corruption event waiting to be yielded.
     Corrupt { offset: u64, detail: String },
 }
 
+/// The caller's side of one shard: where it is in the shard's steps.
 #[derive(Debug)]
 struct ShardCursor {
-    file: Option<BufReader<File>>,
+    /// Offset of the shard's next unread byte.
     offset: u64,
     /// A frame-level failure kills the cursor: without a trustworthy
     /// length there is no next-record boundary.
     dead: bool,
     open_error: Option<String>,
-    /// Reused payload scratch: each `refill` overwrites it in place and
-    /// parses straight out of it, so a streamed read performs one payload
-    /// allocation per shard (growing to the largest frame seen) instead of
-    /// one per frame.
-    payload_buf: Vec<u8>,
-    /// The shard's next record, parsed at refill.
+    /// The batch being consumed: `steps[..at]` have been taken.
+    batch: Batch,
+    at: usize,
+    /// The shard's next record, taken at refill.
     staged: ParsedRecord,
     /// The record last handed out, which the caller's view borrows. It
     /// trades places with `staged` on hand-out, so the refill that
@@ -826,31 +1198,16 @@ struct ShardCursor {
     out: ParsedRecord,
 }
 
-impl ShardCursor {
-    fn open(path: &Path) -> ShardCursor {
-        let (file, dead, open_error) = match File::open(path) {
-            Ok(f) => (Some(BufReader::new(f)), false, None),
-            Err(e) => (None, true, Some(format!("{}: {e}", path.display()))),
-        };
-        ShardCursor {
-            file,
-            offset: 0,
-            dead,
-            open_error,
-            payload_buf: Vec::new(),
-            staged: ParsedRecord::default(),
-            out: ParsedRecord::default(),
-        }
-    }
-}
-
-/// A streaming, shard-merging store reader. Each shard's next record is
-/// parsed as soon as the previous one is handed out, so the stream holds
-/// one parsed record per shard plus the one handed out.
+/// A streaming, shard-merging store reader. Reader threads read, check
+/// and parse each shard's frames ahead of the merge (see the module doc);
+/// the stream takes a shard's next record as soon as the previous one is
+/// handed out, so corruption surfaces in the same order whatever the
+/// caller does between events.
 #[derive(Debug)]
 pub struct StoreStream {
     cursors: Vec<ShardCursor>,
     pending: Vec<Pending>,
+    readers: ReadAhead,
     io: StoreIo,
     mode: PackMode,
     /// The shard whose `out` record the last event handed out. Its
@@ -860,12 +1217,55 @@ pub struct StoreStream {
 }
 
 impl StoreStream {
+    /// A stream over `shards` (each one's bytes, or why it could not be
+    /// opened), merged by `seq`.
+    fn over(shards: Vec<Result<ShardBytes, String>>, mode: PackMode) -> StoreStream {
+        let count = shards.len();
+        let mut cursors = Vec::with_capacity(count);
+        let mut files = Vec::with_capacity(count);
+        for (shard, opened) in shards.into_iter().enumerate() {
+            let open_error = match opened {
+                Ok(bytes) => {
+                    files.push(ShardFile {
+                        shard,
+                        file: BufReader::new(bytes),
+                        offset: 0,
+                        done: false,
+                    });
+                    None
+                }
+                Err(detail) => Some(detail),
+            };
+            cursors.push(ShardCursor {
+                offset: 0,
+                dead: open_error.is_some(),
+                open_error,
+                batch: Batch::default(),
+                at: 0,
+                staged: ParsedRecord::default(),
+                out: ParsedRecord::default(),
+            });
+        }
+        let mut stream = StoreStream {
+            pending: (0..cursors.len()).map(|_| Pending::Empty).collect(),
+            cursors,
+            readers: ReadAhead::spawn(count, files, mode),
+            io: StoreIo::default(),
+            mode,
+            handed_out: None,
+        };
+        for i in 0..stream.cursors.len() {
+            stream.refill(i);
+        }
+        stream
+    }
+
     /// I/O counters so far.
     pub fn io(&self) -> StoreIo {
         self.io
     }
 
-    /// Pull the next frame of shard `i` into `pending[i]`.
+    /// Take shard `i`'s next step into `pending[i]`.
     fn refill(&mut self, i: usize) {
         let cursor = &mut self.cursors[i];
         if cursor.dead {
@@ -876,73 +1276,64 @@ impl StoreStream {
             };
             return;
         }
-        let Some(file) = cursor.file.as_mut() else {
-            self.pending[i] = Pending::Empty;
-            return;
-        };
-        // One failpoint hit per frame read. The check precedes any
-        // consumption from the reader, so an absorbed transient fault
+        // One failpoint hit per frame read, on the calling thread, in the
+        // order a serial read makes them. An absorbed transient fault
         // retries cleanly; an exhausted or permanent fault becomes a
-        // corruption event and fails the shard closed like real bit
-        // rot — callers quarantine and continue over surviving data.
+        // corruption event at the shard's next frame and fails the shard
+        // closed like real bit rot (what its reader read ahead is
+        // discarded) — callers quarantine and continue over surviving
+        // data.
         if let Err(e) = failpoint::retry_io(failpoint::RetryPolicy::default(), || {
             failpoint::check("store.read")
         }) {
             cursor.dead = true;
+            self.readers.close(i, std::mem::take(&mut cursor.batch));
             self.pending[i] = Pending::Corrupt {
                 offset: cursor.offset,
                 detail: format!("read: {e}"),
             };
             return;
         }
-        // Shard magic, once, at offset zero.
-        if cursor.offset == 0 {
-            let mut magic = [0u8; 8];
-            let detail = match file.read_exact(&mut magic) {
-                Ok(()) if &magic == SHARD_MAGIC => None,
-                Ok(()) => Some("bad shard magic".to_string()),
-                Err(e) => Some(format!("shard magic: {e}")),
-            };
-            if let Some(detail) = detail {
-                cursor.dead = true;
-                self.pending[i] = Pending::Corrupt { offset: 0, detail };
-                return;
-            }
-            cursor.offset = 8;
-            self.io.bytes_read += 8;
+        if cursor.at == cursor.batch.steps.len() {
+            cursor.batch = self
+                .readers
+                .next_batch(i, std::mem::take(&mut cursor.batch));
+            cursor.at = 0;
         }
-        let frame_offset = cursor.offset;
-        match frame::read_into(file, &mut cursor.payload_buf) {
-            Ok(true) => {}
-            Ok(false) => {
-                self.pending[i] = Pending::Empty;
-                return;
+        let Batch { steps, payloads, .. } = &mut cursor.batch;
+        let step = &mut steps[cursor.at];
+        cursor.at += 1;
+        cursor.offset += step.bytes;
+        self.io.bytes_read += step.bytes;
+        self.pending[i] = match &mut step.found {
+            Found::Payload { offset, start, end } => {
+                match cursor.staged.parse(&payloads[*start..*end], self.mode) {
+                    Ok(()) => Pending::Record,
+                    Err(e) => Pending::Corrupt {
+                        offset: *offset,
+                        detail: format!("record decode: {e}"),
+                    },
+                }
             }
-            Err(e) => {
+            Found::Parsed(record) => {
+                std::mem::swap(&mut cursor.staged, record);
+                Pending::Record
+            }
+            Found::Undecodable { offset, detail } => Pending::Corrupt {
+                offset: *offset,
+                detail: std::mem::take(detail),
+            },
+            Found::Torn { offset, detail } => {
                 cursor.dead = true;
-                self.pending[i] = Pending::Corrupt {
-                    offset: frame_offset,
-                    detail: e.to_string(),
-                };
-                return;
+                Pending::Corrupt {
+                    offset: *offset,
+                    detail: std::mem::take(detail),
+                }
             }
-        }
-        let len = frame::frame_len(cursor.payload_buf.len()) as u64;
-        cursor.offset += len;
-        self.io.bytes_read += len;
-        // The frame verified, so the boundary is trustworthy: a decode
-        // failure (a store bug, not bit rot) skips only this record.
-        match cursor.staged.parse(&cursor.payload_buf, self.mode) {
-            Ok(()) => {
-                self.io.records_read += 1;
-                self.pending[i] = Pending::Record;
-            }
-            Err(e) => {
-                self.pending[i] = Pending::Corrupt {
-                    offset: frame_offset,
-                    detail: format!("record decode: {e}"),
-                };
-            }
+            Found::End => Pending::Empty,
+        };
+        if matches!(self.pending[i], Pending::Record) {
+            self.io.records_read += 1;
         }
     }
 
@@ -1000,6 +1391,16 @@ impl StoreStream {
     pub fn next_view(&mut self) -> Option<StoreEvent<StoreRecord<'_>>> {
         let event = self.advance()?;
         Some(event.map_record(|i| self.cursors[i].out.view()))
+    }
+}
+
+impl Drop for StoreStream {
+    /// Stops the readers, wherever they are, and waits for them, so no
+    /// read outlives the stream. A reader panic is not raised again here;
+    /// [`StoreStream::next_view`] and [`StoreStream::next_event`] raise
+    /// it.
+    fn drop(&mut self) {
+        let _ = self.readers.stop();
     }
 }
 
@@ -1171,6 +1572,63 @@ mod tests {
             )]
         );
         assert_eq!(records, 3324);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Shard bytes whose reader panics once `left` bytes are read.
+    struct PanicAfter {
+        bytes: Vec<u8>,
+        at: usize,
+        left: usize,
+    }
+
+    impl Read for PanicAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.at == self.left {
+                panic!("shard reader fault");
+            }
+            let n = buf.len().min(self.left - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_reader_panic_resurfaces_from_the_stream() {
+        let config = UniverseConfig::small(5, 40);
+        let dir = scratch("readerpanic");
+        generate_into_store(config, &dir, 1).expect("write store");
+        let bytes = fs::read(dir.join("shard-000.pack")).expect("read shard");
+        // Past the first batch, which the stream reads as it opens.
+        let left = bytes.len() * 3 / 4;
+        for owned in [false, true] {
+            let shard = PanicAfter {
+                bytes: bytes.clone(),
+                at: 0,
+                left,
+            };
+            let mut events = 0usize;
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut stream = StoreStream::over(vec![Ok(Box::new(shard))], PackMode::Decode);
+                loop {
+                    let more = match owned {
+                        true => stream.next_event().is_some(),
+                        false => stream.next_view().is_some(),
+                    };
+                    if !more {
+                        break;
+                    }
+                    events += 1;
+                }
+            }));
+            let payload = caught.expect_err("the reader's panic resurfaces");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard reader fault"));
+            assert!(
+                events > 0,
+                "the panic came from a later read, not the first"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

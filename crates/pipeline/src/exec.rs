@@ -15,6 +15,8 @@
 //! stage-guard durations ([`schevo_obs::trace::SpanGuard`]), the same
 //! durations the traces record.
 
+pub(crate) use schevo_core::sync::lock;
+use schevo_core::sync::wait;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
@@ -140,13 +142,6 @@ pub(crate) struct StreamReport {
     pub(crate) fresh: usize,
 }
 
-/// Lock a std mutex, shrugging off poisoning: every guarded value (plain
-/// counters, queued tasks, whole memoized outcomes) is valid between any
-/// two updates, and a worker panic is separately propagated.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 enum WorkerMsg<R> {
     Done(usize, R),
     Panicked(Box<dyn std::any::Any + Send>),
@@ -249,7 +244,7 @@ where
                             if guard.closed {
                                 break None;
                             }
-                            guard = available.wait(guard).unwrap_or_else(|p| p.into_inner());
+                            guard = wait(available, guard);
                         }
                     };
                     let Some((seq, t)) = task else { break };

@@ -13,9 +13,10 @@
 //! truncates to that valid prefix before appending.
 //!
 //! Records are keyed by [`candidate_key`], a content hash over the
-//! candidate's full extracted history plus the reed threshold, so a
-//! changed corpus (different seed, scale, injected faults, threshold)
-//! silently invalidates stale records instead of replaying them.
+//! candidate's full extracted history (each version's content by its
+//! blob address) plus the reed threshold, so a changed corpus (different
+//! seed, scale, injected faults, threshold) silently invalidates stale
+//! records instead of replaying them.
 //!
 //! The format is deliberately dumb: no compaction, no index, no
 //! in-place mutation. A journal is one study attempt's ledger, not a
@@ -313,16 +314,19 @@ fn write_frame_at(file: &mut File, start: u64, bytes: &[u8]) -> std::io::Result<
 
 /// Content key of a candidate: SHA-1 over the candidate's identity,
 /// funnel context, full version history, and the reed threshold — every
-/// input that determines its mining outcome. Each variable-length field
-/// is length-prefixed so distinct histories cannot collide by
-/// concatenation.
+/// input that determines its mining outcome. Each version's content
+/// enters as its blob address ([`schevo_vcs::object::Text::id`]): carried
+/// from the blob a walk read it out of, computed from the bytes
+/// otherwise, so equal contents key alike either way. Each
+/// variable-length field is length-prefixed so distinct histories cannot
+/// collide by concatenation.
 pub fn candidate_key(candidate: &CandidateHistory, reed_threshold: u64) -> Digest {
     fn feed(h: &mut Sha1, bytes: &[u8]) {
         h.update(&(bytes.len() as u64).to_le_bytes());
         h.update(bytes);
     }
     let mut h = Sha1::new();
-    h.update(b"schevo-candidate-key-v1");
+    h.update(b"schevo-candidate-key-v2");
     feed(&mut h, candidate.name.as_bytes());
     feed(&mut h, candidate.ddl_path.as_bytes());
     h.update(&candidate.pup_months.to_le_bytes());
@@ -334,7 +338,7 @@ pub fn candidate_key(candidate: &CandidateHistory, reed_threshold: u64) -> Diges
         h.update(&v.timestamp.0.to_le_bytes());
         feed(&mut h, v.author.as_bytes());
         feed(&mut h, v.message.as_bytes());
-        feed(&mut h, v.content.as_bytes());
+        h.update(&v.content.id().0);
     }
     h.finalize()
 }
@@ -483,5 +487,45 @@ mod tests {
         let mut m = base.clone();
         m.versions[0].timestamp = Timestamp(101);
         assert_ne!(k, candidate_key(&m, 14), "timestamp must key");
+    }
+
+    #[test]
+    fn candidate_key_is_the_same_for_walked_and_built_versions() {
+        use schevo_vcs::history::{file_history, WalkStrategy};
+        use schevo_vcs::repo::{FileChange, Repository};
+        let mut repo = Repository::new("a/b");
+        let write = |content: &str| FileChange::Write {
+            path: "schema.sql".into(),
+            content: content.into(),
+        };
+        repo.commit(
+            [write("CREATE TABLE t (a INT);")],
+            "dev",
+            Timestamp(100),
+            "v0",
+        )
+        .expect("commit");
+        repo.commit(
+            [write("CREATE TABLE t (a INT, b INT);")],
+            "dev",
+            Timestamp(200),
+            "v1",
+        )
+        .expect("commit");
+        let walked = CandidateHistory {
+            name: "a/b".into(),
+            ddl_path: "schema.sql".into(),
+            versions: file_history(&repo, "schema.sql", WalkStrategy::FirstParent).expect("walk"),
+            pup_months: 10,
+            total_commits: 20,
+        };
+        // The same versions with contents that carry no blob address.
+        let mut built = walked.clone();
+        for v in &mut built.versions {
+            v.content = v.content.as_str().into();
+        }
+        assert_eq!(candidate_key(&walked, 14), candidate_key(&built, 14));
+        built.versions[1].content.to_mut().push(' ');
+        assert_ne!(candidate_key(&walked, 14), candidate_key(&built, 14));
     }
 }

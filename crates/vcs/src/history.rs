@@ -152,7 +152,7 @@ pub fn file_history(
             timestamp: commit.timestamp,
             author: commit.author.clone(),
             message: commit.message.clone(),
-            content: blob.as_text(),
+            content: blob.text_at(blob_id),
         });
         last_emitted = Some(blob_id);
     }

@@ -15,32 +15,60 @@ use std::sync::Arc;
 /// Immutable, shared UTF-8 text: a file version's content. Cloning it, or
 /// reading it out of the [`Blob`] that holds it, copies no bytes; every
 /// clone points at the same buffer. [`Text::to_mut`] copies on write.
-#[derive(Clone, PartialEq, Eq)]
-pub struct Text(Arc<String>);
+///
+/// A text read out of a blob by a history walk carries the blob's address
+/// ([`Text::id`]), so keying a version costs no pass over its bytes.
+#[derive(Clone)]
+pub struct Text {
+    text: Arc<String>,
+    /// The address of the blob the text is the content of, when known;
+    /// cleared by [`Text::to_mut`].
+    id: Option<Digest>,
+}
 
 impl Text {
     /// The text as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
     }
 
-    /// A mutable string, copied first if any other clone shares it.
+    /// A mutable string, copied first if any other clone shares it. The
+    /// text no longer carries a blob address.
     pub fn to_mut(&mut self) -> &mut String {
-        Arc::make_mut(&mut self.0)
+        self.id = None;
+        Arc::make_mut(&mut self.text)
+    }
+
+    /// The address of a blob holding exactly this text: the one it was
+    /// read out of, or else computed from its bytes.
+    pub fn id(&self) -> Digest {
+        self.id.unwrap_or_else(|| blob_address(self.as_bytes()))
     }
 }
+
+impl PartialEq for Text {
+    /// Equal contents, whether or not either carries its address.
+    fn eq(&self, other: &Text) -> bool {
+        self.text == other.text
+    }
+}
+
+impl Eq for Text {}
 
 impl Deref for Text {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        &self.text
     }
 }
 
 impl From<String> for Text {
     /// Moves the string in; its buffer becomes the text's.
     fn from(s: String) -> Text {
-        Text(Arc::new(s))
+        Text {
+            text: Arc::new(s),
+            id: None,
+        }
     }
 }
 
@@ -109,6 +137,16 @@ impl Blob {
             BlobData::Text(t) => t.clone(),
             BlobData::Raw(b) => String::from_utf8_lossy(b).into_owned().into(),
         }
+    }
+
+    /// [`Blob::as_text`] of the blob stored at `id`, carrying that address
+    /// when the text is the blob's own bytes (valid UTF-8).
+    pub(crate) fn text_at(&self, id: Digest) -> Text {
+        let mut text = self.as_text();
+        if let BlobData::Text(_) = self.data {
+            text.id = Some(id);
+        }
+        text
     }
 }
 
@@ -350,6 +388,25 @@ mod tests {
         assert_eq!(a.as_ptr(), b.as_ptr());
         b.to_mut().push('!');
         assert_eq!((a.as_str(), b.as_str()), ("v1", "v1!"));
+    }
+
+    #[test]
+    fn text_carries_its_blob_address_until_written() {
+        let blob = Blob::from("CREATE TABLE t (id INT);".to_string());
+        let mut text = blob.text_at(blob.id());
+        assert_eq!(text.id, Some(blob.id()));
+        assert_eq!(text.id(), Text::from("CREATE TABLE t (id INT);").id());
+        assert_eq!(text, blob.as_text(), "the address is not part of equality");
+        text.to_mut().push(' ');
+        assert_eq!(text.id, None, "a written text drops the address");
+        assert_eq!(text.id(), blob_address(b"CREATE TABLE t (id INT); "));
+        // A lossy text is not its blob's bytes, so it keeps no address.
+        let raw = Blob::new(vec![b'a', 0xff]);
+        assert_eq!(raw.text_at(raw.id()).id, None);
+        assert_eq!(
+            raw.text_at(raw.id()).id(),
+            blob_address("a\u{fffd}".as_bytes())
+        );
     }
 
     #[test]

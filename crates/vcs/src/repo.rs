@@ -171,14 +171,15 @@ impl Repository {
     }
 
     /// Read a file at the tip of the current branch (lossy UTF-8, shared
-    /// with its blob; see [`Blob::as_text`]).
+    /// with its blob and carrying its address; see [`Blob::as_text`] and
+    /// [`Text::id`]).
     pub fn read_file(&self, path: &str) -> Result<Option<Text>, RepoError> {
         let tree = self.head_tree()?;
         match tree.get(path) {
             None => Ok(None),
             Some(id) => {
                 let blob = self.store.blob(id).ok_or(RepoError::MissingObject(id))?;
-                Ok(Some(blob.as_text()))
+                Ok(Some(blob.text_at(id)))
             }
         }
     }

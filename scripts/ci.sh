@@ -175,6 +175,30 @@ if ! grep -q '^fault-fired:' "$tmp/iochaos.err"; then
   exit 1
 fi
 echo "    transient EIO absorbed; stdout identical to baseline"
+# Store reads run on reader threads, but the store.read site is checked
+# on the calling thread in merge order: a transient schedule over a small
+# store is absorbed, and fires the same faults at 1 and 8 workers.
+iochaos_store="$tmp/iochaos-store"
+cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
+  --store-dir "$iochaos_store" >/dev/null 2>&1
+for workers in 1 8; do
+  cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \
+    --workers "$workers" --store-dir "$iochaos_store" \
+    --io-faults "store.read=eio@0.05" --io-fault-seed 42 \
+    > "$tmp/iochaos-read-w$workers.txt" 2>"$tmp/iochaos-read-w$workers.err"
+  if ! diff -q "$baseline" "$tmp/iochaos-read-w$workers.txt" >/dev/null; then
+    echo "IO-CHAOS FAILURE: absorbed store.read faults changed the study output (workers $workers)" >&2
+    diff "$baseline" "$tmp/iochaos-read-w$workers.txt" | head -40 >&2
+    exit 1
+  fi
+  grep '^fault-fired:' "$tmp/iochaos-read-w$workers.err" > "$tmp/iochaos-read-w$workers.fired" || true
+done
+if [ ! -s "$tmp/iochaos-read-w1.fired" ] \
+  || ! diff -q "$tmp/iochaos-read-w1.fired" "$tmp/iochaos-read-w8.fired" >/dev/null; then
+  echo "IO-CHAOS FAILURE: store.read faults fired differently at 1 and 8 workers (or not at all)" >&2
+  exit 1
+fi
+echo "    store.read EIO absorbed through the read-ahead; same faults at 1 and 8 workers"
 # Persistent ENOSPC is a typed failure: exit 3, root cause on stderr.
 set +e
 cargo run -q --release --bin schevo -- study --seed 2019 --scale 20 \

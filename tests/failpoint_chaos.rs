@@ -6,7 +6,9 @@
 //! converges to the byte-identical golden result. Fault *sequences* are
 //! part of the contract too: the same spec and seed fire the same
 //! faults in the same order whatever the worker count, because every
-//! durability site runs on the candidate-ordered caller thread.
+//! durability site runs on the candidate-ordered caller thread (store
+//! reads too: reader threads read ahead, the `store.read` check stays on
+//! the caller).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -112,7 +114,12 @@ fn enospc_is_typed_and_resume_converges() {
 
     let journal = scratch.join("enospc.wal");
     let journal_str = journal.to_str().expect("utf-8 path");
-    let out = study(&["--journal", journal_str, "--io-faults", "journal.append=enospc@3+"]);
+    let out = study(&[
+        "--journal",
+        journal_str,
+        "--io-faults",
+        "journal.append=enospc@3+",
+    ]);
     assert_eq!(out.status.code(), Some(3), "typed study abort exits 3");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -216,7 +223,12 @@ fn store_generation_faults_fail_clean_and_retry_converges() {
 
     let store = scratch.join("store");
     let store_str = store.to_str().expect("utf-8 path");
-    let out = study(&["--store-dir", store_str, "--io-faults", "store.fsync=enospc@0+"]);
+    let out = study(&[
+        "--store-dir",
+        store_str,
+        "--io-faults",
+        "store.fsync=enospc@0+",
+    ]);
     assert_eq!(out.status.code(), Some(1), "store I/O failure exits 1");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("No space left on device"),
@@ -244,6 +256,93 @@ fn store_generation_faults_fail_clean_and_retry_converges() {
     assert_eq!(read_json(&out_dir), golden_json);
 }
 
+fn sha1_hex(bytes: &[u8]) -> String {
+    schevo::vcs::sha1::sha1(bytes).to_hex()
+}
+
+/// Store reads run on reader threads ahead of the merge, but the
+/// `store.read` site is still checked on the calling thread, once per
+/// frame in merge order: a transient schedule (absorbed) and permanent
+/// ones (the shard fails closed and is quarantined) fire the same faults
+/// and give the same stdout and `study_results.json` at 1, 2 and 8
+/// workers and on a repeated run — the values the serial reader gave,
+/// pinned as `(fired, SHA-1 of the fired lines, of stdout, of the json)`.
+#[test]
+fn store_read_faults_are_deterministic_through_the_read_ahead() {
+    let scratch = dir("store_read");
+    let (golden_stdout, golden_json) = golden(&scratch);
+    let store = scratch.join("store");
+    let store_str = store.to_str().expect("utf-8 path");
+    let built = study(&["--store-dir", store_str]);
+    assert!(
+        built.status.success(),
+        "{}",
+        String::from_utf8_lossy(&built.stderr)
+    );
+    assert_eq!(
+        built.stdout, golden_stdout,
+        "the store-backed study equals golden"
+    );
+    let schedules = [
+        (
+            "store.read=eio@0.05",
+            347,
+            "be5abd5c21e9d618c0677746bf990d0361cd8d8d",
+            "fa4310f339a306dc6606f632532d17b4d9d70ead",
+            "66099d06b037ccb96f50bc613e50335d50e9c647",
+        ),
+        (
+            "store.read=enospc@40",
+            1,
+            "bfd406bc623f911fe32139f79b0d74d331e7ecda",
+            "0e4cd423399e0e6eaff0319115a7fcf771c1838e",
+            "c04291a01bac2cd0832b168aa3bc8899dad4beed",
+        ),
+        (
+            "store.read=enospc@3000",
+            1,
+            "bcc8d4f579e317941b343eb385002105d358f3ad",
+            "043c91e7e98dbe8bce63d0a97f8cfe93a2b88019",
+            "a250d10e30515b7b33d3683dab0f0cf8f7c73e13",
+        ),
+    ];
+    for (spec, fired, fired_sha, stdout_sha, json_sha) in schedules {
+        for (run, workers) in ["1", "2", "8", "2"].into_iter().enumerate() {
+            let out_dir = scratch.join(format!("out_{run}"));
+            let out = study(&[
+                "--store-dir",
+                store_str,
+                "--workers",
+                workers,
+                "--out",
+                out_dir.to_str().expect("utf-8 path"),
+                "--io-faults",
+                spec,
+                "--io-fault-seed",
+                "42",
+            ]);
+            assert!(
+                out.status.success(),
+                "{spec} at {workers} workers: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let lines = fired_lines(&out.stderr);
+            let what = format!("{spec}, run {run} at {workers} workers");
+            assert_eq!(lines.len(), fired, "{what}: faults fired");
+            assert_eq!(
+                sha1_hex(lines.join("\n").as_bytes()),
+                fired_sha,
+                "{what}: fired lines"
+            );
+            assert_eq!(sha1_hex(&out.stdout), stdout_sha, "{what}: stdout");
+            assert_eq!(sha1_hex(&read_json(&out_dir)), json_sha, "{what}: json");
+        }
+    }
+    // The transient schedule is absorbed: its pins are golden's.
+    assert_eq!(sha1_hex(&golden_stdout), schedules[0].3);
+    assert_eq!(sha1_hex(&golden_json), schedules[0].4);
+}
+
 /// The env pair arms children exactly like the flags, and the flags
 /// override the env.
 #[test]
@@ -253,7 +352,15 @@ fn env_arming_matches_flags_and_flags_win() {
     let journal_str = journal.to_str().expect("utf-8 path");
 
     let via_env = Command::new(env!("CARGO_BIN_EXE_schevo"))
-        .args(["study", "--seed", SEED, "--scale", SCALE, "--journal", journal_str])
+        .args([
+            "study",
+            "--seed",
+            SEED,
+            "--scale",
+            SCALE,
+            "--journal",
+            journal_str,
+        ])
         .env("SCHEVO_IO_FAULTS", "journal.append=enospc@0+")
         .output()
         .expect("binary runs");
@@ -263,7 +370,15 @@ fn env_arming_matches_flags_and_flags_win() {
     // spec disarms it and the run completes.
     let _ = std::fs::remove_file(&journal);
     let overridden = Command::new(env!("CARGO_BIN_EXE_schevo"))
-        .args(["study", "--seed", SEED, "--scale", SCALE, "--journal", journal_str])
+        .args([
+            "study",
+            "--seed",
+            SEED,
+            "--scale",
+            SCALE,
+            "--journal",
+            journal_str,
+        ])
         .env("SCHEVO_IO_FAULTS", "journal.append=enospc@0+")
         .args(["--io-faults", ""])
         .output()
