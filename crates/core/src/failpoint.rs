@@ -28,8 +28,8 @@
 //! The schedule is fully deterministic given `(spec, seed)`: site hit
 //! counters are global and every durability site runs on the calling
 //! (main) thread in candidate order, so the fired-fault sequence is
-//! identical across worker counts. The store's reader threads check no
-//! site: the stream they read ahead for checks `store.read` on the
+//! identical across worker counts. The store's reader thread checks no
+//! site: the stream it reads ahead for checks `store.read` on the
 //! calling thread, once per frame in merge order.
 
 use std::collections::HashMap;

@@ -38,24 +38,25 @@
 //!
 //! ## Reading
 //!
-//! [`StoreStream`] merges the shards on the calling thread; reader
-//! threads read ahead of it. There is one reader per available hardware
-//! thread but the caller's (at least one), at most one per shard, each
-//! owning every n-th shard: a reader more than that shared the hardware
-//! with the caller and raised the peak RSS of an append and resume by a
-//! fifth, one heap arena per reader. A reader
-//! reads a shard's frames, checks each frame's length and checksum and,
-//! for a materialized record, parses it and runs [`read_pack`] (or
-//! [`verify_pack`], below) on its pack: both hashes, the frame SHA-1 and
-//! every object's address, run on the readers. A light
+//! [`StoreStream`] merges the shards on the calling thread; one reader
+//! thread reads every shard ahead of it (more readers, one heap arena
+//! each, raised the peak RSS of an append and resume and were not kept).
+//! The reader reads a shard's frames, checks each frame's length and
+//! checksum and, for a materialized record, parses it and runs
+//! [`read_pack`] (or [`verify_pack`], below) on its pack: both hashes,
+//! the frame SHA-1 and every object's address, run on the reader. A light
 //! record's verified payload is handed over as bytes and parsed by the
 //! stream (its few fields cost less to parse than to hand over parsed).
 //! The steps travel in batches of consecutive frames of one shard, which
-//! come back empty for reuse; a reader keeps one frame buffer for all
-//! its shards. What is read ahead is bounded in bytes (each step charged
+//! come back empty for reuse; the reader keeps one frame buffer for all
+//! shards. What is read ahead is bounded in bytes (each step charged
 //! its frame plus its slot; 512 KiB a stream, split over the shards),
 //! and a shard always gets at least one frame ahead, so one larger than
-//! its share is still read.
+//! its share is still read. A decoded repository is charged a shard's
+//! whole share, so at most one per shard is read ahead of the merge:
+//! the repositories the reader decodes live in its own heap arena, apart
+//! from the caller's, and more of them raised the peak RSS of an append
+//! and resume above the serial read's.
 //!
 //! Everything that orders or counts stays on the calling thread: the
 //! `store.read` failpoint, checked once per frame at exactly the point a
@@ -67,8 +68,9 @@
 //! same offset. The stream takes each shard's next record as soon as the
 //! previous one is handed out, so corruption surfaces in the same order
 //! whatever the caller does between events. Dropping a stream stops and
-//! joins its readers; a reader panic is raised again from the stream's
-//! next event.
+//! joins its reader; a reader panic is raised again from the stream's
+//! next event. If the reader thread cannot be started, every shard that
+//! opened fails like one that did not: a corruption event at offset 0.
 //!
 //! [`StoreStream::next_view`] lends each record as a [`StoreRecord`]
 //! borrowed from the stream: the name and paths sit in strings the stream
@@ -823,11 +825,11 @@ impl<R> StoreEvent<R> {
     }
 }
 
-/// Read-ahead the reader threads may hold for one stream, in bytes: each
+/// Read-ahead the reader thread may hold for one stream, in bytes: each
 /// step is charged its shard bytes plus its slot in a batch. It is split
 /// evenly over the shards, a shard getting a new batch while it holds
-/// less than its share, and only bounds memory; output does not depend
-/// on it.
+/// less than its share (a decoded repository is charged all of it), and
+/// only bounds memory; output does not depend on it.
 const READ_AHEAD_BYTES: usize = 512 * 1024;
 
 /// What one read of a shard found: exactly what a refill on the calling
@@ -1024,11 +1026,11 @@ impl Drop for PanicAlarm<'_> {
     }
 }
 
-/// A reader thread: reads its shards' frames ahead of the caller, a
-/// batch of about half of `lane_cap` (a shard's share of the read-ahead)
-/// at a time, always for the shard of its own with the least read ahead,
-/// while that is under `lane_cap`, until every one is done or the stream
-/// closes.
+/// The reader thread: reads the shards' frames ahead of the caller, a
+/// batch of about half of `lane_cap` (a shard's share of the read-ahead),
+/// or up to one decoded repository, at a time, always for the open shard
+/// with the least read ahead, while that is under `lane_cap`, until every
+/// one is done or the stream closes.
 fn read_ahead(shared: &Shared, mut shards: Vec<ShardFile>, mode: PackMode, lane_cap: usize) {
     let _alarm = PanicAlarm(shared);
     let mut payload = Vec::new();
@@ -1071,7 +1073,11 @@ fn read_ahead(shared: &Shared, mut shards: Vec<ShardFile>, mode: PackMode, lane_
         let mut batch = empties.pop().unwrap_or_default();
         while !shard.done && batch.bytes < lane_cap / 2 {
             let step = shard.read_step(&mut batch, &mut payload, &mut pool, mode);
-            batch.bytes += step.bytes as usize + std::mem::size_of::<Step>();
+            // A decoded repository ends the batch and fills the lane.
+            batch.bytes += match step.found {
+                Found::Parsed(_) if mode == PackMode::Decode => lane_cap,
+                _ => step.bytes as usize + std::mem::size_of::<Step>(),
+            };
             shard.done = !step.found.continues();
             batch.steps.push(step);
         }
@@ -1087,36 +1093,34 @@ fn read_ahead(shared: &Shared, mut shards: Vec<ShardFile>, mode: PackMode, lane_
     }
 }
 
-/// The reader threads of one stream.
+/// The reader thread of one stream.
 #[derive(Debug)]
 struct ReadAhead {
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl ReadAhead {
-    /// Start one reader per available hardware thread but the caller's
-    /// (at least one), at most one per shard, each reading every `n`-th
-    /// of `files`.
-    fn spawn(shards: usize, files: Vec<ShardFile>, mode: PackMode) -> ReadAhead {
+    /// Start the reader over `files`, the shards that opened (of `shards`
+    /// in all). If the thread cannot be started, the error comes back
+    /// beside a `ReadAhead` with no reader.
+    fn spawn(
+        shards: usize,
+        files: Vec<ShardFile>,
+        mode: PackMode,
+    ) -> (ReadAhead, std::io::Result<()>) {
         let shared = Arc::new(Shared::default());
         lock(&shared.feed).lanes = (0..shards).map(|_| Lane::default()).collect();
-        let n = std::thread::available_parallelism()
-            .map_or(1, |n| n.get().saturating_sub(1).max(1))
-            .min(files.len());
-        let mut groups: Vec<Vec<ShardFile>> = (0..n).map(|_| Vec::new()).collect();
-        for (k, file) in files.into_iter().enumerate() {
-            groups[k % n].push(file);
-        }
         let lane_cap = READ_AHEAD_BYTES / shards.max(1);
-        let threads = groups
-            .into_iter()
-            .map(|group| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || read_ahead(&shared, group, mode, lane_cap))
-            })
-            .collect();
-        ReadAhead { shared, threads }
+        let reader = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name("store-reader".to_string())
+            .spawn(move || read_ahead(&reader, files, mode, lane_cap));
+        let (thread, started) = match spawned {
+            Ok(thread) => (Some(thread), Ok(())),
+            Err(e) => (None, Err(e)),
+        };
+        (ReadAhead { shared, thread }, started)
     }
 
     /// Hand `done` back for reuse and take shard `i`'s next batch,
@@ -1153,18 +1157,12 @@ impl ReadAhead {
         self.shared.taken.notify_all();
     }
 
-    /// Close the stream and join every reader; the first reader panic's
-    /// payload comes back.
+    /// Close the stream and join the reader; its panic's payload comes
+    /// back.
     fn stop(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
         lock(&self.shared.feed).closed = true;
         self.shared.taken.notify_all();
-        let mut panic = None;
-        for thread in self.threads.drain(..) {
-            if let Err(payload) = thread.join() {
-                panic.get_or_insert(payload);
-            }
-        }
-        panic
+        self.thread.take()?.join().err()
     }
 }
 
@@ -1198,8 +1196,8 @@ struct ShardCursor {
     out: ParsedRecord,
 }
 
-/// A streaming, shard-merging store reader. Reader threads read, check
-/// and parse each shard's frames ahead of the merge (see the module doc);
+/// A streaming, shard-merging store reader. A reader thread reads, checks
+/// and parses each shard's frames ahead of the merge (see the module doc);
 /// the stream takes a shard's next record as soon as the previous one is
 /// handed out, so corruption surfaces in the same order whatever the
 /// caller does between events.
@@ -1207,7 +1205,7 @@ struct ShardCursor {
 pub struct StoreStream {
     cursors: Vec<ShardCursor>,
     pending: Vec<Pending>,
-    readers: ReadAhead,
+    reader: ReadAhead,
     io: StoreIo,
     mode: PackMode,
     /// The shard whose `out` record the last event handed out. Its
@@ -1246,10 +1244,17 @@ impl StoreStream {
                 out: ParsedRecord::default(),
             });
         }
+        let (reader, started) = ReadAhead::spawn(count, files, mode);
+        if let Err(e) = started {
+            for cursor in cursors.iter_mut().filter(|c| !c.dead) {
+                cursor.dead = true;
+                cursor.open_error = Some(format!("start store reader: {e}"));
+            }
+        }
         let mut stream = StoreStream {
             pending: (0..cursors.len()).map(|_| Pending::Empty).collect(),
             cursors,
-            readers: ReadAhead::spawn(count, files, mode),
+            reader,
             io: StoreIo::default(),
             mode,
             handed_out: None,
@@ -1287,7 +1292,7 @@ impl StoreStream {
             failpoint::check("store.read")
         }) {
             cursor.dead = true;
-            self.readers.close(i, std::mem::take(&mut cursor.batch));
+            self.reader.close(i, std::mem::take(&mut cursor.batch));
             self.pending[i] = Pending::Corrupt {
                 offset: cursor.offset,
                 detail: format!("read: {e}"),
@@ -1296,7 +1301,7 @@ impl StoreStream {
         }
         if cursor.at == cursor.batch.steps.len() {
             cursor.batch = self
-                .readers
+                .reader
                 .next_batch(i, std::mem::take(&mut cursor.batch));
             cursor.at = 0;
         }
@@ -1395,12 +1400,12 @@ impl StoreStream {
 }
 
 impl Drop for StoreStream {
-    /// Stops the readers, wherever they are, and waits for them, so no
-    /// read outlives the stream. A reader panic is not raised again here;
+    /// Stops the reader, wherever it is, and waits for it, so no read
+    /// outlives the stream. A reader panic is not raised again here;
     /// [`StoreStream::next_view`] and [`StoreStream::next_event`] raise
     /// it.
     fn drop(&mut self) {
-        let _ = self.readers.stop();
+        let _ = self.reader.stop();
     }
 }
 

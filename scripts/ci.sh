@@ -175,7 +175,7 @@ if ! grep -q '^fault-fired:' "$tmp/iochaos.err"; then
   exit 1
 fi
 echo "    transient EIO absorbed; stdout identical to baseline"
-# Store reads run on reader threads, but the store.read site is checked
+# Store reads run on a reader thread, but the store.read site is checked
 # on the calling thread in merge order: a transient schedule over a small
 # store is absorbed, and fires the same faults at 1 and 8 workers.
 iochaos_store="$tmp/iochaos-store"

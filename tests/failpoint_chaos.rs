@@ -7,7 +7,7 @@
 //! part of the contract too: the same spec and seed fire the same
 //! faults in the same order whatever the worker count, because every
 //! durability site runs on the candidate-ordered caller thread (store
-//! reads too: reader threads read ahead, the `store.read` check stays on
+//! reads too: a reader thread reads ahead, the `store.read` check stays on
 //! the caller).
 
 use std::path::{Path, PathBuf};
@@ -114,12 +114,7 @@ fn enospc_is_typed_and_resume_converges() {
 
     let journal = scratch.join("enospc.wal");
     let journal_str = journal.to_str().expect("utf-8 path");
-    let out = study(&[
-        "--journal",
-        journal_str,
-        "--io-faults",
-        "journal.append=enospc@3+",
-    ]);
+    let out = study(&["--journal", journal_str, "--io-faults", "journal.append=enospc@3+"]);
     assert_eq!(out.status.code(), Some(3), "typed study abort exits 3");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -223,12 +218,7 @@ fn store_generation_faults_fail_clean_and_retry_converges() {
 
     let store = scratch.join("store");
     let store_str = store.to_str().expect("utf-8 path");
-    let out = study(&[
-        "--store-dir",
-        store_str,
-        "--io-faults",
-        "store.fsync=enospc@0+",
-    ]);
+    let out = study(&["--store-dir", store_str, "--io-faults", "store.fsync=enospc@0+"]);
     assert_eq!(out.status.code(), Some(1), "store I/O failure exits 1");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("No space left on device"),
@@ -352,15 +342,7 @@ fn env_arming_matches_flags_and_flags_win() {
     let journal_str = journal.to_str().expect("utf-8 path");
 
     let via_env = Command::new(env!("CARGO_BIN_EXE_schevo"))
-        .args([
-            "study",
-            "--seed",
-            SEED,
-            "--scale",
-            SCALE,
-            "--journal",
-            journal_str,
-        ])
+        .args(["study", "--seed", SEED, "--scale", SCALE, "--journal", journal_str])
         .env("SCHEVO_IO_FAULTS", "journal.append=enospc@0+")
         .output()
         .expect("binary runs");
@@ -370,15 +352,7 @@ fn env_arming_matches_flags_and_flags_win() {
     // spec disarms it and the run completes.
     let _ = std::fs::remove_file(&journal);
     let overridden = Command::new(env!("CARGO_BIN_EXE_schevo"))
-        .args([
-            "study",
-            "--seed",
-            SEED,
-            "--scale",
-            SCALE,
-            "--journal",
-            journal_str,
-        ])
+        .args(["study", "--seed", SEED, "--scale", SCALE, "--journal", journal_str])
         .env("SCHEVO_IO_FAULTS", "journal.append=enospc@0+")
         .args(["--io-faults", ""])
         .output()

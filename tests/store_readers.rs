@@ -1,8 +1,8 @@
-//! The store stream's reader threads (`StoreStream` reads, checks and
-//! parses each shard's frames on reader threads ahead of its merge):
+//! The store stream's reader thread (`StoreStream` reads, checks and
+//! parses each shard's frames on a reader thread ahead of its merge):
 //!
 //! - a stream dropped after k events, k from none to past its first
-//!   batches, joins its readers: no thread of it is left running, and the
+//!   batches, joins its reader: no thread of it is left running, and the
 //!   drop returns instead of hanging;
 //! - a drained stream's `io()` counts what a serial read counts: every
 //!   record and every byte of a clean store, and on a bit-flipped store
