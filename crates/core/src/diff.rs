@@ -215,7 +215,9 @@ pub fn diff(old: &Schema, new: &Schema) -> SchemaDelta {
             None => {
                 delta.tables_inserted.push(table.name.clone());
                 for attr in table.attributes() {
-                    delta.born.push((table.name.clone(), attr.name.clone()));
+                    delta
+                        .born
+                        .push((table.name.clone(), attr.name.as_str().to_owned()));
                 }
             }
             Some(old_tv) => {
@@ -226,20 +228,20 @@ pub fn diff(old: &Schema, new: &Schema) -> SchemaDelta {
                         None => {
                             delta
                                 .injected
-                                .push((table.name.clone(), attr.name.clone()));
+                                .push((table.name.clone(), attr.name.as_str().to_owned()));
                         }
                         Some(old_attr) => {
                             if !old_attr.data_type.logical_eq(&attr.data_type) {
                                 delta
                                     .type_changed
-                                    .push((table.name.clone(), attr.name.clone()));
+                                    .push((table.name.clone(), attr.name.as_str().to_owned()));
                             }
                             let was_pk = old_tv.in_primary_key(asym);
                             let is_pk = tv.in_primary_key(asym);
                             if was_pk != is_pk {
                                 delta
                                     .pk_changed
-                                    .push((table.name.clone(), attr.name.clone()));
+                                    .push((table.name.clone(), attr.name.as_str().to_owned()));
                             }
                         }
                     }
@@ -248,7 +250,7 @@ pub fn diff(old: &Schema, new: &Schema) -> SchemaDelta {
                     if !tv.attrs.contains_key(&asym) {
                         delta
                             .ejected
-                            .push((table.name.clone(), old_attr.name.clone()));
+                            .push((table.name.clone(), old_attr.name.as_str().to_owned()));
                     }
                 }
                 // FK set comparison (multiset by value) for surviving tables.
@@ -290,7 +292,7 @@ pub fn diff(old: &Schema, new: &Schema) -> SchemaDelta {
             for attr in old_table.attributes() {
                 delta
                     .deleted
-                    .push((old_table.name.clone(), attr.name.clone()));
+                    .push((old_table.name.clone(), attr.name.as_str().to_owned()));
             }
         }
     }

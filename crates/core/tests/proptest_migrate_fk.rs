@@ -28,7 +28,7 @@ fn fk_schema() -> impl Strategy<Value = Schema> {
                     if k == 0 { DataType::int() } else { DataType::varchar(60) },
                 ));
             }
-            t.set_primary_key(vec!["c0".into()]);
+            t.set_primary_key(["c0"]);
             if let Some(target) = fk_target {
                 // May reference an existing or a missing table (dangling).
                 t.push_foreign_key(ForeignKey {

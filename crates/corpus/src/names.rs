@@ -6,6 +6,8 @@
 //! with tables like `user_account`, `audit_log`), which matters when
 //! debugging a 365-project funnel.
 
+use schevo_ddl::Text;
+
 /// Domains the paper lists as evidence of external validity (§III-C).
 pub const DOMAINS: [&str; 10] = [
     "content-management",
@@ -89,13 +91,13 @@ pub fn table_name(counter: usize) -> String {
 }
 
 /// The name of the k-th column created in a table.
-pub fn column_name(counter: usize) -> String {
+pub fn column_name(counter: usize) -> Text {
     let stem = COLUMN_STEMS[counter % COLUMN_STEMS.len()];
     let round = counter / COLUMN_STEMS.len();
     if round == 0 {
-        stem.to_string()
+        Text::new(stem)
     } else {
-        format!("{stem}_{round}")
+        Text::from(format!("{stem}_{round}"))
     }
 }
 
@@ -134,7 +136,7 @@ mod tests {
     fn table_and_column_names_unique_per_counter() {
         let t: HashSet<String> = (0..500).map(table_name).collect();
         assert_eq!(t.len(), 500);
-        let c: HashSet<String> = (0..500).map(column_name).collect();
+        let c: HashSet<Text> = (0..500).map(column_name).collect();
         assert_eq!(c.len(), 500);
     }
 

@@ -13,6 +13,7 @@ use rand::Rng;
 use schevo_ddl::render::{render_schema_into, render_table, RenderOptions};
 use schevo_ddl::schema::{Attribute, Schema, Table};
 use schevo_ddl::types::DataType;
+use schevo_ddl::Text;
 use schevo_vcs::repo::{FileChange, Repository};
 use schevo_vcs::timestamp::Timestamp;
 use std::collections::{BTreeMap, HashMap};
@@ -104,9 +105,9 @@ impl LiveSchema {
         if id % 3 == 1 && arity >= 2 {
             if let Some((_, target)) = self.names.iter().next() {
                 table.push_foreign_key(schevo_ddl::schema::ForeignKey {
-                    columns: vec![column_name(1)],
+                    columns: vec![column_name(1).into()],
                     foreign_table: target.clone(),
-                    foreign_columns: vec![column_name(0)],
+                    foreign_columns: vec![column_name(0).into()],
                 });
             }
         }
@@ -172,7 +173,7 @@ impl LiveSchema {
                 let name = self.names[&table].clone();
                 self.texts.remove(&name);
                 let t = self.schema.table_mut(&name).expect("live table");
-                let targets: Vec<String> = t
+                let targets: Vec<Text> = t
                     .attributes()
                     .iter()
                     .take(count as usize)
@@ -187,13 +188,13 @@ impl LiveSchema {
                 let name = self.names[&table].clone();
                 self.texts.remove(&name);
                 let t = self.schema.table_mut(&name).expect("live table");
-                let targets: Vec<String> = t
+                let targets: Vec<Text> = t
                     .attributes()
                     .iter()
                     .take(count as usize)
                     .map(|a| a.name.clone())
                     .collect();
-                let mut pk: Vec<String> = t.primary_key().to_vec();
+                let mut pk: Vec<Text> = t.primary_key().to_vec();
                 for col in targets {
                     if let Some(pos) = pk.iter().position(|c| c == &col) {
                         pk.remove(pos);

@@ -1,7 +1,7 @@
 //! Index-based arena storage for parsed scripts.
 //!
 //! One heap-allocated `Vec` per statement (columns, constraints,
-//! alter-ops, options) would make a dump with hundreds of `CREATE TABLE`
+//! alter-ops, dropped names) would make a dump with hundreds of `CREATE TABLE`
 //! statements pay thousands of small allocations per parse — on the
 //! hottest path of the whole pipeline. A [`ScriptArena`] stores them in
 //! flat, shared pools instead: every column of every statement lives in
@@ -23,6 +23,7 @@
 //! metrics exports can report allocator pressure.
 
 use crate::ast::{AlterOp, ColumnDef, TableConstraint};
+use crate::token::Text;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative arena heap bytes since process start (all parses, all threads).
@@ -83,30 +84,29 @@ pub enum ArenaStatement {
     /// A parsed `ALTER TABLE`; `ops` indexes the arena's op pool.
     AlterTable {
         /// Target table name (unqualified).
-        name: String,
+        name: Text,
         /// Alterations in order, in the op pool.
         ops: PoolRange,
     },
-    /// A parsed `DROP TABLE`; `names` indexes the string pool.
+    /// A parsed `DROP TABLE`; `names` indexes the name pool.
     DropTable {
-        /// Names of the dropped tables, in the string pool.
+        /// Names of the dropped tables, in the name pool.
         names: PoolRange,
     },
     /// Any other statement, skipped by the tolerant parser.
     Other {
         /// The leading keyword(s) identifying the statement, uppercased.
-        keyword: String,
+        keyword: Text,
     },
 }
 
-/// A `CREATE TABLE` whose columns, constraints and options live in the
-/// arena pools.
+/// A `CREATE TABLE` whose columns and constraints live in the arena pools.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArenaCreateTable {
     /// Table name, unqualified (a `db.` qualifier is stripped but recorded).
-    pub name: String,
+    pub name: Text,
     /// Optional schema/database qualifier that preceded the name.
-    pub qualifier: Option<String>,
+    pub qualifier: Option<Text>,
     /// Whether `IF NOT EXISTS` was present.
     pub if_not_exists: bool,
     /// Whether `TEMPORARY` was present. Temporary tables are excluded from
@@ -116,8 +116,6 @@ pub struct ArenaCreateTable {
     pub columns: PoolRange,
     /// Table-level constraints in declaration order, in the constraint pool.
     pub constraints: PoolRange,
-    /// Trailing table options, in the string pool.
-    pub options: PoolRange,
 }
 
 /// Marks of all pool lengths at one instant; used by the parser to roll
@@ -127,7 +125,7 @@ pub struct ArenaMark {
     columns: usize,
     constraints: usize,
     ops: usize,
-    strings: usize,
+    names: usize,
 }
 
 /// Flat storage for one parsed script: statements plus the shared pools
@@ -138,7 +136,7 @@ pub struct ScriptArena {
     columns: Vec<ColumnDef>,
     constraints: Vec<TableConstraint>,
     ops: Vec<AlterOp>,
-    strings: Vec<String>,
+    names: Vec<Text>,
 }
 
 impl ScriptArena {
@@ -162,27 +160,15 @@ impl ScriptArena {
         &self.ops[range.bounds()]
     }
 
-    /// The pooled strings of `range` (drop-table names, table options).
-    pub fn strings(&self, range: PoolRange) -> &[String] {
-        &self.strings[range.bounds()]
+    /// The pooled names of `range` (the tables a `DROP TABLE` names).
+    pub fn names(&self, range: PoolRange) -> &[Text] {
+        &self.names[range.bounds()]
     }
 
     /// The primary-key columns of a pooled `CREATE TABLE`: a table-level
     /// `PRIMARY KEY` constraint wins, else the inline-marked columns.
-    pub fn primary_key_columns(&self, ct: &ArenaCreateTable) -> Vec<String> {
+    pub fn primary_key_columns(&self, ct: &ArenaCreateTable) -> Vec<Text> {
         primary_key_of(self.columns(ct.columns), self.constraints(ct.constraints))
-    }
-
-    /// The first statement when it is a `CREATE TABLE`, with its columns
-    /// open to be moved out of and its constraints.
-    pub(crate) fn first_create_table_mut(
-        &mut self,
-    ) -> Option<(&ArenaCreateTable, &mut [ColumnDef], &[TableConstraint])> {
-        let Some(ArenaStatement::CreateTable(ct)) = self.statements.first() else {
-            return None;
-        };
-        let columns = &mut self.columns[ct.columns.bounds()];
-        Some((ct, columns, &self.constraints[ct.constraints.bounds()]))
     }
 
     /// Iterate the pooled `CREATE TABLE` statements, in file order.
@@ -211,8 +197,8 @@ impl ScriptArena {
         self.ops.push(op);
     }
 
-    pub(crate) fn push_string(&mut self, s: String) {
-        self.strings.push(s);
+    pub(crate) fn push_name(&mut self, name: Text) {
+        self.names.push(name);
     }
 
     /// Snapshot every pool length, for later [`Self::truncate`].
@@ -221,7 +207,7 @@ impl ScriptArena {
             columns: self.columns.len(),
             constraints: self.constraints.len(),
             ops: self.ops.len(),
-            strings: self.strings.len(),
+            names: self.names.len(),
         }
     }
 
@@ -233,7 +219,7 @@ impl ScriptArena {
         self.columns.truncate(mark.columns);
         self.constraints.truncate(mark.constraints);
         self.ops.truncate(mark.ops);
-        self.strings.truncate(mark.strings);
+        self.names.truncate(mark.names);
     }
 
     /// Empty every pool, keeping their capacity for the next statement.
@@ -242,7 +228,7 @@ impl ScriptArena {
         self.columns.clear();
         self.constraints.clear();
         self.ops.clear();
-        self.strings.clear();
+        self.names.clear();
     }
 
     /// Range covering everything pushed to the column pool since `mark`.
@@ -260,29 +246,26 @@ impl ScriptArena {
         PoolRange::new(mark.ops, self.ops.len())
     }
 
-    /// Range covering everything pushed to the string pool since `mark`.
-    pub(crate) fn strings_since(&self, mark: ArenaMark) -> PoolRange {
-        PoolRange::new(mark.strings, self.strings.len())
+    /// Range covering everything pushed to the name pool since `mark`.
+    pub(crate) fn names_since(&self, mark: ArenaMark) -> PoolRange {
+        PoolRange::new(mark.names, self.names.len())
     }
 
     /// Approximate heap footprint of the arena's pools in bytes. Element
-    /// inline sizes only (nested strings are not chased): the figure feeds
+    /// inline sizes only (boxed names are not chased): the figure feeds
     /// a diagnostic counter, not an allocator.
     pub fn heap_bytes(&self) -> usize {
         self.statements.capacity() * std::mem::size_of::<ArenaStatement>()
             + self.columns.capacity() * std::mem::size_of::<ColumnDef>()
             + self.constraints.capacity() * std::mem::size_of::<TableConstraint>()
             + self.ops.capacity() * std::mem::size_of::<AlterOp>()
-            + self.strings.capacity() * std::mem::size_of::<String>()
+            + self.names.capacity() * std::mem::size_of::<Text>()
     }
 }
 
 /// The primary key of a table with these columns and constraints: its
 /// `PRIMARY KEY` constraint's columns, else its columns marked inline.
-pub(crate) fn primary_key_of(
-    columns: &[ColumnDef],
-    constraints: &[TableConstraint],
-) -> Vec<String> {
+pub(crate) fn primary_key_of(columns: &[ColumnDef], constraints: &[TableConstraint]) -> Vec<Text> {
     for c in constraints {
         if let TableConstraint::PrimaryKey { columns, .. } = c {
             return columns.clone();
@@ -319,15 +302,15 @@ mod tests {
     #[test]
     fn truncate_rolls_back_all_pools() {
         let mut arena = ScriptArena::default();
-        arena.push_string("keep".into());
+        arena.push_name("keep".into());
         let mark = arena.mark();
         arena.push_column(ColumnDef::new("c", DataType::int()));
-        arena.push_string("discard".into());
+        arena.push_name("discard".into());
         arena.push_op(AlterOp::DropPrimaryKey);
         arena.truncate(mark);
         assert_eq!(arena.columns.len(), 0);
         assert_eq!(arena.ops.len(), 0);
-        assert_eq!(arena.strings, vec!["keep".to_string()]);
+        assert_eq!(arena.names, vec!["keep".to_string()]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! it, so callers can still count `INSERT`s, `CREATE INDEX`es and
 //! directives — those are the study's *non-active* change classes.
 
+use crate::token::Text;
 use crate::types::DataType;
 
 /// One alteration within `ALTER TABLE`.
@@ -16,29 +17,29 @@ pub enum AlterOp {
     /// `ADD [COLUMN] <def>`.
     AddColumn(ColumnDef),
     /// `DROP [COLUMN] name`.
-    DropColumn(String),
+    DropColumn(Text),
     /// `MODIFY [COLUMN] <def>` — redefine the column in place.
     ModifyColumn(ColumnDef),
     /// `CHANGE [COLUMN] old <def>` — rename + redefine.
     ChangeColumn {
         /// The column's previous name.
-        old_name: String,
+        old_name: Text,
         /// The new definition (carrying the new name).
         def: ColumnDef,
     },
     /// `ADD PRIMARY KEY (cols)`.
-    AddPrimaryKey(Vec<String>),
+    AddPrimaryKey(Vec<Text>),
     /// `DROP PRIMARY KEY`.
     DropPrimaryKey,
     /// `RENAME [TO] new_name`.
-    RenameTable(String),
+    RenameTable(Text),
 }
 
 /// One column definition inside `CREATE TABLE`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     /// Column name.
-    pub name: String,
+    pub name: Text,
     /// Parsed, normalized data type.
     pub data_type: DataType,
     /// `NOT NULL` present.
@@ -50,14 +51,14 @@ pub struct ColumnDef {
     /// `UNIQUE` on the column.
     pub unique: bool,
     /// `DEFAULT <value>` rendered as text, if present.
-    pub default: Option<String>,
+    pub default: Option<Text>,
     /// `COMMENT '<text>'`, if present.
-    pub comment: Option<String>,
+    pub comment: Option<Text>,
 }
 
 impl ColumnDef {
     /// A minimal column of the given name and type; used by builders/tests.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Text>, data_type: DataType) -> Self {
         ColumnDef {
             name: name.into(),
             data_type,
@@ -77,39 +78,39 @@ pub enum TableConstraint {
     /// `PRIMARY KEY (a, b)`.
     PrimaryKey {
         /// Optional constraint name.
-        name: Option<String>,
+        name: Option<Text>,
         /// Key columns in order.
-        columns: Vec<String>,
+        columns: Vec<Text>,
     },
     /// `UNIQUE [KEY|INDEX] [name] (a, b)`.
     Unique {
         /// Optional index name.
-        name: Option<String>,
+        name: Option<Text>,
         /// Key columns in order.
-        columns: Vec<String>,
+        columns: Vec<Text>,
     },
     /// `[CONSTRAINT name] FOREIGN KEY (a) REFERENCES t (b)`.
     ForeignKey {
         /// Optional constraint name.
-        name: Option<String>,
+        name: Option<Text>,
         /// Referencing columns.
-        columns: Vec<String>,
+        columns: Vec<Text>,
         /// Referenced table.
-        foreign_table: String,
+        foreign_table: Text,
         /// Referenced columns (may be empty when elided).
-        foreign_columns: Vec<String>,
+        foreign_columns: Vec<Text>,
     },
     /// `KEY`/`INDEX [name] (a, b)` — a plain secondary index. Changes to
     /// these are physical-level and non-active for the study.
     Index {
         /// Optional index name.
-        name: Option<String>,
+        name: Option<Text>,
         /// Indexed columns in order.
-        columns: Vec<String>,
+        columns: Vec<Text>,
     },
     /// `CHECK (...)`, body kept as raw text.
     Check {
         /// Optional constraint name.
-        name: Option<String>,
+        name: Option<Text>,
     },
 }

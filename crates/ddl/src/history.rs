@@ -57,7 +57,7 @@ use crate::arena::{record_arena_bytes, ArenaStatement, ScriptArena};
 use crate::error::ParseError;
 use crate::lexer::{lex_edit, tokenize, Carried};
 use crate::parser::Parser;
-use crate::schema::{Schema, Table};
+use crate::schema::{Lowering, Schema, Table};
 use crate::token::{Token, TokenKind};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,7 +78,7 @@ impl Lowered {
     fn apply(&self, schema: &mut Schema) {
         match self {
             Lowered::Create(table) => schema.upsert_table(Arc::clone(table)),
-            Lowered::Apply(arena) => schema.apply_arena(arena),
+            Lowered::Apply(arena) => schema.apply_arena(arena, Lowering::Full),
             Lowered::Inert => {}
         }
     }
@@ -237,7 +237,7 @@ impl<'a> HistoryParser<'a> {
             };
             let arena = parser.arena_mut();
             let lowered = match &arena.statements()[0] {
-                ArenaStatement::CreateTable(_) => Table::lower_taking(arena)
+                ArenaStatement::CreateTable(ct) => Table::lower(arena, ct, Lowering::Full)
                     .map_or(Lowered::Inert, |t| Lowered::Create(Arc::new(t))),
                 ArenaStatement::AlterTable { .. } | ArenaStatement::DropTable { .. } => {
                     arena_bytes += arena.heap_bytes();

@@ -52,7 +52,7 @@
 //! let schema = parse_schema(sql).unwrap();
 //! assert_eq!(schema.table_count(), 1);
 //! assert_eq!(schema.attribute_count(), 2);
-//! assert!(schema.table("users").unwrap().primary_key().contains(&"id".to_string()));
+//! assert_eq!(schema.table("users").unwrap().primary_key(), ["id"]);
 //! ```
 
 #![warn(missing_docs)]
@@ -74,6 +74,7 @@ pub use history::HistoryParser;
 pub use lexer::tokenize_recovering;
 pub use parser::{parse_script_arena, Parser};
 pub use schema::{Attribute, Schema, Table};
+pub use token::Text;
 
 /// Parse the text of a DDL file straight into its logical [`Schema`].
 ///
@@ -94,6 +95,28 @@ pub fn parse_schema(sql: &str) -> Result<Schema, ParseError> {
     let arena = parse_script_arena(sql)?;
     arena::record_arena_bytes(arena.heap_bytes());
     Ok(schema::Schema::from_arena(&arena))
+}
+
+/// Whether `sql`'s logical schema holds any table: exactly
+/// `parse_schema(sql).map(|s| !s.is_empty()).unwrap_or(false)`, the
+/// collection funnel's "has a `CREATE TABLE`" check.
+///
+/// It parses the script as [`parse_schema`] does and applies its
+/// statements by the same table-level rules (create, `TEMPORARY`, drop,
+/// rename), but lowers each `CREATE TABLE` to its name alone and skips
+/// column-level alterations, so no attribute, key or type is built.
+///
+/// ```
+/// use schevo_ddl::declares_tables;
+///
+/// assert!(declares_tables("CREATE TABLE t (a INT);"));
+/// assert!(!declares_tables("CREATE TABLE t (a INT); DROP TABLE t;"));
+/// assert!(!declares_tables("CREATE TEMPORARY TABLE t (a INT);"));
+/// assert!(!declares_tables("CREATE TABLE t (a INT); 'unterminated"));
+/// ```
+pub fn declares_tables(sql: &str) -> bool {
+    parse_script_arena(sql)
+        .is_ok_and(|arena| !Schema::lowered(&arena, schema::Lowering::NamesOnly).is_empty())
 }
 
 /// The result of a best-effort parse: the schema salvaged from the

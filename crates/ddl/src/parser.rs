@@ -11,8 +11,8 @@ use crate::arena::{ArenaCreateTable, ArenaStatement, PoolRange, ScriptArena};
 use crate::ast::{ColumnDef, TableConstraint};
 use crate::error::{ParseError, Span};
 use crate::lexer::tokenize;
-use crate::token::{Token, TokenKind};
-use crate::types::{DataType, TypeFamily};
+use crate::token::{Text, Token, TokenKind};
+use crate::types::{DataType, Params, TypeFamily};
 use std::cell::Cell;
 
 /// Parse a whole script into arena form: statements share flat pools
@@ -130,11 +130,11 @@ impl Parser {
     }
 
     /// Parse identifiers: bare or quoted.
-    fn identifier(&mut self) -> Result<String, ParseError> {
+    fn identifier(&mut self) -> Result<Text, ParseError> {
         match self.peek() {
             Some(t) => match &t.kind {
                 TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => {
-                    let s = s.as_str().to_owned();
+                    let s = s.clone();
                     self.pos += 1;
                     Ok(s)
                 }
@@ -186,7 +186,7 @@ impl Parser {
                     // A CREATE TABLE too broken to parse: degrade to a
                     // skipped statement rather than failing the file.
                     self.arena.push_statement(ArenaStatement::Other {
-                        keyword: "CREATE TABLE".to_string(),
+                        keyword: Text::new("CREATE TABLE"),
                     });
                     self.skip_statement();
                 }
@@ -203,7 +203,7 @@ impl Parser {
                 Err(_) => {
                     self.arena.truncate(mark);
                     self.arena.push_statement(ArenaStatement::Other {
-                        keyword: "ALTER TABLE".to_string(),
+                        keyword: Text::new("ALTER TABLE"),
                     });
                     self.skip_statement();
                 }
@@ -219,7 +219,7 @@ impl Parser {
                 Err(_) => {
                     self.arena.truncate(mark);
                     self.arena.push_statement(ArenaStatement::Other {
-                        keyword: "DROP TABLE".to_string(),
+                        keyword: Text::new("DROP TABLE"),
                     });
                     self.skip_statement();
                 }
@@ -279,21 +279,17 @@ impl Parser {
     }
 
     /// Uppercased keyword(s) introducing the statement at the cursor.
-    fn leading_keyword(&self) -> String {
-        let first = self
-            .peek()
-            .and_then(|t| t.kind.ident_text())
-            .unwrap_or("?")
-            .to_ascii_uppercase();
+    fn leading_keyword(&self) -> Text {
+        let first = self.peek().and_then(|t| t.kind.ident_text()).unwrap_or("?");
+        let mut keyword = Text::upper(first);
         // Give CREATE a second word so INDEX/VIEW/TRIGGER etc. are countable.
-        if first == "CREATE" || first == "DROP" || first == "ALTER" || first == "LOCK"
-            || first == "UNLOCK"
-        {
+        if ["CREATE", "DROP", "ALTER", "LOCK", "UNLOCK"].contains(&keyword.as_str()) {
             if let Some(second) = self.peek_at(1).and_then(|t| t.kind.ident_text()) {
-                return format!("{first} {}", second.to_ascii_uppercase());
+                keyword = Text::concat(&[first, " ", second]);
+                keyword.make_ascii_uppercase();
             }
         }
-        first
+        keyword
     }
 
     /// Skip tokens up to and including the statement-terminating semicolon.
@@ -366,9 +362,7 @@ impl Parser {
         let columns = self.arena.columns_since(mark);
         let constraints = self.arena.constraints_since(mark);
 
-        let options_mark = self.arena.mark();
         self.table_options();
-        let options = self.arena.strings_since(options_mark);
         // Consume the terminating semicolon if present.
         self.eat_kind(&TokenKind::Semicolon);
 
@@ -379,7 +373,6 @@ impl Parser {
             temporary,
             columns,
             constraints,
-            options,
         })
     }
 
@@ -519,7 +512,7 @@ impl Parser {
 
     /// `( name [(len)] [ASC|DESC] , ... )` — index column lists may carry
     /// prefix lengths and directions, which we drop.
-    fn paren_name_list(&mut self) -> Result<Vec<String>, ParseError> {
+    fn paren_name_list(&mut self) -> Result<Vec<Text>, ParseError> {
         self.expect_kind(TokenKind::LParen)?;
         let mut names = Vec::new();
         loop {
@@ -555,7 +548,7 @@ impl Parser {
     fn data_type(&mut self) -> Result<DataType, ParseError> {
         let mut upper = match self.peek() {
             Some(t) => match &t.kind {
-                TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => s.to_ascii_uppercase(),
+                TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => Text::upper(s),
                 _ => return Err(self.err_expected("a data type")),
             },
             None => return Err(self.err_expected("a data type")),
@@ -565,12 +558,12 @@ impl Parser {
         if upper == "DOUBLE" && self.eat_keyword("PRECISION") {
             // DOUBLE PRECISION — same family.
         } else if upper == "CHARACTER" && self.eat_keyword("VARYING") {
-            upper = "VARCHAR".to_string();
+            upper = Text::new("VARCHAR");
         } else if upper == "LONG" {
             if self.eat_keyword("VARCHAR") || self.eat_keyword("TEXT") {
-                upper = "MEDIUMTEXT".to_string();
+                upper = Text::new("MEDIUMTEXT");
             } else if self.eat_keyword("VARBINARY") {
-                upper = "MEDIUMBLOB".to_string();
+                upper = Text::new("MEDIUMBLOB");
             }
         }
         let mut ty = DataType::from_upper(upper);
@@ -632,9 +625,9 @@ impl Parser {
     }
 
     /// `( 11 )` or `( 10 , 2 )`
-    fn paren_number_list(&mut self) -> Result<Vec<u32>, ParseError> {
+    fn paren_number_list(&mut self) -> Result<Params, ParseError> {
         self.expect_kind(TokenKind::LParen)?;
-        let mut nums = Vec::new();
+        let mut nums = Params::new();
         loop {
             if self.eat_kind(&TokenKind::RParen) {
                 break;
@@ -754,7 +747,7 @@ impl Parser {
     }
 
     /// Parse a DEFAULT value into display text.
-    fn default_value(&mut self) -> Result<String, ParseError> {
+    fn default_value(&mut self) -> Result<Text, ParseError> {
         // Possibly signed number.
         if let Some(t) = self.peek() {
             match &t.kind {
@@ -766,36 +759,41 @@ impl Parser {
                     };
                     self.pos += 1;
                     if let Some(TokenKind::Number(n)) = self.peek().map(|t| &t.kind) {
-                        let signed = format!("{sign}{n}");
+                        let signed = Text::concat(&[sign, n]);
                         self.pos += 1;
                         return Ok(signed);
                     }
-                    return Ok(sign.to_string());
+                    return Ok(Text::new(sign));
                 }
                 TokenKind::Number(n) => {
-                    let n = n.as_str().to_owned();
+                    let n = n.clone();
                     self.pos += 1;
                     return Ok(n);
                 }
                 TokenKind::StringLit(s) => {
-                    let quoted = format!("'{}'", s.replace('\'', "''"));
+                    let quoted = if s.contains('\'') {
+                        Text::from(format!("'{}'", s.replace('\'', "''")))
+                    } else {
+                        Text::concat(&["'", s, "'"])
+                    };
                     self.pos += 1;
                     return Ok(quoted);
                 }
                 TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => {
                     // NULL, CURRENT_TIMESTAMP, TRUE, now(), uuid() ...
-                    let mut upper = s.to_ascii_uppercase();
+                    let mut upper = s.clone();
                     self.pos += 1;
                     if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LParen)) {
                         self.skip_balanced_parens()?;
-                        upper.push_str("()");
+                        upper = Text::concat(&[&upper, "()"]);
                     }
+                    upper.make_ascii_uppercase();
                     return Ok(upper);
                 }
                 TokenKind::LParen => {
                     // Parenthesized default expression: record opaquely.
                     self.skip_balanced_parens()?;
-                    return Ok("(expr)".to_string());
+                    return Ok(Text::new("(expr)"));
                 }
                 _ => {}
             }
@@ -803,11 +801,11 @@ impl Parser {
         Err(self.err_expected("a default value"))
     }
 
-    fn string_value(&mut self) -> Result<String, ParseError> {
+    fn string_value(&mut self) -> Result<Text, ParseError> {
         match self.peek() {
             Some(t) => match &t.kind {
                 TokenKind::StringLit(s) => {
-                    let s = s.as_str().to_owned();
+                    let s = s.clone();
                     self.pos += 1;
                     Ok(s)
                 }
@@ -821,7 +819,7 @@ impl Parser {
     /// terminating semicolon, pushing ops into the arena pool. Returns the
     /// target table name; the caller derives the op range from its mark.
     /// Unmodelled ops are skipped element-wise.
-    fn alter_table(&mut self) -> Result<String, ParseError> {
+    fn alter_table(&mut self) -> Result<Text, ParseError> {
         use crate::ast::AlterOp;
         self.expect_keyword("ALTER")?;
         self.expect_keyword("TABLE")?;
@@ -914,7 +912,7 @@ impl Parser {
     }
 
     /// Parse `DROP TABLE [IF EXISTS] a [, b]*` up to the semicolon, pushing
-    /// names into the string pool.
+    /// names into the name pool.
     fn drop_table(&mut self) -> Result<PoolRange, ParseError> {
         self.expect_keyword("DROP")?;
         self.expect_keyword("TABLE")?;
@@ -930,12 +928,12 @@ impl Parser {
             } else {
                 first
             };
-            self.arena.push_string(name);
+            self.arena.push_name(name);
             if !self.eat_kind(&TokenKind::Comma) {
                 break;
             }
         }
-        Ok(self.arena.strings_since(mark))
+        Ok(self.arena.names_since(mark))
     }
 
     /// Skip a balanced `( ... )` group; the cursor must be at `(`.
@@ -976,47 +974,18 @@ impl Parser {
         }
     }
 
-    /// Collect trailing table options until the semicolon or EOF, pushing
-    /// each option string into the arena's string pool.
+    /// Step over the trailing table options up to the semicolon or EOF,
+    /// balancing parentheses. Nothing after the parser reads their text,
+    /// so none of it is kept.
     fn table_options(&mut self) {
-        let mut current = String::new();
         loop {
-            // An option ends at a comma, or where a word starts that is
-            // not its value.
-            let mut ended = None;
             match self.peek().map(|t| &t.kind) {
                 None | Some(TokenKind::Semicolon) => break,
-                Some(TokenKind::Eq) => current.push('='),
-                Some(TokenKind::Comma) => {
-                    if !current.is_empty() {
-                        ended = Some(std::mem::take(&mut current));
-                    }
-                }
-                Some(TokenKind::Ident(s)) | Some(TokenKind::QuotedIdent(s)) => {
-                    if !current.is_empty() && !current.ends_with('=') {
-                        ended = Some(std::mem::take(&mut current));
-                    }
-                    current.push_str(s);
-                }
-                Some(TokenKind::Number(n)) => current.push_str(n),
-                Some(TokenKind::StringLit(s)) => {
-                    current.push('\'');
-                    current.push_str(s);
-                    current.push('\'');
-                }
                 Some(TokenKind::LParen) => {
                     let _ = self.skip_balanced_parens();
-                    continue;
                 }
-                Some(_) => {}
+                Some(_) => self.pos += 1,
             }
-            if let Some(option) = ended {
-                self.arena.push_string(option);
-            }
-            self.pos += 1;
-        }
-        if !current.is_empty() {
-            self.arena.push_string(current);
         }
     }
 }
@@ -1056,12 +1025,12 @@ mod tests {
     }
 
     /// The names of every `DROP TABLE` in `arena`, one list per statement.
-    fn drop_tables(arena: &ScriptArena) -> Vec<&[String]> {
+    fn drop_tables(arena: &ScriptArena) -> Vec<&[Text]> {
         arena
             .statements()
             .iter()
             .filter_map(|s| match s {
-                ArenaStatement::DropTable { names } => Some(arena.strings(*names)),
+                ArenaStatement::DropTable { names } => Some(arena.names(*names)),
                 _ => None,
             })
             .collect()
@@ -1079,6 +1048,45 @@ mod tests {
         assert_eq!(cols.len(), 1);
         assert_eq!(cols[0].name, "a");
         assert_eq!(cols[0].data_type.family, TypeFamily::Int);
+    }
+
+    #[test]
+    fn long_and_multibyte_names_and_mixed_case_types_keep_their_bytes() {
+        let long = "identifier_longer_than_the_inline_limit";
+        let multibyte = "naïve_café_ünïcödé_名前_long";
+        let sql = format!(
+            "CREATE TABLE `größe_本表` (`{long}` dOuBlE PrEcIsIoN DEFAULT -1, \
+             `{multibyte}` an_extraordinarily_long_user_type_name(3,4,5,6) DEFAULT now(), \
+             `ß` Character Varying(300) DEFAULT 'it''s a default value past the limit', \
+             PRIMARY KEY (`{multibyte}`, `ß`), KEY `an_index_name_that_is_rather_long` (`{long}`)) \
+             ENGINE=InnoDB DEFAULT CHARSET=utf8mb4 COMMENT='名前';"
+        );
+        let (a, ct) = one_table(&sql);
+        assert_eq!(ct.name, "größe_本表");
+        let cols = a.columns(ct.columns);
+        let names: Vec<&str> = cols.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, [long, multibyte, "ß"]);
+        let raw: Vec<&str> = cols.iter().map(|c| c.data_type.raw_name.as_str()).collect();
+        assert_eq!(
+            raw,
+            [
+                "DOUBLE",
+                "AN_EXTRAORDINARILY_LONG_USER_TYPE_NAME",
+                "VARCHAR"
+            ]
+        );
+        assert_eq!(cols[1].data_type.params, vec![3, 4, 5, 6]);
+        assert_eq!(cols[2].data_type.params, vec![300]);
+        let defaults: Vec<Option<&str>> = cols.iter().map(|c| c.default.as_deref()).collect();
+        assert_eq!(
+            defaults,
+            [
+                Some("-1"),
+                Some("NOW()"),
+                Some("'it''s a default value past the limit'")
+            ]
+        );
+        assert_eq!(a.primary_key_columns(&ct), [multibyte, "ß"]);
     }
 
     #[test]
@@ -1104,7 +1112,6 @@ mod tests {
         assert_eq!(cols[1].default.as_deref(), Some("''"));
         assert_eq!(a.primary_key_columns(&ct), vec!["id".to_string()]);
         assert_eq!(ct.constraints.len(), 3);
-        assert!(!ct.options.is_empty());
     }
 
     #[test]

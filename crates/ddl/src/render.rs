@@ -91,12 +91,12 @@ fn push_ident(out: &mut String, name: &str, opts: &RenderOptions) {
 }
 
 /// Append `names` to `out` as a `, `-separated identifier list.
-fn push_ident_list(out: &mut String, names: &[String], opts: &RenderOptions) {
+fn push_ident_list(out: &mut String, names: &[impl AsRef<str>], opts: &RenderOptions) {
     for (i, name) in names.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        push_ident(out, name, opts);
+        push_ident(out, name.as_ref(), opts);
     }
 }
 
@@ -162,7 +162,7 @@ mod tests {
         t.push_attribute(id);
         t.push_attribute(Attribute::new("email", DataType::varchar(255)));
         t.push_attribute(Attribute::new("bio", DataType::text()));
-        t.set_primary_key(vec!["id".into()]);
+        t.set_primary_key(["id"]);
         s.upsert_table(t);
         let mut o = Table::new("orders");
         o.push_attribute(Attribute::new("id", DataType::int()));
@@ -223,13 +223,13 @@ mod tests {
         let mut s = Schema::new();
         let mut parent = Table::new("parent");
         parent.push_attribute(Attribute::new("id", DataType::int()));
-        parent.set_primary_key(vec!["id".into()]);
+        parent.set_primary_key(["id"]);
         s.upsert_table(parent);
         let mut child = Table::new("child");
         child.push_attribute(Attribute::new("id", DataType::int()));
         child.push_attribute(Attribute::new("pid", DataType::int()));
         child.push_attribute(Attribute::new("qid", DataType::int()));
-        child.set_primary_key(vec!["id".into()]);
+        child.set_primary_key(["id"]);
         child.push_foreign_key(ForeignKey {
             columns: vec!["pid".into()],
             foreign_table: "parent".into(),

@@ -7,6 +7,7 @@
 
 use crate::arena::{primary_key_of, ArenaCreateTable, ArenaStatement, ScriptArena};
 use crate::ast::{ColumnDef, TableConstraint};
+use crate::token::Text;
 use crate::types::DataType;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -18,7 +19,7 @@ pub struct Attribute {
     /// Attribute name (case preserved, compared case-sensitively: MySQL
     /// column names are case-insensitive but dumps are internally
     /// consistent, and renames are out of scope for the study's measures).
-    pub name: String,
+    pub name: Text,
     /// Logical data type.
     pub data_type: DataType,
     /// Whether the attribute is declared `NOT NULL`.
@@ -27,7 +28,7 @@ pub struct Attribute {
 
 impl Attribute {
     /// Create an attribute.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Text>, data_type: DataType) -> Self {
         Attribute {
             name: name.into(),
             data_type,
@@ -59,10 +60,11 @@ pub struct Table {
     pub name: String,
     attributes: Vec<Attribute>,
     /// Primary-key attribute names, in key order.
-    primary_key: Vec<String>,
+    primary_key: Vec<Text>,
     /// Foreign keys in declaration order.
     foreign_keys: Vec<ForeignKey>,
-    index: HashMap<String, usize>,
+    /// Attribute name → position in `attributes`.
+    index: HashMap<Text, usize>,
 }
 
 impl Table {
@@ -129,7 +131,7 @@ impl Table {
             for fk in &mut self.foreign_keys {
                 for c in &mut fk.columns {
                     if c == old_name {
-                        *c = new_name.clone();
+                        *c = new_name.to_string();
                     }
                 }
             }
@@ -140,7 +142,12 @@ impl Table {
     /// Add a foreign key; silently dropped if any referencing column is not
     /// an attribute of this table (mirrors the tolerant-extraction stance).
     pub fn push_foreign_key(&mut self, fk: ForeignKey) {
-        if fk.columns.iter().all(|c| self.index.contains_key(c)) && !fk.columns.is_empty() {
+        if fk
+            .columns
+            .iter()
+            .all(|c| self.index.contains_key(c.as_str()))
+            && !fk.columns.is_empty()
+        {
             self.foreign_keys.push(fk);
         }
     }
@@ -160,15 +167,16 @@ impl Table {
     }
 
     /// Set the primary key (names not present as attributes are dropped).
-    pub fn set_primary_key(&mut self, key: Vec<String>) {
+    pub fn set_primary_key<K: Into<Text>>(&mut self, key: impl IntoIterator<Item = K>) {
         self.primary_key = key
             .into_iter()
+            .map(Into::into)
             .filter(|k| self.index.contains_key(k))
             .collect();
     }
 
     /// The primary key attribute names in order.
-    pub fn primary_key(&self) -> &[String] {
+    pub fn primary_key(&self) -> &[Text] {
         &self.primary_key
     }
 
@@ -198,61 +206,28 @@ impl Table {
         self.primary_key.iter().any(|k| k == name)
     }
 
-    /// Lower one pooled `CREATE TABLE` into its table; `None` for a
-    /// `TEMPORARY` table, which the logical schema excludes.
-    pub(crate) fn lower(arena: &ScriptArena, ct: &ArenaCreateTable) -> Option<Table> {
+    /// Lower one pooled `CREATE TABLE` into its table, as `lowering` asks;
+    /// `None` for a `TEMPORARY` table, which the logical schema excludes.
+    pub(crate) fn lower(
+        arena: &ScriptArena,
+        ct: &ArenaCreateTable,
+        lowering: Lowering,
+    ) -> Option<Table> {
         if ct.temporary {
             return None;
+        }
+        let mut table = Table::new(ct.name.as_str());
+        if lowering == Lowering::NamesOnly {
+            return Some(table);
         }
         let columns = arena.columns(ct.columns);
         let constraints = arena.constraints(ct.constraints);
-        let attributes = columns.iter().map(column_to_attribute);
-        let primary_key = primary_key_of(columns, constraints);
-        Some(Table::assemble(
-            ct.name.clone(),
-            attributes,
-            primary_key,
-            constraints,
-        ))
-    }
-
-    /// [`Table::lower`] for the arena's first statement, moving each
-    /// column's name and type out of the arena instead of copying them:
-    /// for an arena about to be cleared.
-    pub(crate) fn lower_taking(arena: &mut ScriptArena) -> Option<Table> {
-        let (ct, columns, constraints) = arena.first_create_table_mut()?;
-        if ct.temporary {
-            return None;
+        table.attributes.reserve(columns.len());
+        table.index.reserve(columns.len());
+        for col in columns {
+            table.push_attribute(column_to_attribute(col));
         }
-        let primary_key = primary_key_of(columns, constraints);
-        let attributes = columns.iter_mut().map(|col| Attribute {
-            name: std::mem::take(&mut col.name),
-            data_type: std::mem::replace(&mut col.data_type, DataType::from_upper(String::new())),
-            not_null: col.not_null,
-        });
-        Some(Table::assemble(
-            ct.name.clone(),
-            attributes,
-            primary_key,
-            constraints,
-        ))
-    }
-
-    /// A table of these attributes, primary key and foreign keys, built as
-    /// the lowering of one `CREATE TABLE`.
-    fn assemble(
-        name: String,
-        attributes: impl ExactSizeIterator<Item = Attribute>,
-        primary_key: Vec<String>,
-        constraints: &[TableConstraint],
-    ) -> Table {
-        let mut table = Table::new(name);
-        table.attributes.reserve(attributes.len());
-        table.index.reserve(attributes.len());
-        for attr in attributes {
-            table.push_attribute(attr);
-        }
-        table.set_primary_key(primary_key);
+        table.set_primary_key(primary_key_of(columns, constraints));
         for constraint in constraints {
             if let TableConstraint::ForeignKey {
                 columns,
@@ -262,20 +237,36 @@ impl Table {
             } = constraint
             {
                 table.push_foreign_key(ForeignKey {
-                    columns: columns.clone(),
-                    foreign_table: foreign_table.clone(),
-                    foreign_columns: foreign_columns.clone(),
+                    columns: columns.iter().map(|c| c.as_str().to_owned()).collect(),
+                    foreign_table: foreign_table.to_string(),
+                    foreign_columns: foreign_columns
+                        .iter()
+                        .map(|c| c.as_str().to_owned())
+                        .collect(),
                 });
             }
         }
-        table
+        Some(table)
     }
 }
 
 fn column_to_attribute(col: &ColumnDef) -> Attribute {
-    let mut attr = Attribute::new(col.name.clone(), col.data_type.clone());
-    attr.not_null = col.not_null;
-    attr
+    Attribute {
+        name: col.name.clone(),
+        data_type: col.data_type.clone(),
+        not_null: col.not_null,
+    }
+}
+
+/// How [`Schema::apply`] lowers the statements it applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lowering {
+    /// Tables with their attributes, primary keys and foreign keys.
+    Full,
+    /// Each table as its name alone, and no column-level alteration: the
+    /// same tables, in the same order, as [`Lowering::Full`] yields, for a
+    /// caller that asks only which tables a script leaves.
+    NamesOnly,
 }
 
 /// A logical schema: the tables of one DDL file version, in file order.
@@ -289,7 +280,7 @@ fn column_to_attribute(col: &ColumnDef) -> Attribute {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Schema {
     tables: Vec<Arc<Table>>,
-    index: Arc<HashMap<String, usize>>,
+    index: Arc<HashMap<Text, usize>>,
 }
 
 impl Schema {
@@ -308,8 +299,13 @@ impl Schema {
     /// migrations) are applied in place; alterations naming unknown tables
     /// or columns are ignored, matching the tolerant-extraction stance.
     pub fn from_arena(arena: &ScriptArena) -> Schema {
+        Schema::lowered(arena, Lowering::Full)
+    }
+
+    /// The schema `arena`'s statements build, lowered as `lowering` asks.
+    pub(crate) fn lowered(arena: &ScriptArena, lowering: Lowering) -> Schema {
         let mut schema = Schema::new();
-        schema.apply_arena(arena);
+        schema.apply_arena(arena, lowering);
         schema
     }
 
@@ -334,25 +330,33 @@ impl Schema {
         schema
     }
 
-    /// Apply every statement of `arena` to this schema, in order.
-    pub(crate) fn apply_arena(&mut self, arena: &ScriptArena) {
+    /// Apply every statement of `arena` to this schema, in order, lowering
+    /// as `lowering` asks.
+    pub(crate) fn apply_arena(&mut self, arena: &ScriptArena, lowering: Lowering) {
         for statement in arena.statements() {
-            self.apply(arena, statement);
+            self.apply(arena, statement, lowering);
         }
     }
 
     /// Apply one parsed statement of `arena` to this schema, as
-    /// [`Schema::from_arena`] describes.
-    pub(crate) fn apply(&mut self, arena: &ScriptArena, statement: &ArenaStatement) {
+    /// [`Schema::from_arena`] describes, lowering as `lowering` asks. The
+    /// table-level rules (create, `TEMPORARY`, drop, rename) are the same
+    /// under either lowering.
+    pub(crate) fn apply(
+        &mut self,
+        arena: &ScriptArena,
+        statement: &ArenaStatement,
+        lowering: Lowering,
+    ) {
         use crate::ast::AlterOp;
         match statement {
             ArenaStatement::CreateTable(ct) => {
-                if let Some(table) = Table::lower(arena, ct) {
+                if let Some(table) = Table::lower(arena, ct, lowering) {
                     self.upsert_table(table);
                 }
             }
             ArenaStatement::DropTable { names } => {
-                for n in arena.strings(*names) {
+                for n in arena.names(*names) {
                     self.remove_table(n);
                 }
             }
@@ -360,9 +364,12 @@ impl Schema {
                 for op in arena.ops(*ops) {
                     if let AlterOp::RenameTable(new_name) = op {
                         if let Some(mut t) = self.remove_table(name) {
-                            t.name = new_name.clone();
+                            t.name = new_name.to_string();
                             self.upsert_table(t);
                         }
+                        continue;
+                    }
+                    if lowering == Lowering::NamesOnly {
                         continue;
                     }
                     let Some(table) = self.table_mut(name) else {
@@ -372,23 +379,23 @@ impl Schema {
                         AlterOp::AddColumn(def) => {
                             table.push_attribute(column_to_attribute(def));
                             if def.inline_primary_key {
-                                table.set_primary_key(vec![def.name.clone()]);
+                                table.set_primary_key([def.name.clone()]);
                             }
                         }
                         AlterOp::DropColumn(col) => {
                             table.remove_attribute(col);
                         }
                         AlterOp::ModifyColumn(def) => {
-                            table.replace_attribute(&def.name.clone(), column_to_attribute(def));
+                            table.replace_attribute(&def.name, column_to_attribute(def));
                         }
                         AlterOp::ChangeColumn { old_name, def } => {
                             table.replace_attribute(old_name, column_to_attribute(def));
                         }
                         AlterOp::AddPrimaryKey(cols) => {
-                            table.set_primary_key(cols.clone());
+                            table.set_primary_key(cols.iter().cloned());
                         }
                         AlterOp::DropPrimaryKey => {
-                            table.set_primary_key(Vec::new());
+                            table.set_primary_key(std::iter::empty::<Text>());
                         }
                         // Renames are applied before the table lookup
                         // above; nothing left to do here.
@@ -404,11 +411,11 @@ impl Schema {
     /// (the replacement keeps the original file position).
     pub fn upsert_table(&mut self, table: impl Into<Arc<Table>>) {
         let table = table.into();
-        if let Some(&i) = self.index.get(&table.name) {
+        if let Some(&i) = self.index.get(table.name.as_str()) {
             self.tables[i] = table;
         } else {
             let index = Arc::make_mut(&mut self.index);
-            index.insert(table.name.clone(), self.tables.len());
+            index.insert(Text::new(&table.name), self.tables.len());
             self.tables.push(table);
         }
     }
@@ -532,7 +539,7 @@ mod tests {
         t.push_attribute(Attribute::new("a", DataType::int()));
         t.push_attribute(Attribute::new("b", DataType::int()));
         t.push_attribute(Attribute::new("c", DataType::int()));
-        t.set_primary_key(vec!["a".into(), "b".into()]);
+        t.set_primary_key(["a", "b"]);
         t.remove_attribute("b");
         assert_eq!(t.arity(), 2);
         assert_eq!(t.primary_key(), &["a".to_string()]);
@@ -544,7 +551,7 @@ mod tests {
     fn set_primary_key_drops_unknown_columns() {
         let mut t = Table::new("t");
         t.push_attribute(Attribute::new("a", DataType::int()));
-        t.set_primary_key(vec!["a".into(), "ghost".into()]);
+        t.set_primary_key(["a", "ghost"]);
         assert_eq!(t.primary_key(), &["a".to_string()]);
     }
 
@@ -639,7 +646,7 @@ mod tests {
         let mut t = Table::new("t");
         t.push_attribute(Attribute::new("a", DataType::int()));
         t.push_attribute(Attribute::new("b", DataType::int()));
-        t.set_primary_key(vec!["a".into()]);
+        t.set_primary_key(["a"]);
         t.push_foreign_key(ForeignKey {
             columns: vec!["a".into()],
             foreign_table: "p".into(),

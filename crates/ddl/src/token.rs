@@ -1,14 +1,27 @@
 //! Token model produced by the [`crate::lexer`].
 
 use crate::error::Span;
+use serde::de::{Deserialize, Error};
+use serde::ser::Serialize;
+use serde::value::Value;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 
 /// The text of an identifier, string or number token, read as a `str`.
 ///
 /// Up to [`Text::INLINE`] bytes are held in the token itself, so the short
 /// names, keywords and numbers that make up most of a DDL file lex without
-/// a heap allocation; longer text is boxed.
+/// a heap allocation; longer text is boxed. The parser and the schema
+/// model keep names as `Text` too (column names, type names, key lists and
+/// the keys of a table's name index), so a name moves from its token into
+/// a `Table` without a heap allocation.
+///
+/// It compares, orders and hashes as its `str` does and borrows as one, so
+/// a map keyed by `Text` is probed with a `&str`; it serializes as a
+/// string.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Text(Repr);
 
@@ -45,6 +58,38 @@ impl Text {
         }
     }
 
+    /// The concatenation of `parts`, without a heap allocation when it
+    /// fits inline.
+    pub fn concat(parts: &[&str]) -> Text {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > Text::INLINE {
+            return Text::from(parts.concat());
+        }
+        let mut bytes = [0; Text::INLINE];
+        let mut at = 0;
+        for p in parts {
+            bytes[at..at + p.len()].copy_from_slice(p.as_bytes());
+            at += p.len();
+        }
+        Text(Repr::Inline(len as u8, bytes))
+    }
+
+    /// `s` with its ASCII letters uppercased, as
+    /// [`str::to_ascii_uppercase`] returns it.
+    pub fn upper(s: &str) -> Text {
+        let mut t = Text::new(s);
+        t.make_ascii_uppercase();
+        t
+    }
+
+    /// Uppercase the text's ASCII letters in place.
+    pub fn make_ascii_uppercase(&mut self) {
+        match &mut self.0 {
+            Repr::Inline(len, bytes) => bytes[..usize::from(*len)].make_ascii_uppercase(),
+            Repr::Heap(s) => s.make_ascii_uppercase(),
+        }
+    }
+
     /// The text's bytes, without the UTF-8 check [`Text::as_str`] makes.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
@@ -68,6 +113,69 @@ impl Deref for Text {
     }
 }
 
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl Borrow<str> for Text {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Text {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Text) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Text) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+/// `Text` compares equal to the strings it reads as, from either side.
+macro_rules! eq_str {
+    ($($t:ty),*) => {$(
+        impl PartialEq<$t> for Text {
+            fn eq(&self, other: &$t) -> bool {
+                self.as_str() == AsRef::<str>::as_ref(other)
+            }
+        }
+
+        impl PartialEq<Text> for $t {
+            fn eq(&self, other: &Text) -> bool {
+                AsRef::<str>::as_ref(self) == other.as_str()
+            }
+        }
+    )*};
+}
+eq_str!(str, &str, String);
+
+impl Serialize for Text {
+    fn to_value(&self) -> Value {
+        Value::Str(self.as_str().to_owned())
+    }
+}
+
+impl Deserialize for Text {
+    fn from_value(v: &Value) -> Result<Text, Error> {
+        match v {
+            Value::Str(s) => Ok(Text::new(s)),
+            _ => Err(Error::new("expected string")),
+        }
+    }
+}
+
 impl From<&str> for Text {
     fn from(s: &str) -> Text {
         Text::new(s)
@@ -76,7 +184,20 @@ impl From<&str> for Text {
 
 impl From<String> for Text {
     fn from(s: String) -> Text {
-        Text::new(&s)
+        if s.len() <= Text::INLINE {
+            Text::new(&s)
+        } else {
+            Text(Repr::Heap(s.into_boxed_str()))
+        }
+    }
+}
+
+impl From<Text> for String {
+    fn from(t: Text) -> String {
+        match t.0 {
+            Repr::Inline(..) => t.as_str().to_owned(),
+            Repr::Heap(s) => s.into_string(),
+        }
     }
 }
 
@@ -217,6 +338,61 @@ mod tests {
         }
         assert_ne!(Text::new(&inline), Text::new(&boxed));
         assert!(Text::new("NoT").eq_ignore_ascii_case("not"));
+    }
+
+    #[test]
+    fn text_built_in_place_keeps_the_bytes_a_string_would_hold() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::HashMap;
+
+        let long = "naïve_café_ünïcödé_名前_long";
+        assert!(long.len() > Text::INLINE);
+        let parts = [
+            ["größe", "_", "本表"],
+            ["a_column_name", "_", "longer_than_22_bytes"],
+            ["", "", ""],
+        ];
+        for p in parts {
+            let joined = p.concat();
+            assert_eq!(Text::concat(&p), joined.as_str());
+            assert_eq!(Text::concat(&p), Text::new(&joined));
+        }
+        for s in [
+            "VarChar",
+            "dOuBlE",
+            "größe_ß",
+            long,
+            "an_extraordinarily_long_user_type_name",
+        ] {
+            let upper = Text::upper(s);
+            assert_eq!(upper, s.to_ascii_uppercase());
+            assert_eq!(String::from(upper.clone()), s.to_ascii_uppercase());
+            let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+                let mut state = DefaultHasher::new();
+                h(&mut state);
+                state.finish()
+            };
+            assert_eq!(
+                hash(&|st| upper.hash(st)),
+                hash(&|st| upper.as_str().hash(st))
+            );
+        }
+        let mut index: HashMap<Text, usize> = HashMap::new();
+        index.insert(Text::new(long), 0);
+        index.insert(Text::from("größe".to_string()), 1);
+        assert_eq!(index.get(long), Some(&0));
+        assert_eq!(index.get("größe"), Some(&1));
+        assert_eq!(index.get("GRÖSSE"), None);
+        let mut sorted = [
+            Text::new(long),
+            Text::new("größe"),
+            Text::new("Z"),
+            Text::new("a"),
+        ];
+        sorted.sort();
+        let mut strings = sorted.clone().map(String::from);
+        strings.sort();
+        assert_eq!(sorted, strings);
     }
 
     #[test]

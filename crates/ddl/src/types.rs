@@ -7,8 +7,13 @@
 //! [`DataType::logical_eq`] relation encodes exactly that: family + length
 //! parameters matter, display-width on integers and synonyms do not.
 
+use crate::token::Text;
+use serde::de::Error;
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 /// The normalized family of a SQL data type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -124,6 +129,119 @@ impl TypeFamily {
     }
 }
 
+/// The numeric parameters of a type, in declaration order: a length, or a
+/// precision and a scale. Up to [`Params::INLINE`] are held inline, so a
+/// type's parameters cost no heap allocation; a longer list is boxed.
+///
+/// It reads as a `[u32]`, and compares, hashes, prints and serializes as
+/// the list it holds.
+#[derive(Clone)]
+pub struct Params(ParamsRepr);
+
+/// A list of at most [`Params::INLINE`] parameters is always inline, so
+/// equal lists read as equal slices whatever their history.
+#[derive(Clone)]
+enum ParamsRepr {
+    Inline(u8, [u32; Params::INLINE]),
+    Heap(Vec<u32>),
+}
+
+impl Params {
+    /// The most parameters held inline.
+    pub const INLINE: usize = 3;
+
+    /// No parameters.
+    pub const fn new() -> Params {
+        Params(ParamsRepr::Inline(0, [0; Params::INLINE]))
+    }
+
+    /// Append `p`.
+    pub fn push(&mut self, p: u32) {
+        match &mut self.0 {
+            ParamsRepr::Inline(len, buf) if usize::from(*len) < Params::INLINE => {
+                buf[usize::from(*len)] = p;
+                *len += 1;
+            }
+            ParamsRepr::Inline(_, buf) => {
+                let mut heap = buf.to_vec();
+                heap.push(p);
+                self.0 = ParamsRepr::Heap(heap);
+            }
+            ParamsRepr::Heap(heap) => heap.push(p),
+        }
+    }
+
+    /// The parameters.
+    pub fn as_slice(&self) -> &[u32] {
+        match &self.0 {
+            ParamsRepr::Inline(len, buf) => &buf[..usize::from(*len)],
+            ParamsRepr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl Default for Params {
+    fn default() -> Params {
+        Params::new()
+    }
+}
+
+impl Deref for Params {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        self.as_slice()
+    }
+}
+
+impl FromIterator<u32> for Params {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Params {
+        let mut params = Params::new();
+        for p in iter {
+            params.push(p);
+        }
+        params
+    }
+}
+
+impl PartialEq for Params {
+    fn eq(&self, other: &Params) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Params {}
+
+impl PartialEq<Vec<u32>> for Params {
+    fn eq(&self, other: &Vec<u32>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Hash for Params {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state)
+    }
+}
+
+impl fmt::Debug for Params {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
+}
+
+impl Serialize for Params {
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
+    }
+}
+
+impl Deserialize for Params {
+    fn from_value(v: &Value) -> Result<Params, Error> {
+        Vec::<u32>::from_value(v).map(|ps| ps.into_iter().collect())
+    }
+}
+
 /// A parsed data type: family, numeric parameters, enum/set values, and the
 /// raw spelling found in the source.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -131,28 +249,28 @@ pub struct DataType {
     /// Normalized family.
     pub family: TypeFamily,
     /// Numeric parameters in declaration order (length, or precision+scale).
-    pub params: Vec<u32>,
+    pub params: Params,
     /// Value list for `ENUM`/`SET` types.
     pub values: Vec<String>,
     /// `UNSIGNED` modifier (significant for numeric types).
     pub unsigned: bool,
     /// The raw, uppercased type name from the source (for `Other` fidelity
     /// and diagnostics).
-    pub raw_name: String,
+    pub raw_name: Text,
 }
 
 impl DataType {
     /// Build a type from its raw name, classifying it into a family.
     pub fn from_name(raw: &str) -> Self {
-        DataType::from_upper(raw.to_ascii_uppercase())
+        DataType::from_upper(Text::upper(raw))
     }
 
     /// [`DataType::from_name`] for a name already uppercased.
-    pub(crate) fn from_upper(upper: String) -> Self {
+    pub(crate) fn from_upper(upper: Text) -> Self {
         let family = classify(&upper);
         DataType {
             family,
-            params: Vec::new(),
+            params: Params::new(),
             values: Vec::new(),
             unsigned: false,
             raw_name: upper,
@@ -312,6 +430,29 @@ mod tests {
 
     fn ty(name: &str) -> DataType {
         DataType::from_name(name)
+    }
+
+    #[test]
+    fn params_past_the_inline_limit_read_as_the_list() {
+        for n in 0..=Params::INLINE + 3 {
+            let list: Vec<u32> = (10..10 + n as u32).collect();
+            let params: Params = list.iter().copied().collect();
+            assert_eq!(params.as_slice(), list.as_slice());
+            assert_eq!(params, list);
+            assert_eq!(format!("{params:?}"), format!("{list:?}"));
+            let value = serde::Serialize::to_value(&params);
+            assert_eq!(value, serde::Serialize::to_value(&list));
+            let back: Params = serde::Deserialize::from_value(&value).unwrap();
+            assert_eq!(back, params);
+        }
+        let mut t = ty("an_extraordinarily_long_user_type_name");
+        t.params = [3, 4, 5, 6].into_iter().collect();
+        assert_eq!(
+            t.to_string(),
+            "AN_EXTRAORDINARILY_LONG_USER_TYPE_NAME(3,4,5,6)"
+        );
+        assert_eq!(ty("VarChar").raw_name, "VARCHAR");
+        assert_eq!(ty("größe_typ").raw_name, "GRößE_TYP");
     }
 
     #[test]

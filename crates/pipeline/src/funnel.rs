@@ -295,13 +295,12 @@ fn assess_clone(
             Exclusion::ZeroVersions
         });
     }
-    // The history must contain a CREATE TABLE somewhere.
-    let has_ct = versions.iter().any(|v| {
-        schevo_ddl::parse_schema(&v.content)
-            .map(|s| !s.is_empty())
-            .unwrap_or(false)
-    });
-    if !has_ct {
+    // The history must contain a CREATE TABLE somewhere: some version's
+    // schema holds a table.
+    if !versions
+        .iter()
+        .any(|v| schevo_ddl::declares_tables(&v.content))
+    {
         return Err(Exclusion::EmptyOrNoCreateTable);
     }
     Ok(CandidateHistory {

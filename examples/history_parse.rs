@@ -32,15 +32,80 @@
 //!   versions as `HistoryParser` returns them (most tables are the same
 //!   `Arc`, which `diff` skips) against the same pairs with every table
 //!   deep-copied, so none is shared. Both deltas are compared first.
+//!
+//! Before any of that, the funnel's CREATE TABLE check, `declares_tables`,
+//! is compared with `parse_schema`'s emptiness on every version of every
+//! `.sql` file of every clone of the corpus, the dropped ones included.
+//! While the parsers are compared, the heap allocations `HistoryParser`
+//! makes are counted and printed per freshly parsed statement (one not
+//! reused from the previous version), for information only.
 
 use schevo::core::diff::diff;
 use schevo::ddl::lexer::{tokenize, tokenize_edit};
 use schevo::ddl::token::Token;
-use schevo::ddl::{parse_schema, HistoryParser, Table};
+use schevo::ddl::{declares_tables, parse_schema, HistoryParser, Table};
 use schevo::pipeline::funnel::run_funnel;
 use schevo::prelude::*;
+use schevo::vcs::history::file_history;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The system allocator, counting allocations.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a plain atomic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Assert `declares_tables` equals `parse_schema`'s emptiness on every
+/// version of every `.sql` file of every clone in `universe`; the number
+/// of versions and how many declare tables.
+fn check_create_table_predicate(universe: &Universe) -> (usize, usize) {
+    let (mut versions, mut declaring) = (0, 0);
+    for (name, clone) in &universe.materialized {
+        for path in &clone.sql_paths {
+            let Ok(history) = file_history(clone.repo(), path, WalkStrategy::FirstParent) else {
+                continue;
+            };
+            for v in &history {
+                let expected = parse_schema(&v.content).is_ok_and(|s| !s.is_empty());
+                assert_eq!(
+                    declares_tables(&v.content),
+                    expected,
+                    "{name}:{path}: the CREATE TABLE check diverged"
+                );
+                versions += 1;
+                declaring += usize::from(expected);
+            }
+        }
+    }
+    (versions, declaring)
+}
 
 /// Lex `sequences`, each version as an edit of the previous one when that
 /// one lexed.
@@ -73,6 +138,12 @@ fn main() {
         .map(|a| a.parse().expect("rounds must be a number"))
         .unwrap_or(7);
     let universe = generate(UniverseConfig::paper(2019));
+    let (checked, declaring) = check_create_table_predicate(&universe);
+    println!(
+        "CREATE TABLE check: equals parse_schema's emptiness on {checked} versions of {} \
+         clones ({declaring} declare tables)",
+        universe.materialized.len()
+    );
     let funnel = run_funnel(&universe, WalkStrategy::FirstParent);
     let histories: Vec<Vec<&str>> = funnel
         .analyzed
@@ -131,15 +202,15 @@ fn main() {
             .map(|v| v.len())
             .sum();
         let (mut statements, mut reused, mut by_position, mut relexed) = (0, 0, 0, 0);
+        let mut parse_allocations = 0;
         for seq in sequences {
             let mut parser = HistoryParser::new();
             let mut first = None;
             for sql in seq {
-                assert_eq!(
-                    parser.parse(sql),
-                    parse_schema(sql),
-                    "{label}: parsers diverged"
-                );
+                let before = allocations();
+                let parsed = parser.parse(sql);
+                parse_allocations += allocations() - before;
+                assert_eq!(parsed, parse_schema(sql), "{label}: parsers diverged");
                 first.get_or_insert(parser.relexed_bytes());
             }
             statements += parser.statements();
@@ -172,6 +243,12 @@ fn main() {
             stateless,
             incremental,
             (incremental / stateless - 1.0) * 100.0
+        );
+        println!(
+            "{label:>9}: HistoryParser made {:.1} heap allocations per freshly parsed \
+             statement ({parse_allocations} over {})",
+            parse_allocations as f64 / (statements - reused) as f64,
+            statements - reused
         );
         println!(
             "{label:>9}: {:.1}% of the bytes of each version after the first lexed again \

@@ -178,7 +178,7 @@ fn random_table(rng: &mut StdRng, name: &str) -> Table {
             t.push_attribute(a);
         }
     }
-    let names: Vec<String> = t.attributes().iter().map(|a| a.name.clone()).collect();
+    let names: Vec<String> = t.attributes().iter().map(|a| a.name.to_string()).collect();
     let key: Vec<String> = names
         .iter()
         .filter(|_| rng.gen_bool(0.3))

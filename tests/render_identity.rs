@@ -7,6 +7,12 @@
 //! quoting styles, engine clauses, headers and trailers, identifiers holding
 //! backquotes, tables without a primary key, and foreign keys with and
 //! without referenced columns.
+//!
+//! One more case holds names longer than the inline limit of the name
+//! type, multi-byte UTF-8 names and mixed-case type names byte-equal, from
+//! parse through lowering, `diff`, render and serde, to what the model of
+//! one `String` per name produced (`tests/golden/long_names.txt`, captured
+//! from that model).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -137,7 +143,11 @@ fn random_schema(rng: &mut StdRng) -> Schema {
         if rng.gen_bool(0.5) {
             table.set_primary_key(names(rng, 3));
         }
-        let cols: Vec<String> = table.attributes().iter().map(|a| a.name.clone()).collect();
+        let cols: Vec<String> = table
+            .attributes()
+            .iter()
+            .map(|a| a.name.to_string())
+            .collect();
         for _ in 0..rng.gen_range(0..3) {
             if cols.is_empty() {
                 break;
@@ -203,7 +213,7 @@ fn both_quoting_styles_cover_backquotes_keys_and_foreign_columns() {
         foreign_columns: vec!["`id".into(), "k".into()],
     });
     let mut keyed = table.clone();
-    keyed.set_primary_key(vec!["x`".into(), "y".into()]);
+    keyed.set_primary_key(["x`", "y"]);
     let mut schema = Schema::new();
     schema.upsert_table(table);
     let mut keyed_schema = Schema::new();
@@ -227,4 +237,91 @@ fn both_quoting_styles_cover_backquotes_keys_and_foreign_columns() {
     assert!(quoted.starts_with("CREATE TABLE `a``b` (\n  `x``` INT,\n"));
     assert!(quoted.contains("  PRIMARY KEY (`x```, `y`),\n"));
     assert!(quoted.contains("REFERENCES `p````q`\n") || quoted.contains("REFERENCES `p````q`,\n"));
+}
+
+/// Two versions of a DDL file whose names and type names take every path
+/// of the name type: identifiers and a user type name longer than the
+/// inline limit, quoted names of multi-byte UTF-8 (some of them long too),
+/// mixed-case type names and synonyms, four type parameters, and an
+/// `ALTER TABLE` that renames, adds and drops by such names.
+const LONG_NAME_VERSIONS: [&str; 2] = [
+    "CREATE TABLE `customer_accounts_archive_2019` (\n\
+       `identifier_longer_than_the_inline_limit` BigInt(20) UNSIGNED NOT NULL,\n\
+       `größe_本表` VarChar(40),\n\
+       `naïve_café_ünïcödé_名前_long` dOuBlE PrEcIsIoN,\n\
+       note Character Varying(300),\n\
+       payload an_extraordinarily_long_user_type_name(3,4,5,6),\n\
+       PRIMARY KEY (`identifier_longer_than_the_inline_limit`, `größe_本表`)\n\
+     ) ENGINE=InnoDB DEFAULT CHARSET=utf8mb4 COMMENT='名前';\n\
+     CREATE TABLE `短い` (\n\
+       id int,\n\
+       `a_foreign_reference_column_name` INT,\n\
+       FOREIGN KEY (`a_foreign_reference_column_name`) REFERENCES \
+     `customer_accounts_archive_2019` (`identifier_longer_than_the_inline_limit`)\n\
+     );\n",
+    "CREATE TABLE `customer_accounts_archive_2019` (\n\
+       `identifier_longer_than_the_inline_limit` BigInt(20) UNSIGNED NOT NULL,\n\
+       `größe_本表` VarChar(80),\n\
+       `naïve_café_ünïcödé_名前_long` Long VarChar,\n\
+       payload an_extraordinarily_long_user_type_name(3,4,5,7),\n\
+       PRIMARY KEY (`identifier_longer_than_the_inline_limit`)\n\
+     ) ENGINE=InnoDB DEFAULT CHARSET=utf8mb4;\n\
+     CREATE TABLE `短い` (\n\
+       id int,\n\
+       `a_foreign_reference_column_name` INT\n\
+     );\n\
+     ALTER TABLE `短い` ADD COLUMN `another_column_with_a_long_name_ß` MeDiUmTeXt, \
+     DROP COLUMN id, RENAME TO `a_renamed_table_whose_name_is_long_äö`;\n",
+];
+
+/// What parse, lowering, `diff`, render and serde make of the two
+/// versions, each as text: per version the rendered schema, its JSON and
+/// its attributes; then the delta between them.
+fn observe_long_names() -> Vec<String> {
+    use schevo::core::diff::diff;
+    use schevo::ddl::render::render_schema;
+    use schevo::ddl::{parse_schema, HistoryParser, Schema};
+
+    let mut seen = Vec::new();
+    let mut history = HistoryParser::new();
+    let mut schemas = Vec::new();
+    for sql in LONG_NAME_VERSIONS {
+        let schema = parse_schema(sql).expect("version parses");
+        assert_eq!(
+            history.parse(sql).as_ref(),
+            Ok(&schema),
+            "HistoryParser diverged"
+        );
+        seen.push(render_schema(&schema));
+        let json = serde_json::to_string(&schema).expect("schema serializes");
+        let back: Schema = serde_json::from_str(&json).expect("schema deserializes");
+        assert_eq!(back, schema, "serde round trip");
+        seen.push(json);
+        for table in schema.tables() {
+            seen.push(format!(
+                "{}: {:?} key {:?}",
+                table.name,
+                table.attributes(),
+                table.primary_key()
+            ));
+        }
+        schemas.push(schema);
+    }
+    seen.push(format!("{:?}", diff(&schemas[0], &schemas[1])));
+    seen
+}
+
+#[test]
+fn long_and_non_ascii_names_keep_their_bytes() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/long_names.txt");
+    let golden = std::fs::read_to_string(path).expect("golden observations");
+    let seen: Vec<String> = observe_long_names()
+        .iter()
+        .map(|s| format!("{s:?}"))
+        .collect();
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(seen.len(), golden.len(), "observation count");
+    for (i, (seen, golden)) in seen.iter().zip(golden).enumerate() {
+        assert_eq!(seen, golden, "observation {i}");
+    }
 }
